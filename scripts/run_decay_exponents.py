@@ -20,21 +20,19 @@ def media():
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
 
     reference, critical = media()
     rows = []
 
     for p in (0.0, 1.0, 2.0):
         t0 = time.monotonic()
-        rep = en.verify_gamma_lf(reference, p, threads=args.threads)
+        rep = en.verify_gamma_lf(reference, p)
         rows.append((f"reference lf p={p:g}", rep.target, rep.fitted, time.monotonic() - t0))
 
     for name, medium in (("reference", reference), ("critical", critical)):
         t0 = time.monotonic()
-        rep = en.verify_gamma_hf(medium, 2.0, threads=args.threads)
+        rep = en.verify_gamma_hf(medium, 2.0)
         rows.append((f"{name} hf m=2", rep.target, rep.fitted, time.monotonic() - t0))
 
     print(f"{'experiment':<24}{'target':>8}{'fitted':>9}{'seconds':>9}")

@@ -42,7 +42,6 @@ from . import evolution
 from .errors import ConfigError, LorentzModesError
 from .medium import LorentzMedium, Oscillator
 from .operators import build_perp_operator
-from .parallel import resolve_threads
 
 
 def _fmt(x) -> str:
@@ -218,39 +217,32 @@ def cmd_branches(args) -> int:
 
 
 def cmd_projectors(args) -> int:
-    from .parallel import parallel_map
-
     medium, run = load_medium_config(args.config)
-    threads = args.threads
     branches = _tracked(medium, args, run)
     table = medium.asymptotic_coefficients()
     k_minus, k_plus = disp.diagnose_bands(branches, table)
     n_samples = int(args.samples or run.get("samples", 12))
     out = _out_dir(args)
 
-    jobs = []
+    rows = []
     for b in branches:
         for regime, band in (
             ("hf", np.geomspace(k_plus, min(100 * k_plus, b.k[-1]), n_samples)),
             ("lf", np.geomspace(max(k_minus / 100, b.k[0]), k_minus, n_samples)),
         ):
             for k in band:
-                i = int(np.argmin(np.abs(b.k - k)))
-                jobs.append((float(k), b.label_text(), regime, b.omega[i]))
-
-    def one(job):
-        k, label, regime, target = job
-        op = build_perp_operator(medium, k)
-        dec = op.eigen
-        idx = int(np.argmin(np.abs(dec.eigenvalues - target)))
-        return (
-            _fmt(k),
-            f"{label}:{regime}",
-            _fmt(op.operator_norm(dec.projectors[idx])),
-            _fmt(dec.residual),
-        )
-
-    rows = parallel_map(one, jobs, threads)
+                target = b.omega[int(np.argmin(np.abs(b.k - k)))]
+                op = build_perp_operator(medium, float(k))
+                dec = op.eigen
+                idx = int(np.argmin(np.abs(dec.eigenvalues - target)))
+                rows.append(
+                    (
+                        _fmt(k),
+                        f"{b.label_text()}:{regime}",
+                        _fmt(op.operator_norm(dec.projectors[idx])),
+                        _fmt(dec.residual),
+                    )
+                )
     _write_csv(out / "projectors.csv", ("k", "branch", "norm", "residual"), rows)
     print(f"wrote {out / 'projectors.csv'}")
     return 0
@@ -280,15 +272,14 @@ def cmd_evolve(args) -> int:
 
 def cmd_energy(args) -> int:
     medium, run = load_medium_config(args.config)
-    threads = resolve_threads(args.threads)
     band = args.band or run.get("band", "lf")
     out = _out_dir(args)
     if band == "lf":
         p = float(args.p if args.p is not None else run.get("p", 0.0))
-        report = energy_mod.verify_gamma_lf(medium, p, threads=threads)
+        report = energy_mod.verify_gamma_lf(medium, p)
     elif band == "hf":
         m = float(args.m if args.m is not None else run.get("m", 2.0))
-        report = energy_mod.verify_gamma_hf(medium, m, threads=threads)
+        report = energy_mod.verify_gamma_hf(medium, m)
     else:
         raise ConfigError(f"unknown band {band!r} (use lf or hf)")
     record = report.record
@@ -333,15 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
+    def common(p, needs_config=True, out_default="out"):
         if needs_config:
             p.add_argument("--config", required=True, help="medium configuration file")
-        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--out", default=out_default, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="random seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
 
     p = sub.add_parser("classify", help="dissipation class, criticality, catalog")
-    common(p)
+    common(p, out_default=None)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("branches", help="track and label dispersion branches")
@@ -374,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("fit", help="fit a power-law exponent to a decay CSV")
-    common(p, needs_config=False)
+    common(p, needs_config=False, out_default=None)
     p.add_argument("--input", required=True, help="CSV with t and energy columns")
     p.add_argument("--t-min", type=float, default=1e2)
     p.add_argument("--t-max", type=float, default=1e6)

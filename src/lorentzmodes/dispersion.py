@@ -23,7 +23,7 @@ from .errors import (
     UnclassifiableBranch,
 )
 from .medium import CoefficientTable, LorentzMedium, ZeroClass
-from .polyroots import companion_roots, polyval
+from .polyroots import certified_roots, companion_roots, polyval
 
 #: relative trim tolerance for polynomial leading coefficients
 TRIM_TOL = 1e-14
@@ -164,9 +164,26 @@ def dispersion_polynomial(medium: LorentzMedium, k: float) -> ComplexPolynomial:
     return ComplexPolynomial(out)
 
 
-def solve_dispersion(medium: LorentzMedium, k: float) -> np.ndarray:
-    """All N roots at wavenumber k, certified by the residual check."""
-    return dispersion_polynomial(medium, k).roots()
+def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
+    """All N roots at wavenumber k, certified by the residual check.
+
+    A 1-D array of positive k gives the (len(k), N) roots, row i at k[i],
+    from one stacked solve; each row equals the scalar call at that k.
+    """
+    if np.ndim(k) == 0:
+        return dispersion_polynomial(medium, k).roots()
+    k = np.asarray(k, dtype=float)
+    if not np.all(k > 0):
+        raise ValueError("a stacked dispersion solve needs positive wavenumbers")
+    num, den = medium.numerator_denominator()
+    rows = np.tile(num.coefficients, (len(k), 1))
+    rows[:, : len(den.coefficients)] -= (k * k)[:, None] * den.coefficients
+    # the scalar path would trim a leading coefficient this small relative to the row
+    if np.any(np.abs(rows[:, -1]) <= TRIM_TOL * np.max(np.abs(rows), axis=1)):
+        raise DegenerateLeadingCoefficient(
+            "leading dispersion coefficient vanishes relative to the k^2 terms"
+        )
+    return certified_roots(rows)
 
 
 def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.ndarray:

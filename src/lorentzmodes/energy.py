@@ -4,6 +4,11 @@ The squared norm of the solution is a radial integral of per-wavenumber decay
 traces against an initial radial profile.  Composite Gauss-Legendre panels
 (log-spaced edges, plain Gauss nodes inside each panel) integrate it; the
 number of panels doubles until the energy at the final time settles.
+
+The optimal data of the exponent runs is a slow-branch eigenvector, whose
+trace is exp(2 Im omega(k) t) in closed form: a panel rule costs one stacked
+dispersion root solve and no operator, eigendecomposition or propagation.
+Only the fixed random direction is propagated node by node.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from .errors import (
     WindowTooShort,
 )
 from .medium import CoefficientTable, Criticality, LorentzMedium
-from .operators import build_perp_operator, eigenvector_columns
+# eigenvector_columns is unused here; perfbench/spans.py wraps it at this name
+from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
 from .evolution import propagate
 
 QUAD_TOL = 1e-6
@@ -111,13 +117,12 @@ class FixedRandomUnit:
     seed: int = 0
 
 
-def branch_eigenvalue(
-    medium: LorentzMedium, table: CoefficientTable, label, k: float
-) -> complex:
+def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
     """The dispersion root at k belonging to the labeled branch.
 
     Matches roots against the branch's asymptotic anchor, so k must lie in
-    the label's validity band.
+    the label's validity band.  A 1-D array of k gives one root per k, all
+    from one stacked root solve.
     """
     if isinstance(label, (PlusInf, MinusInf, Pole)):
         anchor, _ = hf_expansion(label, table)
@@ -126,19 +131,22 @@ def branch_eigenvalue(
     else:
         raise ValueError(f"cannot anchor branch label {label}")
     roots = solve_dispersion(medium, k)
-    return complex(roots[np.argmin(np.abs(roots - anchor(k)))])
+    if np.ndim(k) == 0:
+        return complex(roots[np.argmin(np.abs(roots - anchor(k)))])
+    pick = np.argmin(np.abs(roots - anchor(np.asarray(k, dtype=float))[:, None]), axis=1)
+    return roots[np.arange(len(pick)), pick]
 
 
-def _direction(medium, table, rule, op, k):
-    if isinstance(rule, OptimalBranch):
-        omega = branch_eigenvalue(medium, table, rule.label, k)
-        v = eigenvector_columns(medium, k, omega)[:, 0]
-        return v / op.norm(v)
-    if isinstance(rule, FixedRandomUnit):
-        rng = np.random.default_rng(rule.seed)
-        v = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
-        return v / op.norm(v)
-    raise ValueError(f"unknown direction rule {rule!r}")
+def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
+    """|exp(-iAt) v|^2 per node by full propagation of the shared random state."""
+    rng = np.random.default_rng(rule.seed)
+    dim = 2 * medium.state_blocks
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    traces = []
+    for k in ks:
+        op = build_perp_operator(medium, float(k))
+        traces.append(propagate(op, v / op.norm(v), t_grid, keep_states=False).norms ** 2)
+    return np.stack(traces)
 
 
 # --- the energy integral -------------------------------------------------------------
@@ -175,19 +183,28 @@ def simulate_energy(
     direction_rule,
     t_grid: Sequence[float],
     tag: str = "",
-    threads: Optional[int] = None,
 ) -> DecayRecord:
-    """E(t) = 4*pi * integral of k^2 phi(k)^2 |exp(-iAt) v(k)|^2 over the band."""
-    from .parallel import parallel_map
+    """E(t) = 4*pi * integral of k^2 phi(k)^2 |exp(-iAt) v(k)|^2 over the band.
 
+    An OptimalBranch datum is an eigenvector, so its trace is the closed form
+    exp(2 Im omega(k) t), with the omega of a whole panel rule from one
+    stacked root solve.  A FixedRandomUnit datum is propagated node by node.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
-    table = medium.asymptotic_coefficients()
+    if isinstance(direction_rule, OptimalBranch):
+        table = medium.asymptotic_coefficients()
 
-    def node_trace(k):
-        op = build_perp_operator(medium, float(k))
-        v = _direction(medium, table, direction_rule, op, float(k))
-        res = propagate(op, v, t_grid, keep_states=False)
-        return res.norms**2
+        def rule_traces(ks):
+            omega = branch_eigenvalue(medium, table, direction_rule.label, ks)
+            return np.exp(2.0 * np.outer(omega.imag, t_grid))
+
+    elif isinstance(direction_rule, FixedRandomUnit):
+
+        def rule_traces(ks):
+            return _propagated_traces(medium, direction_rule, ks, t_grid)
+
+    else:
+        raise ValueError(f"unknown direction rule {direction_rule!r}")
 
     decades = max(math.log10(profile.k_max / profile.k_min), 0.3)
     n_panels = max(1, int(math.ceil(decades)))
@@ -195,10 +212,7 @@ def simulate_energy(
     for _ in range(MAX_PANEL_DOUBLINGS + 1):
         ks, ws = gauss_panels(profile.k_min, profile.k_max, n_panels)
         phi2 = profile(ks) ** 2
-        traces = parallel_map(node_trace, list(ks), threads)
-        energy = 4.0 * math.pi * np.einsum(
-            "i,ij->j", ws * ks**2 * phi2, np.stack(traces)
-        )
+        energy = 4.0 * math.pi * np.einsum("i,ij->j", ws * ks**2 * phi2, rule_traces(ks))
         ref = float(energy[-1])
         if prev_ref is not None and abs(ref - prev_ref) <= QUAD_TOL * abs(prev_ref):
             return DecayRecord(t_grid=t_grid, energy=energy, tag=tag, panels=n_panels)
@@ -284,7 +298,6 @@ def verify_gamma_hf(
     eps: float = DEFAULT_EPS,
     k_plus: Optional[float] = None,
     tolerance: float = 0.10,
-    threads: Optional[int] = None,
 ) -> GammaReport:
     """Reproduce the optimal high-frequency exponent: m, or m/2 when critical.
 
@@ -332,7 +345,6 @@ def verify_gamma_hf(
         OptimalBranch(label),
         t_grid,
         tag=f"hf(m={m:g},{'critical' if critical else 'non-critical'})",
-        threads=threads,
     )
     window = (max(1e2, t_onset), t_max)
     fitted, _ = fit_exponent(record, window)
@@ -347,7 +359,6 @@ def verify_gamma_lf(
     p: float,
     k_minus: Optional[float] = None,
     tolerance: float = 0.10,
-    threads: Optional[int] = None,
 ) -> GammaReport:
     """Reproduce the optimal low-frequency exponent p + 3/2."""
     table = medium.asymptotic_coefficients()
@@ -368,7 +379,6 @@ def verify_gamma_lf(
         OptimalBranch(Zero0(1)),
         t_grid,
         tag=f"lf(p={p:g})",
-        threads=threads,
     )
     window = (max(1e2, t_onset), t_max)
     fitted, _ = fit_exponent(record, window)
@@ -383,7 +393,6 @@ def convergence_to_zero(
     t_list: Sequence[float],
     k_band: Optional[tuple[float, float]] = None,
     seed: int = 0,
-    threads: Optional[int] = None,
 ) -> DecayRecord:
     """Full-band energy run demonstrating monotone decay toward zero."""
     if k_band is None:
@@ -396,22 +405,10 @@ def convergence_to_zero(
         FixedRandomUnit(seed),
         np.asarray(t_list, float),
         tag="full-band",
-        threads=threads,
     )
     return record
 
 
-_BAND_CACHE: dict = {}
-
-
 def diagnosed_bands(medium: LorentzMedium) -> tuple[float, float]:
-    """(k_minus, k_plus) from tracked branches, cached per medium."""
-    key = medium
-    if key not in _BAND_CACHE:
-        from .dispersion import classify_branches, default_k_grid, diagnose_bands, track_branches
-
-        branches = classify_branches(
-            track_branches(medium, default_k_grid(medium)), medium
-        )
-        _BAND_CACHE[key] = diagnose_bands(branches, medium.asymptotic_coefficients())
-    return _BAND_CACHE[key]
+    """(k_minus, k_plus) from tracked branches, kept on the medium."""
+    return medium.diagnosed_bands

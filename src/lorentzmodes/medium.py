@@ -443,6 +443,18 @@ class LorentzMedium:
         zero_entries = self._catalog_zeros()
         return PoleZeroCatalog(poles=tuple(pole_entries), zeros=tuple(zero_entries))
 
+    @cached_property
+    def diagnosed_bands(self) -> tuple[float, float]:
+        """(k_minus, k_plus) from the branches tracked on the default k grid.
+
+        Cached on the instance, so the tracking runs once per medium and the
+        result is dropped with it.
+        """
+        from .dispersion import classify_branches, default_k_grid, diagnose_bands, track_branches
+
+        branches = classify_branches(track_branches(self, default_k_grid(self)), self)
+        return diagnose_bands(branches, self.asymptotic_coefficients())
+
     def _all_pole_roots(self):
         roots = []
         for osc in self.electric:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -525,7 +524,6 @@ def projector_norm_sweep(
     medium: LorentzMedium,
     branch,
     k_grid,
-    threads: Optional[int] = None,
 ) -> list[tuple[float, float]]:
     """Weighted norms of the projector following one branch across k_grid.
 
@@ -534,8 +532,6 @@ def projector_norm_sweep(
     the norms is reported by sweep_trend; growth is the caller's signal to
     distrust the band.
     """
-    from .parallel import parallel_map
-
     if callable(branch):
         eigenvalue_of_k = branch
     else:
@@ -549,7 +545,7 @@ def projector_norm_sweep(
         idx = int(np.argmin(np.abs(dec.eigenvalues - eigenvalue_of_k(k))))
         return float(k), op.operator_norm(dec.projectors[idx])
 
-    return parallel_map(one, list(k_grid), threads)
+    return [one(k) for k in k_grid]
 
 
 def sweep_trend(sweep: list[tuple[float, float]]) -> float:

@@ -2,13 +2,14 @@
 
 Roots come from the balanced companion matrix, then up to five Newton steps
 on the original polynomial. Every root must pass a backward-error residual
-certificate before it is returned.
+certificate before it is returned. ``certified_roots`` does this for a stack
+of same-degree polynomials at once; ``companion_roots`` trims and deflates a
+single polynomial and then hands it to the same core.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RootFindingFailure
 
@@ -27,32 +28,49 @@ def polyval(coeffs: np.ndarray, z) -> np.ndarray:
     return acc
 
 
-def polyder(coeffs: np.ndarray) -> np.ndarray:
-    """Ascending-coefficient derivative."""
-    n = len(coeffs)
-    if n <= 1:
-        return np.zeros(1, dtype=complex)
-    return coeffs[1:] * np.arange(1, n)
+def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+    """Roots of every row of an (m, n+1) stack of ascending coefficients.
 
+    Each row must have degree n >= 1 (nonzero last entry).  Returns the (m, n)
+    refined roots; raises RootFindingFailure when any root of any row fails
+    the certificate |p(r)| / sum |c_i||r|^i < residual_tol.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    m, n = rows.shape[0], rows.shape[1] - 1
+    comp = np.zeros((m, n, n), dtype=complex)
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -(rows[:, :-1] / rows[:, -1:])
+    roots = np.linalg.eigvals(comp)  # geev balances internally
 
-def backward_error(coeffs: np.ndarray, root: complex) -> float:
-    """|p(r)| scaled by sum |c_i| |r|^i, the relative backward error of r."""
-    r = abs(root)
-    scale = 0.0
-    power = 1.0
-    for c in coeffs:
-        scale += abs(c) * power
-        power *= r
-    if scale == 0.0:
-        return np.inf
-    return abs(polyval(coeffs, root)) / scale
+    # coefficients as (n+1, m, 1): each Horner step broadcasts over a row's roots
+    coeffs = rows.T[:, :, None]
+    deriv = coeffs[1:] * np.arange(1, n + 1)[:, None, None]
+    for _ in range(NEWTON_STEPS):
+        pv = polyval(coeffs, roots)
+        dv = polyval(deriv, roots)
+        ok = np.abs(dv) > 0
+        step = np.zeros_like(roots)
+        step[ok] = pv[ok] / dv[ok]
+        # damp steps that would jump across the root spacing
+        step = np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
+        roots = roots - step
+
+    scale = polyval(np.abs(coeffs), np.abs(roots)).real
+    errs = np.divide(
+        np.abs(polyval(coeffs, roots)), scale, out=np.full(roots.shape, np.inf), where=scale > 0
+    )
+    if np.any(errs > residual_tol):
+        raise RootFindingFailure(
+            f"root residual certificate failed: max backward error {errs.max():.3e}"
+        )
+    return roots
 
 
 def companion_roots(coeffs: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
     """All roots of the polynomial with ascending complex coefficients.
 
     Raises RootFindingFailure when any refined root fails the residual
-    certificate |p(r)| / sum |c_i||r|^i < residual_tol.
+    certificate of ``certified_roots``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     # trim trailing (leading-degree) zeros
@@ -70,28 +88,4 @@ def companion_roots(coeffs: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> n
         return zeros
     if n == 1:
         return np.concatenate([zeros, [-coeffs[0] / coeffs[1]]])
-
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((n, n), dtype=complex)
-    comp[1:, :-1] = np.eye(n - 1)
-    comp[:, -1] = -monic[:-1]
-    roots = scipy.linalg.eigvals(comp)  # geev balances internally
-
-    deriv = polyder(coeffs)
-    for _ in range(NEWTON_STEPS):
-        pv = polyval(coeffs, roots)
-        dv = polyval(deriv, roots)
-        ok = np.abs(dv) > 0
-        step = np.zeros_like(roots)
-        step[ok] = pv[ok] / dv[ok]
-        # damp steps that would jump across the root spacing
-        step = np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
-        roots = roots - step
-
-    errs = np.array([backward_error(coeffs, r) for r in roots])
-    if np.any(errs > residual_tol):
-        worst = float(errs.max())
-        raise RootFindingFailure(
-            f"root residual certificate failed: max backward error {worst:.3e}"
-        )
-    return np.concatenate([zeros, roots])
+    return np.concatenate([zeros, certified_roots(coeffs[None, :], residual_tol)[0]])

@@ -1,9 +1,13 @@
 """Command-line interface: config parsing, artifacts, exit codes, determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import lorentzmodes
 
 REFERENCE_CFG = """\
 [medium]
@@ -43,11 +47,18 @@ alpha = 0.0
 """
 
 
-def run_cli(*argv):
+def run_cli(*argv, cwd=None):
+    # the package's absolute parent goes first on the path, so runs from any
+    # working directory import the code under test
+    env = dict(os.environ)
+    src = str(Path(lorentzmodes.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "lorentzmodes.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env=env,
     )
 
 
@@ -181,6 +192,21 @@ class TestEnergyAndFit:
         assert res2.returncode == 0, res2.stderr
         assert "fitted_gamma=1." in res2.stdout
 
+    def test_no_out_flag_writes_nothing(self, reference_cfg, tmp_path):
+        # classify and fit only print unless --out is given
+        t = [10.0**e for e in (1, 2, 3, 4)]
+        csv_path = tmp_path / "decay.csv"
+        csv_path.write_text("t,energy\n" + "".join(f"{x},{x**-1.5}\n" for x in t))
+        work = tmp_path / "cwd"
+        work.mkdir()
+        res = run_cli("classify", "--config", str(reference_cfg), cwd=work)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("fit", "--input", str(csv_path), "--t-min", "100", "--t-max", "1e4",
+                      cwd=work)
+        assert res.returncode == 0, res.stderr
+        assert "fitted_gamma=1.500000" in res.stdout
+        assert list(work.iterdir()) == []
+
     def test_fit_missing_input_exit_2(self, tmp_path):
         res = run_cli("fit", "--input", str(tmp_path / "none.csv"))
         assert res.returncode == 2
@@ -196,25 +222,6 @@ class TestEnergyAndFit:
         res = run_cli("fit", "--input", str(csv_path), "--t-min", "100", "--t-max", "500")
         assert res.returncode == 1
         assert "analysis failure" in res.stderr
-
-
-class TestThreadResolution:
-    def test_explicit_wins(self, monkeypatch):
-        from lorentzmodes.parallel import ENV_THREADS, resolve_threads
-
-        monkeypatch.setenv(ENV_THREADS, "7")
-        assert resolve_threads(3) == 3
-        assert resolve_threads(None) == 7
-        monkeypatch.setenv(ENV_THREADS, "junk")
-        assert resolve_threads(None) == 1
-        monkeypatch.delenv(ENV_THREADS)
-        assert resolve_threads(None) == 1
-
-    def test_parallel_map_preserves_order(self):
-        from lorentzmodes.parallel import parallel_map
-
-        items = list(range(40))
-        assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
 
 
 class TestProjectorsCommand:

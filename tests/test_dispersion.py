@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
-from lorentzmodes.errors import DegenerateLeadingCoefficient
+from lorentzmodes.errors import DegenerateLeadingCoefficient, RootFindingFailure
 from lorentzmodes.operators import build_perp_operator
+from lorentzmodes.polyroots import certified_roots
 
 
 class TestPolynomial:
@@ -73,6 +74,28 @@ class TestSolve:
         op = build_perp_operator(reference_medium, 1.0)
         eigs = np.sort_complex(scipy.linalg.eigvals(op.matrix))
         np.testing.assert_allclose(np.repeat(roots, 2), eigs, atol=1e-8)
+
+    def test_stacked_rows_equal_scalar_calls(self, reference_medium):
+        grid = dsp.default_k_grid(reference_medium)
+        stacked = dsp.solve_dispersion(reference_medium, grid)
+        assert stacked.shape == (len(grid), reference_medium.state_blocks)
+        for k, row in zip(grid, stacked):
+            np.testing.assert_array_equal(row, dsp.solve_dispersion(reference_medium, k))
+
+    def test_stacked_certificate_still_gates(self, reference_medium):
+        rows = np.stack(
+            [dsp.dispersion_polynomial(reference_medium, k).coefficients for k in (0.1, 1.0, 10.0)]
+        )
+        assert certified_roots(rows).shape == (3, reference_medium.state_blocks)
+        with pytest.raises(RootFindingFailure):
+            certified_roots(rows, residual_tol=1e-300)
+
+    def test_stacked_solve_rejects_rows_the_scalar_path_reshapes(self, reference_medium):
+        # k = 0 deflates two roots at the origin; k = 1e8 trims the leading coefficient
+        with pytest.raises(ValueError):
+            dsp.solve_dispersion(reference_medium, np.array([0.0, 1.0]))
+        with pytest.raises(DegenerateLeadingCoefficient):
+            dsp.solve_dispersion(reference_medium, np.array([1.0, 1e8]))
 
 
 class TestTracking:

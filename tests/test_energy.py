@@ -1,6 +1,8 @@
 """Quadrature engine, energy records, exponent fitting, decay-law verification."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorentzmodes as lm
+from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
 from lorentzmodes.errors import NonPolynomialDecay, WindowTooShort
+from lorentzmodes.evolution import propagate
+from lorentzmodes.operators import build_perp_operator, eigenvector_columns
 
 
 class TestQuadratureEngine:
@@ -35,6 +40,58 @@ class TestQuadratureEngine:
             reference_medium, profile, en.FixedRandomUnit(0), [0.0, 1.0]
         )
         assert record.energy[0] == pytest.approx(28.0 * math.pi / 3.0, rel=1e-10)
+
+
+class TestClosedFormTrace:
+    """exp(2 Im omega t) against full propagation of the normalised eigenvector."""
+
+    @staticmethod
+    def _compare(medium, label, ks):
+        table = medium.asymptotic_coefficients()
+        t = en._log_time_grid(1e5)
+        omega = en.branch_eigenvalue(medium, table, label, ks)
+        closed = np.exp(2.0 * np.outer(omega.imag, t))
+        for k, row in zip(ks, closed):
+            w = en.branch_eigenvalue(medium, table, label, float(k))
+            op = build_perp_operator(medium, float(k))
+            v = eigenvector_columns(medium, float(k), w)[:, 0]
+            full = propagate(op, v / op.norm(v), t, keep_states=False).norms ** 2
+            assert np.all(np.abs(full - row) <= 1e-8 * row + 1e-20)
+
+    def test_reference_low_band(self, reference_medium):
+        k_minus = en.diagnosed_bands(reference_medium)[0]
+        self._compare(reference_medium, dsp.Zero0(1), np.geomspace(k_minus / 100, k_minus, 6))
+
+    def test_reference_high_band(self, reference_medium):
+        k_plus = en.diagnosed_bands(reference_medium)[1]
+        self._compare(reference_medium, dsp.PlusInf(), np.geomspace(k_plus, 100 * k_plus, 6))
+
+    def test_critical_pole(self, critical_medium):
+        table = critical_medium.asymptotic_coefficients()
+        pole = next(p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12)
+        label = dsp.Pole(pole.pole, 1, 1, pole.second_order)
+        k_plus = en.diagnosed_bands(critical_medium)[1]
+        self._compare(critical_medium, label, np.geomspace(k_plus, 100 * k_plus, 6))
+
+
+class TestDiagnosedBands:
+    def test_tracked_once_and_dropped_with_the_medium(self, monkeypatch):
+        medium = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])
+        calls = []
+        track = dsp.track_branches
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return track(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, "track_branches", counting)
+        first = en.diagnosed_bands(medium)
+        assert en.diagnosed_bands(medium) == first
+        assert len(calls) == 1
+        ref = weakref.ref(medium)
+        del medium
+        gc.collect()
+        assert ref() is None
 
 
 class TestProfiles:
