@@ -9,14 +9,11 @@ import argparse
 import csv
 from pathlib import Path
 
-import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
+from lorentzmodes.cli import load_medium_config
 
-MEDIA = {
-    "reference": lm.new_medium(1, 1, [(1, 1, 0.1)], [(1, 2, 0.2)]),
-    "critical": lm.new_medium(1, 1, [(1, 1, 0.0), (1, 1.5, 0.3)], [(1, 2, 0.0)]),
-    "double_pole": lm.new_medium(1, 1, [(1, 1, 0.0), (1, 1.5, 0.4)], [(1, 1, 0.0)]),
-}
+CONFIGS = Path(__file__).resolve().parent / "configs"
+MEDIA = ("reference", "critical", "double_pole")
 
 
 def main():
@@ -27,7 +24,8 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    for name, medium in MEDIA.items():
+    for name in MEDIA:
+        medium, _ = load_medium_config(CONFIGS / f"{name}.cfg")
         grid = dsp.default_k_grid(medium, args.points_per_decade)
         branches = dsp.classify_branches(dsp.track_branches(medium, grid), medium)
         k_minus, k_plus = dsp.diagnose_bands(

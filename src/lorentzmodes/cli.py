@@ -134,8 +134,7 @@ def _tracked(medium, args, run):
     if k_min is not None or k_max is not None:
         lo = float(k_min) if k_min is not None else grid[0]
         hi = float(k_max) if k_max is not None else grid[-1]
-        n = max(2, int(round(ppd * np.log10(hi / lo))) + 1)
-        grid = np.geomspace(lo, hi, n)
+        grid = disp._log_grid(lo, hi, ppd)
     return disp.classify_branches(disp.track_branches(medium, grid), medium)
 
 

@@ -36,6 +36,9 @@ MATCH_TOL = 1e-10
 
 MAX_REFINEMENTS = 10
 
+#: rows per certified_roots call of a stacked solve; caps the companion stack's memory
+_SOLVE_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ComplexPolynomial:
@@ -168,7 +171,8 @@ def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
     """All N roots at wavenumber k, certified by the residual check.
 
     A 1-D array of positive k gives the (len(k), N) roots, row i at k[i],
-    from one stacked solve; each row equals the scalar call at that k.
+    from stacked solves of at most 256 rows each; each row equals the scalar
+    call at that k.
     """
     if np.ndim(k) == 0:
         return dispersion_polynomial(medium, k).roots()
@@ -183,7 +187,17 @@ def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
         raise DegenerateLeadingCoefficient(
             "leading dispersion coefficient vanishes relative to the k^2 terms"
         )
-    return certified_roots(rows)
+    roots = np.empty((len(k), rows.shape[1] - 1), dtype=complex)
+    for start in range(0, len(k), _SOLVE_BLOCK):
+        block = slice(start, start + _SOLVE_BLOCK)
+        roots[block] = certified_roots(rows[block])
+    return roots
+
+
+def _log_grid(k_min: float, k_max: float, points_per_decade: int) -> np.ndarray:
+    """Log-spaced grid from k_min to k_max at the given density."""
+    n = max(2, int(round(points_per_decade * math.log10(k_max / k_min))) + 1)
+    return np.geomspace(k_min, k_max, n)
 
 
 def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.ndarray:
@@ -193,9 +207,7 @@ def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.nd
     z_nonzero = [abs(z.location) for z in catalog.zeros if abs(z.location) > 0]
     k_max = max(1e3, 10.0 * p_max)
     k_min = min(1e-3, 0.01 * min(z_nonzero)) if z_nonzero else 1e-3
-    decades = math.log10(k_max / k_min)
-    n = max(2, int(round(points_per_decade * decades)) + 1)
-    return np.geomspace(k_min, k_max, n)
+    return _log_grid(k_min, k_max, points_per_decade)
 
 
 # --- continuation ------------------------------------------------------------------
@@ -219,14 +231,12 @@ def _match(prev: np.ndarray, new: np.ndarray):
     return np.asarray(order)
 
 
-def _min_pairwise(roots: np.ndarray) -> float:
-    d = np.abs(roots[:, None] - roots[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
+def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
+    """roots1 (the roots at k1) reordered to continue the branches roots0 at k0.
 
-
-def _continue_step(medium, k0, roots0, k1, depth=0):
-    roots1 = solve_dispersion(medium, k1)
+    A step that fails the per-branch step control is bisected geometrically;
+    only the midpoints are solved here.
+    """
     d = np.abs(roots1[:, None] - roots1[None, :])
     np.fill_diagonal(d, np.inf)
     pair_scale = 1.0 + np.minimum(
@@ -251,23 +261,32 @@ def _continue_step(medium, k0, roots0, k1, depth=0):
             )
         return new
     mid = math.sqrt(k0 * k1)
-    roots_mid = _continue_step(medium, k0, roots0, mid, depth + 1)
-    return _continue_step(medium, mid, roots_mid, k1, depth + 1)
+    roots_mid = _continue_step(
+        medium, k0, roots0, mid, solve_dispersion(medium, mid), depth + 1
+    )
+    return _continue_step(medium, mid, roots_mid, k1, roots1, depth + 1)
 
 
 def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[BranchFamily]:
-    """Continue the N dispersion roots across the sorted positive grid."""
+    """Continue the N dispersion roots across the sorted positive grid.
+
+    Every grid point is solved up front by the stacked solve; the continuation
+    then only reorders those rows, solving again only where it refines a step.
+    """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(np.diff(k_grid) <= 0) or np.any(k_grid <= 0):
         raise ValueError("k_grid must be strictly increasing and positive")
-    roots = solve_dispersion(medium, k_grid[0])
+    solved = solve_dispersion(medium, k_grid)
+    roots = solved[0]
     # deterministic start ordering
     roots = roots[np.lexsort((roots.imag, roots.real))]
     n = len(roots)
     path = np.empty((len(k_grid), n), dtype=complex)
     path[0] = roots
     for i in range(1, len(k_grid)):
-        path[i] = _continue_step(medium, k_grid[i - 1], path[i - 1], k_grid[i])
+        path[i] = _continue_step(
+            medium, k_grid[i - 1], path[i - 1], k_grid[i], solved[i]
+        )
     return [BranchFamily(k=k_grid.copy(), omega=path[:, j].copy()) for j in range(n)]
 
 
@@ -583,23 +602,19 @@ def puiseux_expand(
 
     fun must factor as (omega - center)^m * g(omega) with g analytic and
     nonzero at the center; g and g' are recovered from trapezoidal contour
-    sums on circles of radius and half radius (Richardson-combined).
+    sums on one circle of the given radius.  The trapezoid rule's aliasing
+    error is of relative size (radius/R)^nodes, R the radius on which g is
+    analytic (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); at the defaults
+    that is far below roundoff, so a second ring and an extrapolation would
+    only add evaluations.
     """
     m = int(multiplicity)
-
-    def taylor(r):
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        ring = center + r * np.exp(1j * theta)
-        vals = np.array([fun(w) for w in ring])
-        gz = np.mean(vals * np.exp(-1j * m * theta)) / r**m
-        gp = np.mean(vals * np.exp(-1j * (m + 1) * theta)) / r ** (m + 1)
-        return gz, gp, float(np.max(np.abs(vals))) / r**m
-
-    g1, gp1, _ = taylor(radius)
-    g2, gp2, size = taylor(radius / 2)
-    w = 2.0**nodes
-    g = (w * g2 - g1) / (w - 1.0)
-    g_prime = (w * gp2 - gp1) / (w - 1.0)
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    ring = center + radius * np.exp(1j * theta)
+    vals = np.array([fun(w) for w in ring])
+    g = np.mean(vals * np.exp(-1j * m * theta)) / radius**m
+    g_prime = np.mean(vals * np.exp(-1j * (m + 1) * theta)) / radius ** (m + 1)
+    size = float(np.max(np.abs(vals))) / radius**m
 
     # size is the natural magnitude of g inferred from the ring values
     if size == 0.0 or abs(g) <= 1e-10 * size:

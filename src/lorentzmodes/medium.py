@@ -605,7 +605,14 @@ class LorentzMedium:
         return h, h_prime, osc
 
     def asymptotic_coefficients(self) -> CoefficientTable:
-        """Closed-form coefficients of every slowly-decaying branch family."""
+        """Closed-form coefficients of every slowly-decaying branch family.
+
+        Built once per medium and dropped with it (see ``_coefficient_table``).
+        """
+        return self._coefficient_table
+
+    @cached_property
+    def _coefficient_table(self) -> CoefficientTable:
         catalog = self.catalog
         c = 1.0 / math.sqrt(self.eps0 * self.mu0)
         total = sum(o.coupling**2 for o in self.electric) + sum(

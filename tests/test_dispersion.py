@@ -1,5 +1,7 @@
 """Dispersion polynomial, root branches, classification, Puiseux engine."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,11 @@ from hypothesis import strategies as st
 
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
-from lorentzmodes.errors import DegenerateLeadingCoefficient, RootFindingFailure
+from lorentzmodes.errors import (
+    BranchCollision,
+    DegenerateLeadingCoefficient,
+    RootFindingFailure,
+)
 from lorentzmodes.operators import build_perp_operator
 from lorentzmodes.polyroots import certified_roots
 
@@ -98,9 +104,94 @@ class TestSolve:
             dsp.solve_dispersion(reference_medium, np.array([1.0, 1e8]))
 
 
+@pytest.fixture(scope="module")
+def wide_medium():
+    """Strongly dissipative, non-critical; N = 16 (4 electric, 3 magnetic oscillators)."""
+    return lm.new_medium(
+        1.0,
+        1.0,
+        [(1, 0.8, 0.1), (0.7, 1.7, 0.15), (0.5, 2.9, 0.2), (0.4, 4.3, 0.25)],
+        [(0.8, 1.3, 0.12), (0.6, 2.3, 0.18), (0.4, 3.6, 0.22)],
+    )
+
+
+def _scalar_continuation(medium, k_grid):
+    """Reference continuation: one scalar solve per step, k1 solved again after a bisection."""
+
+    def step(k0, roots0, k1, depth=0):
+        roots1 = dsp.solve_dispersion(medium, k1)
+        d = np.abs(roots1[:, None] - roots1[None, :])
+        np.fill_diagonal(d, np.inf)
+        pair_scale = 1.0 + np.minimum(np.abs(roots1)[:, None], np.abs(roots1)[None, :])
+        if np.any(d < dsp.MATCH_TOL * pair_scale):
+            raise BranchCollision(f"roots indistinguishable at k={k1:g}")
+        new = roots1[dsp._match(roots0, roots1)]
+        gaps = np.abs(new[:, None] - new[None, :])
+        np.fill_diagonal(gaps, np.inf)
+        if np.all(np.abs(new - roots0) <= 0.2 * gaps.min(axis=1)):
+            return new
+        if depth >= dsp.MAX_REFINEMENTS:
+            raise BranchCollision(f"step k={k0:g}->{k1:g} still ambiguous")
+        mid = math.sqrt(k0 * k1)
+        return step(mid, step(k0, roots0, mid, depth + 1), k1, depth + 1)
+
+    roots = dsp.solve_dispersion(medium, k_grid[0])
+    path = [roots[np.lexsort((roots.imag, roots.real))]]
+    for k0, k1 in zip(k_grid[:-1], k_grid[1:]):
+        path.append(step(k0, path[-1], k1))
+    return np.stack(path, axis=1)
+
+
 class TestTracking:
     def test_branch_count(self, reference_branches, reference_medium):
         assert len(reference_branches) == reference_medium.state_blocks
+
+    @pytest.mark.parametrize(
+        "name, points_per_decade",
+        [
+            ("reference_medium", 200),
+            ("critical_medium", 200),
+            ("double_pole_medium", 200),
+            ("wide_medium", 200),
+            ("reference_medium", 5),  # 43 bisections
+        ],
+    )
+    def test_equals_scalar_continuation(self, request, name, points_per_decade):
+        # 1201 default grid points span several stacked-solve blocks
+        medium = request.getfixturevalue(name)
+        grid = dsp.default_k_grid(medium, points_per_decade)
+        tracked = np.stack([b.omega for b in dsp.track_branches(medium, grid)])
+        np.testing.assert_array_equal(tracked, _scalar_continuation(medium, grid))
+
+    def test_coarse_grid_refines_to_the_same_branches(
+        self, monkeypatch, reference_medium, reference_branches
+    ):
+        scalar_solves = []
+        solve = dsp.solve_dispersion
+
+        def counting(medium, k):
+            if np.ndim(k) == 0:
+                scalar_solves.append(k)
+            return solve(medium, k)
+
+        monkeypatch.setattr(dsp, "solve_dispersion", counting)
+        grid = dsp.default_k_grid(reference_medium, points_per_decade=5)
+        coarse = dsp.classify_branches(dsp.track_branches(reference_medium, grid), reference_medium)
+        assert len(grid) == 31
+        assert len(scalar_solves) == 43  # one per refinement midpoint
+        assert [b.label_text() for b in coarse] == [b.label_text() for b in reference_branches]
+        for c, f in zip(coarse, reference_branches):
+            np.testing.assert_array_equal(c.omega[[0, -1]], f.omega[[0, -1]])
+
+    def test_grid_past_the_trim_threshold_raises_typed(self, reference_medium):
+        with pytest.raises(DegenerateLeadingCoefficient):
+            dsp.track_branches(reference_medium, np.geomspace(1e6, 1e8, 50))
+
+    def test_exceptional_point_still_collides(self):
+        # two roots meet on the negative imaginary axis near k = 1.28151
+        medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
+        with pytest.raises(BranchCollision):
+            dsp.track_branches(medium, dsp.default_k_grid(medium))
 
     def test_light_cone_branches(self, reference_branches, reference_medium):
         c = reference_medium.asymptotic_coefficients().vacuum_speed

@@ -1,5 +1,8 @@
 """Material functions, pole/zero catalog, classification, coefficient table."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +256,14 @@ class TestAssumptions:
 
 
 class TestCoefficientTable:
+    def test_built_once_and_dropped_with_the_medium(self):
+        medium = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])
+        assert medium.asymptotic_coefficients() is medium.asymptotic_coefficients()
+        ref = weakref.ref(medium)
+        del medium
+        gc.collect()
+        assert ref() is None
+
     def test_reference_closed_forms(self, reference_medium):
         t = reference_medium.asymptotic_coefficients()
         assert t.vacuum_speed == pytest.approx(1.0)
