@@ -40,7 +40,6 @@ from .operators import (
     projector_contour,
     resolvent_formula,
     spectral_decomposition,
-    weighted_inner,
 )
 from .evolution import EnvelopeFit, PropagatorResult, hf_envelope_check, lf_envelope_check, midband_rate, propagate
 from .energy import (

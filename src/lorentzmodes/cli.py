@@ -41,7 +41,7 @@ from . import energy as energy_mod
 from . import evolution
 from .errors import ConfigError, LorentzModesError
 from .medium import LorentzMedium, Oscillator
-from .operators import build_perp_operator
+from .operators import build_perp_operator, projector_norm_sweep
 
 
 def _fmt(x) -> str:
@@ -134,6 +134,8 @@ def _tracked(medium, args, run):
     if k_min is not None or k_max is not None:
         lo = float(k_min) if k_min is not None else grid[0]
         hi = float(k_max) if k_max is not None else grid[-1]
+        if not 0 < lo < hi:
+            raise ConfigError(f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
         grid = disp._log_grid(lo, hi, ppd)
     return disp.classify_branches(disp.track_branches(medium, grid), medium)
 
@@ -229,19 +231,9 @@ def cmd_projectors(args) -> int:
             ("hf", np.geomspace(k_plus, min(100 * k_plus, b.k[-1]), n_samples)),
             ("lf", np.geomspace(max(k_minus / 100, b.k[0]), k_minus, n_samples)),
         ):
-            for k in band:
-                target = b.omega[int(np.argmin(np.abs(b.k - k)))]
-                op = build_perp_operator(medium, float(k))
-                dec = op.eigen
-                idx = int(np.argmin(np.abs(dec.eigenvalues - target)))
-                rows.append(
-                    (
-                        _fmt(k),
-                        f"{b.label_text()}:{regime}",
-                        _fmt(op.operator_norm(dec.projectors[idx])),
-                        _fmt(dec.residual),
-                    )
-                )
+            label = f"{b.label_text()}:{regime}"
+            for k, norm, residual in projector_norm_sweep(medium, b, band):
+                rows.append((_fmt(k), label, _fmt(norm), _fmt(residual)))
     _write_csv(out / "projectors.csv", ("k", "branch", "norm", "residual"), rows)
     print(f"wrote {out / 'projectors.csv'}")
     return 0

@@ -23,7 +23,7 @@ from .errors import (
     UnclassifiableBranch,
 )
 from .medium import CoefficientTable, LorentzMedium, ZeroClass
-from .polyroots import certified_roots, companion_roots, polyval
+from .polyroots import certified_roots, companion_roots
 
 #: relative trim tolerance for polynomial leading coefficients
 TRIM_TOL = 1e-14
@@ -59,13 +59,7 @@ class ComplexPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, omega):
-        return polyval(self.coefficients, omega)
-
-    def derivative(self) -> "ComplexPolynomial":
-        n = len(self.coefficients)
-        if n <= 1:
-            return ComplexPolynomial(np.zeros(1))
-        return ComplexPolynomial(self.coefficients[1:] * np.arange(1, n))
+        return np.polynomial.polynomial.polyval(omega, self.coefficients)
 
     def roots(self) -> np.ndarray:
         return companion_roots(self.coefficients)

@@ -77,11 +77,10 @@ def propagate(
     else:
         raise ValueError(f"unknown method {method!r}")
 
-    norms = np.array([op.norm(s) for s in states])
     return PropagatorResult(
         k=op.k,
         t_grid=t_grid,
-        norms=norms,
+        norms=op.norm(states),
         states=states if keep_states else None,
         method=tag,
     )
@@ -114,12 +113,6 @@ class EnvelopeFit:
     residual: float
 
 
-def _spectral_abscissa(medium, k) -> float:
-    from .dispersion import solve_dispersion
-
-    return float(np.max(solve_dispersion(medium, k).imag))
-
-
 def _rate_samples(medium, k_list, t_grid, seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -130,6 +123,24 @@ def _rate_samples(medium, k_list, t_grid, seed):
         res = propagate(op, u0, t_grid, keep_states=False)
         out.append((float(k), tail_rate(res.t_grid, res.norms), res))
     return out
+
+
+def _envelope_fit(medium, band, power, k_list, t_grid, seed) -> EnvelopeFit:
+    """Fit |U| <= prefactor * exp(-C k^power t) to sampled per-k decay rates."""
+    t_grid = np.asarray(t_grid, float)
+    samples = _rate_samples(medium, k_list, t_grid, seed)
+    rates = [(k, r) for k, r, _ in samples]
+    if any(r <= 0 for _, r in rates):
+        side = "high" if power < 0 else "low"
+        raise BandViolation(f"nonpositive decay rate in the {side} band")
+    c = min(r / k**power for k, r in rates)
+    pref = 1.0
+    for k, _, res in samples:
+        env = np.exp(-c * k**power * t_grid)
+        ok = env > 1e-290
+        pref = max(pref, float(np.max(res.norms[ok] / (res.norms[0] * env[ok]))))
+    resid = float(np.std([np.log(r / (c * k**power)) for k, r in rates]))
+    return EnvelopeFit(band, abs(power), c, pref, rates, resid)
 
 
 def hf_envelope_check(
@@ -147,20 +158,7 @@ def hf_envelope_check(
         from .medium import Criticality
 
         critical = medium.check_assumptions().criticality is Criticality.CRITICAL
-    power = 4.0 if critical else 2.0
-    t_grid = np.asarray(t_grid, float)
-    samples = _rate_samples(medium, k_list, t_grid, seed)
-    rates = [(k, r) for k, r, _ in samples]
-    if any(r <= 0 for _, r in rates):
-        raise BandViolation("nonpositive decay rate in the high band")
-    c = min(r * k**power for k, r in rates)
-    pref = 1.0
-    for k, _, res in samples:
-        env = np.exp(-c * t_grid / k**power)
-        ok = env > 1e-290
-        pref = max(pref, float(np.max(res.norms[ok] / (res.norms[0] * env[ok]))))
-    resid = float(np.std([np.log(r * k**power / c) for k, r in rates]))
-    return EnvelopeFit("HF", power, c, pref, rates, resid)
+    return _envelope_fit(medium, "HF", -4.0 if critical else -2.0, k_list, t_grid, seed)
 
 
 def lf_envelope_check(
@@ -170,19 +168,7 @@ def lf_envelope_check(
     seed: int = 0,
 ) -> EnvelopeFit:
     """Fit the low-band envelope |U| <= prefactor * exp(-C k^2 t)."""
-    t_grid = np.asarray(t_grid, float)
-    samples = _rate_samples(medium, k_list, t_grid, seed)
-    rates = [(k, r) for k, r, _ in samples]
-    if any(r <= 0 for _, r in rates):
-        raise BandViolation("nonpositive decay rate in the low band")
-    c = min(r / k**2 for k, r in rates)
-    pref = 1.0
-    for k, _, res in samples:
-        env = np.exp(-c * k**2 * t_grid)
-        ok = env > 1e-290
-        pref = max(pref, float(np.max(res.norms[ok] / (res.norms[0] * env[ok]))))
-    resid = float(np.std([np.log(r / (c * k**2)) for k, r in rates]))
-    return EnvelopeFit("LF", 2.0, c, pref, rates, resid)
+    return _envelope_fit(medium, "LF", 2.0, k_list, t_grid, seed)
 
 
 def midband_rate(
@@ -198,21 +184,23 @@ def midband_rate(
     it must be positive and is cross-checked against the sampled spectral
     abscissa by the caller.
     """
+    from .dispersion import solve_dispersion
+
     k_lo, k_hi = k_band
     if k_lo <= 0:
         raise ValueError("mid band must start at a positive wavenumber")
     ks = np.geomspace(k_lo, k_hi, samples)
+    # slowest modal rate over the sampled band: minus the spectral abscissa
+    abscissa = -float(np.max(solve_dispersion(medium, ks).imag))
     if t_grid is None:
         # long enough to resolve the slowest expected rate in the band
-        worst = min(-_spectral_abscissa(medium, k) for k in ks)
-        if worst <= 0:
+        if abscissa <= 0:
             raise NonPositiveRate("spectrum reaches the real axis inside the band")
-        t_grid = np.linspace(0.0, 20.0 / worst, 400)
+        t_grid = np.linspace(0.0, 20.0 / abscissa, 400)
     fits = _rate_samples(medium, ks, np.asarray(t_grid, float), seed)
     rates = [(k, r) for k, r, _ in fits]
     beta = min(r for _, r in rates)
     if beta <= 0:
         raise NonPositiveRate(f"fitted mid-band rate {beta:.3e} is not positive")
-    abscissa = min(-_spectral_abscissa(medium, k) for k, _ in rates)
     resid = abs(beta - abscissa) / abscissa
     return EnvelopeFit("Mid", 0.0, beta, 1.0, rates, resid)

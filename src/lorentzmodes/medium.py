@@ -17,6 +17,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     AssumptionViolated,
@@ -26,7 +27,7 @@ from .errors import (
     NonPositiveCoefficient,
     UnresolvedClustering,
 )
-from .polyroots import companion_roots, polyval
+from .polyroots import companion_roots
 
 #: exact-coincidence tolerance for structural tests (shared resonances, H1/H2)
 COINCIDENCE_TOL = 1e-9
@@ -270,31 +271,17 @@ class LorentzMedium:
 
     # --- material functions ---------------------------------------------------
 
-    def _guard_poles(self, omega, oscillators):
-        for osc in oscillators:
-            for r in osc.roots():
-                if np.min(np.abs(omega - r)) < POLE_EVAL_TOL * (1.0 + abs(r)):
-                    raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
+    def _family(self, name):
+        """(eps0 or mu0, oscillators) of the electric ("e") or magnetic ("m") family."""
+        return (self.eps0, self.electric) if name == "e" else (self.mu0, self.magnetic)
 
     def permittivity(self, omega):
         """eps(omega) = eps0 * (1 - sum coupling^2 / q_e(omega))."""
-        omega = np.asarray(omega, dtype=complex)
-        self._guard_poles(omega, self.electric)
-        s = np.zeros_like(omega)
-        for osc in self.electric:
-            s = s + osc.coupling**2 / osc.q(omega)
-        out = self.eps0 * (1.0 - s)
-        return out[()] if out.ndim == 0 else out
+        return _material(omega, *self._family("e"))
 
     def permeability(self, omega):
         """mu(omega), same structure as the permittivity."""
-        omega = np.asarray(omega, dtype=complex)
-        self._guard_poles(omega, self.magnetic)
-        s = np.zeros_like(omega)
-        for osc in self.magnetic:
-            s = s + osc.coupling**2 / osc.q(omega)
-        out = self.mu0 * (1.0 - s)
-        return out[()] if out.ndim == 0 else out
+        return _material(omega, *self._family("m"))
 
     def dispersion_value(self, omega):
         """omega^2 * eps(omega) * mu(omega)."""
@@ -302,24 +289,10 @@ class LorentzMedium:
 
     def permittivity_prime(self, omega):
         """d/domega of the permittivity, closed form."""
-        omega = np.asarray(omega, dtype=complex)
-        self._guard_poles(omega, self.electric)
-        s = np.zeros_like(omega)
-        for osc in self.electric:
-            q = osc.q(omega)
-            s = s + osc.coupling**2 * osc.q_prime(omega) / (q * q)
-        out = self.eps0 * s
-        return out[()] if out.ndim == 0 else out
+        return _material_prime(omega, *self._family("e"))
 
     def permeability_prime(self, omega):
-        omega = np.asarray(omega, dtype=complex)
-        self._guard_poles(omega, self.magnetic)
-        s = np.zeros_like(omega)
-        for osc in self.magnetic:
-            q = osc.q(omega)
-            s = s + osc.coupling**2 * osc.q_prime(omega) / (q * q)
-        out = self.mu0 * s
-        return out[()] if out.ndim == 0 else out
+        return _material_prime(omega, *self._family("m"))
 
     # --- polynomial representation ---------------------------------------------
 
@@ -500,7 +473,7 @@ class LorentzMedium:
     def _pole_residue(self, p, mult, all_pole_roots):
         """lim (omega-p)^mult * D(omega) via the factored denominator."""
         p_e, _, p_m, _ = self.family_polynomials
-        num = self.eps0 * self.mu0 * p * p * polyval(p_e, p) * polyval(p_m, p)
+        num = self.eps0 * self.mu0 * p * p * polyval(p, p_e) * polyval(p, p_m)
         den = 1.0 + 0.0j
         skipped = 0
         for r in sorted(all_pole_roots, key=lambda r: abs(r - p)):
@@ -576,7 +549,7 @@ class LorentzMedium:
                 left -= 1
                 continue
             num *= z - r
-        return num / (polyval(q_e, z) * polyval(q_m, z))
+        return num / (polyval(z, q_e) * polyval(z, q_m))
 
     # --- asymptotic coefficients ---------------------------------------------------
 
@@ -586,8 +559,7 @@ class LorentzMedium:
         p must be a real root of exactly one oscillator of the family; the
         removable singularity is cancelled in closed form.
         """
-        oscillators = self.electric if family == "e" else self.magnetic
-        base = self.eps0 if family == "e" else self.mu0
+        base, oscillators = self._family(family)
         idx = None
         for j, osc in enumerate(oscillators):
             if osc.damping == 0 and abs(abs(p.real) - osc.resonance) <= COINCIDENCE_TOL:
@@ -633,22 +605,16 @@ class LorentzMedium:
         for entry in catalog.real_poles():
             p = entry.location
             if entry.klass is PoleClass.SIMPLE_REAL:
-                if self._is_pole_of(p, self.electric):
-                    h, h_p, osc = self._transverse_residual(p, "e")
-                    mu_p = self.permeability(p)
-                    mu_pp = self.permeability_prime(p)
-                    a2 = -0.5 * self.eps0 * p * mu_p * osc.coupling**2
-                    f = p * p * mu_p * h
-                    f_prime = 2 * p * mu_p * h + p * p * (mu_pp * h + mu_p * h_p)
-                    a4 = f * f_prime
-                else:
-                    h, h_p, osc = self._transverse_residual(p, "m")
-                    eps_p = self.permittivity(p)
-                    eps_pp = self.permittivity_prime(p)
-                    a2 = -0.5 * self.mu0 * p * eps_p * osc.coupling**2
-                    f = p * p * eps_p * h
-                    f_prime = 2 * p * eps_p * h + p * p * (eps_pp * h + eps_p * h_p)
-                    a4 = f * f_prime
+                # the pole's own family gives h; the other family's material
+                # function enters as a regular factor
+                own, other = ("e", "m") if self._is_pole_of(p, self.electric) else ("m", "e")
+                h, h_p, osc = self._transverse_residual(p, own)
+                base, fam = self._family(own)[0], self._family(other)
+                g, g_p = _material(p, *fam), _material_prime(p, *fam)
+                a2 = -0.5 * base * p * g * osc.coupling**2
+                f = p * p * g * h
+                f_prime = 2 * p * g * h + p * p * (g_p * h + g * h_p)
+                a4 = f * f_prime
                 simple.append(SimplePoleCoefficients(p, a2, a4))
             else:
                 h_e, h_e_p, osc_e = self._transverse_residual(p, "e")
@@ -667,12 +633,9 @@ class LorentzMedium:
             is_eps_zero = bool(
                 len(zeros_e) and np.min(np.abs(zeros_e - z)) <= CLUSTER_TOL * (1 + abs(z))
             )
-            if is_eps_zero:
-                w_eps_prime = self.permittivity(z) + z * self.permittivity_prime(z)
-                a_z = 1.0 / (z * self.permeability(z) * w_eps_prime)
-            else:
-                w_mu_prime = self.permeability(z) + z * self.permeability_prime(z)
-                a_z = 1.0 / (z * self.permittivity(z) * w_mu_prime)
+            own, other = map(self._family, ("e", "m") if is_eps_zero else ("m", "e"))
+            w_prime = _material(z, *own) + z * _material_prime(z, *own)
+            a_z = 1.0 / (z * _material(z, *other) * w_prime)
             zeros.append(ZeroCoefficients(z, a_z))
 
         return CoefficientTable(
@@ -711,6 +674,36 @@ def _as_oscillator(t) -> Oscillator:
         return t
     coupling, resonance, damping = t
     return Oscillator(float(coupling), float(resonance), float(damping))
+
+
+def _guard_poles(omega, oscillators):
+    for osc in oscillators:
+        for r in osc.roots():
+            if np.min(np.abs(omega - r)) < POLE_EVAL_TOL * (1.0 + abs(r)):
+                raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
+
+
+def _material(omega, base, oscillators):
+    """base * (1 - sum coupling^2 / q(omega)) for one oscillator family."""
+    omega = np.asarray(omega, dtype=complex)
+    _guard_poles(omega, oscillators)
+    s = np.zeros_like(omega)
+    for osc in oscillators:
+        s = s + osc.coupling**2 / osc.q(omega)
+    out = base * (1.0 - s)
+    return out[()] if out.ndim == 0 else out
+
+
+def _material_prime(omega, base, oscillators):
+    """d/domega of ``_material``, closed form."""
+    omega = np.asarray(omega, dtype=complex)
+    _guard_poles(omega, oscillators)
+    s = np.zeros_like(omega)
+    for osc in oscillators:
+        q = osc.q(omega)
+        s = s + osc.coupling**2 * osc.q_prime(omega) / (q * q)
+    out = base * s
+    return out[()] if out.ndim == 0 else out
 
 
 def _family_pair(oscillators):

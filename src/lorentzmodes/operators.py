@@ -1,11 +1,16 @@
-"""The reduced wave operator at fixed wavenumber and its spectral machinery.
+"""The wave operator at fixed wavenumber and its spectral machinery.
 
-States carry two transverse components per physical block, so the operator is
-a dense 2N x 2N complex matrix, dissipative for the weighted inner product.
-Besides the matrix itself this module provides the explicit resolvent, the
-eigen- and contour-integral spectral projectors, the 3N x 3N full-vector
-operator with its rotation reduction, and the slow-branch eigenvector states
-used as optimal initial data.
+A state is a stack of equal-width blocks: the E and H fields, then the
+electric polarisations and their velocities, then the magnetic magnetisations
+and their velocities.  One assembler builds the operator for either block
+width from its curl block: ``k*J2`` gives the dense 2N x 2N reduced operator
+on transverse 2-vectors, dissipative for the weighted inner product; ``[k]x``
+gives the 3N x 3N full-vector operator, which a blockwise rotation reduces to
+the former.  The electric and magnetic oscillator families enter every
+formula in the same way and are walked by one loop.  Besides the matrices
+this module provides the explicit resolvent, the eigen- and contour-integral
+spectral projectors and the slow-branch eigenvector states used as optimal
+initial data.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 @dataclass(frozen=True)
 class StateLayout:
-    """Block offsets of a transverse state vector; 2 components per block."""
+    """Block offsets of a state vector with ``width`` components per block."""
 
     n_electric: int
     n_magnetic: int
+    width: int
 
     @property
     def blocks(self) -> int:
@@ -50,34 +56,41 @@ class StateLayout:
 
     @property
     def dim(self) -> int:
-        return 2 * self.blocks
+        return self.width * self.blocks
+
+    def _block(self, b):
+        return slice(self.width * b, self.width * (b + 1))
 
     @property
     def e(self):
-        return slice(0, 2)
+        return self._block(0)
 
     @property
     def h(self):
-        return slice(2, 4)
+        return self._block(1)
 
     def p(self, j):
-        return slice(4 + 2 * j, 6 + 2 * j)
+        return self._block(2 + j)
 
     def pdot(self, j):
-        o = 4 + 2 * self.n_electric
-        return slice(o + 2 * j, o + 2 * j + 2)
+        return self._block(2 + self.n_electric + j)
 
     def m(self, l):
-        o = 4 + 4 * self.n_electric
-        return slice(o + 2 * l, o + 2 * l + 2)
+        return self._block(2 + 2 * self.n_electric + l)
 
     def mdot(self, l):
-        o = 4 + 4 * self.n_electric + 2 * self.n_magnetic
-        return slice(o + 2 * l, o + 2 * l + 2)
+        return self._block(2 + 2 * self.n_electric + self.n_magnetic + l)
 
 
 def layout_for(medium: LorentzMedium) -> StateLayout:
-    return StateLayout(medium.n_electric, medium.n_magnetic)
+    """The transverse (2 components per block) layout of the reduced operator."""
+    return StateLayout(medium.n_electric, medium.n_magnetic, 2)
+
+
+def _families(medium: LorentzMedium, lay: StateLayout):
+    """(field block, eps0 or mu0, oscillators, position, velocity) per family."""
+    yield lay.e, medium.eps0, medium.electric, lay.p, lay.pdot
+    yield lay.h, medium.mu0, medium.magnetic, lay.m, lay.mdot
 
 
 @dataclass
@@ -113,27 +126,16 @@ class PerpState:
             s.data[layout.mdot(l)] = v
         return s
 
-    @property
-    def e_block(self):
-        return self.data[self.layout.e]
-
-    @property
-    def h_block(self):
-        return self.data[self.layout.h]
-
 
 def gram_diagonal(medium: LorentzMedium) -> np.ndarray:
     """Diagonal of the energy inner product in the block layout."""
     lay = layout_for(medium)
     g = np.empty(lay.dim)
-    g[lay.e] = medium.eps0 / 2
-    g[lay.h] = medium.mu0 / 2
-    for j, osc in enumerate(medium.electric):
-        g[lay.p(j)] = medium.eps0 / 2 * osc.resonance**2 * osc.coupling**2
-        g[lay.pdot(j)] = medium.eps0 / 2 * osc.coupling**2
-    for l, osc in enumerate(medium.magnetic):
-        g[lay.m(l)] = medium.mu0 / 2 * osc.resonance**2 * osc.coupling**2
-        g[lay.mdot(l)] = medium.mu0 / 2 * osc.coupling**2
+    for field, base, oscillators, pos, vel in _families(medium, lay):
+        g[field] = base / 2
+        for j, osc in enumerate(oscillators):
+            g[pos(j)] = base / 2 * osc.resonance**2 * osc.coupling**2
+            g[vel(j)] = base / 2 * osc.coupling**2
     return g
 
 
@@ -148,10 +150,6 @@ class PerpOperator:
     medium: LorentzMedium
 
     @property
-    def gram(self) -> np.ndarray:
-        return np.diag(self.gram_diag)
-
-    @property
     def dim(self) -> int:
         return self.layout.dim
 
@@ -163,9 +161,11 @@ class PerpOperator:
             raise DimensionMismatch("state dimensions do not match the operator")
         return complex(np.sum(self.gram_diag * u * np.conj(v)))
 
-    def norm(self, u) -> float:
+    def norm(self, u):
+        """Weighted norm of a state; a stack of states (last axis) gives an array."""
         u = u.data if isinstance(u, PerpState) else np.asarray(u)
-        return float(np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2).real))
+        norms = np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2, axis=-1))
+        return float(norms) if norms.ndim == 0 else norms
 
     def operator_norm(self, mat: np.ndarray) -> float:
         """Spectral norm of mat measured in the weighted inner product."""
@@ -177,37 +177,29 @@ class PerpOperator:
         return spectral_decomposition(self)
 
 
+def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
+    """Operator matrix and layout; the block width is the size of the curl block."""
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, len(curl))
+    a = np.zeros((lay.dim, lay.dim), dtype=complex)
+    a[lay.e, lay.h] = -curl / medium.eps0
+    a[lay.h, lay.e] = curl / medium.mu0
+    eye = np.eye(lay.width)
+    for field, _, oscillators, pos, vel in _families(medium, lay):
+        for j, osc in enumerate(oscillators):
+            a[field, vel(j)] = -1j * osc.coupling**2 * eye
+            a[pos(j), vel(j)] = 1j * eye
+            a[vel(j), field] = 1j * eye
+            a[vel(j), pos(j)] = -1j * osc.resonance**2 * eye
+            a[vel(j), vel(j)] = -1j * osc.damping * eye
+    return a, lay
+
+
 def build_perp_operator(medium: LorentzMedium, k: float) -> PerpOperator:
     """Assemble the 2N x 2N reduced operator at wavenumber k >= 0."""
-    lay = layout_for(medium)
-    a = np.zeros((lay.dim, lay.dim), dtype=complex)
-    a[lay.e, lay.h] = -k / medium.eps0 * J2
-    a[lay.h, lay.e] = k / medium.mu0 * J2
-    eye = np.eye(2)
-    for j, osc in enumerate(medium.electric):
-        a[lay.e, lay.pdot(j)] = -1j * osc.coupling**2 * eye
-        a[lay.p(j), lay.pdot(j)] = 1j * eye
-        a[lay.pdot(j), lay.e] = 1j * eye
-        a[lay.pdot(j), lay.p(j)] = -1j * osc.resonance**2 * eye
-        a[lay.pdot(j), lay.pdot(j)] = -1j * osc.damping * eye
-    for l, osc in enumerate(medium.magnetic):
-        a[lay.h, lay.mdot(l)] = -1j * osc.coupling**2 * eye
-        a[lay.m(l), lay.mdot(l)] = 1j * eye
-        a[lay.mdot(l), lay.h] = 1j * eye
-        a[lay.mdot(l), lay.m(l)] = -1j * osc.resonance**2 * eye
-        a[lay.mdot(l), lay.mdot(l)] = -1j * osc.damping * eye
+    a, lay = _assemble(medium, k * J2)
     return PerpOperator(
         matrix=a, k=float(k), gram_diag=gram_diagonal(medium), layout=lay, medium=medium
     )
-
-
-def weighted_inner(medium: LorentzMedium, u, v) -> complex:
-    g = gram_diagonal(medium)
-    ud = u.data if isinstance(u, PerpState) else np.asarray(u)
-    vd = v.data if isinstance(v, PerpState) else np.asarray(v)
-    if ud.shape != vd.shape or ud.shape != g.shape:
-        raise DimensionMismatch("state dimensions do not match the medium")
-    return complex(np.sum(g * ud * np.conj(vd)))
 
 
 # --- full 3-vector operator and the rotation reduction ---------------------------
@@ -248,39 +240,10 @@ def build_rotation(k_vector) -> RotationMap:
 def build_full_operator(medium: LorentzMedium, k_vector) -> np.ndarray:
     """The 3N x 3N operator for a general wave vector (3 components per block)."""
     k = np.asarray(k_vector, dtype=float)
-    n_blocks = medium.state_blocks
-    dim = 3 * n_blocks
     cross = np.array(
         [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
     )
-    eye = np.eye(3)
-
-    def sl(b):
-        return slice(3 * b, 3 * b + 3)
-
-    ne, nm = medium.n_electric, medium.n_magnetic
-    b_e, b_h = 0, 1
-    b_p = lambda j: 2 + j
-    b_pdot = lambda j: 2 + ne + j
-    b_m = lambda l: 2 + 2 * ne + l
-    b_mdot = lambda l: 2 + 2 * ne + nm + l
-
-    a = np.zeros((dim, dim), dtype=complex)
-    a[sl(b_e), sl(b_h)] = -cross / medium.eps0
-    a[sl(b_h), sl(b_e)] = cross / medium.mu0
-    for j, osc in enumerate(medium.electric):
-        a[sl(b_e), sl(b_pdot(j))] = -1j * osc.coupling**2 * eye
-        a[sl(b_p(j)), sl(b_pdot(j))] = 1j * eye
-        a[sl(b_pdot(j)), sl(b_e)] = 1j * eye
-        a[sl(b_pdot(j)), sl(b_p(j))] = -1j * osc.resonance**2 * eye
-        a[sl(b_pdot(j)), sl(b_pdot(j))] = -1j * osc.damping * eye
-    for l, osc in enumerate(medium.magnetic):
-        a[sl(b_h), sl(b_mdot(l))] = -1j * osc.coupling**2 * eye
-        a[sl(b_m(l)), sl(b_mdot(l))] = 1j * eye
-        a[sl(b_mdot(l)), sl(b_h)] = 1j * eye
-        a[sl(b_mdot(l)), sl(b_m(l))] = -1j * osc.resonance**2 * eye
-        a[sl(b_mdot(l)), sl(b_mdot(l))] = -1j * osc.damping * eye
-    return a
+    return _assemble(medium, cross)[0]
 
 
 # --- explicit resolvent -------------------------------------------------------------
@@ -317,53 +280,41 @@ def resolvent_formula(
             )
     lay = layout_for(medium)
     dim = lay.dim
+    eye = np.eye(2)
     mu = medium.permeability(omega)
     eps_mu_omega2 = omega * omega * medium.permittivity(omega) * mu
-
-    q_e = np.array([osc.q(omega) for osc in medium.electric])
-    q_m = np.array([osc.q(omega) for osc in medium.magnetic])
 
     # row maps F -> 2-vector, as 2 x dim matrices
     def rows(block_a, block_b, ca, cb):
         r = np.zeros((2, dim), dtype=complex)
-        r[:, block_a] = ca * np.eye(2)
-        r[:, block_b] = cb * np.eye(2)
+        r[:, block_a] = ca * eye
+        r[:, block_b] = cb * eye
         return r
 
-    a_e_rows = np.zeros((2, dim), dtype=complex)  # accumulates A_e(omega)
-    a_e_rows[:, lay.e] = -medium.eps0 * np.eye(2)
-    for j, osc in enumerate(medium.electric):
-        dot = rows(lay.p(j), lay.pdot(j), 1j * osc.resonance**2 / q_e[j], -omega / q_e[j])
-        a_e_rows += -medium.eps0 * 1j * osc.coupling**2 * dot
-    a_m_rows = np.zeros((2, dim), dtype=complex)
-    a_m_rows[:, lay.h] = -medium.mu0 * np.eye(2)
-    for l, osc in enumerate(medium.magnetic):
-        dot = rows(lay.m(l), lay.mdot(l), 1j * osc.resonance**2 / q_m[l], -omega / q_m[l])
-        a_m_rows += -medium.mu0 * 1j * osc.coupling**2 * dot
+    t_mat = np.zeros((dim, dim), dtype=complex)
+    a_rows = []  # A_e(omega), then A_m(omega)
+    for field, base, oscillators, pos, vel in _families(medium, lay):
+        acc = np.zeros((2, dim), dtype=complex)
+        acc[:, field] = -base * eye
+        for j, osc in enumerate(oscillators):
+            q = osc.q(omega)
+            dot = rows(pos(j), vel(j), 1j * osc.resonance**2 / q, -omega / q)
+            acc += -base * 1j * osc.coupling**2 * dot
+            t_mat[pos(j)] = rows(pos(j), vel(j), (-1j * osc.damping - omega) / q, -1j / q)
+            t_mat[vel(j)] = dot
+        a_rows.append(acc)
+    a_e_rows, a_m_rows = a_rows
 
     s_rows = (omega * mu * a_e_rows - k * (J2 @ a_m_rows)) / (eps_mu_omega2 - k * k)
 
     v_cols = eigenvector_columns(medium, k, omega)
 
-    t_mat = np.zeros((dim, dim), dtype=complex)
+    # H is recovered from E and A_m, so only the magnetic blocks carry A_m
     t_mat[lay.h] = a_m_rows / (omega * mu)
-    for l in range(medium.n_magnetic):
-        t_mat[lay.m(l)] = -a_m_rows / (omega * mu * q_m[l])
-        t_mat[lay.mdot(l)] = 1j * a_m_rows / (mu * q_m[l])
-    for j, osc in enumerate(medium.electric):
-        t_mat[lay.p(j)] += rows(
-            lay.p(j), lay.pdot(j), (-1j * osc.damping - omega) / q_e[j], -1j / q_e[j]
-        )
-        t_mat[lay.pdot(j)] += rows(
-            lay.p(j), lay.pdot(j), 1j * osc.resonance**2 / q_e[j], -omega / q_e[j]
-        )
     for l, osc in enumerate(medium.magnetic):
-        t_mat[lay.m(l)] += rows(
-            lay.m(l), lay.mdot(l), (-1j * osc.damping - omega) / q_m[l], -1j / q_m[l]
-        )
-        t_mat[lay.mdot(l)] += rows(
-            lay.m(l), lay.mdot(l), 1j * osc.resonance**2 / q_m[l], -omega / q_m[l]
-        )
+        q = osc.q(omega)
+        t_mat[lay.m(l)] -= a_m_rows / (omega * mu * q)
+        t_mat[lay.mdot(l)] += 1j * a_m_rows / (mu * q)
 
     return v_cols @ s_rows + t_mat
 
@@ -371,17 +322,16 @@ def resolvent_formula(
 def eigenvector_columns(medium: LorentzMedium, k: float, omega: complex) -> np.ndarray:
     """The 2-column eigenspace map: transverse field vector to full state."""
     lay = layout_for(medium)
-    mu = medium.permeability(omega)
+    eye = np.eye(2)
+    # each family's field as a function of E: the identity, then H = k J2 E / (omega mu)
+    field_maps = (eye, k / (omega * medium.permeability(omega)) * J2)
     v_cols = np.zeros((lay.dim, 2), dtype=complex)
-    v_cols[lay.e] = np.eye(2)
-    for j, osc in enumerate(medium.electric):
-        v_cols[lay.p(j)] = -np.eye(2) / osc.q(omega)
-        v_cols[lay.pdot(j)] = 1j * omega * np.eye(2) / osc.q(omega)
-    factor = k / (omega * mu)
-    v_cols[lay.h] = factor * J2
-    for l, osc in enumerate(medium.magnetic):
-        v_cols[lay.m(l)] = -factor * J2 / osc.q(omega)
-        v_cols[lay.mdot(l)] = 1j * omega * factor * J2 / osc.q(omega)
+    for f, (field, _, oscillators, pos, vel) in zip(field_maps, _families(medium, lay)):
+        v_cols[field] = f
+        for j, osc in enumerate(oscillators):
+            q = osc.q(omega)
+            v_cols[pos(j)] = -f / q
+            v_cols[vel(j)] = 1j * omega * f / q
     return v_cols
 
 
@@ -524,8 +474,8 @@ def projector_norm_sweep(
     medium: LorentzMedium,
     branch,
     k_grid,
-) -> list[tuple[float, float]]:
-    """Weighted norms of the projector following one branch across k_grid.
+) -> list[tuple[float, float, float]]:
+    """(k, weighted projector norm, decomposition residual) along one branch.
 
     branch is either a tracked BranchFamily (its nearest sample anchors the
     eigenvalue at each k) or a callable k -> eigenvalue.  The log-log trend of
@@ -543,12 +493,12 @@ def projector_norm_sweep(
         op = build_perp_operator(medium, k)
         dec = op.eigen
         idx = int(np.argmin(np.abs(dec.eigenvalues - eigenvalue_of_k(k))))
-        return float(k), op.operator_norm(dec.projectors[idx])
+        return float(k), op.operator_norm(dec.projectors[idx]), dec.residual
 
     return [one(k) for k in k_grid]
 
 
-def sweep_trend(sweep: list[tuple[float, float]]) -> float:
+def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:
     """Log-log slope of projector norm against k."""
     k = np.array([s[0] for s in sweep])
     v = np.array([s[1] for s in sweep])

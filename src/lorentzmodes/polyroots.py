@@ -10,6 +10,7 @@ single polynomial and then hands it to the same core.
 from __future__ import annotations
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import RootFindingFailure
 
@@ -17,15 +18,6 @@ from .errors import RootFindingFailure
 RESIDUAL_TOL = 1e-10
 
 NEWTON_STEPS = 5
-
-
-def polyval(coeffs: np.ndarray, z) -> np.ndarray:
-    """Evaluate a polynomial with ascending coefficients by Horner's rule."""
-    z = np.asarray(z, dtype=complex)
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
 
 
 def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
@@ -43,11 +35,12 @@ def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.
     roots = np.linalg.eigvals(comp)  # geev balances internally
 
     # coefficients as (n+1, m, 1): each Horner step broadcasts over a row's roots
+    # (numpy's polyval takes (x, c); tensor=False pairs row i's roots with column i)
     coeffs = rows.T[:, :, None]
     deriv = coeffs[1:] * np.arange(1, n + 1)[:, None, None]
     for _ in range(NEWTON_STEPS):
-        pv = polyval(coeffs, roots)
-        dv = polyval(deriv, roots)
+        pv = polyval(roots, coeffs, tensor=False)
+        dv = polyval(roots, deriv, tensor=False)
         ok = np.abs(dv) > 0
         step = np.zeros_like(roots)
         step[ok] = pv[ok] / dv[ok]
@@ -55,9 +48,12 @@ def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.
         step = np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
         roots = roots - step
 
-    scale = polyval(np.abs(coeffs), np.abs(roots)).real
+    scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
     errs = np.divide(
-        np.abs(polyval(coeffs, roots)), scale, out=np.full(roots.shape, np.inf), where=scale > 0
+        np.abs(polyval(roots, coeffs, tensor=False)),
+        scale,
+        out=np.full(roots.shape, np.inf),
+        where=scale > 0,
     )
     if np.any(errs > residual_tol):
         raise RootFindingFailure(

@@ -15,6 +15,17 @@ def reference_medium():
 
 
 @pytest.fixture(scope="session")
+def asymmetric_medium():
+    """Strong, non-critical, N = 10; eps0 != mu0 and unlike families expose swaps."""
+    return lm.new_medium(
+        2.3,
+        0.7,
+        [(1.0, 1.0, 0.1), (0.6, 2.5, 0.3)],
+        [(0.8, 1.7, 0.2), (0.5, 3.1, 0.05)],
+    )
+
+
+@pytest.fixture(scope="session")
 def critical_medium():
     """Weakly dissipative, critical (condition 1); N = 8."""
     return lm.new_medium(

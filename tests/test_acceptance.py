@@ -242,7 +242,7 @@ def _sweep_all_branches(medium, branches):
             np.geomspace(max(k_minus / 100, grid_min), k_minus, 10),
         ):
             sweep = ops.projector_norm_sweep(medium, b, band)
-            norms = [v for _, v in sweep]
+            norms = [v for _, v, _ in sweep]
             worst_ratio = max(worst_ratio, max(norms) / min(norms))
             worst_trend = max(worst_trend, ops.sweep_trend(sweep))
     return worst_ratio, worst_trend

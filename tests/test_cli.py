@@ -147,6 +147,18 @@ class TestBranches:
             assert res.returncode == 0, res.stderr
             assert f"branches: {count}" in res.stdout
 
+    def test_bad_k_range_exit_2(self, reference_cfg, tmp_path):
+        out = tmp_path / "bad"
+        for command, k_min, k_max in (("branches", "10", "1"), ("projectors", "0", "1")):
+            res = run_cli(
+                command, "--config", str(reference_cfg), "--out", str(out),
+                "--k-min", k_min, "--k-max", k_max,
+            )
+            assert res.returncode == 2, res.stderr
+            assert "configuration error:" in res.stderr
+            assert "Traceback" not in res.stderr
+        assert not out.exists()
+
 
 class TestEvolve:
     def test_monotone_norm_trace(self, reference_cfg, tmp_path):

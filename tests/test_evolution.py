@@ -40,6 +40,9 @@ class TestPropagate:
         ode = evo.propagate(op, u0, t, method="oracle")
         assert eig.method == "Eigen" and ode.method == "Oracle"
         assert np.max(np.abs(eig.states - ode.states)) < 1e-8
+        for res in (eig, ode):
+            per_state = [op.norm(s) for s in res.states]
+            np.testing.assert_allclose(res.norms, per_state, rtol=1e-13)
 
     def test_norms_nonincreasing(self, reference_medium, rng):
         op = ops.build_perp_operator(reference_medium, 2.0)
@@ -56,12 +59,13 @@ class TestPropagate:
         twice = evo.propagate(op, part, [t2]).states[-1]
         np.testing.assert_allclose(once, twice, atol=1e-9)
 
-    def test_contraction_of_matrix_exponential(self, reference_medium):
+    def test_contraction_of_matrix_exponential(self, reference_medium, asymmetric_medium):
         # independent route: dense expm, measured in the weighted norm
-        op = ops.build_perp_operator(reference_medium, 1.3)
-        for t in (0.1, 1.0, 5.0, 25.0):
-            e = scipy.linalg.expm(-1j * op.matrix * t)
-            assert op.operator_norm(e) <= 1.0 + 1e-10
+        for medium in (reference_medium, asymmetric_medium):
+            op = ops.build_perp_operator(medium, 1.3)
+            for t in (0.1, 1.0, 5.0, 25.0):
+                e = scipy.linalg.expm(-1j * op.matrix * t)
+                assert op.operator_norm(e) <= 1.0 + 1e-10
 
     def test_long_time_rate_is_spectral_abscissa(self, reference_medium, rng):
         # probe where rate*t ~ 30..60: deep in the modal regime but still

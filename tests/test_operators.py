@@ -30,11 +30,12 @@ class TestOperatorAssembly:
         assert np.all(op.matrix[lay.pdot(0), lay.h] == 0)
         assert np.all(op.matrix[lay.mdot(0), lay.e] == 0)
 
-    def test_eigenvalues_are_doubled_dispersion_roots(self, reference_medium):
-        roots = np.sort_complex(dsp.solve_dispersion(reference_medium, 1.0))
-        op = ops.build_perp_operator(reference_medium, 1.0)
-        eigs = np.sort_complex(scipy.linalg.eigvals(op.matrix))
-        np.testing.assert_allclose(np.repeat(roots, 2), eigs, atol=1e-8)
+    def test_eigenvalues_are_doubled_dispersion_roots(self, reference_medium, asymmetric_medium):
+        for medium in (reference_medium, asymmetric_medium):
+            roots = np.sort_complex(dsp.solve_dispersion(medium, 1.0))
+            op = ops.build_perp_operator(medium, 1.0)
+            eigs = np.sort_complex(scipy.linalg.eigvals(op.matrix))
+            np.testing.assert_allclose(np.repeat(roots, 2), eigs, atol=1e-8)
 
     def test_undamped_operator_is_gram_selfadjoint(self, undamped_medium):
         op = ops.build_perp_operator(undamped_medium, 1.3)
@@ -42,13 +43,14 @@ class TestOperatorAssembly:
         adj = np.conj(op.matrix.T) * g[None, :] / g[:, None]
         assert np.linalg.norm(op.matrix - adj, 2) < 1e-12
 
-    def test_perp_matches_full_operator_restriction(self, reference_medium):
+    def test_perp_matches_full_operator_restriction(self, reference_medium, asymmetric_medium):
         k = 0.8
-        full = ops.build_full_operator(reference_medium, [0.0, 0.0, k])
-        perp = ops.build_perp_operator(reference_medium, k)
-        nb = reference_medium.state_blocks
-        idx = [3 * b + c for b in range(nb) for c in (0, 1)]
-        np.testing.assert_allclose(full[np.ix_(idx, idx)], perp.matrix, atol=1e-14)
+        for medium in (reference_medium, asymmetric_medium):
+            full = ops.build_full_operator(medium, [0.0, 0.0, k])
+            perp = ops.build_perp_operator(medium, k)
+            nb = medium.state_blocks
+            idx = [3 * b + c for b in range(nb) for c in (0, 1)]
+            np.testing.assert_allclose(full[np.ix_(idx, idx)], perp.matrix, atol=1e-14)
 
 
 class TestRotation:
@@ -66,25 +68,24 @@ class TestRotation:
         with pytest.raises(ZeroWaveVector):
             ops.build_rotation([0.0, 0.0, 0.0])
 
-    def test_unitary_equivalence_random_wave_vectors(self, reference_medium):
+    def test_unitary_equivalence_random_wave_vectors(self, reference_medium, asymmetric_medium):
         rng = np.random.default_rng(5)
-        nb = reference_medium.state_blocks
-        for _ in range(50):
-            kvec = rng.standard_normal(3)
-            if np.linalg.norm(kvec) < 1e-3:
-                continue
-            rot = ops.build_rotation(kvec)
-            big = rot.blockwise(nb)
-            a_k = ops.build_full_operator(reference_medium, kvec)
-            a_mod = ops.build_full_operator(
-                reference_medium, [0, 0, np.linalg.norm(kvec)]
-            )
-            resid = np.linalg.norm(big @ a_k @ big.T.conj() - a_mod, 2)
-            assert resid < 1e-12 * np.linalg.norm(a_mod, 2)
-            # rotation maps k-hat to e3
-            np.testing.assert_allclose(
-                rot.rotation @ (kvec / np.linalg.norm(kvec)), [0, 0, 1], atol=1e-12
-            )
+        for medium in (reference_medium, asymmetric_medium):
+            nb = medium.state_blocks
+            for _ in range(50):
+                kvec = rng.standard_normal(3)
+                if np.linalg.norm(kvec) < 1e-3:
+                    continue
+                rot = ops.build_rotation(kvec)
+                big = rot.blockwise(nb)
+                a_k = ops.build_full_operator(medium, kvec)
+                a_mod = ops.build_full_operator(medium, [0, 0, np.linalg.norm(kvec)])
+                resid = np.linalg.norm(big @ a_k @ big.T.conj() - a_mod, 2)
+                assert resid < 1e-12 * np.linalg.norm(a_mod, 2)
+                # rotation maps k-hat to e3
+                np.testing.assert_allclose(
+                    rot.rotation @ (kvec / np.linalg.norm(kvec)), [0, 0, 1], atol=1e-12
+                )
 
 
 class TestInnerProduct:
@@ -105,34 +106,35 @@ class TestInnerProduct:
     def test_dimension_mismatch(self, reference_medium, critical_medium):
         u = np.zeros(2 * critical_medium.state_blocks, dtype=complex)
         with pytest.raises(DimensionMismatch):
-            ops.weighted_inner(reference_medium, u, u)
+            ops.build_perp_operator(reference_medium, 1.0).inner(u, u)
 
-    def test_dissipation_identity_exact(self, reference_medium):
-        op = ops.build_perp_operator(reference_medium, 1.7)
-        lay = op.layout
+    def test_dissipation_identity_exact(self, reference_medium, asymmetric_medium):
         rng = np.random.default_rng(4)
-        for _ in range(100):
-            u = random_state(op, rng)
-            lhs = op.inner(op.matrix @ u, u).imag
-            rhs = 0.0
-            for j, osc in enumerate(reference_medium.electric):
-                rhs -= (
-                    reference_medium.eps0
-                    / 2
-                    * osc.damping
-                    * osc.coupling**2
-                    * np.sum(np.abs(u[lay.pdot(j)]) ** 2)
-                )
-            for l, osc in enumerate(reference_medium.magnetic):
-                rhs -= (
-                    reference_medium.mu0
-                    / 2
-                    * osc.damping
-                    * osc.coupling**2
-                    * np.sum(np.abs(u[lay.mdot(l)]) ** 2)
-                )
-            assert lhs == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(u) ** 2))
-            assert lhs <= 1e-12 * np.sum(np.abs(u) ** 2)
+        for medium in (reference_medium, asymmetric_medium):
+            op = ops.build_perp_operator(medium, 1.7)
+            lay = op.layout
+            for _ in range(100):
+                u = random_state(op, rng)
+                lhs = op.inner(op.matrix @ u, u).imag
+                rhs = 0.0
+                for j, osc in enumerate(medium.electric):
+                    rhs -= (
+                        medium.eps0
+                        / 2
+                        * osc.damping
+                        * osc.coupling**2
+                        * np.sum(np.abs(u[lay.pdot(j)]) ** 2)
+                    )
+                for l, osc in enumerate(medium.magnetic):
+                    rhs -= (
+                        medium.mu0
+                        / 2
+                        * osc.damping
+                        * osc.coupling**2
+                        * np.sum(np.abs(u[lay.mdot(l)]) ** 2)
+                    )
+                assert lhs == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(u) ** 2))
+                assert lhs <= 1e-12 * np.sum(np.abs(u) ** 2)
 
     def test_dissipation_vanishes_iff_damped_blocks_vanish(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
@@ -143,20 +145,21 @@ class TestInnerProduct:
 
 
 class TestResolvent:
-    def test_formula_matches_dense_inverse(self, reference_medium):
+    def test_formula_matches_dense_inverse(self, reference_medium, asymmetric_medium):
         rng = np.random.default_rng(9)
-        checked = 0
-        while checked < 100:
-            k = float(rng.uniform(0.1, 10.0))
-            w = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
-            op = ops.build_perp_operator(reference_medium, k)
-            try:
-                r = ops.resolvent_formula(reference_medium, k, w)
-            except NearSingularEvaluation:
-                continue
-            dense = np.linalg.inv(op.matrix - w * np.eye(op.dim))
-            assert np.linalg.norm(r - dense, 2) <= 1e-9 * np.linalg.norm(dense, 2)
-            checked += 1
+        for medium in (reference_medium, asymmetric_medium):
+            checked = 0
+            while checked < 100:
+                k = float(rng.uniform(0.1, 10.0))
+                w = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
+                op = ops.build_perp_operator(medium, k)
+                try:
+                    r = ops.resolvent_formula(medium, k, w)
+                except NearSingularEvaluation:
+                    continue
+                dense = np.linalg.inv(op.matrix - w * np.eye(op.dim))
+                assert np.linalg.norm(r - dense, 2) <= 1e-9 * np.linalg.norm(dense, 2)
+                checked += 1
 
     def test_defining_identity(self, critical_medium):
         k, w = 0.6, 1.1 + 0.9j
@@ -225,14 +228,15 @@ class TestSpectralDecomposition:
 
 
 class TestContourProjector:
-    def test_matches_eigendecomposition(self, reference_medium):
-        op = ops.build_perp_operator(reference_medium, 1.0)
-        dec = op.eigen
-        for w, p_eig in zip(dec.eigenvalues, dec.projectors):
-            p_cont = ops.projector_contour(reference_medium, 1.0, w)
-            assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
-            assert np.trace(p_cont).real == pytest.approx(2.0, abs=1e-8)
-            assert np.linalg.norm(p_cont @ p_cont - p_cont, 2) < 1e-8
+    def test_matches_eigendecomposition(self, reference_medium, asymmetric_medium):
+        for medium in (reference_medium, asymmetric_medium):
+            op = ops.build_perp_operator(medium, 1.0)
+            dec = op.eigen
+            for w, p_eig in zip(dec.eigenvalues, dec.projectors):
+                p_cont = ops.projector_contour(medium, 1.0, w)
+                assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
+                assert np.trace(p_cont).real == pytest.approx(2.0, abs=1e-8)
+                assert np.linalg.norm(p_cont @ p_cont - p_cont, 2) < 1e-8
 
     def test_double_pole_medium_contour(self, double_pole_medium):
         op = ops.build_perp_operator(double_pole_medium, 2.4)
@@ -244,12 +248,12 @@ class TestContourProjector:
 
 
 class TestOptimalData:
-    def test_eigen_residuals(self, reference_medium, critical_medium):
+    def test_eigen_residuals(self, reference_medium, critical_medium, asymmetric_medium):
         rng = np.random.default_rng(21)
-        media = [reference_medium, critical_medium]
+        media = [reference_medium, critical_medium, asymmetric_medium]
         count = 0
-        while count < 20:
-            medium = media[count % 2]
+        while count < 30:
+            medium = media[count % 3]
             k = float(10 ** rng.uniform(-2, 2))
             roots = dsp.solve_dispersion(medium, k)
             w = roots[rng.integers(len(roots))]
@@ -301,7 +305,7 @@ class TestProjectorSweeps:
 
         grid = np.geomspace(k_plus, 100 * k_plus, 12)
         sweep = ops.projector_norm_sweep(reference_medium, eig_of, grid)
-        norms = [v for _, v in sweep]
+        norms = [v for _, v, _ in sweep]
         assert max(norms) / min(norms) < 10
         assert ops.sweep_trend(sweep) <= 0.1
 
@@ -315,7 +319,7 @@ class TestProjectorSweeps:
 
         grid = np.geomspace(k_minus / 100, k_minus, 12)
         sweep = ops.projector_norm_sweep(reference_medium, eig_of, grid)
-        norms = [v for _, v in sweep]
+        norms = [v for _, v, _ in sweep]
         assert max(norms) / min(norms) < 10
         assert ops.sweep_trend(sweep) <= 0.1
 
