@@ -4,6 +4,11 @@ The eigenvalue equation at wavenumber k is a degree-N polynomial equation.
 This module solves it per k, continues the N roots into labeled branches over
 a k grid, classifies each branch by its small-k and large-k limit object, and
 verifies the closed-form expansion coefficients against the tracked data.
+
+Tracking and band diagnosis work on the stored (n_k, N) root rows of one
+stacked solve: the continuation checks and the asymptopia tests run as numpy
+passes over blocks of grid rows, and only continuation steps that need a
+contested match, a refinement or an error go through the per-step path.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ MAX_REFINEMENTS = 10
 
 #: rows per certified_roots call of a stacked solve; caps the companion stack's memory
 _SOLVE_BLOCK = 256
+
+#: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis
+_PAIR_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -207,81 +215,117 @@ def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.nd
 # --- continuation ------------------------------------------------------------------
 
 
+def _pairwise(roots: np.ndarray) -> np.ndarray:
+    """|r_a - r_b| over the last axis with an infinite diagonal; broadcasts over leading axes."""
+    d = np.abs(roots[..., :, None] - roots[..., None, :])
+    diagonal = np.arange(roots.shape[-1])
+    d[..., diagonal, diagonal] = np.inf
+    return d
+
+
+def _collides(roots: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Whether two roots are indistinguishable, given d = _pairwise(roots)."""
+    size = np.abs(roots)
+    pair_scale = 1.0 + np.minimum(size[..., :, None], size[..., None, :])
+    return np.any(d < MATCH_TOL * pair_scale, axis=(-2, -1))
+
+
+def _nearest(prev: np.ndarray, new: np.ndarray):
+    """(distances, order, clear): greedy nearest-neighbour order from prev into new.
+
+    clear says the order is a permutation with no near tie; broadcasts over
+    leading axes.
+    """
+    dist = np.abs(prev[..., :, None] - new[..., None, :])
+    order = np.argmin(dist, axis=-1)
+    unique = np.all(np.sort(order, axis=-1) == np.arange(order.shape[-1]), axis=-1)
+    part = np.partition(dist, 1, axis=-1)
+    return dist, order, unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
+
+
+def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray):
+    """Per-branch step control of prev -> new[order], given d = _pairwise(new).
+
+    Each jump stays small against that branch's own gap to its nearest
+    neighbour (a global max-jump criterion cannot settle when one fast branch
+    coexists with a tight pole fan).
+    """
+    gaps = np.take_along_axis(d.min(axis=-1), order, axis=-1)
+    jumps = np.abs(np.take_along_axis(new, order, axis=-1) - prev)
+    return np.all(jumps <= 0.2 * gaps, axis=-1)
+
+
 def _match(prev: np.ndarray, new: np.ndarray):
     """Permutation pairing previous roots with new roots.
 
     Greedy nearest-neighbour assignment, falling back to the optimal bipartite
     matching when any pairing is contested or a near tie.
     """
-    dist = np.abs(prev[:, None] - new[None, :])
-    order = np.argmin(dist, axis=1)
-    ambiguous = len(set(order.tolist())) != len(order)
-    if not ambiguous:
-        # greedy succeeded; check it is not a near tie anywhere
-        part = np.partition(dist, 1, axis=1)
-        ambiguous = bool(np.any(part[:, 1] < 2.0 * part[:, 0]))
-    if ambiguous:
+    dist, order, clear = _nearest(prev, new)
+    if not clear:
         _, order = scipy.optimize.linear_sum_assignment(dist)
     return np.asarray(order)
 
 
 def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
-    """roots1 (the roots at k1) reordered to continue the branches roots0 at k0.
+    """Index order into roots1 (the roots at k1) continuing the branches roots0 at k0.
 
     A step that fails the per-branch step control is bisected geometrically;
     only the midpoints are solved here.
     """
-    d = np.abs(roots1[:, None] - roots1[None, :])
-    np.fill_diagonal(d, np.inf)
-    pair_scale = 1.0 + np.minimum(
-        np.abs(roots1)[:, None], np.abs(roots1)[None, :]
-    )
-    if np.any(d < MATCH_TOL * pair_scale):
+    d = _pairwise(roots1)
+    if _collides(roots1, d):
         raise BranchCollision(f"roots indistinguishable at k={k1:g}")
     order = _match(roots0, roots1)
-    new = roots1[order]
-    # per-branch step control: each jump stays small against that branch's own
-    # gap to its nearest neighbour (a global max-jump criterion cannot settle
-    # when one fast branch coexists with a tight pole fan)
-    gaps = np.abs(new[:, None] - new[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    gaps = gaps.min(axis=1)
-    safe = bool(np.all(np.abs(new - roots0) <= 0.2 * gaps))
+    safe = bool(_steady(roots0, roots1, order, d))
     if safe or depth >= MAX_REFINEMENTS:
         if not safe:
             raise BranchCollision(
                 f"continuation step k={k0:g}->{k1:g} still ambiguous after "
                 f"{MAX_REFINEMENTS} refinements"
             )
-        return new
+        return order
     mid = math.sqrt(k0 * k1)
-    roots_mid = _continue_step(
-        medium, k0, roots0, mid, solve_dispersion(medium, mid), depth + 1
-    )
+    roots_mid = solve_dispersion(medium, mid)
+    roots_mid = roots_mid[_continue_step(medium, k0, roots0, mid, roots_mid, depth + 1)]
     return _continue_step(medium, mid, roots_mid, k1, roots1, depth + 1)
 
 
 def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[BranchFamily]:
     """Continue the N dispersion roots across the sorted positive grid.
 
-    Every grid point is solved up front by the stacked solve; the continuation
-    then only reorders those rows, solving again only where it refines a step.
+    Every grid point is solved up front by the stacked solve.  Every tracked
+    row is then a permutation of its solved row, and whether a step is safe
+    (no collision, a clear nearest-neighbour order, every jump within the step
+    control) depends only on the two solved rows, so those checks run on
+    blocks of rows at once and safe steps just compose permutations.  Unsafe
+    steps go, in grid order, to the step-by-step continuation, which refines
+    them or raises; it solves again only at refinement midpoints.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(np.diff(k_grid) <= 0) or np.any(k_grid <= 0):
         raise ValueError("k_grid must be strictly increasing and positive")
     solved = solve_dispersion(medium, k_grid)
-    roots = solved[0]
     # deterministic start ordering
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    n = len(roots)
-    path = np.empty((len(k_grid), n), dtype=complex)
-    path[0] = roots
-    for i in range(1, len(k_grid)):
-        path[i] = _continue_step(
-            medium, k_grid[i - 1], path[i - 1], k_grid[i], solved[i]
-        )
-    return [BranchFamily(k=k_grid.copy(), omega=path[:, j].copy()) for j in range(n)]
+    perm = np.lexsort((solved[0].imag, solved[0].real))
+    perms = np.empty(solved.shape, dtype=perm.dtype)
+    perms[0] = perm
+    for start in range(1, len(k_grid), _PAIR_BLOCK):
+        stop = min(start + _PAIR_BLOCK, len(k_grid))
+        prev, new = solved[start - 1 : stop - 1], solved[start:stop]
+        d = _pairwise(new)
+        _, order, clear = _nearest(prev, new)
+        safe = clear & ~_collides(new, d) & _steady(prev, new, order, d)
+        for i in range(start, stop):
+            if safe[i - start]:
+                perm = order[i - start][perm]
+            else:
+                perm = _continue_step(
+                    medium, k_grid[i - 1], solved[i - 1][perm], k_grid[i], solved[i]
+                )
+            perms[i] = perm
+    path = np.take_along_axis(solved, perms, axis=1)
+    return [BranchFamily(k=k_grid.copy(), omega=path[:, j].copy()) for j in range(path.shape[1])]
 
 
 # --- classification ------------------------------------------------------------------
@@ -503,26 +547,26 @@ def verify_asymptotics(
 # --- band diagnosis -----------------------------------------------------------------
 
 
-def _within_leading(branch: BranchFamily, table, idx: int, regime: str) -> bool:
-    k = branch.k[idx]
-    w = branch.omega[idx]
+def _within_leading(branch: BranchFamily, table, regime: str) -> np.ndarray:
+    """Mask over the grid: the branch sits within 25 percent of its leading term."""
+    k = branch.k
     if regime == "hf":
         label = branch.hf_label
-        c = table.vacuum_speed
         if isinstance(label, (PlusInf, MinusInf)):
-            lead = c * k if isinstance(label, PlusInf) else -c * k
-            return abs(w - lead) <= 0.25 * abs(lead)
-        lead = label.leading * k ** (-2.0 / label.multiplicity)
-        return abs(w - label.location - lead) <= 0.25 * abs(lead)
-    label = branch.lf_label
-    if isinstance(label, Zero0):
-        lead = (-1.0 if label.index == 1 else 1.0) * table.static_speed * k
-        return abs(w - lead) <= 0.25 * abs(lead)
-    if isinstance(label, ZeroSimple):
-        lead = table.for_zero(label.location).curvature * k**2
-        return abs(w - label.location - lead) <= 0.25 * abs(lead)
-    lead = label.leading * k ** (2.0 / label.multiplicity)
-    return abs(w - label.location - lead) <= 0.25 * abs(lead)
+            c = table.vacuum_speed
+            center, lead = 0.0, (c * k if isinstance(label, PlusInf) else -c * k)
+        else:
+            center, lead = label.location, label.leading * k ** (-2.0 / label.multiplicity)
+    else:
+        label = branch.lf_label
+        if isinstance(label, Zero0):
+            sign = -1.0 if label.index == 1 else 1.0
+            center, lead = 0.0, sign * table.static_speed * k
+        elif isinstance(label, ZeroSimple):
+            center, lead = label.location, table.for_zero(label.location).curvature * k**2
+        else:
+            center, lead = label.location, label.leading * k ** (2.0 / label.multiplicity)
+    return np.abs(branch.omega - center - lead) <= 0.25 * np.abs(lead)
 
 
 def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
@@ -531,39 +575,29 @@ def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
     A grid point is inside the high band when all roots are simple (pairwise
     separation above ten times the clustering tolerance) and every branch sits
     within 25 percent of its leading asymptotic term; the low band is
-    symmetric.  Raises when no grid point qualifies.
+    symmetric.  Both tests run as masks over the whole grid, and each band is
+    the outermost contiguous run of its mask.  Raises when no grid point
+    qualifies.
     """
     k = branches[0].k
-    npts = len(k)
     roots = np.stack([b.omega for b in branches], axis=1)
-
-    def simple(i):
-        r = roots[i]
-        d = np.abs(r[:, None] - r[None, :])
-        np.fill_diagonal(d, np.inf)
+    simple = np.empty(len(k), dtype=bool)
+    for start in range(0, len(k), _PAIR_BLOCK):
+        r = roots[start : start + _PAIR_BLOCK]
+        size = np.abs(r)
         # ten times the clustering tolerance, scaled per pair
-        scale = 1.0 + np.maximum(np.abs(r)[:, None], np.abs(r)[None, :])
-        return bool(np.all(d > 1e-6 * scale))
+        scale = 1.0 + np.maximum(size[:, :, None], size[:, None, :])
+        simple[start : start + _PAIR_BLOCK] = np.all(_pairwise(r) > 1e-6 * scale, axis=(1, 2))
 
-    k_plus = None
-    for i in range(npts - 1, -1, -1):
-        if simple(i) and all(
-            _within_leading(b, table, i, "hf") for b in branches
-        ):
-            k_plus = k[i]
-        else:
-            break
-    k_minus = None
-    for i in range(npts):
-        if simple(i) and all(
-            _within_leading(b, table, i, "lf") for b in branches
-        ):
-            k_minus = k[i]
-        else:
-            break
-    if k_plus is None or k_minus is None:
+    def inside(regime):
+        return simple & np.all([_within_leading(b, table, regime) for b in branches], axis=0)
+
+    # the low band is the leading run of its mask, the high band the trailing run
+    n_low = int(np.logical_and.accumulate(inside("lf")).sum())
+    n_high = int(np.logical_and.accumulate(inside("hf")[::-1]).sum())
+    if n_low == 0 or n_high == 0:
         raise UnclassifiableBranch("no grid point reaches the asymptotic regime")
-    return float(k_minus), float(k_plus)
+    return float(k[n_low - 1]), float(k[len(k) - n_high])
 
 
 # --- Puiseux engine -----------------------------------------------------------------

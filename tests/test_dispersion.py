@@ -1,6 +1,7 @@
 """Dispersion polynomial, root branches, classification, Puiseux engine."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from lorentzmodes.errors import (
     BranchCollision,
     DegenerateLeadingCoefficient,
     RootFindingFailure,
+    UnclassifiableBranch,
 )
 from lorentzmodes.operators import build_perp_operator
 from lorentzmodes.polyroots import certified_roots
@@ -154,6 +156,8 @@ class TestTracking:
             ("double_pole_medium", 200),
             ("wide_medium", 200),
             ("reference_medium", 5),  # 43 bisections
+            ("wide_medium", 20),  # 12 unsafe steps, all in the second of two row blocks
+            ("critical_medium", 5),  # 16 unsafe steps
         ],
     )
     def test_equals_scalar_continuation(self, request, name, points_per_decade):
@@ -183,6 +187,14 @@ class TestTracking:
         for c, f in zip(coarse, reference_branches):
             np.testing.assert_array_equal(c.omega[[0, -1]], f.omega[[0, -1]])
 
+    def test_batched_order_is_clear_only_without_contest_or_near_tie(self):
+        prev = np.array([[0.0, 1.0, 5.0], [0.0, 0.1, 5.0], [0.0, 1.0, 5.0]], dtype=complex)
+        new = np.array([[0.01, 1.01, 5.01], [0.05, 4.9, 9.0], [0.52, 1.01, 5.01]], dtype=complex)
+        _, order, clear = dsp._nearest(prev, new)
+        # row 1: two roots claim the same neighbour; row 2: 0 lies almost midway
+        assert clear.tolist() == [True, False, False]
+        np.testing.assert_array_equal(order[0], dsp._match(prev[0], new[0]))
+
     def test_grid_past_the_trim_threshold_raises_typed(self, reference_medium):
         with pytest.raises(DegenerateLeadingCoefficient):
             dsp.track_branches(reference_medium, np.geomspace(1e6, 1e8, 50))
@@ -190,7 +202,7 @@ class TestTracking:
     def test_exceptional_point_still_collides(self):
         # two roots meet on the negative imaginary axis near k = 1.28151
         medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
-        with pytest.raises(BranchCollision):
+        with pytest.raises(BranchCollision, match=r"k=1\.28149->1\.2815 still ambiguous"):
             dsp.track_branches(medium, dsp.default_k_grid(medium))
 
     def test_light_cone_branches(self, reference_branches, reference_medium):
@@ -440,7 +452,98 @@ class TestPuiseux:
             dsp.puiseux_expand(lambda w: w**3, 0.0, 2)  # claimed multiplicity wrong
 
 
+def _within_leading_at(branch, table, idx, regime):
+    """Reference asymptopia test at one grid point."""
+    k = branch.k[idx]
+    w = branch.omega[idx]
+    if regime == "hf":
+        label = branch.hf_label
+        c = table.vacuum_speed
+        if isinstance(label, (dsp.PlusInf, dsp.MinusInf)):
+            lead = c * k if isinstance(label, dsp.PlusInf) else -c * k
+            return abs(w - lead) <= 0.25 * abs(lead)
+        lead = label.leading * k ** (-2.0 / label.multiplicity)
+        return abs(w - label.location - lead) <= 0.25 * abs(lead)
+    label = branch.lf_label
+    if isinstance(label, dsp.Zero0):
+        lead = (-1.0 if label.index == 1 else 1.0) * table.static_speed * k
+        return abs(w - lead) <= 0.25 * abs(lead)
+    if isinstance(label, dsp.ZeroSimple):
+        lead = table.for_zero(label.location).curvature * k**2
+        return abs(w - label.location - lead) <= 0.25 * abs(lead)
+    lead = label.leading * k ** (2.0 / label.multiplicity)
+    return abs(w - label.location - lead) <= 0.25 * abs(lead)
+
+
+def _scan_bands(branches, table):
+    """Reference band diagnosis: scans point by point inward from each end of the grid."""
+    k = branches[0].k
+    roots = np.stack([b.omega for b in branches], axis=1)
+
+    def simple(i):
+        r = roots[i]
+        d = np.abs(r[:, None] - r[None, :])
+        np.fill_diagonal(d, np.inf)
+        scale = 1.0 + np.maximum(np.abs(r)[:, None], np.abs(r)[None, :])
+        return bool(np.all(d > 1e-6 * scale))
+
+    def inside(i, regime):
+        return simple(i) and all(_within_leading_at(b, table, i, regime) for b in branches)
+
+    k_plus = k_minus = None
+    for i in range(len(k) - 1, -1, -1):
+        if not inside(i, "hf"):
+            break
+        k_plus = k[i]
+    for i in range(len(k)):
+        if not inside(i, "lf"):
+            break
+        k_minus = k[i]
+    if k_plus is None or k_minus is None:
+        raise UnclassifiableBranch("no grid point reaches the asymptotic regime")
+    return float(k_minus), float(k_plus)
+
+
 class TestBands:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "reference_medium",
+            "critical_medium",
+            "double_pole_medium",
+            "wide_medium",
+            "asymmetric_medium",
+            "ps_noncritical_medium",
+        ],
+    )
+    def test_equals_point_by_point_scan(self, request, name):
+        medium = request.getfixturevalue(name)
+        grid = dsp.default_k_grid(medium)
+        branches = dsp.classify_branches(dsp.track_branches(medium, grid), medium)
+        table = medium.asymptotic_coefficients()
+        assert dsp.diagnose_bands(branches, table) == _scan_bands(branches, table)
+
+    def test_band_stops_at_a_failing_point(self, reference_medium, reference_branches):
+        table = reference_medium.asymptotic_coefficients()
+        k = reference_branches[0].k
+        # one branch leaves its leading term at one point deep inside each band
+        omega = reference_branches[0].omega.copy()
+        omega[[5, -10]] *= 3.0
+        branches = [replace(reference_branches[0], omega=omega)] + reference_branches[1:]
+        bands = dsp.diagnose_bands(branches, table)
+        assert bands == (k[4], k[-9])
+        assert bands == _scan_bands(branches, table)
+
+    def test_no_qualifying_point_raises(self, reference_medium, reference_branches):
+        # two coinciding branches leave no grid point with simple roots
+        twin = replace(reference_branches[1], omega=reference_branches[0].omega)
+        branches = [reference_branches[0], twin] + reference_branches[2:]
+        table = reference_medium.asymptotic_coefficients()
+        with pytest.raises(UnclassifiableBranch):
+            _scan_bands(branches, table)
+        with pytest.raises(UnclassifiableBranch):
+            dsp.diagnose_bands(branches, table)
+
     def test_reference_bands_ordering(self, reference_bands):
         k_minus, k_plus = reference_bands
         assert 0 < k_minus <= k_plus
