@@ -7,19 +7,19 @@ verifies the closed-form expansion coefficients against the tracked data.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of one
 stacked solve: the continuation checks and the asymptopia tests run as numpy
-passes over blocks of grid rows, and only continuation steps that need a
-contested match, a refinement or an error go through the per-step path.
+passes over blocks of grid rows, and only unsafe continuation steps go through
+the per-step path, which refines them or raises.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .errors import (
     AsymptoticMismatch,
@@ -231,7 +231,7 @@ def _collides(roots: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _nearest(prev: np.ndarray, new: np.ndarray):
-    """(distances, order, clear): greedy nearest-neighbour order from prev into new.
+    """(order, clear): greedy nearest-neighbour order from prev into new.
 
     clear says the order is a permutation with no near tie; broadcasts over
     leading axes.
@@ -240,7 +240,7 @@ def _nearest(prev: np.ndarray, new: np.ndarray):
     order = np.argmin(dist, axis=-1)
     unique = np.all(np.sort(order, axis=-1) == np.arange(order.shape[-1]), axis=-1)
     part = np.partition(dist, 1, axis=-1)
-    return dist, order, unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
+    return order, unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
 
 
 def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray):
@@ -255,36 +255,38 @@ def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray)
     return np.all(jumps <= 0.2 * gaps, axis=-1)
 
 
-def _match(prev: np.ndarray, new: np.ndarray):
-    """Permutation pairing previous roots with new roots.
+def _step(prev: np.ndarray, new: np.ndarray):
+    """(order, collides, safe) of the continuation step prev -> new; broadcasts over leading axes.
 
-    Greedy nearest-neighbour assignment, falling back to the optimal bipartite
-    matching when any pairing is contested or a near tie.
+    order is the greedy nearest-neighbour order into new.  A step is safe when
+    no two new roots collide, the order is clear and it passes the step
+    control.  An order that passes the step control puts every root within
+    0.2 gap of its partner and at least 0.8 gap from every other new root, so
+    it is the greedy order and clear; a contested or near-tie match therefore
+    never passes and needs no assignment solve.
     """
-    dist, order, clear = _nearest(prev, new)
-    if not clear:
-        _, order = scipy.optimize.linear_sum_assignment(dist)
-    return np.asarray(order)
+    d = _pairwise(new)
+    collides = _collides(new, d)
+    order, clear = _nearest(prev, new)
+    return order, collides, clear & ~collides & _steady(prev, new, order, d)
 
 
 def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
     """Index order into roots1 (the roots at k1) continuing the branches roots0 at k0.
 
-    A step that fails the per-branch step control is bisected geometrically;
-    only the midpoints are solved here.
+    An unsafe step is bisected geometrically; only the midpoints are solved
+    here.
     """
-    d = _pairwise(roots1)
-    if _collides(roots1, d):
+    order, collides, safe = _step(roots0, roots1)
+    if collides:
         raise BranchCollision(f"roots indistinguishable at k={k1:g}")
-    order = _match(roots0, roots1)
-    safe = bool(_steady(roots0, roots1, order, d))
-    if safe or depth >= MAX_REFINEMENTS:
-        if not safe:
-            raise BranchCollision(
-                f"continuation step k={k0:g}->{k1:g} still ambiguous after "
-                f"{MAX_REFINEMENTS} refinements"
-            )
+    if safe:
         return order
+    if depth >= MAX_REFINEMENTS:
+        raise BranchCollision(
+            f"continuation step k={k0:g}->{k1:g} still ambiguous after "
+            f"{MAX_REFINEMENTS} refinements"
+        )
     mid = math.sqrt(k0 * k1)
     roots_mid = solve_dispersion(medium, mid)
     roots_mid = roots_mid[_continue_step(medium, k0, roots0, mid, roots_mid, depth + 1)]
@@ -312,10 +314,7 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
     perms[0] = perm
     for start in range(1, len(k_grid), _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, len(k_grid))
-        prev, new = solved[start - 1 : stop - 1], solved[start:stop]
-        d = _pairwise(new)
-        _, order, clear = _nearest(prev, new)
-        safe = clear & ~_collides(new, d) & _steady(prev, new, order, d)
+        order, _, safe = _step(solved[start - 1 : stop - 1], solved[start:stop])
         for i in range(start, stop):
             if safe[i - start]:
                 perm = order[i - start][perm]
@@ -332,18 +331,16 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
 
 
 def _fan_indices(directions, m, base_angle):
-    """Assign fan index n in 1..m by angular match against e^(i(base+2*pi*n/m))."""
-    targets = [(base_angle + 2.0 * math.pi * n / m) for n in range(1, m + 1)]
-    cost = np.zeros((len(directions), m))
-    for a, d in enumerate(directions):
-        ang = cmath.phase(d)
-        for b, t in enumerate(targets):
-            diff = (ang - t + math.pi) % (2.0 * math.pi) - math.pi
-            cost[a, b] = abs(diff)
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
-    out = np.empty(len(directions), dtype=int)
-    out[rows] = cols + 1
-    return out
+    """Assign fan index n in 1..m by the cheapest angular match against e^(i(base+2*pi*n/m)).
+
+    m is at most 4 (the catalog rejects larger clusters), so all m! assignments
+    are enumerated.
+    """
+    ang = np.array([cmath.phase(d) for d in directions])
+    targets = base_angle + 2.0 * math.pi * np.arange(1, m + 1) / m
+    cost = np.abs((ang[:, None] - targets + math.pi) % (2.0 * math.pi) - math.pi)
+    best = min(itertools.permutations(range(m)), key=lambda p: cost[range(m), p].sum())
+    return np.array(best) + 1
 
 
 def classify_branches(

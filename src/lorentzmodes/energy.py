@@ -84,17 +84,6 @@ def sobolev_tail(m: float, s: float, k_min: float, k_max: float) -> RadialProfil
     )
 
 
-def tabulated(k_values, phi_values) -> RadialProfile:
-    k_values = np.asarray(k_values, float)
-    phi_values = np.asarray(phi_values, float)
-    return RadialProfile(
-        float(k_values[0]),
-        float(k_values[-1]),
-        lambda k: np.interp(k, k_values, phi_values),
-        "Tabulated",
-    )
-
-
 # --- direction rules ---------------------------------------------------------------
 
 
@@ -331,6 +320,8 @@ def verify_gamma_hf(
         sigma = table.damped_coupling / table.vacuum_speed**2
         power = 2.0
         target = m
+    if sigma == 0:
+        raise ExponentMismatch("no dissipation reaches the high band")
 
     s_run = 1.5 + m + eps
     # the dominant wavenumber (sigma*t)^(1/power) must sit deep inside the band

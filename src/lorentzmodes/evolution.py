@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.integrate
 
 from .errors import BandViolation, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
@@ -56,6 +55,8 @@ def propagate(
         states = phases @ comps
         tag = "Eigen"
     elif method == "oracle":
+        import scipy.integrate
+
         a = op.matrix
 
         def rhs(_, y):

@@ -148,10 +148,6 @@ class ConfigurationReport:
     h1_witness: Optional[tuple] = None
     h2_witness: Optional[tuple] = None
 
-    @property
-    def weakly_dissipative(self) -> bool:
-        return self.dissipation is not Dissipation.NONE
-
     def summary(self) -> str:
         diss = self.dissipation.value
         if self.criticality is Criticality.CRITICAL:

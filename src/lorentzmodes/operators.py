@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ContourTooTight,
@@ -369,9 +368,6 @@ class SpectralDecomposition:
     projectors: np.ndarray  # shape (n_eigs, dim, dim)
     residual: float
 
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("i,ijk->jk", self.eigenvalues, self.projectors)
-
     @property
     def identity_defect(self) -> float:
         eye = np.eye(self.projectors.shape[1])
@@ -384,7 +380,7 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     Requires the dispersion roots to be simple: every cluster of the 2N
     eigenvalues must contain exactly two members.
     """
-    vals, vecs = scipy.linalg.eig(op.matrix)
+    vals, vecs = np.linalg.eig(op.matrix)
     order = np.lexsort((vals.imag, vals.real))
     vals, vecs = vals[order], vecs[:, order]
 

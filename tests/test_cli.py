@@ -47,19 +47,40 @@ alpha = 0.0
 """
 
 
-def run_cli(*argv, cwd=None):
+LOSSLESS_CFG = """\
+[medium]
+eps0 = 1.0
+mu0 = 1.0
+
+[electric.1]
+omega = 1.0
+Omega = 1.0
+alpha = 0.0
+
+[magnetic.1]
+omega = 2.0
+Omega = 0.8
+alpha = 0.0
+"""
+
+
+def run_python(*argv, cwd=None):
     # the package's absolute parent goes first on the path, so runs from any
     # working directory import the code under test
     env = dict(os.environ)
     src = str(Path(lorentzmodes.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "lorentzmodes.cli", *argv],
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         cwd=cwd,
         env=env,
     )
+
+
+def run_cli(*argv, cwd=None):
+    return run_python("-m", "lorentzmodes.cli", *argv, cwd=cwd)
 
 
 @pytest.fixture()
@@ -74,6 +95,15 @@ def critical_cfg(tmp_path):
     path = tmp_path / "critical.cfg"
     path.write_text(CRITICAL_CFG)
     return path
+
+
+def test_import_loads_no_scipy():
+    res = run_python(
+        "-c",
+        "import sys, lorentzmodes; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 class TestClassify:
@@ -218,6 +248,15 @@ class TestEnergyAndFit:
         assert res.returncode == 0, res.stderr
         assert "fitted_gamma=1.500000" in res.stdout
         assert list(work.iterdir()) == []
+
+    def test_hf_energy_on_lossless_medium_exit_1(self, tmp_path):
+        cfg = tmp_path / "lossless.cfg"
+        cfg.write_text(LOSSLESS_CFG)
+        out = tmp_path / "g"
+        res = run_cli("energy", "--config", str(cfg), "--out", str(out), "--band", "hf")
+        assert res.returncode == 1
+        assert "analysis failure: no dissipation reaches the high band" in res.stderr
+        assert "Traceback" not in res.stderr
 
     def test_fit_missing_input_exit_2(self, tmp_path):
         res = run_cli("fit", "--input", str(tmp_path / "none.csv"))

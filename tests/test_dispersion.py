@@ -1,12 +1,14 @@
 """Dispersion polynomial, root branches, classification, Puiseux engine."""
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+import scipy.optimize
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import lorentzmodes as lm
@@ -117,6 +119,16 @@ def wide_medium():
     )
 
 
+def _reference_match(prev, new):
+    """Greedy nearest-neighbour order, or the optimal assignment when it is contested or a near tie."""
+    dist = np.abs(prev[:, None] - new[None, :])
+    order = np.argmin(dist, axis=1)
+    nearest_two = np.sort(dist, axis=1)[:, :2]
+    if len(set(order)) < len(order) or np.any(nearest_two[:, 1] < 2.0 * nearest_two[:, 0]):
+        order = scipy.optimize.linear_sum_assignment(dist)[1]
+    return order
+
+
 def _scalar_continuation(medium, k_grid):
     """Reference continuation: one scalar solve per step, k1 solved again after a bisection."""
 
@@ -127,7 +139,7 @@ def _scalar_continuation(medium, k_grid):
         pair_scale = 1.0 + np.minimum(np.abs(roots1)[:, None], np.abs(roots1)[None, :])
         if np.any(d < dsp.MATCH_TOL * pair_scale):
             raise BranchCollision(f"roots indistinguishable at k={k1:g}")
-        new = roots1[dsp._match(roots0, roots1)]
+        new = roots1[_reference_match(roots0, roots1)]
         gaps = np.abs(new[:, None] - new[None, :])
         np.fill_diagonal(gaps, np.inf)
         if np.all(np.abs(new - roots0) <= 0.2 * gaps.min(axis=1)):
@@ -190,10 +202,30 @@ class TestTracking:
     def test_batched_order_is_clear_only_without_contest_or_near_tie(self):
         prev = np.array([[0.0, 1.0, 5.0], [0.0, 0.1, 5.0], [0.0, 1.0, 5.0]], dtype=complex)
         new = np.array([[0.01, 1.01, 5.01], [0.05, 4.9, 9.0], [0.52, 1.01, 5.01]], dtype=complex)
-        _, order, clear = dsp._nearest(prev, new)
+        order, clear = dsp._nearest(prev, new)
         # row 1: two roots claim the same neighbour; row 2: 0 lies almost midway
         assert clear.tolist() == [True, False, False]
-        np.testing.assert_array_equal(order[0], dsp._match(prev[0], new[0]))
+        np.testing.assert_array_equal(order[0], _reference_match(prev[0], new[0]))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_contested_match_never_passes_step_control(self, data):
+        # distinct lattice roots; each previous root sits near a drawn (possibly
+        # shared) new root, so contests, near ties and near-passing steps all occur
+        n = data.draw(st.integers(2, 5))
+        lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+        new = np.array([complex(*p) for p in data.draw(
+            st.lists(lattice, min_size=n, max_size=n, unique=True))])
+        near = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        offset = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+        prev = new[near] + np.array([complex(*o) for o in data.draw(
+            st.lists(offset, min_size=n, max_size=n))])
+        _, clear = dsp._nearest(prev, new)
+        assume(not clear)
+        _, collides, safe = dsp._step(prev, new)
+        assert not collides and not safe
+        optimal = scipy.optimize.linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
+        assert not dsp._steady(prev, new, optimal, dsp._pairwise(new))
 
     def test_grid_past_the_trim_threshold_raises_typed(self, reference_medium):
         with pytest.raises(DegenerateLeadingCoefficient):
@@ -315,6 +347,25 @@ class TestClassification:
             split = table.for_pole(loc).split
             gap = abs(pair[0].omega[-1] - pair[1].omega[-1])
             assert gap == pytest.approx(2.0 * split / k_end, rel=0.1)
+
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_fan_indices_reach_the_optimal_assignment(self, m):
+        rng = np.random.default_rng(m)
+        unique = 0
+        for _ in range(200):
+            directions = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+            base = rng.uniform(-np.pi, np.pi)
+            targets = base + 2.0 * np.pi * np.arange(1, m + 1) / m
+            cost = np.abs((np.angle(directions)[:, None] - targets + np.pi) % (2 * np.pi) - np.pi)
+            optimal = scipy.optimize.linear_sum_assignment(cost)[1]
+            got = dsp._fan_indices(list(directions), m, base) - 1
+            assert cost[range(m), got].sum() == pytest.approx(cost[range(m), optimal].sum(), abs=1e-12)
+            sums = sorted(cost[range(m), p].sum() for p in itertools.permutations(range(m)))
+            if len(sums) == 1 or sums[1] > sums[0] + 1e-9:
+                unique += 1
+                np.testing.assert_array_equal(got, optimal)
+        assert unique >= 100
 
 
 class TestAsymptoticVerification:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
-from lorentzmodes.errors import NonPolynomialDecay, WindowTooShort
+from lorentzmodes.errors import ExponentMismatch, NonPolynomialDecay, WindowTooShort
 from lorentzmodes.evolution import propagate
 from lorentzmodes.operators import build_perp_operator, eigenvector_columns
 
@@ -168,6 +168,12 @@ class TestGammaHF:
     def test_declared_class_must_be_admissible(self, reference_medium):
         with pytest.raises(ValueError):
             en.verify_gamma_hf(reference_medium, 2.0, s=3.0)
+
+    def test_lossless_medium_refused_typed(self, undamped_medium):
+        with pytest.raises(ExponentMismatch, match="no dissipation reaches the high band"):
+            en.verify_gamma_hf(undamped_medium, 1.0)
+        with pytest.raises(ExponentMismatch, match="no dissipation reaches the low band"):
+            en.verify_gamma_lf(undamped_medium, 0.0)
 
     def test_energy_times_target_power_bounded(self, hf_report_reference):
         # upper-bound side: E(t) * t^m stays bounded on the fit window

@@ -1,5 +1,7 @@
 """Propagation, contraction, and band-wise decay envelopes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,6 +45,20 @@ class TestPropagate:
         for res in (eig, ode):
             per_state = [op.norm(s) for s in res.states]
             np.testing.assert_allclose(res.norms, per_state, rtol=1e-13)
+
+    def test_oracle_fallback_when_eigenvalues_split(self, reference_medium, rng):
+        # one perturbed entry splits every doubled eigenvalue, so the eigen
+        # path refuses and propagate falls back to the integration oracle
+        op = ops.build_perp_operator(reference_medium, 1.0)
+        a = op.matrix.copy()
+        a[0, 0] += 1e-3
+        bent = replace(op, matrix=a)
+        u0 = unit_state(op, rng)
+        t = np.array([0.0, 1.0, 10.0, 100.0])
+        res = evo.propagate(bent, u0, t)
+        assert res.method == "Oracle"
+        expected = [bent.norm(scipy.linalg.expm(-1j * a * s) @ u0) for s in t]
+        np.testing.assert_allclose(res.norms, expected, rtol=0, atol=1e-8)
 
     def test_norms_nonincreasing(self, reference_medium, rng):
         op = ops.build_perp_operator(reference_medium, 2.0)
