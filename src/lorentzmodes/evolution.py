@@ -50,7 +50,7 @@ def propagate(
             result = propagate(op, u0, t_grid, method="oracle", keep_states=keep_states)
             result.method = "Oracle"
             return result
-        comps = np.stack([p @ u0 for p in dec.projectors])  # (n_eigs, dim)
+        comps = dec.projectors @ u0  # (n_eigs, dim)
         phases = np.exp(-1j * np.outer(t_grid, dec.eigenvalues))  # (nt, n_eigs)
         states = phases @ comps
         tag = "Eigen"

@@ -301,6 +301,19 @@ class LorentzMedium:
         """
         return (*_family_pair(self.electric), *_family_pair(self.magnetic))
 
+    @cached_property
+    def family_zeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """(zeros of P_e, zeros of P_m), each empty when its family is.
+
+        Computed once per medium; the H2 check, the zero catalog, the
+        coefficient table and the resolvent's singular set all read them.
+        """
+        p_e, _, p_m, _ = self.family_polynomials
+        return tuple(
+            companion_roots(poly) if oscillators else np.zeros(0, complex)
+            for poly, oscillators in ((p_e, self.electric), (p_m, self.magnetic))
+        )
+
     def numerator_denominator(self):
         """Expanded (numerator, denominator) of the dispersion function.
 
@@ -331,9 +344,7 @@ class LorentzMedium:
         return None
 
     def _h2_witness(self):
-        p_e, _, p_m, _ = self.family_polynomials
-        zeros_e = companion_roots(p_e) if self.n_electric else np.zeros(0, complex)
-        zeros_m = companion_roots(p_m) if self.n_magnetic else np.zeros(0, complex)
+        zeros_e, zeros_m = self.family_zeros
         poles_e = [r for osc in self.electric for r in osc.roots()]
         poles_m = [r for osc in self.magnetic for r in osc.roots()]
         for z in zeros_e:
@@ -481,16 +492,11 @@ class LorentzMedium:
 
     def _family_zero_roots(self):
         """Zeros of eps and of mu, classified structurally as real or not."""
-        p_e, _, p_m, _ = self.family_polynomials
         out = []
-        for fam, poly, oscillators in (
-            ("e", p_e, self.electric),
-            ("m", p_m, self.magnetic),
-        ):
-            if not oscillators:
-                continue
+        families = (self.electric, self.magnetic)
+        for fam, zeros, oscillators in zip("em", self.family_zeros, families):
             undamped = all(o.damping == 0 for o in oscillators)
-            for z in companion_roots(poly):
+            for z in zeros:
                 if undamped:
                     # real rational function: every zero is real
                     if abs(z.imag) > 1e-8 * (1.0 + abs(z)):
@@ -622,8 +628,7 @@ class LorentzMedium:
                 double.append(DoublePoleCoefficients(p, split, a2))
 
         zeros = []
-        p_e = self.family_polynomials[0]
-        zeros_e = companion_roots(p_e) if self.n_electric else np.zeros(0, complex)
+        zeros_e = self.family_zeros[0]
         for entry in catalog.simple_real_zeros():
             z = entry.location
             is_eps_zero = bool(

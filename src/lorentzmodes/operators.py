@@ -37,6 +37,9 @@ EIG_CLUSTER_TOL = 1e-7
 #: scaled distance to singular sets below which the formula path refuses
 SINGULAR_TOL = 1e-8
 
+# contour nodes per stacked resolvent call; caps the (nodes, dim, dim) stack
+_CONTOUR_BLOCK = 256
+
 # transverse rotation by +90 degrees: the action of "e3 cross" on (x, y)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -254,83 +257,94 @@ def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
 
     pts = [0.0 + 0.0j]
     pts.extend(p.location for p in medium.catalog.poles)
-    p_m = medium.family_polynomials[2]
-    if medium.n_magnetic:
-        from .polyroots import companion_roots
-
-        pts.extend(companion_roots(p_m))
+    pts.extend(medium.family_zeros[1])
     pts.extend(solve_dispersion(medium, k))
     return np.asarray(pts, dtype=complex)
 
 
 def resolvent_formula(
-    medium: LorentzMedium, k: float, omega: complex, guard: bool = True
+    medium: LorentzMedium, k: float, omega, guard: bool = True
 ) -> np.ndarray:
     """Explicit inverse of (A - omega I) assembled from the factored blocks.
 
-    Raises NearSingularEvaluation when omega is too close to the spectrum or
-    to the removable-singularity set of the auxiliary term.
+    omega may be a scalar or an array; the result has shape
+    ``omega.shape + (dim, dim)``, one resolvent per omega, built by
+    broadcasting the 2 x 2 block coefficients over omega.  Raises
+    NearSingularEvaluation when any omega is too close to the spectrum or to
+    the removable-singularity set of the auxiliary term.
     """
+    omega = np.asarray(omega, dtype=complex)
     if guard:
-        pts = singular_set(medium, k)
-        if np.min(np.abs(pts - omega)) < SINGULAR_TOL * (1.0 + abs(omega)):
+        dist = np.abs(singular_set(medium, k) - omega[..., None]).min(axis=-1)
+        near = dist < SINGULAR_TOL * (1.0 + np.abs(omega))
+        if np.any(near):
+            bad = omega[near].flat[0]
             raise NearSingularEvaluation(
-                f"omega={omega} within guard distance of the singular sets"
+                f"omega={bad} within guard distance of the singular sets"
             )
     lay = layout_for(medium)
     dim = lay.dim
     eye = np.eye(2)
-    mu = medium.permeability(omega)
-    eps_mu_omega2 = omega * omega * medium.permittivity(omega) * mu
+    w = omega[..., None, None]  # every block coefficient is a scalar times eye
+    mu = medium.permeability(w)
+    eps_mu_omega2 = w * w * medium.permittivity(w) * mu
 
     # row maps F -> 2-vector, as 2 x dim matrices
     def rows(block_a, block_b, ca, cb):
-        r = np.zeros((2, dim), dtype=complex)
-        r[:, block_a] = ca * eye
-        r[:, block_b] = cb * eye
+        r = np.zeros(omega.shape + (2, dim), dtype=complex)
+        r[..., block_a] = ca * eye
+        r[..., block_b] = cb * eye
         return r
 
-    t_mat = np.zeros((dim, dim), dtype=complex)
+    t_mat = np.zeros(omega.shape + (dim, dim), dtype=complex)
     a_rows = []  # A_e(omega), then A_m(omega)
     for field, base, oscillators, pos, vel in _families(medium, lay):
-        acc = np.zeros((2, dim), dtype=complex)
-        acc[:, field] = -base * eye
+        acc = np.zeros(omega.shape + (2, dim), dtype=complex)
+        acc[..., field] = -base * eye
         for j, osc in enumerate(oscillators):
-            q = osc.q(omega)
-            dot = rows(pos(j), vel(j), 1j * osc.resonance**2 / q, -omega / q)
+            q = osc.q(w)
+            dot = rows(pos(j), vel(j), 1j * osc.resonance**2 / q, -w / q)
             acc += -base * 1j * osc.coupling**2 * dot
-            t_mat[pos(j)] = rows(pos(j), vel(j), (-1j * osc.damping - omega) / q, -1j / q)
-            t_mat[vel(j)] = dot
+            t_mat[..., pos(j), :] = rows(
+                pos(j), vel(j), (-1j * osc.damping - w) / q, -1j / q
+            )
+            t_mat[..., vel(j), :] = dot
         a_rows.append(acc)
     a_e_rows, a_m_rows = a_rows
 
-    s_rows = (omega * mu * a_e_rows - k * (J2 @ a_m_rows)) / (eps_mu_omega2 - k * k)
+    s_rows = (w * mu * a_e_rows - k * (J2 @ a_m_rows)) / (eps_mu_omega2 - k * k)
 
     v_cols = eigenvector_columns(medium, k, omega)
 
     # H is recovered from E and A_m, so only the magnetic blocks carry A_m
-    t_mat[lay.h] = a_m_rows / (omega * mu)
+    t_mat[..., lay.h, :] = a_m_rows / (w * mu)
     for l, osc in enumerate(medium.magnetic):
-        q = osc.q(omega)
-        t_mat[lay.m(l)] -= a_m_rows / (omega * mu * q)
-        t_mat[lay.mdot(l)] += 1j * a_m_rows / (mu * q)
+        q = osc.q(w)
+        t_mat[..., lay.m(l), :] -= a_m_rows / (w * mu * q)
+        t_mat[..., lay.mdot(l), :] += 1j * a_m_rows / (mu * q)
 
     return v_cols @ s_rows + t_mat
 
 
-def eigenvector_columns(medium: LorentzMedium, k: float, omega: complex) -> np.ndarray:
-    """The 2-column eigenspace map: transverse field vector to full state."""
+def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
+    """The 2-column eigenspace map: transverse field vector to full state.
+
+    omega may be a scalar or an array; the result has shape
+    ``omega.shape + (dim, 2)``.
+    """
+    omega = np.asarray(omega, dtype=complex)
     lay = layout_for(medium)
     eye = np.eye(2)
+    w = omega[..., None, None]
     # each family's field as a function of E: the identity, then H = k J2 E / (omega mu)
-    field_maps = (eye, k / (omega * medium.permeability(omega)) * J2)
-    v_cols = np.zeros((lay.dim, 2), dtype=complex)
+    field_maps = (eye, k / (w * medium.permeability(w)) * J2)
+    v_cols = np.zeros(omega.shape + (lay.dim, 2), dtype=complex)
     for f, (field, _, oscillators, pos, vel) in zip(field_maps, _families(medium, lay)):
-        v_cols[field] = f
+        v_cols[..., field, :] = f
         for j, osc in enumerate(oscillators):
-            q = osc.q(omega)
-            v_cols[pos(j)] = -f / q
-            v_cols[vel(j)] = 1j * omega * f / q
+            q = osc.q(w)
+            v_cols[..., pos(j), :] = -f / q
+            v_cols[..., vel(j), :] = 1j * w * f / q
     return v_cols
 
 
@@ -437,7 +451,10 @@ def projector_contour(
 
     The circle is centered at the eigenvalue with radius half the distance to
     every other eigenvalue and every removable-singularity point; nodes double
-    from 32 until two successive estimates agree.
+    from 32 until two successive estimates agree.  The 2n-node ring contains
+    the n-node ring, so each doubling evaluates only the n new odd nodes, in
+    stacked resolvent calls of at most ``_CONTOUR_BLOCK`` nodes, and adds
+    them to the carried node sum.
     """
     pts = singular_set(medium, k)
     dist = np.abs(pts - eigenvalue)
@@ -447,19 +464,22 @@ def projector_contour(
         raise ContourTooTight(f"isolation radius {rho:.3e} at eigenvalue {eigenvalue}")
 
     prev = None
+    acc = np.zeros((2 * medium.state_blocks,) * 2, dtype=complex)
     nodes = 32
+    theta = 2.0 * math.pi * np.arange(nodes) / nodes
     while nodes <= max_nodes:
-        theta = 2.0 * math.pi * np.arange(nodes) / nodes
-        ring = eigenvalue + rho * np.exp(1j * theta)
-        acc = np.zeros((2 * medium.state_blocks,) * 2, dtype=complex)
-        for w, phase in zip(ring, np.exp(1j * theta)):
-            acc += resolvent_formula(medium, k, w, guard=False) * phase
+        for start in range(0, len(theta), _CONTOUR_BLOCK):
+            phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
+            ring = resolvent_formula(medium, k, eigenvalue + rho * phase, guard=False)
+            acc += np.einsum("n,nij->ij", phase, ring)
         est = -acc * rho / nodes
         if prev is not None and np.linalg.norm(est - prev, 2) < tol * max(
             1.0, np.linalg.norm(est, 2)
         ):
             return est
         prev = est
+        # the odd nodes of the 2n-node ring
+        theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
         nodes *= 2
     raise QuadratureNonconvergent(
         f"contour projector did not converge with {max_nodes} nodes"

@@ -195,6 +195,61 @@ class TestResolvent:
             ops.resolvent_formula(reference_medium, k, z_m)
 
 
+STACK_MEDIA = [
+    "reference_medium",
+    "critical_medium",
+    "double_pole_medium",
+    "asymmetric_medium",
+    "ps_noncritical_medium",
+]
+
+
+def _omega_grid(seed):
+    """A 3 x 4 array of points off the real axis, where the formula path is regular."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-4, 4, (3, 4)) + 1j * rng.choice([-1, 1], (3, 4)) * rng.uniform(
+        0.1, 2.0, (3, 4)
+    )
+
+
+class TestStackedResolvent:
+    @pytest.mark.parametrize("name", STACK_MEDIA)
+    def test_resolvent_stack_equals_scalar_calls(self, name, request):
+        medium = request.getfixturevalue(name)
+        for k in (0.05, 1.0, 20.0):
+            omegas = _omega_grid(int(100 * k))
+            stacked = ops.resolvent_formula(medium, k, omegas)
+            assert stacked.shape == omegas.shape + (2 * medium.state_blocks,) * 2
+            for idx, w in np.ndenumerate(omegas):
+                r = ops.resolvent_formula(medium, k, w)
+                assert np.linalg.norm(stacked[idx] - r) <= 1e-13 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("name", STACK_MEDIA)
+    def test_eigenvector_stack_equals_scalar_calls(self, name, request):
+        medium = request.getfixturevalue(name)
+        for k in (0.05, 1.0, 20.0):
+            omegas = _omega_grid(int(100 * k) + 1)
+            stacked = ops.eigenvector_columns(medium, k, omegas)
+            assert stacked.shape == omegas.shape + (2 * medium.state_blocks, 2)
+            for idx, w in np.ndenumerate(omegas):
+                v = ops.eigenvector_columns(medium, k, w)
+                assert np.linalg.norm(stacked[idx] - v) <= 1e-13 * np.linalg.norm(v)
+
+    def test_scalar_omega_keeps_matrix_shape(self, reference_medium):
+        dim = 2 * reference_medium.state_blocks
+        w = 0.7 + 0.3j
+        assert ops.resolvent_formula(reference_medium, 1.0, w).shape == (dim, dim)
+        assert ops.eigenvector_columns(reference_medium, 1.0, w).shape == (dim, 2)
+
+    def test_one_singular_entry_refuses_the_stack(self, reference_medium):
+        z_m = reference_medium.family_zeros[1][0]
+        omegas = np.array([0.7 + 0.3j, z_m, -1.2 + 0.5j])
+        with pytest.raises(NearSingularEvaluation):
+            ops.resolvent_formula(reference_medium, 1.0, omegas)
+        # without the singular entry the same stack evaluates
+        assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, omegas[[0, 2]])).all()
+
+
 class TestSpectralDecomposition:
     def test_reference_structure(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
@@ -248,6 +303,46 @@ class TestContourProjector:
         p_cont = ops.projector_contour(double_pole_medium, 2.4, w)
         p_eig = dec.projectors[0]
         assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
+
+
+    @pytest.mark.parametrize(
+        "name", ["reference_medium", "critical_medium", "double_pole_medium", "asymmetric_medium"]
+    )
+    def test_matches_eigendecomposition_across_bands(self, name, request):
+        medium = request.getfixturevalue(name)
+        for k in (1e-2, 0.1, 1.0, 10.0, 100.0):
+            dec = ops.build_perp_operator(medium, k).eigen
+            for w, p_eig in zip(dec.eigenvalues, dec.projectors):
+                p_cont = ops.projector_contour(medium, k, w)
+                assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
+
+    def test_nested_rings_equal_a_fresh_ring(self, monkeypatch, reference_medium, critical_medium):
+        resolvent = ops.resolvent_formula
+        evaluated = []
+
+        def recording(medium, k, omega, guard=True):
+            evaluated.extend(np.ravel(omega))
+            return resolvent(medium, k, omega, guard)
+
+        monkeypatch.setattr(ops, "resolvent_formula", recording)
+        for medium, k in ((reference_medium, 1.0), (critical_medium, 0.1)):
+            pts = ops.singular_set(medium, k)
+            for w in ops.build_perp_operator(medium, k).eigen.eigenvalues:
+                evaluated.clear()
+                p_cont = ops.projector_contour(medium, k, w)
+                # the evaluated points are the final ring, each node once
+                nodes = len(evaluated)
+                assert nodes >= 64 and nodes & (nodes - 1) == 0
+                dist = np.abs(pts - w)
+                rho = 0.5 * dist[dist > ops.SINGULAR_TOL * (1.0 + abs(w))].min()
+                angles = np.sort(np.angle(np.asarray(evaluated) - w) % (2 * np.pi))
+                np.testing.assert_allclose(
+                    angles, 2 * np.pi * np.arange(nodes) / nodes, rtol=0, atol=1e-12
+                )
+                phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+                ring = resolvent(medium, k, w + rho * phase, guard=False)
+                fresh = -np.einsum("n,nij->ij", phase, ring) * rho / nodes
+                assert np.linalg.norm(p_cont - fresh, 2) <= 1e-12 * np.linalg.norm(fresh, 2)
 
 
 class TestOptimalData:
