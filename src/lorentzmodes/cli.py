@@ -31,6 +31,8 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
+import math
 import sys
 from pathlib import Path
 
@@ -126,16 +128,26 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _setting(args, run, name, default):
+    """The command-line value of name, else its [run] value, else default."""
+    value = getattr(args, name)
+    return value if value is not None else run.get(name, default)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
 def _tracked(medium, args, run):
-    k_min = args.k_min if args.k_min is not None else run.get("k_min")
-    k_max = args.k_max if args.k_max is not None else run.get("k_max")
+    k_min = _setting(args, run, "k_min", None)
+    k_max = _setting(args, run, "k_max", None)
     ppd = int(args.points_per_decade or run.get("points_per_decade", 200))
     grid = disp.default_k_grid(medium, ppd)
     if k_min is not None or k_max is not None:
         lo = float(k_min) if k_min is not None else grid[0]
         hi = float(k_max) if k_max is not None else grid[-1]
-        if not 0 < lo < hi:
-            raise ConfigError(f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
+        _require(0 < lo < hi, f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
         grid = disp._log_grid(lo, hi, ppd)
     return disp.classify_branches(disp.track_branches(medium, grid), medium)
 
@@ -241,10 +253,13 @@ def cmd_projectors(args) -> int:
 
 def cmd_evolve(args) -> int:
     medium, run = load_medium_config(args.config)
-    k = float(args.k if args.k is not None else run.get("k", 1.0))
-    t_max = float(args.t_max if args.t_max is not None else run.get("t_max", 100.0))
-    n_t = int(args.time_points or run.get("time_points", 200))
-    seed = int(args.seed if args.seed is not None else run.get("seed", 0))
+    k = float(_setting(args, run, "k", 1.0))
+    t_max = float(_setting(args, run, "t_max", 100.0))
+    n_t = int(_setting(args, run, "time_points", 200))
+    seed = int(_setting(args, run, "seed", 0))
+    _require(math.isfinite(k), f"--k must be finite, got {k}")
+    _require(0 <= t_max < math.inf, f"--t-max must be finite and nonnegative, got {t_max}")
+    _require(n_t >= 1, f"--time-points must be at least 1, got {n_t}")
     op = build_perp_operator(medium, k)
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
@@ -264,15 +279,18 @@ def cmd_evolve(args) -> int:
 def cmd_energy(args) -> int:
     medium, run = load_medium_config(args.config)
     band = args.band or run.get("band", "lf")
-    out = _out_dir(args)
     if band == "lf":
-        p = float(args.p if args.p is not None else run.get("p", 0.0))
-        report = energy_mod.verify_gamma_lf(medium, p)
+        p = float(_setting(args, run, "p", 0.0))
+        _require(0 <= p < math.inf, f"--p must be finite and nonnegative, got {p}")
+        verify = functools.partial(energy_mod.verify_gamma_lf, medium, p)
     elif band == "hf":
-        m = float(args.m if args.m is not None else run.get("m", 2.0))
-        report = energy_mod.verify_gamma_hf(medium, m)
+        m = float(_setting(args, run, "m", 2.0))
+        _require(0 < m < math.inf, f"--m must be finite and positive, got {m}")
+        verify = functools.partial(energy_mod.verify_gamma_hf, medium, m)
     else:
         raise ConfigError(f"unknown band {band!r} (use lf or hf)")
+    out = _out_dir(args)
+    report = verify()
     record = report.record
     _write_csv(
         out / "energy.csv",

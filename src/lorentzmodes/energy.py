@@ -8,7 +8,8 @@ number of panels doubles until the energy at the final time settles.
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
 trace is exp(2 Im omega(k) t) in closed form: a panel rule costs one stacked
 dispersion root solve and no operator, eigendecomposition or propagation.
-Only the fixed random direction is propagated node by node.
+The fixed random direction is propagated through the N x N operator on each
+circular polarisation: a panel rule costs one stacked eigendecomposition.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from .errors import (
     WindowTooShort,
 )
 from .medium import CoefficientTable, Criticality, LorentzMedium
-# eigenvector_columns is unused here; perfbench/spans.py wraps it at this name
+from .operators import _U_PLUS, _flip, _helicity_modes, gram_diagonal
+# unused here, kept because perfbench/spans.py wraps these three at these names
 from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
-from .evolution import propagate
+from .evolution import propagate  # noqa: F401
 
 QUAD_TOL = 1e-6
 NODES_PER_PANEL = 32
@@ -127,15 +129,20 @@ def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
 
 
 def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
-    """|exp(-iAt) v|^2 per node by full propagation of the shared random state."""
-    rng = np.random.default_rng(rule.seed)
-    dim = 2 * medium.state_blocks
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    traces = []
-    for k in ks:
-        op = build_perp_operator(medium, float(k))
-        traces.append(propagate(op, v / op.norm(v), t_grid, keep_states=False).norms ** 2)
-    return np.stack(traces)
+    """|exp(-iAt) v|^2 / |v|^2 per node for the shared random state v.
+
+    The u_+ part of v and its S-flipped u_- part both evolve by the u_+
+    operator, whose eigendecomposition is stacked over the nodes.
+    """
+    re, im = np.random.default_rng(rule.seed).standard_normal((2, medium.state_blocks, 2))
+    v = re + 1j * im  # one transverse 2-vector per block
+    parts = np.stack([v @ _U_PLUS.conj(), _flip(medium) * (v @ _U_PLUS)], axis=-1)
+    weight = gram_diagonal(medium)[::2, None]  # one weight per block, both parts
+    vals, vecs, inv = _helicity_modes(medium, ks)
+    phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
+    states = vecs[:, None] @ (phases * (inv @ parts)[:, None])  # (nodes, times, N, 2)
+    norms2 = np.sum(weight * np.abs(states) ** 2, axis=(-2, -1))
+    return norms2 / np.sum(weight * np.abs(parts) ** 2)
 
 
 # --- the energy integral -------------------------------------------------------------
@@ -151,19 +158,13 @@ class DecayRecord:
     gamma_confidence: Optional[float] = None
     fit_window: Optional[tuple] = None
 
-    def positive(self) -> bool:
-        return bool(np.all(self.energy > 0))
-
 
 def gauss_panels(k_min: float, k_max: float, n_panels: int, nodes: int = NODES_PER_PANEL):
     """Nodes and weights: log-spaced panel edges, Gauss-Legendre inside each."""
     x, w = np.polynomial.legendre.leggauss(nodes)
-    edges = np.geomspace(k_min, k_max, n_panels + 1)
-    ks, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        ks.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        ws.append(0.5 * (b - a) * w)
-    return np.concatenate(ks), np.concatenate(ws)
+    edges = np.geomspace(k_min, k_max, n_panels + 1)[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (half * x + 0.5 * (edges[:-1] + edges[1:])).ravel(), (half * w).ravel()
 
 
 def simulate_energy(
@@ -177,7 +178,8 @@ def simulate_energy(
 
     An OptimalBranch datum is an eigenvector, so its trace is the closed form
     exp(2 Im omega(k) t), with the omega of a whole panel rule from one
-    stacked root solve.  A FixedRandomUnit datum is propagated node by node.
+    stacked root solve.  A FixedRandomUnit datum is propagated through one
+    stacked N x N eigendecomposition per rule.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(direction_rule, OptimalBranch):

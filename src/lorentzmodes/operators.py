@@ -2,15 +2,19 @@
 
 A state is a stack of equal-width blocks: the E and H fields, then the
 electric polarisations and their velocities, then the magnetic magnetisations
-and their velocities.  One assembler builds the operator for either block
-width from its curl block: ``k*J2`` gives the dense 2N x 2N reduced operator
-on transverse 2-vectors, dissipative for the weighted inner product; ``[k]x``
+and their velocities.  One assembler builds the operator for any block width
+from its curl block: ``k*J2`` gives the dense 2N x 2N reduced operator on
+transverse 2-vectors, dissipative for the weighted inner product; ``[k]x``
 gives the 3N x 3N full-vector operator, which a blockwise rotation reduces to
-the former.  The electric and magnetic oscillator families enter every
-formula in the same way and are walked by one loop.  Besides the matrices
-this module provides the explicit resolvent, the eigen- and contour-integral
-spectral projectors and the slow-branch eigenvector states used as optimal
-initial data.
+the former; ``[[1j*k]]`` gives the N x N operator on the circular
+polarisation u_+, whose eigenvalues are the simple dispersion roots.  On u_-
+the reduced operator is that one with the magnetic blocks' sign flipped, so
+one N x N eigendecomposition, stacked over k where needed, gives its rank-2
+spectral projectors.  The electric and magnetic oscillator families enter
+every formula in the same way and are walked by one loop.  Besides the
+matrices this module provides the explicit resolvent, the contour-integral
+projectors and the slow-branch eigenvector states used as optimal initial
+data.
 """
 
 from __future__ import annotations
@@ -29,9 +33,11 @@ from .errors import (
     QuadratureNonconvergent,
     ZeroWaveVector,
 )
+from .dispersion import _pairwise
 from .medium import LorentzMedium
 
-#: eigenvalues closer than this (scaled) refuse a clean eigendecomposition
+#: u_+ eigenvalues (the simple dispersion roots) closer than this, scaled by 1 + |root|
+#: and not globally (tight pole fans sit next to large roots), refuse a decomposition
 EIG_CLUSTER_TOL = 1e-7
 
 #: scaled distance to singular sets below which the formula path refuses
@@ -42,6 +48,9 @@ _CONTOUR_BLOCK = 256
 
 # transverse rotation by +90 degrees: the action of "e3 cross" on (x, y)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+# circular polarisation u_+: J2 u_+ = i u_+, and J2 u_- = -i u_- for u_- = conj(u_+)
+_U_PLUS = np.array([1.0, -1.0j]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -110,22 +119,14 @@ class PerpState:
             )
 
     @classmethod
-    def zero(cls, layout: StateLayout) -> "PerpState":
-        return cls(np.zeros(layout.dim, dtype=complex), layout)
-
-    @classmethod
     def from_blocks(cls, layout, e=(0, 0), h=(0, 0), p=None, pdot=None, m=None, mdot=None):
-        s = cls.zero(layout)
+        s = cls(np.zeros(layout.dim), layout)
         s.data[layout.e] = e
         s.data[layout.h] = h
-        for j, v in enumerate(p or []):
-            s.data[layout.p(j)] = v
-        for j, v in enumerate(pdot or []):
-            s.data[layout.pdot(j)] = v
-        for l, v in enumerate(m or []):
-            s.data[layout.m(l)] = v
-        for l, v in enumerate(mdot or []):
-            s.data[layout.mdot(l)] = v
+        blocks = (layout.p, layout.pdot, layout.m, layout.mdot)
+        for block, values in zip(blocks, (p, pdot, m, mdot)):
+            for j, v in enumerate(values or []):
+                s.data[block(j)] = v
         return s
 
 
@@ -180,19 +181,22 @@ class PerpOperator:
 
 
 def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
-    """Operator matrix and layout; the block width is the size of the curl block."""
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, len(curl))
-    a = np.zeros((lay.dim, lay.dim), dtype=complex)
-    a[lay.e, lay.h] = -curl / medium.eps0
-    a[lay.h, lay.e] = curl / medium.mu0
+    """Operator matrix and layout; the block width is the size of the curl block.
+
+    Leading axes of curl give a stack of matrices.
+    """
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, curl.shape[-1])
+    a = np.zeros(curl.shape[:-2] + (lay.dim, lay.dim), dtype=complex)
+    a[..., lay.e, lay.h] = -curl / medium.eps0
+    a[..., lay.h, lay.e] = curl / medium.mu0
     eye = np.eye(lay.width)
     for field, _, oscillators, pos, vel in _families(medium, lay):
         for j, osc in enumerate(oscillators):
-            a[field, vel(j)] = -1j * osc.coupling**2 * eye
-            a[pos(j), vel(j)] = 1j * eye
-            a[vel(j), field] = 1j * eye
-            a[vel(j), pos(j)] = -1j * osc.resonance**2 * eye
-            a[vel(j), vel(j)] = -1j * osc.damping * eye
+            a[..., field, vel(j)] = -1j * osc.coupling**2 * eye
+            a[..., pos(j), vel(j)] = 1j * eye
+            a[..., vel(j), field] = 1j * eye
+            a[..., vel(j), pos(j)] = -1j * osc.resonance**2 * eye
+            a[..., vel(j), vel(j)] = -1j * osc.damping * eye
     return a, lay
 
 
@@ -388,53 +392,51 @@ class SpectralDecomposition:
         return float(np.linalg.norm(self.projectors.sum(axis=0) - eye, 2))
 
 
-def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
-    """Group the doubled eigenvalues and build projectors from eigenvectors.
+def _flip(medium: LorentzMedium) -> np.ndarray:
+    """S per block, -1 on H, M and Mdot: S A_+ S is the u_- operator."""
+    ne, nm = medium.n_electric, medium.n_magnetic
+    return np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
 
-    Requires the dispersion roots to be simple: every cluster of the 2N
-    eigenvalues must contain exactly two members.
+
+def _helicity_modes(medium: LorentzMedium, k):
+    """(eigenvalues in lexsort order, eigenvectors, inverse) of the u_+ operator.
+
+    A 1-D array of k gives stacks from one ``eig``.  The first k with a scaled
+    gap below EIG_CLUSTER_TOL or cond above 1e12 is refused.
     """
-    vals, vecs = np.linalg.eig(op.matrix)
+    k = np.asarray(k, dtype=float)
+    vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-
-    groups = []
-    used = np.zeros(len(vals), dtype=bool)
-    for i in range(len(vals)):
-        if used[i]:
-            continue
-        members = [i]
-        used[i] = True
-        for j in range(i + 1, len(vals)):
-            # tolerance scaled per pair; a global scale would swallow tight
-            # pole fans next to the large light-cone eigenvalues
-            tol = EIG_CLUSTER_TOL * (1.0 + abs(vals[i]))
-            if not used[j] and abs(vals[j] - vals[i]) <= tol:
-                members.append(j)
-                used[j] = True
-        groups.append(members)
-
-    if any(len(g) != 2 for g in groups):
-        sizes = sorted(len(g) for g in groups)
-        raise NotDiagonalizable(
-            f"eigenvalue clusters of sizes {sizes}; need exactly 2 each"
-        )
-
-    try:
-        inv = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError as exc:
-        raise NotDiagonalizable("eigenvector matrix is singular") from exc
+    vals = np.take_along_axis(vals, order, axis=-1)
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
     cond = np.linalg.cond(vecs)
-    if cond > 1e12:
-        raise NotDiagonalizable(f"eigenvector condition number {cond:.2e}")
+    bad = (gap < EIG_CLUSTER_TOL) | ~(cond <= 1e12)
+    if np.any(bad):
+        i = np.argmax(bad) if bad.ndim else ()
+        raise NotDiagonalizable(f"k={k[i]:g}: scaled gap {gap[i]:.2e}, cond {cond[i]:.2e}")
+    return vals, vecs, np.linalg.inv(vecs)
 
-    eigs = np.array([vals[g].mean() for g in groups])
-    projectors = np.stack([vecs[:, g] @ inv[g, :] for g in groups])
-    recon = np.einsum("i,ijk->jk", eigs, projectors)
-    residual = float(
-        np.linalg.norm(recon - op.matrix, 2) / max(np.linalg.norm(op.matrix, 2), 1e-300)
-    )
-    return SpectralDecomposition(eigenvalues=eigs, projectors=projectors, residual=residual)
+
+def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
+    """Rank-2 projectors p_n (x) u_+ u_+^H + S p_n S (x) u_- u_-^H, one per root.
+
+    p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
+    operator.  Refuses what _helicity_modes refuses, and a matrix that the
+    projectors reconstruct only to more than 1e-8 (not the medium's at op.k).
+    """
+    vals, vecs, inv = _helicity_modes(op.medium, op.k)
+    p = vecs.T[:, :, None] * inv[:, None, :]  # column n of vecs times row n of inv
+    s = _flip(op.medium)
+    # block (a, b) of the n-th projector: p[n, a, b] (u_+u_+^H + s_a s_b u_-u_-^H)
+    q_plus = np.outer(_U_PLUS, _U_PLUS.conj())
+    q = q_plus[:, None] + np.outer(s, s)[:, None, :, None] * q_plus.conj()[:, None]
+    projectors = (p[:, :, None, :, None] * q).reshape(len(vals), op.dim, op.dim)
+    recon = np.einsum("n,nij->ij", vals, projectors) - op.matrix
+    residual = float(np.linalg.norm(recon, 2) / max(np.linalg.norm(op.matrix, 2), 1e-300))
+    if residual > 1e-8:
+        raise NotDiagonalizable(f"projectors reconstruct the matrix to {residual:.2e}")
+    return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
 
 
 # --- contour projector --------------------------------------------------------------
@@ -498,20 +500,14 @@ def projector_norm_sweep(
     the norms is reported by sweep_trend; growth is the caller's signal to
     distrust the band.
     """
-    if callable(branch):
-        eigenvalue_of_k = branch
-    else:
-
-        def eigenvalue_of_k(k, b=branch):
-            return b.omega[int(np.argmin(np.abs(b.k - k)))]
-
-    def one(k):
+    sweep = []
+    for k in k_grid:
+        near = branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
         op = build_perp_operator(medium, k)
         dec = op.eigen
-        idx = int(np.argmin(np.abs(dec.eigenvalues - eigenvalue_of_k(k))))
-        return float(k), op.operator_norm(dec.projectors[idx]), dec.residual
-
-    return [one(k) for k in k_grid]
+        idx = int(np.argmin(np.abs(dec.eigenvalues - near)))
+        sweep.append((float(k), op.operator_norm(dec.projectors[idx]), dec.residual))
+    return sweep
 
 
 def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:

@@ -50,6 +50,12 @@ def ps_noncritical_medium():
 
 
 @pytest.fixture(scope="session")
+def electric_only_medium():
+    """No magnetic oscillator (n_magnetic = 0), eps0 != mu0; N = 6."""
+    return lm.new_medium(1.5, 0.8, [(1.0, 1.0, 0.1), (0.7, 2.2, 0.3)], [])
+
+
+@pytest.fixture(scope="session")
 def undamped_medium():
     """No dissipation at all: the conservative negative control."""
     return lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.0)], [(1.0, 2.0, 0.0)])

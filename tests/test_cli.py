@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lorentzmodes
+from lorentzmodes import cli
 
 REFERENCE_CFG = """\
 [medium]
@@ -187,6 +188,25 @@ class TestBranches:
             assert res.returncode == 2, res.stderr
             assert "configuration error:" in res.stderr
             assert "Traceback" not in res.stderr
+        assert not out.exists()
+
+    def test_bad_evolve_and_energy_values_exit_2(self, reference_cfg, tmp_path, capsys):
+        # in process: an uncaught exception fails the test as a traceback would
+        out = tmp_path / "bad"
+        for args in (
+            ("evolve", "--k", "nan"),
+            ("evolve", "--t-max", "-5"),
+            ("evolve", "--t-max", "inf"),
+            ("evolve", "--time-points", "0"),
+            ("energy", "--p", "-1"),
+            ("energy", "--p", "nan"),
+            ("energy", "--band", "hf", "--m", "0"),
+            ("energy", "--band", "hf", "--m", "inf"),
+        ):
+            code = cli.main([args[0], "--config", str(reference_cfg), "--out", str(out), *args[1:]])
+            err = capsys.readouterr().err
+            assert code == 2, (args, err)
+            assert err.startswith("configuration error:")
         assert not out.exists()
 
 

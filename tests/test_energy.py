@@ -74,6 +74,35 @@ class TestClosedFormTrace:
         self._compare(critical_medium, label, np.geomspace(k_plus, 100 * k_plus, 6))
 
 
+class TestPropagatedTrace:
+    """The stacked helicity traces against propagating every node on its own."""
+
+    @staticmethod
+    def _per_node(medium, rule, ks, t_grid):
+        rng = np.random.default_rng(rule.seed)
+        dim = 2 * medium.state_blocks
+        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        traces = []
+        for k in ks:
+            op = build_perp_operator(medium, float(k))
+            traces.append(propagate(op, v / op.norm(v), t_grid, keep_states=False).norms ** 2)
+        return np.stack(traces)
+
+    @pytest.mark.parametrize(
+        "name", ["reference_medium", "asymmetric_medium", "electric_only_medium"]
+    )
+    def test_matches_per_node_propagation(self, name, request, monkeypatch):
+        medium = request.getfixturevalue(name)
+        profile = en.power_law(0.0, 0.01, 100.0)  # low, mid and high band
+        rule = en.FixedRandomUnit(4)
+        t = np.geomspace(1.0, 100.0, 9)
+        stacked = en.simulate_energy(medium, profile, rule, t)
+        monkeypatch.setattr(en, "_propagated_traces", self._per_node)
+        reference = en.simulate_energy(medium, profile, rule, t)
+        assert stacked.panels == reference.panels
+        np.testing.assert_allclose(stacked.energy, reference.energy, rtol=1e-9, atol=0)
+
+
 class TestDiagnosedBands:
     def test_tracked_once_and_dropped_with_the_medium(self, monkeypatch):
         medium = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])

@@ -11,6 +11,7 @@ from lorentzmodes import operators as ops
 from lorentzmodes.errors import (
     DimensionMismatch,
     NearSingularEvaluation,
+    NotDiagonalizable,
     ZeroWaveVector,
 )
 
@@ -250,7 +251,39 @@ class TestStackedResolvent:
         assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, omegas[[0, 2]])).all()
 
 
+ALL_MEDIA = STACK_MEDIA + ["undamped_medium", "electric_only_medium"]
+BAND_KS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def dense_eig_projectors(matrix, eigenvalues):
+    """Per eigenvalue, the projector on the two eigenvectors of a dense 2N eig nearest it."""
+    vals, vecs = np.linalg.eig(matrix)
+    inv = np.linalg.inv(vecs)
+    pairs = [np.argsort(np.abs(vals - w))[:2] for w in eigenvalues]
+    return np.stack([vecs[:, pair] @ inv[pair, :] for pair in pairs])
+
+
 class TestSpectralDecomposition:
+    @pytest.mark.parametrize("name", ALL_MEDIA)
+    def test_matches_dense_eig_reference(self, name, request):
+        medium = request.getfixturevalue(name)
+        for k in BAND_KS:
+            op = ops.build_perp_operator(medium, k)
+            dec = op.eigen
+            reference = dense_eig_projectors(op.matrix, dec.eigenvalues)
+            for p, p_ref in zip(dec.projectors, reference):
+                assert np.linalg.norm(p - p_ref, 2) <= 1e-10 * max(1.0, np.linalg.norm(p_ref, 2))
+            roots = dsp.solve_dispersion(medium, k)
+            np.testing.assert_allclose(np.sort_complex(dec.eigenvalues), np.sort_complex(roots),
+                                       rtol=1e-10, atol=1e-10)
+
+    def test_node_refused_at_double_root(self, reference_medium):
+        # at k = 0 both families have the eigenvalue 0
+        with pytest.raises(NotDiagonalizable, match="k=0"):
+            ops.build_perp_operator(reference_medium, 0.0).eigen
+        with pytest.raises(NotDiagonalizable, match="k=0"):
+            ops._helicity_modes(reference_medium, np.array([1.0, 0.0, 2.0]))
+
     def test_reference_structure(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
         dec = op.eigen
@@ -305,13 +338,12 @@ class TestContourProjector:
         assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
 
 
-    @pytest.mark.parametrize(
-        "name", ["reference_medium", "critical_medium", "double_pole_medium", "asymmetric_medium"]
-    )
+    @pytest.mark.parametrize("name", ALL_MEDIA)
     def test_matches_eigendecomposition_across_bands(self, name, request):
         medium = request.getfixturevalue(name)
-        for k in (1e-2, 0.1, 1.0, 10.0, 100.0):
+        for k in BAND_KS:
             dec = ops.build_perp_operator(medium, k).eigen
+            assert dec.residual < 1e-8
             for w, p_eig in zip(dec.eigenvalues, dec.projectors):
                 p_cont = ops.projector_contour(medium, k, w)
                 assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
