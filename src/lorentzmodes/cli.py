@@ -142,7 +142,8 @@ def _require(ok: bool, message: str) -> None:
 def _tracked(medium, args, run):
     k_min = _setting(args, run, "k_min", None)
     k_max = _setting(args, run, "k_max", None)
-    ppd = int(args.points_per_decade or run.get("points_per_decade", 200))
+    ppd = int(_setting(args, run, "points_per_decade", 200))
+    _require(ppd >= 1, f"--points-per-decade must be at least 1, got {ppd}")
     grid = disp.default_k_grid(medium, ppd)
     if k_min is not None or k_max is not None:
         lo = float(k_min) if k_min is not None else grid[0]
@@ -231,10 +232,11 @@ def cmd_branches(args) -> int:
 
 def cmd_projectors(args) -> int:
     medium, run = load_medium_config(args.config)
+    n_samples = int(_setting(args, run, "samples", 12))
+    _require(n_samples >= 1, f"--samples must be at least 1, got {n_samples}")
     branches = _tracked(medium, args, run)
     table = medium.asymptotic_coefficients()
     k_minus, k_plus = disp.diagnose_bands(branches, table)
-    n_samples = int(args.samples or run.get("samples", 12))
     out = _out_dir(args)
 
     rows = []

@@ -8,8 +8,7 @@ number of panels doubles until the energy at the final time settles.
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
 trace is exp(2 Im omega(k) t) in closed form: a panel rule costs one stacked
 dispersion root solve and no operator, eigendecomposition or propagation.
-The fixed random direction is propagated through the N x N operator on each
-circular polarisation: a panel rule costs one stacked eigendecomposition.
+A fixed random direction costs one stacked u_+ eigendecomposition per rule.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import (
     WindowTooShort,
 )
 from .medium import CoefficientTable, Criticality, LorentzMedium
-from .operators import _U_PLUS, _flip, _helicity_modes, gram_diagonal
+from .operators import _modal_norms
 # unused here, kept because perfbench/spans.py wraps these three at these names
 from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
 from .evolution import propagate  # noqa: F401
@@ -129,20 +128,9 @@ def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
 
 
 def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
-    """|exp(-iAt) v|^2 / |v|^2 per node for the shared random state v.
-
-    The u_+ part of v and its S-flipped u_- part both evolve by the u_+
-    operator, whose eigendecomposition is stacked over the nodes.
-    """
-    re, im = np.random.default_rng(rule.seed).standard_normal((2, medium.state_blocks, 2))
-    v = re + 1j * im  # one transverse 2-vector per block
-    parts = np.stack([v @ _U_PLUS.conj(), _flip(medium) * (v @ _U_PLUS)], axis=-1)
-    weight = gram_diagonal(medium)[::2, None]  # one weight per block, both parts
-    vals, vecs, inv = _helicity_modes(medium, ks)
-    phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
-    states = vecs[:, None] @ (phases * (inv @ parts)[:, None])  # (nodes, times, N, 2)
-    norms2 = np.sum(weight * np.abs(states) ** 2, axis=(-2, -1))
-    return norms2 / np.sum(weight * np.abs(parts) ** 2)
+    """|exp(-iAt) v|^2 / |v|^2 per node for the shared random state v."""
+    re, im = np.random.default_rng(rule.seed).standard_normal((2, 2 * medium.state_blocks))
+    return _modal_norms(medium, ks, re + 1j * im, t_grid) ** 2
 
 
 # --- the energy integral -------------------------------------------------------------

@@ -9,12 +9,12 @@ gives the 3N x 3N full-vector operator, which a blockwise rotation reduces to
 the former; ``[[1j*k]]`` gives the N x N operator on the circular
 polarisation u_+, whose eigenvalues are the simple dispersion roots.  On u_-
 the reduced operator is that one with the magnetic blocks' sign flipped, so
-one N x N eigendecomposition, stacked over k where needed, gives its rank-2
-spectral projectors.  The electric and magnetic oscillator families enter
-every formula in the same way and are walked by one loop.  Besides the
-matrices this module provides the explicit resolvent, the contour-integral
-projectors and the slow-branch eigenvector states used as optimal initial
-data.
+one N x N eigendecomposition gives its rank-2 spectral projectors; stacked over
+k, it gives the evolved norms of the energy and envelope runs and the projector
+sweeps, and no other module splits the polarisations.  The electric and magnetic
+oscillator families enter every formula in the same way and are walked by one
+loop.  Besides the matrices this module provides the explicit resolvent, the
+contour-integral projectors and the slow-branch optimal initial data.
 """
 
 from __future__ import annotations
@@ -418,6 +418,22 @@ def _helicity_modes(medium: LorentzMedium, k):
     return vals, vecs, np.linalg.inv(vecs)
 
 
+def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
+    """Weighted |exp(-i A(k) t) u| / |u|, shape (len(ks), len(t_grid)).
+
+    u is one flat state shared by every k or one per k.  Its u_+ part and
+    S-flipped u_- part both evolve by the u_+ operator, stacked over ks.
+    """
+    v = states.reshape(states.shape[:-1] + (medium.state_blocks, 2))
+    parts = np.stack([v @ _U_PLUS.conj(), _flip(medium) * (v @ _U_PLUS)], axis=-1)
+    weight = gram_diagonal(medium)[::2, None]  # one weight per block, both parts
+    vals, vecs, inv = _helicity_modes(medium, ks)
+    phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
+    evolved = vecs[:, None] @ (phases * (inv @ parts)[:, None])  # (ks, times, N, 2)
+    norms2 = np.sum(weight * np.abs(evolved) ** 2, axis=(-2, -1))
+    return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
+
+
 def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """Rank-2 projectors p_n (x) u_+ u_+^H + S p_n S (x) u_- u_-^H, one per root.
 
@@ -498,16 +514,24 @@ def projector_norm_sweep(
     branch is either a tracked BranchFamily (its nearest sample anchors the
     eigenvalue at each k) or a callable k -> eigenvalue.  The log-log trend of
     the norms is reported by sweep_trend; growth is the caller's signal to
-    distrust the band.
+    distrust the band.  One stacked u_+ eigendecomposition serves the grid: a
+    projector's weighted norm is that of its rank-1 u_+ part, |W^1/2 col|
+    |W^-1/2 row|, and the residual, refused above 1e-8, is the u_+ one.
     """
-    sweep = []
-    for k in k_grid:
-        near = branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
-        op = build_perp_operator(medium, k)
-        dec = op.eigen
-        idx = int(np.argmin(np.abs(dec.eigenvalues - near)))
-        sweep.append((float(k), op.operator_norm(dec.projectors[idx]), dec.residual))
-    return sweep
+    ks = np.asarray(k_grid, dtype=float)
+    near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
+            for k in ks]
+    vals, vecs, inv = _helicity_modes(medium, ks)
+    n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
+    at, s = np.arange(len(ks)), np.sqrt(gram_diagonal(medium)[::2])  # s = W^1/2
+    norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(inv[at, n] / s, axis=1)
+    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
+    recon = (vecs * vals[:, None, :]) @ inv - a_plus
+    residual = np.linalg.norm(recon, 2, axis=(1, 2)) / np.linalg.norm(a_plus, 2, axis=(1, 2))
+    if np.any(residual > 1e-8):
+        i = np.argmax(residual)
+        raise NotDiagonalizable(f"k={ks[i]:g}: u_+ reconstruction residual {residual[i]:.2e}")
+    return list(zip(ks.tolist(), norms.tolist(), residual.tolist()))
 
 
 def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:

@@ -202,6 +202,11 @@ class TestBranches:
             ("energy", "--p", "nan"),
             ("energy", "--band", "hf", "--m", "0"),
             ("energy", "--band", "hf", "--m", "inf"),
+            ("projectors", "--samples", "0"),
+            ("projectors", "--points-per-decade", "0"),
+            ("projectors", "--samples", "-2"),
+            ("branches", "--points-per-decade", "0"),
+            ("branches", "--points-per-decade", "-3"),
         ):
             code = cli.main([args[0], "--config", str(reference_cfg), "--out", str(out), *args[1:]])
             err = capsys.readouterr().err

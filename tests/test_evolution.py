@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import lorentzmodes
+from lorentzmodes import cli
 from lorentzmodes import dispersion as dsp
+from lorentzmodes import energy as en
 from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
 
@@ -138,6 +141,28 @@ class TestEnvelopes:
         ratio = res.norms / np.exp(-rate * t_grid)
         assert 0.5 < ratio.min() and ratio.max() < 2.0
 
+    @pytest.mark.parametrize("weight", [1.0, 0.5])
+    def test_tail_rate_skips_subnormal_squares(self, weight):
+        # exp(-0.37 t) passes 1e-154 near t = 958, where its square turns subnormal
+        t = np.linspace(0.0, 1200.0, 401)
+        norms = np.sqrt(weight * np.exp(-0.37 * t) ** 2)
+        assert evo.tail_rate(t, norms) == pytest.approx(0.37, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "name", ["reference_medium", "critical_medium", "electric_only_medium"]
+    )
+    def test_rate_samples_match_per_k_propagation(self, name, request):
+        medium = request.getfixturevalue(name)
+        ks = np.array([0.01, 0.3, 1.0, 7.0, 50.0])
+        t = np.linspace(0.0, 3e4, 200)
+        _, norms = evo._rate_samples(medium, ks, t, seed=5)
+        rng = np.random.default_rng(5)  # the same stream, drawn state by state
+        for k, trace in zip(ks, norms):
+            op = ops.build_perp_operator(medium, k)
+            ref = evo.propagate(op, unit_state(op, rng), t, keep_states=False).norms
+            above = ref > np.sqrt(np.finfo(float).tiny)
+            np.testing.assert_allclose(trace[above], ref[above], rtol=1e-12, atol=0)
+
 
 class TestMidBand:
     def test_positive_uniform_rate(self, reference_medium):
@@ -157,3 +182,19 @@ class TestMidBand:
             for k, _ in fit.per_k
         )
         assert fit.rate_constant == pytest.approx(abscissa, rel=0.10)
+
+
+def test_stacked_paths_build_nothing_per_k(monkeypatch, reference_medium, reference_bands):
+    def per_k(*args, **kwargs):
+        raise AssertionError("a per-k operator path ran")
+
+    for original in (ops.build_perp_operator, ops.spectral_decomposition, evo.propagate):
+        for module in (lorentzmodes, ops, evo, en, cli):
+            if getattr(module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, per_k)
+    _, k_plus = reference_bands
+    ops.projector_norm_sweep(reference_medium, lambda k: 0j, np.geomspace(k_plus, 10 * k_plus, 4))
+    evo.hf_envelope_check(reference_medium, [50.0, 100.0], np.linspace(0, 8e5, 100))
+    evo.lf_envelope_check(reference_medium, [0.01, 0.02], np.linspace(0, 3e6, 100))
+    evo.midband_rate(reference_medium, (0.5, 5.0), samples=6)
+    en.convergence_to_zero(reference_medium, np.geomspace(1.0, 1e3, 5))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lorentzmodes import dispersion as dsp
+from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
 from lorentzmodes.errors import (
     DimensionMismatch,
@@ -455,6 +456,43 @@ class TestProjectorSweeps:
         norms = [v for _, v, _ in sweep]
         assert max(norms) / min(norms) < 10
         assert ops.sweep_trend(sweep) <= 0.1
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "reference_medium",
+            "critical_medium",
+            "double_pole_medium",
+            "asymmetric_medium",
+            "electric_only_medium",
+        ],
+    )
+    def test_stacked_sweep_matches_per_k_decomposition(self, name, request):
+        medium = request.getfixturevalue(name)
+        ks = np.geomspace(1e-3, 1e3, 13)
+        tracked = dsp.track_branches(medium, dsp.default_k_grid(medium))
+        drivers = [(b, lambda k, b=b: b.omega[np.argmin(abs(b.k - k))]) for b in tracked]
+        roots = [
+            lambda k, j=j: np.sort_complex(dsp.solve_dispersion(medium, k))[j]
+            for j in range(medium.state_blocks)
+        ]
+        drivers += [(root, root) for root in roots]
+        for branch, near_of in drivers:
+            sweep = ops.projector_norm_sweep(medium, branch, ks)
+            for (k, norm, residual), k_ref in zip(sweep, ks):
+                op = ops.build_perp_operator(medium, k_ref)
+                dec = op.eigen
+                idx = np.argmin(np.abs(dec.eigenvalues - near_of(k_ref)))
+                assert k == k_ref
+                assert norm == pytest.approx(op.operator_norm(dec.projectors[idx]), rel=1e-12)
+                assert residual < 1e-8 and dec.residual < 1e-8
+
+    def test_refused_k_raises_typed_error(self, monkeypatch, reference_medium):
+        monkeypatch.setattr(ops, "EIG_CLUSTER_TOL", 1e3)
+        with pytest.raises(NotDiagonalizable, match="k=50"):
+            ops.projector_norm_sweep(reference_medium, lambda k: 0j, [50.0, 100.0])
+        with pytest.raises(NotDiagonalizable, match="k=50"):
+            evo.hf_envelope_check(reference_medium, [50.0, 100.0], np.linspace(0, 10.0, 5))
 
 
 @given(st.integers(0, 10**6))
