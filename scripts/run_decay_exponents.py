@@ -2,27 +2,25 @@
 """Reproduce the optimal polynomial energy-decay exponents.
 
 Runs the low-band fits for p = 0, 1, 2 and the high-band fit for m = 2 on the
-reference and critical media and prints a comparison table against the
-predicted exponents (p + 3/2, and m or m/2).
+reference and critical media of ``configs/`` and prints a comparison table
+against the predicted exponents (p + 3/2, and m or m/2).
 """
 
 import argparse
 import time
+from pathlib import Path
 
-import lorentzmodes as lm
 from lorentzmodes import energy as en
+from lorentzmodes.cli import load_medium_config
 
-
-def media():
-    reference = lm.new_medium(1, 1, [(1, 1, 0.1)], [(1, 2, 0.2)])
-    critical = lm.new_medium(1, 1, [(1, 1, 0.0), (1, 1.5, 0.3)], [(1, 2, 0.0)])
-    return reference, critical
+CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
 def main():
     argparse.ArgumentParser(description=__doc__).parse_args()
 
-    reference, critical = media()
+    reference, _ = load_medium_config(CONFIGS / "reference.cfg")
+    critical, _ = load_medium_config(CONFIGS / "critical.cfg")
     rows = []
 
     for p in (0.0, 1.0, 2.0):

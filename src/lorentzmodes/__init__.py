@@ -18,7 +18,6 @@ from .medium import (
 )
 from .dispersion import (
     BranchFamily,
-    ComplexPolynomial,
     PuiseuxResult,
     classify_branches,
     default_k_grid,

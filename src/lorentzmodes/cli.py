@@ -139,10 +139,18 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _count(args, run, name, default) -> int:
+    """_setting for an integer option; a [run] value must be a whole number."""
+    value = _setting(args, run, name, default)
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    _require(whole, f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _tracked(medium, args, run):
     k_min = _setting(args, run, "k_min", None)
     k_max = _setting(args, run, "k_max", None)
-    ppd = int(_setting(args, run, "points_per_decade", 200))
+    ppd = _count(args, run, "points_per_decade", 200)
     _require(ppd >= 1, f"--points-per-decade must be at least 1, got {ppd}")
     grid = disp.default_k_grid(medium, ppd)
     if k_min is not None or k_max is not None:
@@ -232,7 +240,7 @@ def cmd_branches(args) -> int:
 
 def cmd_projectors(args) -> int:
     medium, run = load_medium_config(args.config)
-    n_samples = int(_setting(args, run, "samples", 12))
+    n_samples = _count(args, run, "samples", 12)
     _require(n_samples >= 1, f"--samples must be at least 1, got {n_samples}")
     branches = _tracked(medium, args, run)
     table = medium.asymptotic_coefficients()
@@ -257,11 +265,12 @@ def cmd_evolve(args) -> int:
     medium, run = load_medium_config(args.config)
     k = float(_setting(args, run, "k", 1.0))
     t_max = float(_setting(args, run, "t_max", 100.0))
-    n_t = int(_setting(args, run, "time_points", 200))
-    seed = int(_setting(args, run, "seed", 0))
+    n_t = _count(args, run, "time_points", 200)
+    seed = _count(args, run, "seed", 0)
     _require(math.isfinite(k), f"--k must be finite, got {k}")
     _require(0 <= t_max < math.inf, f"--t-max must be finite and nonnegative, got {t_max}")
     _require(n_t >= 1, f"--time-points must be at least 1, got {n_t}")
+    _require(seed >= 0, f"--seed must be nonnegative, got {seed}")
     op = build_perp_operator(medium, k)
     rng = np.random.default_rng(seed)
     u0 = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)

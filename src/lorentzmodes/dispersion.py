@@ -1,9 +1,11 @@
 """Dispersion relation: polynomial form, root branches over wavenumber, asymptotics.
 
-The eigenvalue equation at wavenumber k is a degree-N polynomial equation.
-This module solves it per k, continues the N roots into labeled branches over
-a k grid, classifies each branch by its small-k and large-k limit object, and
-verifies the closed-form expansion coefficients against the tracked data.
+The eigenvalue equation at wavenumber k is a degree-N polynomial equation
+with coefficient rows from ``dispersion_polynomial``.  This module solves it
+per k (a scalar k != 0 is a one-row stack; k = 0 deflates its two origin
+roots), continues the N roots into labeled branches over a k grid, classifies
+each branch by its small-k and large-k limit object, and verifies the
+closed-form expansion coefficients against the tracked data.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of one
 stacked solve: the continuation checks and the asymptopia tests run as numpy
@@ -30,11 +32,8 @@ from .errors import (
 from .medium import CoefficientTable, LorentzMedium, ZeroClass
 from .polyroots import certified_roots, companion_roots
 
-#: relative trim tolerance for polynomial leading coefficients
+#: a leading dispersion coefficient this small relative to its row is degenerate
 TRIM_TOL = 1e-14
-
-#: scaled dispersion residual allowed for any tracked sample
-SAMPLE_RESIDUAL_TOL = 1e-8
 
 #: roots closer than this (scaled) collide for continuation purposes
 MATCH_TOL = 1e-10
@@ -46,31 +45,6 @@ _SOLVE_BLOCK = 256
 
 #: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis
 _PAIR_BLOCK = 64
-
-
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Polynomial with ascending complex coefficients, trimmed on construction."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=complex))
-        scale = np.max(np.abs(c)) if len(c) else 0.0
-        if scale > 0:
-            nz = np.nonzero(np.abs(c) > TRIM_TOL * scale)[0]
-            c = c[: nz[-1] + 1] if len(nz) else c[:1]
-        object.__setattr__(self, "coefficients", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, omega):
-        return np.polynomial.polynomial.polyval(omega, self.coefficients)
-
-    def roots(self) -> np.ndarray:
-        return companion_roots(self.coefficients)
 
 
 # --- branch labels -------------------------------------------------------------
@@ -159,32 +133,33 @@ class BranchFamily:
 # --- per-k solving ---------------------------------------------------------------
 
 
-def dispersion_polynomial(medium: LorentzMedium, k: float) -> ComplexPolynomial:
-    """Degree-N polynomial whose roots are the eigenvalues at wavenumber k."""
+def dispersion_polynomial(medium: LorentzMedium, k) -> np.ndarray:
+    """Ascending coefficients of the degree-N polynomial whose roots are the eigenvalues at k.
+
+    One row of N + 1 per k; an array of k gives shape ``k.shape + (N + 1,)``.
+    """
     num, den = medium.numerator_denominator()
-    n = num.coefficients
-    d = (k * k) * den.coefficients
-    out = n.copy()
-    out[: len(d)] -= d
-    return ComplexPolynomial(out)
+    k2 = np.square(np.asarray(k, dtype=float))[..., None]
+    rows = np.broadcast_to(num, k2.shape[:-1] + num.shape).copy()
+    rows[..., : len(den)] -= k2 * den
+    return rows
 
 
 def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
     """All N roots at wavenumber k, certified by the residual check.
 
     A 1-D array of positive k gives the (len(k), N) roots, row i at k[i],
-    from stacked solves of at most 256 rows each; each row equals the scalar
-    call at that k.
+    from stacked solves of at most 256 rows each; a scalar k != 0 is the
+    one-row stack, and k = 0 deflates its two exact origin roots.  Raises
+    DegenerateLeadingCoefficient where the leading coefficient vanishes.
     """
-    if np.ndim(k) == 0:
-        return dispersion_polynomial(medium, k).roots()
-    k = np.asarray(k, dtype=float)
-    if not np.all(k > 0):
+    scalar = np.ndim(k) == 0
+    if scalar and k == 0:
+        return companion_roots(dispersion_polynomial(medium, 0.0))
+    k = np.atleast_1d(np.asarray(k, dtype=float))
+    if not scalar and not np.all(k > 0):
         raise ValueError("a stacked dispersion solve needs positive wavenumbers")
-    num, den = medium.numerator_denominator()
-    rows = np.tile(num.coefficients, (len(k), 1))
-    rows[:, : len(den.coefficients)] -= (k * k)[:, None] * den.coefficients
-    # the scalar path would trim a leading coefficient this small relative to the row
+    rows = dispersion_polynomial(medium, k)
     if np.any(np.abs(rows[:, -1]) <= TRIM_TOL * np.max(np.abs(rows), axis=1)):
         raise DegenerateLeadingCoefficient(
             "leading dispersion coefficient vanishes relative to the k^2 terms"
@@ -193,7 +168,7 @@ def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
     for start in range(0, len(k), _SOLVE_BLOCK):
         block = slice(start, start + _SOLVE_BLOCK)
         roots[block] = certified_roots(rows[block])
-    return roots
+    return roots[0] if scalar else roots
 
 
 def _log_grid(k_min: float, k_max: float, points_per_decade: int) -> np.ndarray:

@@ -147,9 +147,9 @@ class DecayRecord:
     fit_window: Optional[tuple] = None
 
 
-def gauss_panels(k_min: float, k_max: float, n_panels: int, nodes: int = NODES_PER_PANEL):
-    """Nodes and weights: log-spaced panel edges, Gauss-Legendre inside each."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+def gauss_panels(k_min: float, k_max: float, n_panels: int):
+    """Nodes and weights: log-spaced panel edges, NODES_PER_PANEL Gauss-Legendre nodes in each."""
+    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
     edges = np.geomspace(k_min, k_max, n_panels + 1)[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
     return (half * x + 0.5 * (edges[:-1] + edges[1:])).ravel(), (half * w).ravel()
@@ -265,8 +265,8 @@ class GammaReport:
         )
 
 
-def _log_time_grid(t_max: float, per_decade: int = 20) -> np.ndarray:
-    n = int(round(per_decade * math.log10(t_max))) + 1
+def _log_time_grid(t_max: float) -> np.ndarray:
+    n = int(round(20 * math.log10(t_max))) + 1  # 20 times per decade
     return np.geomspace(1.0, t_max, n)
 
 

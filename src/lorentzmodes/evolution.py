@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BandViolation, NonPositiveRate, NotDiagonalizable
-from .medium import LorentzMedium
+from .medium import Criticality, LorentzMedium
 from .operators import PerpOperator, PerpState, _modal_norms
 
 #: local tolerances of the explicit integration oracle
@@ -145,17 +145,13 @@ def hf_envelope_check(
     medium: LorentzMedium,
     k_list: Sequence[float],
     t_grid: Sequence[float],
-    critical: Optional[bool] = None,
     seed: int = 0,
 ) -> EnvelopeFit:
     """Fit the high-band envelope |U| <= prefactor * exp(-C t / k^e).
 
-    e is 2 in the non-critical configuration and 4 in the critical one.
+    e is 2 in the non-critical configuration and 4 in the critical one, per check_assumptions().
     """
-    if critical is None:
-        from .medium import Criticality
-
-        critical = medium.check_assumptions().criticality is Criticality.CRITICAL
+    critical = medium.check_assumptions().criticality is Criticality.CRITICAL
     return _envelope_fit(medium, "HF", -4.0 if critical else -2.0, k_list, t_grid, seed)
 
 
@@ -187,6 +183,8 @@ def midband_rate(
     k_lo, k_hi = k_band
     if k_lo <= 0:
         raise ValueError("mid band must start at a positive wavenumber")
+    if samples < 1:
+        raise ValueError(f"mid band needs at least 1 sample, got samples={samples}")
     ks = np.geomspace(k_lo, k_hi, samples)
     # slowest modal rate over the sampled band: minus the spectral abscissa
     abscissa = -float(np.max(solve_dispersion(medium, ks).imag))

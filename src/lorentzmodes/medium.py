@@ -314,22 +314,20 @@ class LorentzMedium:
             for poly, oscillators in ((p_e, self.electric), (p_m, self.magnetic))
         )
 
-    def numerator_denominator(self):
-        """Expanded (numerator, denominator) of the dispersion function.
+    def numerator_denominator(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending (numerator, denominator) coefficients of the dispersion function.
 
         numerator = eps0*mu0 * omega^2 * P_e * P_m (degree N), denominator =
         Q_e * Q_m (degree 2*(Ne+Nm)); their ratio equals dispersion_value
         everywhere off the poles.
         """
-        from .dispersion import ComplexPolynomial
-
         p_e, q_e, p_m, q_m = self.family_polynomials
         num = self.eps0 * self.mu0 * np.polynomial.polynomial.polymul(
             np.array([0.0, 0.0, 1.0], dtype=complex),
             np.polynomial.polynomial.polymul(p_e, p_m),
         )
         den = np.polynomial.polynomial.polymul(q_e, q_m)
-        return ComplexPolynomial(num), ComplexPolynomial(den)
+        return num, den
 
     # --- structural assumptions -----------------------------------------------
 

@@ -46,6 +46,11 @@ SINGULAR_TOL = 1e-8
 # contour nodes per stacked resolvent call; caps the (nodes, dim, dim) stack
 _CONTOUR_BLOCK = 256
 
+# a contour projector is accepted once a node doubling changes it by less than
+# _CONTOUR_TOL (relative, 2-norm), and refused past _CONTOUR_MAX_NODES nodes
+_CONTOUR_TOL = 1e-9
+_CONTOUR_MAX_NODES = 4096
+
 # transverse rotation by +90 degrees: the action of "e3 cross" on (x, y)
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -462,8 +467,6 @@ def projector_contour(
     medium: LorentzMedium,
     k: float,
     eigenvalue: complex,
-    tol: float = 1e-9,
-    max_nodes: int = 4096,
 ) -> np.ndarray:
     """Riesz projector by trapezoidal quadrature of the explicit resolvent.
 
@@ -485,13 +488,13 @@ def projector_contour(
     acc = np.zeros((2 * medium.state_blocks,) * 2, dtype=complex)
     nodes = 32
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    while nodes <= max_nodes:
+    while nodes <= _CONTOUR_MAX_NODES:
         for start in range(0, len(theta), _CONTOUR_BLOCK):
             phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
             ring = resolvent_formula(medium, k, eigenvalue + rho * phase, guard=False)
             acc += np.einsum("n,nij->ij", phase, ring)
         est = -acc * rho / nodes
-        if prev is not None and np.linalg.norm(est - prev, 2) < tol * max(
+        if prev is not None and np.linalg.norm(est - prev, 2) < _CONTOUR_TOL * max(
             1.0, np.linalg.norm(est, 2)
         ):
             return est
@@ -500,7 +503,7 @@ def projector_contour(
         theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
         nodes *= 2
     raise QuadratureNonconvergent(
-        f"contour projector did not converge with {max_nodes} nodes"
+        f"contour projector did not converge with {_CONTOUR_MAX_NODES} nodes"
     )
 
 

@@ -3,8 +3,9 @@
 Roots come from the balanced companion matrix, then up to five Newton steps
 on the original polynomial. Every root must pass a backward-error residual
 certificate before it is returned. ``certified_roots`` does this for a stack
-of same-degree polynomials at once; ``companion_roots`` trims and deflates a
-single polynomial and then hands it to the same core.
+of same-degree polynomials at once; ``companion_roots`` deflates the exact
+origin roots of one polynomial (the dispersion polynomial at k = 0 has two)
+and hands the rest to the same core.
 """
 
 from __future__ import annotations
@@ -62,26 +63,13 @@ def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.
     return roots
 
 
-def companion_roots(coeffs: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """All roots of the polynomial with ascending complex coefficients.
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of one polynomial (ascending coefficients, nonzero last entry).
 
-    Raises RootFindingFailure when any refined root fails the residual
-    certificate of ``certified_roots``.
+    Exact origin roots (zero low-order coefficients), where a relative backward
+    error is meaningless, are deflated; raises RootFindingFailure when any
+    other root fails the certificate of ``certified_roots``.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    # trim trailing (leading-degree) zeros
-    nz = np.nonzero(np.abs(coeffs) > 0)[0]
-    if len(nz) == 0:
-        raise RootFindingFailure("zero polynomial has no well-defined roots")
-    coeffs = coeffs[: nz[-1] + 1]
-    # deflate exact roots at the origin (identically zero low-order coefficients),
-    # where a relative backward error is meaningless
-    deflated = int(nz[0])
-    coeffs = coeffs[deflated:]
-    n = len(coeffs) - 1
-    zeros = np.zeros(deflated, dtype=complex)
-    if n == 0:
-        return zeros
-    if n == 1:
-        return np.concatenate([zeros, [-coeffs[0] / coeffs[1]]])
-    return np.concatenate([zeros, certified_roots(coeffs[None, :], residual_tol)[0]])
+    origin = int(np.argmax(coeffs != 0))
+    return np.concatenate([np.zeros(origin, complex), certified_roots(coeffs[None, origin:])[0]])

@@ -207,10 +207,28 @@ class TestBranches:
             ("projectors", "--samples", "-2"),
             ("branches", "--points-per-decade", "0"),
             ("branches", "--points-per-decade", "-3"),
+            ("evolve", "--seed", "-1"),
         ):
             code = cli.main([args[0], "--config", str(reference_cfg), "--out", str(out), *args[1:]])
             err = capsys.readouterr().err
             assert code == 2, (args, err)
+            assert err.startswith("configuration error:")
+        # [run] counts must be whole numbers
+        for command, setting in (
+            ("projectors", "samples = abc"),
+            ("projectors", "samples = 2.5"),
+            ("branches", "points_per_decade = abc"),
+            ("branches", "points_per_decade = 20.5"),
+            ("evolve", "time_points = 2.5"),
+            ("evolve", "time_points = many"),
+            ("evolve", "seed = 0.5"),
+            ("evolve", "seed = abc"),
+        ):
+            config = tmp_path / "run.cfg"
+            config.write_text(REFERENCE_CFG + f"\n[run]\n{setting}\n")
+            code = cli.main([command, "--config", str(config), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code == 2, (command, setting, err)
             assert err.startswith("configuration error:")
         assert not out.exists()
 
@@ -311,3 +329,30 @@ class TestProjectorsCommand:
         lines = (out / "projectors.csv").read_text().splitlines()
         assert lines[0] == "k,branch,norm,residual"
         assert len(lines) > 10
+
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_readme_scripts_run(tmp_path):
+    res = run_python(str(SCRIPTS / "run_decay_exponents.py"), cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    header, *rows = res.stdout.splitlines()
+    assert header.split() == ["experiment", "target", "fitted", "seconds"]
+    names = [row.rsplit(None, 3)[0] for row in rows]
+    assert names == [
+        "reference lf p=0", "reference lf p=1", "reference lf p=2",
+        "reference hf m=2", "critical hf m=2",
+    ]
+    for row in rows:
+        target, fitted = map(float, row.split()[-3:-1])
+        assert abs(fitted - target) <= 0.1 * target, row
+
+    res = run_python(
+        str(SCRIPTS / "run_dispersion_atlas.py"), "--out", str(tmp_path), "--points-per-decade", "20"
+    )
+    assert res.returncode == 0, res.stderr
+    for name in ("reference", "critical", "double_pole"):
+        header, *rows = (tmp_path / f"{name}_branches.csv").read_text().splitlines()
+        assert header == "k,branch_label,re_omega,im_omega"
+        assert rows

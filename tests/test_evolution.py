@@ -169,6 +169,8 @@ class TestMidBand:
         fit = evo.midband_rate(reference_medium, (0.5, 5.0), samples=12)
         assert fit.rate_constant > 0
         assert fit.residual <= 0.10  # against the sampled spectral abscissa
+        with pytest.raises(ValueError, match="samples"):
+            evo.midband_rate(reference_medium, (0.5, 5.0), samples=0)
 
     def test_nested_band_monotonicity(self, reference_medium):
         wide = evo.midband_rate(reference_medium, (0.5, 5.0), samples=12)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 import lorentzmodes as lm
 from lorentzmodes.errors import (
@@ -80,7 +81,7 @@ class TestMaterialFunctions:
         num, den = reference_medium.numerator_denominator()
         for w in (3.0, 1.7 - 0.4j, -2.2 + 0.1j):
             direct = reference_medium.dispersion_value(w)
-            assert num(w) / den(w) == pytest.approx(direct, rel=1e-12)
+            assert polyval(w, num) / polyval(w, den) == pytest.approx(direct, rel=1e-12)
 
     def test_positive_loss_identity_two_ways(self, reference_medium):
         # Im(omega * eps) on the real axis equals the explicit damping sum
@@ -130,8 +131,8 @@ class TestPolynomials:
 
     def test_degrees(self, reference_medium):
         num, den = reference_medium.numerator_denominator()
-        assert num.degree == reference_medium.state_blocks
-        assert den.degree == 2 * (
+        assert len(num) - 1 == reference_medium.state_blocks
+        assert len(den) - 1 == 2 * (
             reference_medium.n_electric + reference_medium.n_magnetic
         )
 
@@ -145,7 +146,7 @@ class TestPolynomials:
             d = reference_medium.dispersion_value(w)
         except EvaluationAtPole:
             return
-        assert num(w) == pytest.approx(d * den(w), rel=1e-10, abs=1e-12)
+        assert polyval(w, num) == pytest.approx(d * polyval(w, den), rel=1e-10, abs=1e-12)
 
 
 class TestCatalog:
