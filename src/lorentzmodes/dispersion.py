@@ -27,6 +27,7 @@ from .errors import (
     AsymptoticMismatch,
     BranchCollision,
     DegenerateLeadingCoefficient,
+    InvalidWavenumber,
     UnclassifiableBranch,
 )
 from .medium import CoefficientTable, LorentzMedium, ZeroClass
@@ -145,27 +146,41 @@ def dispersion_polynomial(medium: LorentzMedium, k) -> np.ndarray:
     return rows
 
 
-def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
-    """All N roots at wavenumber k, certified by the residual check.
+def _solvable_rows(medium: LorentzMedium, k) -> np.ndarray:
+    """The (m, N + 1) dispersion rows of a scalar k (m = 1) or of a 1-D array, checked for a root solve.
 
-    A 1-D array of positive k gives the (len(k), N) roots, row i at k[i],
-    from stacked solves of at most 256 rows each; a scalar k != 0 is the
-    one-row stack, and k = 0 deflates its two exact origin roots.  Raises
-    DegenerateLeadingCoefficient where the leading coefficient vanishes.
+    Raises InvalidWavenumber for a non-finite k, or a non-positive k in an
+    array, and DegenerateLeadingCoefficient where the leading coefficient
+    vanishes relative to the k^2 terms.
     """
     scalar = np.ndim(k) == 0
-    if scalar and k == 0:
-        return companion_roots(dispersion_polynomial(medium, 0.0))
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    if not scalar and not np.all(k > 0):
-        raise ValueError("a stacked dispersion solve needs positive wavenumbers")
+    bad = ~np.isfinite(k) if scalar else ~(np.isfinite(k) & (k > 0))
+    if np.any(bad):
+        need = "a finite wavenumber" if scalar else "positive finite wavenumbers"
+        raise InvalidWavenumber(f"a dispersion solve needs {need}, got k = {float(k[bad][0])}")
     rows = dispersion_polynomial(medium, k)
     if np.any(np.abs(rows[:, -1]) <= TRIM_TOL * np.max(np.abs(rows), axis=1)):
         raise DegenerateLeadingCoefficient(
             "leading dispersion coefficient vanishes relative to the k^2 terms"
         )
-    roots = np.empty((len(k), rows.shape[1] - 1), dtype=complex)
-    for start in range(0, len(k), _SOLVE_BLOCK):
+    return rows
+
+
+def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
+    """All N roots at wavenumber k, certified by the residual check.
+
+    A 1-D array of positive k gives the (len(k), N) roots, row i at k[i],
+    from stacked solves of at most 256 rows each; a scalar k != 0 is the
+    one-row stack, and k = 0 deflates its two exact origin roots.  Refuses
+    what ``_solvable_rows`` refuses.
+    """
+    scalar = np.ndim(k) == 0
+    if scalar and k == 0:
+        return companion_roots(dispersion_polynomial(medium, 0.0))
+    rows = _solvable_rows(medium, k)
+    roots = np.empty((len(rows), rows.shape[1] - 1), dtype=complex)
+    for start in range(0, len(rows), _SOLVE_BLOCK):
         block = slice(start, start + _SOLVE_BLOCK)
         roots[block] = certified_roots(rows[block])
     return roots[0] if scalar else roots

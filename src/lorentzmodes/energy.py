@@ -6,13 +6,17 @@ traces against an initial radial profile.  Composite Gauss-Legendre panels
 number of panels doubles until the energy at the final time settles.
 
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
-trace is exp(2 Im omega(k) t) in closed form: a panel rule costs one stacked
-dispersion root solve and no operator, eigendecomposition or propagation.
-A fixed random direction costs one stacked u_+ eigendecomposition per rule.
+trace is exp(2 Im omega(k) t) in closed form.  A panel rule needs only that
+branch's root at each node: Newton from the branch's asymptotic anchor, with
+a Rouché certificate that it is the root nearest the anchor.  The rare node
+it leaves unsettled (near a band edge) takes the full stacked root solve.  No
+operator, eigendecomposition or propagation is involved.  A fixed random
+direction costs one stacked u_+ eigendecomposition per rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -25,6 +29,7 @@ from .dispersion import (
     Pole,
     Zero0,
     ZeroSimple,
+    _solvable_rows,
     hf_expansion,
     lf_expansion,
     solve_dispersion,
@@ -37,6 +42,7 @@ from .errors import (
 )
 from .medium import CoefficientTable, Criticality, LorentzMedium
 from .operators import _modal_norms
+from .polyroots import certified_root_near
 # unused here, kept because perfbench/spans.py wraps these three at these names
 from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
 from .evolution import propagate  # noqa: F401
@@ -108,11 +114,12 @@ class FixedRandomUnit:
 
 
 def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
-    """The dispersion root at k belonging to the labeled branch.
+    """The dispersion root at k on the labeled branch: the root nearest the branch's asymptotic anchor.
 
-    Matches roots against the branch's asymptotic anchor, so k must lie in
-    the label's validity band.  A 1-D array of k gives one root per k, all
-    from one stacked root solve.
+    k must lie in the label's validity band.  A 1-D array of k gives one
+    root per k (a scalar k is the one-row stack).  Each row runs Newton from
+    its anchor; only the rows whose root is not certified as the nearest one
+    go through the full ``solve_dispersion`` and keep its nearest root.
     """
     if isinstance(label, (PlusInf, MinusInf, Pole)):
         anchor, _ = hf_expansion(label, table)
@@ -120,11 +127,17 @@ def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
         anchor, _ = lf_expansion(label, table)
     else:
         raise ValueError(f"cannot anchor branch label {label}")
-    roots = solve_dispersion(medium, k)
-    if np.ndim(k) == 0:
-        return complex(roots[np.argmin(np.abs(roots - anchor(k)))])
-    pick = np.argmin(np.abs(roots - anchor(np.asarray(k, dtype=float))[:, None]), axis=1)
-    return roots[np.arange(len(pick)), pick]
+    scalar = np.ndim(k) == 0
+    rows = _solvable_rows(medium, k)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    start = anchor(ks)
+    roots, settled = certified_root_near(rows, start)
+    if not np.all(settled):
+        rest = ~settled
+        full = np.atleast_2d(solve_dispersion(medium, k if scalar else ks[rest]))
+        pick = np.argmin(np.abs(full - start[rest, None]), axis=1)
+        roots[rest] = full[np.arange(len(pick)), pick]
+    return complex(roots[0]) if scalar else roots
 
 
 def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
@@ -147,9 +160,20 @@ class DecayRecord:
     fit_window: Optional[tuple] = None
 
 
+@functools.cache
+def _legendre_rule():
+    """NODES_PER_PANEL Gauss-Legendre nodes and weights on [-1, 1], computed once per process.
+
+    Read-only, since every caller shares the same two arrays.
+    """
+    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def gauss_panels(k_min: float, k_max: float, n_panels: int):
     """Nodes and weights: log-spaced panel edges, NODES_PER_PANEL Gauss-Legendre nodes in each."""
-    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+    x, w = _legendre_rule()
     edges = np.geomspace(k_min, k_max, n_panels + 1)[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
     return (half * x + 0.5 * (edges[:-1] + edges[1:])).ravel(), (half * w).ravel()
@@ -166,8 +190,10 @@ def simulate_energy(
 
     An OptimalBranch datum is an eigenvector, so its trace is the closed form
     exp(2 Im omega(k) t), with the omega of a whole panel rule from one
-    stacked root solve.  A FixedRandomUnit datum is propagated through one
-    stacked N x N eigendecomposition per rule.
+    stacked ``branch_eigenvalue`` call: certified Newton on the branch root
+    alone, the full root solve only for the nodes Newton leaves unsettled.  A
+    FixedRandomUnit datum is propagated through one stacked N x N
+    eigendecomposition per rule.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(direction_rule, OptimalBranch):

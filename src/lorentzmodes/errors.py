@@ -65,6 +65,10 @@ class DegenerateLeadingCoefficient(LorentzModesError):
     """The factored function has (numerically) vanishing leading coefficient."""
 
 
+class InvalidWavenumber(LorentzModesError, ValueError):
+    """A wavenumber is not finite, or not positive where a stacked solve needs it."""
+
+
 # --- operator / projector ----------------------------------------------------
 
 class ZeroWaveVector(LorentzModesError):

@@ -34,6 +34,17 @@ def critical_medium():
 
 
 @pytest.fixture(scope="session")
+def wide_medium():
+    """Strongly dissipative, non-critical; N = 16 (4 electric, 3 magnetic oscillators)."""
+    return lm.new_medium(
+        1.0,
+        1.0,
+        [(1, 0.8, 0.1), (0.7, 1.7, 0.15), (0.5, 2.9, 0.2), (0.4, 4.3, 0.25)],
+        [(0.8, 1.3, 0.12), (0.6, 2.3, 0.18), (0.4, 3.6, 0.22)],
+    )
+
+
+@pytest.fixture(scope="session")
 def double_pole_medium():
     """Shared undamped resonance at 1 in both families; N = 8."""
     return lm.new_medium(

@@ -17,11 +17,13 @@ from lorentzmodes import dispersion as dsp
 from lorentzmodes.errors import (
     BranchCollision,
     DegenerateLeadingCoefficient,
+    InvalidWavenumber,
+    LorentzModesError,
     RootFindingFailure,
     UnclassifiableBranch,
 )
 from lorentzmodes.operators import build_perp_operator
-from lorentzmodes.polyroots import certified_roots
+from lorentzmodes.polyroots import certified_root_near, certified_roots
 
 
 class TestPolynomial:
@@ -110,16 +112,48 @@ class TestSolve:
         with pytest.raises(DegenerateLeadingCoefficient):
             dsp.solve_dispersion(reference_medium, 1e7)
 
+    def test_non_finite_wavenumber_refused_typed(self, reference_medium):
+        # scalar and stacked alike, with the bad k in the message
+        for k in (np.nan, np.array([1.0, np.nan]), np.array([1.0, np.inf])):
+            with pytest.raises(InvalidWavenumber, match=r"k = (nan|inf)"):
+                dsp.solve_dispersion(reference_medium, k)
+        assert issubclass(InvalidWavenumber, LorentzModesError)
+        assert issubclass(InvalidWavenumber, ValueError)
 
-@pytest.fixture(scope="module")
-def wide_medium():
-    """Strongly dissipative, non-critical; N = 16 (4 electric, 3 magnetic oscillators)."""
-    return lm.new_medium(
-        1.0,
-        1.0,
-        [(1, 0.8, 0.1), (0.7, 1.7, 0.15), (0.5, 2.9, 0.2), (0.4, 4.3, 0.25)],
-        [(0.8, 1.3, 0.12), (0.6, 2.3, 0.18), (0.4, 3.6, 0.22)],
-    )
+
+class TestCertifiedRootNear:
+    # (z - 1)(z + 1)(z - 3i), ascending
+    CUBIC = np.array([3j, -1.0, -3j, 1.0])
+
+    def test_start_near_a_root_settles_to_it(self):
+        roots, settled = certified_root_near(self.CUBIC[None], np.array([0.9]))
+        assert settled.tolist() == [True]
+        assert abs(roots[0] - 1.0) <= 1e-15
+
+    def test_equidistant_start_is_unsettled(self):
+        # 0 is as near to -1 as to +1: no disk about it holds one root alone
+        _, settled = certified_root_near(self.CUBIC[None], np.array([0.0]))
+        assert settled.tolist() == [False]
+
+    def test_certificate_still_gates(self):
+        rows = np.stack([self.CUBIC, self.CUBIC])
+        start = np.array([0.9, -1.1])
+        roots, settled = certified_root_near(rows, start)
+        np.testing.assert_allclose(roots, [1.0, -1.0], atol=1e-15)
+        assert settled.all()
+        _, settled = certified_root_near(rows, start, residual_tol=1e-300)
+        assert not settled.any()
+
+    def test_settled_roots_are_the_nearest_certified_roots(self, reference_medium):
+        ks = np.geomspace(0.1, 100.0, 40)
+        rows = dsp.dispersion_polynomial(reference_medium, ks)
+        full = certified_roots(rows)
+        rng = np.random.default_rng(3)
+        start = full[:, 0] + 0.05 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        roots, settled = certified_root_near(rows, start)
+        nearest = full[np.arange(40), np.argmin(np.abs(full - start[:, None]), axis=1)]
+        assert settled.any()
+        np.testing.assert_allclose(roots[settled], nearest[settled], rtol=1e-13)
 
 
 def _reference_match(prev, new):

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
-from lorentzmodes.errors import ExponentMismatch, NonPolynomialDecay, WindowTooShort
+from lorentzmodes.errors import (
+    ExponentMismatch,
+    InvalidWavenumber,
+    NonPolynomialDecay,
+    WindowTooShort,
+)
 from lorentzmodes.evolution import propagate
 from lorentzmodes.operators import build_perp_operator, eigenvector_columns
 
@@ -32,6 +37,14 @@ class TestQuadratureEngine:
         approx = float(np.sum(ws * ks ** (2 * p + 2) * np.exp(-c * ks**2 * t)))
         exact = 0.5 * math.gamma(p + 1.5) * (c * t) ** -(p + 1.5)
         assert approx == pytest.approx(exact, rel=0.01)
+
+    def test_legendre_rule_computed_once_and_unchanged(self):
+        x, w = en._legendre_rule()
+        fresh_x, fresh_w = np.polynomial.legendre.leggauss(32)
+        np.testing.assert_array_equal(x, fresh_x)
+        np.testing.assert_array_equal(w, fresh_w)
+        assert en._legendre_rule() is en._legendre_rule()
+        assert not (x.flags.writeable or w.flags.writeable)
 
     def test_flat_band_initial_energy(self, reference_medium):
         # E(0) = 4 pi * int_1^2 k^2 dk = 28 pi / 3 for a unit direction
@@ -72,6 +85,88 @@ class TestClosedFormTrace:
         label = dsp.Pole(pole.pole, 1, 1, pole.second_order)
         k_plus = en.diagnosed_bands(critical_medium)[1]
         self._compare(critical_medium, label, np.geomspace(k_plus, 100 * k_plus, 6))
+
+
+def _anchored_labels(medium):
+    """(label, band wavenumbers) of every anchored run: Zero0(1) low, PlusInf high, a critical Pole."""
+    k_minus, k_plus = en.diagnosed_bands(medium)
+    low, high = np.geomspace(k_minus / 1e4, k_minus, 120), np.geomspace(k_plus, 1e3 * k_plus, 120)
+    labels = [(dsp.Zero0(1), low), (dsp.PlusInf(), high)]
+    table = medium.asymptotic_coefficients()
+    if medium.check_assumptions().criticality is lm.Criticality.CRITICAL:
+        pole = next(p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12)
+        labels.append((dsp.Pole(pole.pole, 1, 1, pole.second_order), high))
+    return labels
+
+
+def _argmin_pick(medium, label, ks):
+    """The root nearest the anchor among all N roots of the full solve."""
+    table = medium.asymptotic_coefficients()
+    expansion = dsp.lf_expansion if isinstance(label, dsp.Zero0) else dsp.hf_expansion
+    roots = dsp.solve_dispersion(medium, ks)
+    anchor = expansion(label, table)[0](ks)
+    return roots[np.arange(len(ks)), np.argmin(np.abs(roots - anchor[:, None]), axis=1)]
+
+
+class TestBranchEigenvalue:
+    """The single-root Newton against the nearest-to-anchor root of the full solve."""
+
+    MEDIA = ("reference_medium", "critical_medium", "asymmetric_medium", "wide_medium")
+
+    @pytest.mark.parametrize("name", MEDIA)
+    def test_matches_full_solve_pick(self, name, request):
+        # the band grids start at the band edges, where the anchors are least accurate
+        medium = request.getfixturevalue(name)
+        table = medium.asymptotic_coefficients()
+        for label, ks in _anchored_labels(medium):
+            omega = en.branch_eigenvalue(medium, table, label, ks)
+            expected = _argmin_pick(medium, label, ks)
+            assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected)), label
+            scalar = [en.branch_eigenvalue(medium, table, label, float(k)) for k in ks]
+            np.testing.assert_array_equal(np.array(scalar), omega)
+
+    def test_unsettled_rows_take_the_full_solve_pick(self, reference_medium, monkeypatch):
+        table = reference_medium.asymptotic_coefficients()
+        ks = np.geomspace(2.0, 200.0, 9)
+        newton = en.certified_root_near
+
+        def every_other_unsettled(rows, start):
+            # rows 0, 2, ... and the one row of a scalar call fall back
+            roots, settled = newton(rows, start)
+            return roots, settled & (np.arange(len(rows)) % 2 == 1)
+
+        monkeypatch.setattr(en, "certified_root_near", every_other_unsettled)
+        omega = en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), ks)
+        expected = _argmin_pick(reference_medium, dsp.PlusInf(), ks)
+        assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected))
+        assert en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), 2.0) == omega[0]
+
+    def test_nan_wavenumber_refused_typed(self, reference_medium):
+        table = reference_medium.asymptotic_coefficients()
+        for k in (np.nan, np.array([1.0, np.nan])):
+            with pytest.raises(InvalidWavenumber, match="k = nan"):
+                en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), k)
+
+    def test_few_rows_reach_the_full_solve(self, reference_medium, critical_medium, monkeypatch):
+        # counts rows, times nothing
+        counts = {"rows": 0, "full": 0}
+        branch, full = en.branch_eigenvalue, en.solve_dispersion
+
+        def counted_branch(medium, table, label, k):
+            counts["rows"] += np.size(k)
+            return branch(medium, table, label, k)
+
+        def counted_full(medium, k):
+            counts["full"] += np.size(k)
+            return full(medium, k)
+
+        monkeypatch.setattr(en, "branch_eigenvalue", counted_branch)
+        monkeypatch.setattr(en, "solve_dispersion", counted_full)
+        en.verify_gamma_lf(reference_medium, 0.0)
+        en.verify_gamma_hf(reference_medium, 2.0)
+        en.verify_gamma_hf(critical_medium, 2.0)
+        assert counts["rows"] > 0
+        assert counts["full"] <= 0.01 * counts["rows"]
 
 
 class TestPropagatedTrace:
