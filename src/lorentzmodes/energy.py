@@ -16,7 +16,6 @@ direction costs one stacked u_+ eigendecomposition per rule.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -160,23 +159,17 @@ class DecayRecord:
     fit_window: Optional[tuple] = None
 
 
-@functools.cache
-def _legendre_rule():
-    """NODES_PER_PANEL Gauss-Legendre nodes and weights on [-1, 1], computed once per process.
-
-    Read-only, since every caller shares the same two arrays.
-    """
-    x, w = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+#: Gauss-Legendre nodes and weights on [-1, 1], shared by every panel rule
+_LEGENDRE_X, _LEGENDRE_W = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+_LEGENDRE_X.flags.writeable = _LEGENDRE_W.flags.writeable = False
 
 
 def gauss_panels(k_min: float, k_max: float, n_panels: int):
     """Nodes and weights: log-spaced panel edges, NODES_PER_PANEL Gauss-Legendre nodes in each."""
-    x, w = _legendre_rule()
     edges = np.geomspace(k_min, k_max, n_panels + 1)[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (half * x + 0.5 * (edges[:-1] + edges[1:])).ravel(), (half * w).ravel()
+    nodes = half * _LEGENDRE_X + 0.5 * (edges[:-1] + edges[1:])
+    return nodes.ravel(), (half * _LEGENDRE_W).ravel()
 
 
 def simulate_energy(

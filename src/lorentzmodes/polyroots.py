@@ -70,12 +70,12 @@ def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.
     return roots
 
 
-def certified_root_near(rows: np.ndarray, start, residual_tol: float = RESIDUAL_TOL):
+def certified_root_near(rows: np.ndarray, start):
     """(roots, settled): the root of each row of an (m, n+1) stack nearest its start point.
 
     Runs NEWTON_STEPS Newton steps on row i from start[i] (Horner for p and
     p').  Row i is settled when its root r passes the backward-error
-    certificate of ``certified_roots`` and a Rouché test proves r the only
+    certificate (RESIDUAL_TOL) and a Rouché test proves r the only
     root in the disk D(a, R), a = start[i], R = 2|r - a|: with c_j the Taylor
     coefficients of the row at a, |c_1| R > |c_0| + sum_{j>=2} |c_j| R^j.
     Every other root then lies at least R from a, so r is the root nearest a.
@@ -102,7 +102,7 @@ def certified_root_near(rows: np.ndarray, start, residual_tol: float = RESIDUAL_
         higher = radius**2 * polyval(radius, np.abs(taylor[2:]), tensor=False)
         alone = np.abs(taylor[1]) * radius > np.abs(taylor[0]) + higher
         errs = _backward_errors(roots, coeffs)
-    return roots, alone & (errs <= residual_tol)
+    return roots, alone & (errs <= RESIDUAL_TOL)
 
 
 def companion_roots(coeffs: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from numpy.polynomial.polynomial import polyval
 
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
+from lorentzmodes import polyroots
 from lorentzmodes.errors import (
     BranchCollision,
     DegenerateLeadingCoefficient,
@@ -135,13 +136,14 @@ class TestCertifiedRootNear:
         _, settled = certified_root_near(self.CUBIC[None], np.array([0.0]))
         assert settled.tolist() == [False]
 
-    def test_certificate_still_gates(self):
+    def test_certificate_still_gates(self, monkeypatch):
         rows = np.stack([self.CUBIC, self.CUBIC])
         start = np.array([0.9, -1.1])
         roots, settled = certified_root_near(rows, start)
         np.testing.assert_allclose(roots, [1.0, -1.0], atol=1e-15)
         assert settled.all()
-        _, settled = certified_root_near(rows, start, residual_tol=1e-300)
+        monkeypatch.setattr(polyroots, "RESIDUAL_TOL", 1e-300)
+        _, settled = certified_root_near(rows, start)
         assert not settled.any()
 
     def test_settled_roots_are_the_nearest_certified_roots(self, reference_medium):

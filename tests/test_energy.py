@@ -38,13 +38,11 @@ class TestQuadratureEngine:
         exact = 0.5 * math.gamma(p + 1.5) * (c * t) ** -(p + 1.5)
         assert approx == pytest.approx(exact, rel=0.01)
 
-    def test_legendre_rule_computed_once_and_unchanged(self):
-        x, w = en._legendre_rule()
+    def test_legendre_rule_matches_fresh_leggauss(self):
         fresh_x, fresh_w = np.polynomial.legendre.leggauss(32)
-        np.testing.assert_array_equal(x, fresh_x)
-        np.testing.assert_array_equal(w, fresh_w)
-        assert en._legendre_rule() is en._legendre_rule()
-        assert not (x.flags.writeable or w.flags.writeable)
+        np.testing.assert_array_equal(en._LEGENDRE_X, fresh_x)
+        np.testing.assert_array_equal(en._LEGENDRE_W, fresh_w)
+        assert not (en._LEGENDRE_X.flags.writeable or en._LEGENDRE_W.flags.writeable)
 
     def test_flat_band_initial_energy(self, reference_medium):
         # E(0) = 4 pi * int_1^2 k^2 dk = 28 pi / 3 for a unit direction
