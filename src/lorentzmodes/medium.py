@@ -305,12 +305,13 @@ class LorentzMedium:
     def family_zeros(self) -> tuple[np.ndarray, np.ndarray]:
         """(zeros of P_e, zeros of P_m), each empty when its family is.
 
-        Computed once per medium; the H2 check, the zero catalog, the
-        coefficient table and the resolvent's singular set all read them.
+        Each sorted by descending real, then imaginary part, and computed once
+        per medium; the H2 check, the zero catalog, the coefficient table and
+        the resolvent's singular set all read them.
         """
         p_e, _, p_m, _ = self.family_polynomials
         return tuple(
-            companion_roots(poly) if oscillators else np.zeros(0, complex)
+            np.sort_complex(companion_roots(poly))[::-1] if oscillators else np.zeros(0, complex)
             for poly, oscillators in ((p_e, self.electric), (p_m, self.magnetic))
         )
 
@@ -319,14 +320,19 @@ class LorentzMedium:
 
         numerator = eps0*mu0 * omega^2 * P_e * P_m (degree N), denominator =
         Q_e * Q_m (degree 2*(Ne+Nm)); their ratio equals dispersion_value
-        everywhere off the poles.
+        everywhere off the poles.  Built once per medium; both are read-only.
         """
+        return self._numerator_denominator
+
+    @cached_property
+    def _numerator_denominator(self) -> tuple[np.ndarray, np.ndarray]:
         p_e, q_e, p_m, q_m = self.family_polynomials
         num = self.eps0 * self.mu0 * np.polynomial.polynomial.polymul(
             np.array([0.0, 0.0, 1.0], dtype=complex),
             np.polynomial.polynomial.polymul(p_e, p_m),
         )
         den = np.polynomial.polynomial.polymul(q_e, q_m)
+        num.flags.writeable = den.flags.writeable = False
         return num, den
 
     # --- structural assumptions -----------------------------------------------

@@ -1,13 +1,18 @@
-"""Certified root finding for complex polynomials.
+"""Certified root finding for polynomials whose roots are closed under w -> -conj(w).
 
-``certified_roots`` finds every root of a stack of same-degree polynomials:
-the balanced companion matrix gives first guesses, then up to five Newton
-steps on the original polynomial.  ``companion_roots`` deflates the exact
-origin roots of one polynomial (the dispersion polynomial at k = 0 has two)
-and hands the rest to the same core.  ``certified_root_near`` finds only the
-root nearest a start point, by Newton from that point, and reports per row
-whether a Rouché exclusion disk proves it is that root.  Every root must pass
-a backward-error residual certificate before it is returned or settled.
+The dispersion and family polynomials are, being built from real oscillator
+data.  ``certified_roots`` solves q(s) = p(i s), s = -i w, for each row of a
+stack: q_j = i^j c_j / (i^n c_n) is exactly real (multiplying by 1, i, -1 or
+-i only swaps and negates parts; a row left with an imaginary part lacks the
+symmetry and raises RootFindingFailure).  The balanced real companion matrix
+of q gives first guesses in exact conjugate pairs, then up to five Newton
+steps on q, so the roots w = i s are closed under w -> -conj(w) bit for bit.
+``companion_roots`` deflates the exact origin roots of one polynomial (the
+dispersion polynomial at k = 0 has two) and hands the rest to the same core.
+``certified_root_near`` finds only the root nearest a start point, by Newton
+from that point, and reports per row whether a Rouché exclusion disk proves
+it is that root.  Every root must pass a backward-error residual certificate
+(the same in s as in w) before it is returned or settled.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ RESIDUAL_TOL = 1e-10
 NEWTON_STEPS = 5
 
 
+def _horner(coeffs: np.ndarray, x: np.ndarray):
+    """(p(x), p'(x)) for ascending coefficients along the first axis, broadcast against x."""
+    p, dp = coeffs[-1], np.zeros_like(x)
+    for c in coeffs[-2::-1]:
+        dp, p = dp * x + p, p * x + c
+    return p, dp
+
+
 def _backward_errors(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """|p(r)| / sum |c_i||r|^i, with coefficients as (n+1, m[, 1]) columns; inf where it is 0/0."""
     scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
@@ -34,40 +47,39 @@ def _backward_errors(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def certified_roots(rows: np.ndarray, residual_tol: float = RESIDUAL_TOL) -> np.ndarray:
+def certified_roots(rows: np.ndarray) -> np.ndarray:
     """Roots of every row of an (m, n+1) stack of ascending coefficients.
 
-    Each row must have degree n >= 1 (nonzero last entry).  Returns the (m, n)
-    refined roots; raises RootFindingFailure when any root of any row fails
-    the certificate |p(r)| / sum |c_i||r|^i < residual_tol.
+    Each row must have degree n >= 1 (nonzero last entry) and roots closed
+    under w -> -conj(w).  Returns the (m, n) refined roots; raises
+    RootFindingFailure when a row lacks that symmetry or any root fails the
+    certificate |p(r)| / sum |c_i||r|^i < RESIDUAL_TOL.
     """
     rows = np.asarray(rows, dtype=complex)
     m, n = rows.shape[0], rows.shape[1] - 1
-    comp = np.zeros((m, n, n), dtype=complex)
+    q = rows * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
+    q = q / q[:, -1:]
+    if np.any(q.imag != 0):
+        raise RootFindingFailure("w -> -conj(w) symmetry missing: p(i s) is not real")
+    comp = np.zeros((m, n, n))
     comp[:, 1:, :-1] = np.eye(n - 1)
-    comp[:, :, -1] = -(rows[:, :-1] / rows[:, -1:])
-    roots = np.linalg.eigvals(comp)  # geev balances internally
+    comp[:, :, -1] = -q.real[:, :-1]
+    roots = np.linalg.eigvals(comp).astype(complex)  # geev balances internally
 
-    # coefficients as (n+1, m, 1): each Horner step broadcasts over a row's roots
-    # (numpy's polyval takes (x, c); tensor=False pairs row i's roots with column i)
-    coeffs = rows.T[:, :, None]
-    deriv = coeffs[1:] * np.arange(1, n + 1)[:, None, None]
+    # (n+1, m, 1) columns, complex so Horner never casts; each broadcasts over a row's roots
+    coeffs = q.T[:, :, None]
     for _ in range(NEWTON_STEPS):
-        pv = polyval(roots, coeffs, tensor=False)
-        dv = polyval(roots, deriv, tensor=False)
-        ok = np.abs(dv) > 0
-        step = np.zeros_like(roots)
-        step[ok] = pv[ok] / dv[ok]
+        pv, dv = _horner(coeffs, roots)
+        step = np.divide(pv, dv, out=np.zeros_like(pv), where=dv != 0)
         # damp steps that would jump across the root spacing
-        step = np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
-        roots = roots - step
+        roots = roots - np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
 
     errs = _backward_errors(roots, coeffs)
-    if np.any(errs > residual_tol):
+    if np.any(errs > RESIDUAL_TOL):
         raise RootFindingFailure(
             f"root residual certificate failed: max backward error {errs.max():.3e}"
         )
-    return roots
+    return 1j * roots.conj()  # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
 
 
 def certified_root_near(rows: np.ndarray, start):
@@ -87,10 +99,7 @@ def certified_root_near(rows: np.ndarray, start):
     with np.errstate(all="ignore"):  # a diverging row ends non-finite and unsettled
         roots = a.copy()
         for _ in range(NEWTON_STEPS):
-            p, dp = coeffs[n], np.zeros_like(roots)
-            for j in range(n - 1, -1, -1):
-                dp = dp * roots + p
-                p = p * roots + coeffs[j]
+            p, dp = _horner(coeffs, roots)
             roots = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
 
         # Taylor coefficients at a by repeated synthetic division (Horner's shift)
@@ -109,8 +118,8 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of one polynomial (ascending coefficients, nonzero last entry).
 
     Exact origin roots (zero low-order coefficients), where a relative backward
-    error is meaningless, are deflated; raises RootFindingFailure when any
-    other root fails the certificate of ``certified_roots``.
+    error is meaningless, are deflated; raises RootFindingFailure where
+    ``certified_roots`` refuses the rest.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     origin = int(np.argmax(coeffs != 0))

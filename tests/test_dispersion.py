@@ -16,15 +16,17 @@ import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import polyroots
 from lorentzmodes.errors import (
+    AssumptionViolated,
     BranchCollision,
     DegenerateLeadingCoefficient,
+    DuplicateOscillator,
     InvalidWavenumber,
     LorentzModesError,
     RootFindingFailure,
     UnclassifiableBranch,
 )
 from lorentzmodes.operators import build_perp_operator
-from lorentzmodes.polyroots import certified_root_near, certified_roots
+from lorentzmodes.polyroots import certified_root_near, certified_roots, companion_roots
 
 
 class TestPolynomial:
@@ -96,12 +98,13 @@ class TestSolve:
         for k, row in zip(grid, stacked):
             np.testing.assert_array_equal(row, dsp.solve_dispersion(reference_medium, k))
 
-    def test_stacked_certificate_still_gates(self, reference_medium):
+    def test_stacked_certificate_still_gates(self, monkeypatch, reference_medium):
         rows = dsp.dispersion_polynomial(reference_medium, np.array([0.1, 1.0, 10.0]))
         np.testing.assert_array_equal(rows[1], dsp.dispersion_polynomial(reference_medium, 1.0))
         assert certified_roots(rows).shape == (3, reference_medium.state_blocks)
+        monkeypatch.setattr(polyroots, "RESIDUAL_TOL", 1e-300)
         with pytest.raises(RootFindingFailure):
-            certified_roots(rows, residual_tol=1e-300)
+            certified_roots(rows)
 
     def test_stacked_solve_rejects_rows_the_scalar_path_reshapes(self, reference_medium):
         # k = 0 deflates two roots at the origin; at k = 1e7 and 1e8 the leading
@@ -156,6 +159,95 @@ class TestCertifiedRootNear:
         nearest = full[np.arange(40), np.argmin(np.abs(full - start[:, None]), axis=1)]
         assert settled.any()
         np.testing.assert_allclose(roots[settled], nearest[settled], rtol=1e-13)
+
+
+#: damping / resonance range of each oscillator regime; near-critical damping
+#: (about twice the resonance) puts the two roots of its quadratic close together
+_DAMPING_REGIMES = {
+    "underdamped": (0.02, 1.5),
+    "overdamped": (2.0, 4.0),
+    "near_critical": (2.0 - 1e-3, 2.0 + 1e-3),
+    "lossless": (0.0, 0.0),
+}
+
+
+@st.composite
+def admissible_media(draw):
+    """Media of 1-4 electric and 0-3 magnetic oscillators that pass H1 and H2."""
+
+    def oscillator():
+        coupling, resonance = draw(st.floats(0.3, 1.5)), draw(st.floats(0.5, 5.0))
+        low, high = _DAMPING_REGIMES[draw(st.sampled_from(sorted(_DAMPING_REGIMES)))]
+        return coupling, resonance, resonance * draw(st.floats(low, high))
+
+    electric = [oscillator() for _ in range(draw(st.integers(1, 4)))]
+    magnetic = [oscillator() for _ in range(draw(st.integers(0, 3)))]
+    try:
+        medium = lm.new_medium(1.0, 1.0, electric, magnetic)
+        medium.require_assumptions()
+    except (DuplicateOscillator, AssumptionViolated):
+        assume(False)
+    return medium
+
+
+def _assert_mirror_closed(medium, ks):
+    """Each stacked solve row is its own -conj set bit for bit, roots near the
+    imaginary axis lie exactly on it, and every root passes the backward-error
+    contract on the unrotated w row."""
+    roots = dsp.solve_dispersion(medium, ks)
+    for row, r in zip(dsp.dispersion_polynomial(medium, ks), roots):
+        np.testing.assert_array_equal(np.sort_complex(r), np.sort_complex(-np.conj(r)))
+        near_axis = np.abs(r.real) <= 1e-9 * (1.0 + np.abs(r))
+        assert np.all(r.real[near_axis] == 0.0)
+        backward = np.abs(polyval(r, row)) / polyval(np.abs(r), np.abs(row))
+        assert backward.max() < 1e-10
+
+
+class TestRootSymmetry:
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "reference_medium",
+            "asymmetric_medium",
+            "critical_medium",
+            "double_pole_medium",
+            "ps_noncritical_medium",
+            "wide_medium",
+        ],
+    )
+    def test_fixture_roots_are_mirror_closed(self, request, name):
+        medium = request.getfixturevalue(name)
+        _assert_mirror_closed(medium, dsp.default_k_grid(medium))
+        at_zero = dsp.solve_dispersion(medium, 0.0)
+        np.testing.assert_array_equal(
+            np.sort_complex(at_zero), np.sort_complex(-np.conj(at_zero))
+        )
+
+    @given(admissible_media())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_media_roots_are_mirror_closed(self, medium):
+        _assert_mirror_closed(medium, np.geomspace(1e-2, 1e2, 41))
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1 + 1j, 1.0],
+            [2.0, 1.0, 1.0],  # real coefficients: closed under conj, not under -conj
+            [0.0, 0.0, 1 + 1j, 1.0],  # refused after the origin roots are deflated
+        ],
+    )
+    def test_rows_without_the_symmetry_are_refused(self, row):
+        row = np.array(row, dtype=complex)
+        with pytest.raises(RootFindingFailure, match="symmetry"):
+            companion_roots(row)
+        if row[0] != 0:
+            with pytest.raises(RootFindingFailure, match="symmetry"):
+                certified_roots(row[None])
+
+    def test_cubic_with_the_symmetry_is_solved(self):
+        roots = np.sort_complex(certified_roots(TestCertifiedRootNear.CUBIC[None])[0])
+        np.testing.assert_allclose(roots, [-1.0, 3j, 1.0], atol=1e-15)
+        np.testing.assert_array_equal(roots, np.sort_complex(-np.conj(roots)))
 
 
 def _reference_match(prev, new):
@@ -275,6 +367,35 @@ class TestTracking:
         medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
         with pytest.raises(BranchCollision, match=r"k=1\.28149->1\.2815 still ambiguous"):
             dsp.track_branches(medium, dsp.default_k_grid(medium))
+
+    def test_overdamped_start_order_is_the_exact_lexsort(self):
+        # four branches start on the negative imaginary axis with Re w = 0.0
+        # exactly, so the start order breaks those ties by Im w
+        medium = lm.new_medium(
+            1.0,
+            1.0,
+            [(0.7462571390513869, 1.0167794497347014, 3.5898624887196307)],
+            [(1.2407022731460715, 1.5637593265975254, 4.7422581950841485)],
+        )
+        grid = dsp.default_k_grid(medium)
+        branches = dsp.classify_branches(dsp.track_branches(medium, grid), medium)
+        first = dsp.solve_dispersion(medium, grid[0])
+        np.testing.assert_array_equal(
+            [b.omega[0] for b in branches], first[np.lexsort((first.imag, first.real))]
+        )
+        assert [b.label_text() for b in branches] == [
+            "MinusInf|Zero0(r=1)",
+            "Pole(0-4.15352j,n=1)|ZeroMinus(0-3.6508j,n=1)",
+            "Pole(0-3.2741j,n=1)|ZeroMinus(0-3.07205j,n=1)",
+            "Pole(0-0.58874j,n=1)|ZeroMinus(0-1.09145j,n=1)",
+            "Pole(0-0.315763j,n=1)|ZeroMinus(0-0.51781j,n=1)",
+            "PlusInf|Zero0(r=2)",
+        ]
+        rerun = dsp.classify_branches(dsp.track_branches(medium, grid), medium)
+        assert [b.label_text() for b in rerun] == [b.label_text() for b in branches]
+        np.testing.assert_array_equal(
+            np.stack([b.omega for b in rerun]), np.stack([b.omega for b in branches])
+        )
 
     def test_light_cone_branches(self, reference_branches, reference_medium):
         c = reference_medium.asymptotic_coefficients().vacuum_speed

@@ -129,6 +129,12 @@ class TestPolynomials:
         np.testing.assert_allclose(p_m, [1.0])
         np.testing.assert_allclose(q_m, [1.0])
 
+    def test_built_once_and_read_only(self):
+        medium = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])
+        pair = medium.numerator_denominator()
+        assert medium.numerator_denominator() is pair
+        assert not any(a.flags.writeable for a in pair)
+
     def test_degrees(self, reference_medium):
         num, den = reference_medium.numerator_denominator()
         assert len(num) - 1 == reference_medium.state_blocks
@@ -206,6 +212,12 @@ class TestCatalog:
                 p + h * 1j
             )
             assert approx == pytest.approx(entry.residue, rel=5e-4)
+
+    def test_family_zeros_in_descending_order(self, critical_medium, double_pole_medium):
+        # the catalog lists zeros in this order whatever order the eigensolver returns
+        for medium in (critical_medium, double_pole_medium):
+            for zeros in medium.family_zeros:
+                np.testing.assert_array_equal(zeros, np.sort_complex(zeros)[::-1])
 
     def test_zs_empty_when_both_families_damped(self, reference_medium):
         assert reference_medium.catalog.simple_real_zeros() == []
