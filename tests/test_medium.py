@@ -1,6 +1,8 @@
 """Material functions, pole/zero catalog, classification, coefficient table."""
 
 import gc
+import json
+import pathlib
 import weakref
 
 import numpy as np
@@ -327,3 +329,49 @@ class TestCoefficientTable:
         t = critical_medium.asymptotic_coefficients()
         assert t.epsmu_prime0.real == pytest.approx(0.0, abs=1e-14)
         assert (-t.epsmu_prime0).imag < 0
+
+
+#: every catalog residue and CoefficientTable field of the fixture media, as
+#: the hand-derived closed forms gave them before the series-reversion engine
+_PINS = json.loads((pathlib.Path(__file__).parent / "coefficient_table_pins.json").read_text())
+
+
+def _pinned(medium):
+    """The catalog and table of a medium in the layout of coefficient_table_pins.json."""
+    cat, t = medium.catalog, medium.asymptotic_coefficients()
+    return {
+        "poles": [[p.location, p.multiplicity, p.klass.value, p.residue] for p in cat.poles],
+        "zeros": [[z.location, z.multiplicity, z.klass.value, z.residue] for z in cat.zeros],
+        "vacuum_speed": t.vacuum_speed,
+        "total_coupling": t.total_coupling,
+        "damped_coupling": t.damped_coupling,
+        "static_speed": t.static_speed,
+        "epsmu_prime0": t.epsmu_prime0,
+        "lf_second_order": t.lf_second_order,
+        "simple_poles": [[e.pole, e.second_order, e.fourth_order] for e in t.simple_poles],
+        "double_poles": [[e.pole, e.split, e.second_order] for e in t.double_poles],
+        "simple_zeros": [[e.zero, e.curvature] for e in t.simple_zeros],
+    }
+
+
+def _assert_matches_pin(value, pin, where):
+    """Structure and labels exactly, every number to 1e-12 relative; [re, im] pins are complex."""
+    if isinstance(pin, (str, int)):
+        assert value == pin, where
+    elif isinstance(pin, list) and isinstance(value, complex):
+        expected = complex(*pin)
+        assert abs(value - expected) <= 1e-12 * abs(expected), (where, value, expected)
+    elif isinstance(pin, list):
+        assert len(value) == len(pin), where
+        for i, (v, p) in enumerate(zip(value, pin)):
+            _assert_matches_pin(v, p, f"{where}[{i}]")
+    else:
+        assert abs(value - pin) <= 1e-12 * abs(pin), (where, value, pin)
+
+
+@pytest.mark.parametrize("name", sorted(_PINS))
+def test_catalog_and_table_match_the_pins(name, request):
+    medium = request.getfixturevalue(name)
+    got = _pinned(medium)
+    for field, pin in _PINS[name].items():
+        _assert_matches_pin(got[field], pin, f"{name}.{field}")
