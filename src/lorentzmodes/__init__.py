@@ -18,12 +18,10 @@ from .medium import (
 )
 from .dispersion import (
     BranchFamily,
-    PuiseuxResult,
     classify_branches,
     default_k_grid,
     diagnose_bands,
     dispersion_polynomial,
-    puiseux_expand,
     solve_dispersion,
     track_branches,
     verify_asymptotics,

@@ -19,7 +19,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import (
     InvalidWavenumber,
     UnclassifiableBranch,
 )
-from .medium import CoefficientTable, LorentzMedium, ZeroClass
+from .medium import CoefficientTable, LorentzMedium, ZeroClass, fan_root
 from .polyroots import certified_roots, companion_roots
 
 #: a leading dispersion coefficient this small relative to its row is degenerate
@@ -364,12 +364,9 @@ def classify_branches(
                 f"of multiplicity {entry.multiplicity}"
             )
         m = entry.multiplicity
-        mod = abs(entry.residue) ** (1.0 / m)
-        base = cmath.phase(entry.residue) / m
         dirs = [end[i] - loc for i in members]
-        for i, nn in zip(members, _fan_indices(dirs, m, base)):
-            a = mod * cmath.exp(1j * (base + 2.0 * math.pi * nn / m))
-            hf_labels[i] = Pole(loc, int(nn), m, a)
+        for i, nn in zip(members, _fan_indices(dirs, m, cmath.phase(entry.residue) / m)):
+            hf_labels[i] = Pole(loc, int(nn), m, fan_root(entry.residue, m, nn))
 
     lf_labels: list = [None] * n
     by_mod0 = np.argsort(np.abs(start))
@@ -397,13 +394,9 @@ def classify_branches(
             lf_labels[members[0]] = ZeroSimple(loc)
             continue
         # branch coefficient is 1/a_n where a_n are the m-th roots of the residue
-        mod = abs(entry.residue) ** (1.0 / m)
-        base = cmath.phase(entry.residue) / m
-        dirs = [start[i] - loc for i in members]
-        inv_dirs = [1.0 / d for d in dirs]  # direction of a_n itself
-        for i, nn in zip(members, _fan_indices(inv_dirs, m, base)):
-            a = mod * cmath.exp(1j * (base + 2.0 * math.pi * nn / m))
-            lf_labels[i] = ZeroMinus(loc, int(nn), m, 1.0 / a)
+        inv_dirs = [1.0 / (start[i] - loc) for i in members]  # direction of a_n itself
+        for i, nn in zip(members, _fan_indices(inv_dirs, m, cmath.phase(entry.residue) / m)):
+            lf_labels[i] = ZeroMinus(loc, int(nn), m, 1.0 / fan_root(entry.residue, m, nn))
 
     out = []
     for b, hf, lf in zip(branches, hf_labels, lf_labels):
@@ -585,69 +578,3 @@ def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
     if n_low == 0 or n_high == 0:
         raise UnclassifiableBranch("no grid point reaches the asymptotic regime")
     return float(k[n_low - 1]), float(k[len(k) - n_high])
-
-
-# --- Puiseux engine -----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PuiseuxResult:
-    """Local solution fans of fun(omega) = zeta^m around an m-fold zero.
-
-    roots holds the m-th roots a_n of the leading coefficient, ordered by the
-    principal-argument convention; the n-th branch behaves like
-    center + first_order[n] * zeta + second_order[n] * zeta^2.
-    """
-
-    center: complex
-    multiplicity: int
-    roots: tuple[complex, ...]
-    first_order: tuple[complex, ...]
-    second_order: tuple[complex, ...]
-
-
-def puiseux_expand(
-    fun: Callable[[complex], complex],
-    center: complex,
-    multiplicity: int,
-    radius: float = 1e-3,
-    nodes: int = 64,
-) -> PuiseuxResult:
-    """Extract the two leading Puiseux coefficients of fun at an m-fold zero.
-
-    fun must factor as (omega - center)^m * g(omega) with g analytic and
-    nonzero at the center; g and g' are recovered from trapezoidal contour
-    sums on one circle of the given radius.  The trapezoid rule's aliasing
-    error is of relative size (radius/R)^nodes, R the radius on which g is
-    analytic (Trefethen & Weideman, SIAM Rev. 56 (2014) 385); at the defaults
-    that is far below roundoff, so a second ring and an extrapolation would
-    only add evaluations.
-    """
-    m = int(multiplicity)
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    ring = center + radius * np.exp(1j * theta)
-    vals = np.array([fun(w) for w in ring])
-    g = np.mean(vals * np.exp(-1j * m * theta)) / radius**m
-    g_prime = np.mean(vals * np.exp(-1j * (m + 1) * theta)) / radius ** (m + 1)
-    size = float(np.max(np.abs(vals))) / radius**m
-
-    # size is the natural magnitude of g inferred from the ring values
-    if size == 0.0 or abs(g) <= 1e-10 * size:
-        raise DegenerateLeadingCoefficient(
-            f"leading coefficient ~ {abs(g):.3e} at {center}"
-        )
-
-    mod = abs(g) ** (1.0 / m)
-    base = cmath.phase(g) / m
-    roots = tuple(
-        mod * cmath.exp(1j * (base + 2.0 * math.pi * n / m)) for n in range(1, m + 1)
-    )
-    first = tuple(1.0 / a for a in roots)
-    second = tuple(-g_prime / (m * g * a * a) for a in roots)
-    return PuiseuxResult(
-        center=complex(center),
-        multiplicity=m,
-        roots=roots,
-        first_order=first,
-        second_order=second,
-    )

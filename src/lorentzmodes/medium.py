@@ -2,14 +2,22 @@
 
 A medium is a pair of rational Herglotz material functions built from damped
 oscillators.  This module evaluates them, catalogs the poles and zeros of the
-product function omega^2 * eps(omega) * mu(omega) with multiplicities and
-leading residues, validates the structural assumptions, and produces the
-asymptotic coefficient table that the dispersion-branch machinery checks
-against.
+product function R(omega) = omega^2 * eps(omega) * mu(omega) with
+multiplicities and leading residues, validates the structural assumptions, and
+produces the asymptotic coefficient table that the dispersion-branch machinery
+checks against.
+
+Every branch of R(omega) = k^2 near a zero or pole of R is a local inverse of
+R, so one engine, ``LorentzMedium._branch_series``, gives them all: it expands
+eps and mu at the center from the oscillator sums, takes the m-th root of
+R / x^m by Miller's power recurrence and reverts the result by Lagrange
+inversion (Newton-Puiseux).  The catalog residues and every table coefficient
+except the three oscillator sums of the unbounded branches are its output.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -17,10 +25,10 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .errors import (
     AssumptionViolated,
+    DegenerateLeadingCoefficient,
     DuplicateOscillator,
     EmptyMedium,
     EvaluationAtPole,
@@ -58,9 +66,6 @@ class Oscillator:
     def q(self, omega):
         """The quadratic omega^2 + i*damping*omega - resonance^2."""
         return omega * omega + 1j * self.damping * omega - self.resonance**2
-
-    def q_prime(self, omega):
-        return 2.0 * omega + 1j * self.damping
 
     def roots(self) -> tuple[complex, complex]:
         """Both roots of q, closed form.
@@ -185,7 +190,7 @@ class ZeroCoefficients:
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """All asymptotic branch coefficients derivable in closed form.
+    """Asymptotic coefficients of every slowly-decaying branch family.
 
     vacuum_speed:     1/sqrt(eps0*mu0), slope of the two unbounded branches
     total_coupling:   sum of all squared couplings (real part correction at
@@ -282,13 +287,6 @@ class LorentzMedium:
     def dispersion_value(self, omega):
         """omega^2 * eps(omega) * mu(omega)."""
         return omega * omega * self.permittivity(omega) * self.permeability(omega)
-
-    def permittivity_prime(self, omega):
-        """d/domega of the permittivity, closed form."""
-        return _material_prime(omega, *self._family("e"))
-
-    def permeability_prime(self, omega):
-        return _material_prime(omega, *self._family("m"))
 
     # --- polynomial representation ---------------------------------------------
 
@@ -439,16 +437,18 @@ class LorentzMedium:
         branches = classify_branches(track_branches(self, default_k_grid(self)), self)
         return diagnose_bands(branches, self.asymptotic_coefficients())
 
-    def _all_pole_roots(self):
-        roots = []
-        for osc in self.electric:
-            roots.extend((r, "e") for r in osc.roots())
-        for osc in self.magnetic:
-            roots.extend((r, "m") for r in osc.roots())
-        return roots
+    @cached_property
+    def _oscillator_roots(self):
+        """(electric, magnetic): the root pair of every oscillator of each family."""
+        return tuple(tuple(osc.roots() for osc in fam) for fam in (self.electric, self.magnetic))
 
     def _catalog_poles(self):
-        tagged = self._all_pole_roots()
+        tagged = [
+            (r, fam)
+            for fam, pairs in zip("em", self._oscillator_roots)
+            for pair in pairs
+            for r in pair
+        ]
         groups = _merge_close([r for r, _ in tagged], COINCIDENCE_TOL)
         entries = []
         for rep, members in groups:
@@ -468,7 +468,6 @@ class LorentzMedium:
                 klass = PoleClass.MINUS
             entries.append((rep, mult, klass))
 
-        all_roots = [r for r, _ in tagged]
         out = []
         for rep, mult, klass in entries:
             out.append(
@@ -476,23 +475,10 @@ class LorentzMedium:
                     location=rep,
                     multiplicity=mult,
                     klass=klass,
-                    residue=self._pole_residue(rep, mult, all_roots),
+                    residue=self._branch_series(rep, -mult)[1][0],
                 )
             )
         return out
-
-    def _pole_residue(self, p, mult, all_pole_roots):
-        """lim (omega-p)^mult * D(omega) via the factored denominator."""
-        p_e, _, p_m, _ = self.family_polynomials
-        num = self.eps0 * self.mu0 * p * p * polyval(p, p_e) * polyval(p, p_m)
-        den = 1.0 + 0.0j
-        skipped = 0
-        for r in sorted(all_pole_roots, key=lambda r: abs(r - p)):
-            if skipped < mult and abs(r - p) <= CLUSTER_TOL * (1.0 + abs(p)):
-                skipped += 1
-                continue
-            den *= p - r
-        return num / den
 
     def _family_zero_roots(self):
         """Zeros of eps and of mu, classified structurally as real or not."""
@@ -527,7 +513,7 @@ class LorentzMedium:
                 location=0.0 + 0.0j,
                 multiplicity=2,
                 klass=ZeroClass.ORIGIN,
-                residue=self._zero_residue(0.0 + 0.0j, 2, locations),
+                residue=self._branch_series(0.0 + 0.0j, 2)[1][0],
             )
         ]
         for z, _, undamped in tagged:
@@ -537,55 +523,73 @@ class LorentzMedium:
                     location=z,
                     multiplicity=1,
                     klass=klass,
-                    residue=self._zero_residue(z, 1, locations),
+                    residue=self._branch_series(z, 1)[1][0],
                 )
             )
         return entries
 
-    def _zero_residue(self, z, mult, all_zero_roots):
-        """lim D(omega) / (omega-z)^mult via the factored numerator."""
-        _, q_e, _, q_m = self.family_polynomials
-        num = self.eps0 * self.mu0
-        if abs(z) > CLUSTER_TOL:
-            num *= z * z  # the omega^2 factor survives away from the origin
-        skipped = 2 if abs(z) <= CLUSTER_TOL else 0  # origin uses up omega^2
-        left = mult - skipped
-        for r in sorted(all_zero_roots, key=lambda r: abs(r - z)):
-            if left > 0 and abs(r - z) <= CLUSTER_TOL * (1.0 + abs(z)):
-                left -= 1
-                continue
-            num *= z - r
-        return num / (polyval(z, q_e) * polyval(z, q_m))
+    # --- local branch expansions ---------------------------------------------------
+
+    def _branch_series(self, center, m: int, n: int = 1, terms: int = 1):
+        """(x, g): fan n of the branches of R(omega) = k^2 at a zero or pole of R.
+
+        R = omega^2 * eps * mu has a zero of order m > 0 or a pole of order -m
+        at center, so R(center + x) = x^m * g(x) with g(0) != 0; g holds the
+        first ``terms`` coefficients of g, and g[0] is the catalog residue.
+        With zeta = k^(2/m) the branch equation is zeta = x * g(x)^(1/m), and
+        its reversion (Lagrange inversion) is center + sum_j x[j-1] * zeta^j,
+        j = 1..terms, where x[0] is 1/a_n at a zero and a_n at a pole, a_n =
+        fan_root(g[0], |m|, n), or a_1 = g[0] when |m| = 1.
+
+        The series of eps and mu at the center come from the oscillator sums:
+        each oscillator adds coupling^2 / q(center + x), and an oscillator
+        with v roots at the center adds coupling^2 * x^-v / (q / x^v), so the
+        pole factors out exactly.  Raises DegenerateLeadingCoefficient when the
+        coefficients below x^m are not negligible or the one at x^m is.
+        """
+        center = complex(center)
+        tol = COINCIDENCE_TOL * (1.0 + abs(center))
+        families = []
+        for name, pairs in zip("em", self._oscillator_roots):
+            owned = [(abs(r1 - center) <= tol) + (abs(r2 - center) <= tol) for r1, r2 in pairs]
+            families.append((*self._family(name), owned, max(owned, default=0)))
+        drop = m + sum(shift for *_, shift in families)  # x^shift * R starts at x^drop
+        degenerate = f"R / (omega - {center})^{m} has no finite nonzero limit"
+        if drop < 0:
+            raise DegenerateLeadingCoefficient(degenerate)
+        size = drop + terms
+        series = [center * center, 2.0 * center, 1.0, *[0.0] * size][:size]
+        for base, oscillators, owned, shift in families:
+            # x^shift * eps = base * (x^shift - sum coupling^2 x^(shift-v) / (q / x^v))
+            fam = [0j] * size
+            if shift < size:
+                fam[shift] = base
+            for osc, v in zip(oscillators, owned):
+                # q(center + x) / x^v = d0 + d1 x + d2 x^2: a 3-term series division
+                d = (osc.q(center), 2.0 * center + 1j * osc.damping, 1.0, 0.0, 0.0)
+                d0, d1, d2 = d[v : v + 3]
+                t, prev = base * osc.coupling**2 / d0, 0.0
+                for j in range(shift - v, size):
+                    fam[j] -= t
+                    t, prev = -(d1 * t + d2 * prev) / d0, t
+            series = _series_mul(series, fam, size)
+        negligible = CLUSTER_TOL * max(map(abs, series[: drop + 1]))
+        if any(abs(c) > negligible for c in series[:drop]) or abs(series[drop]) <= negligible:
+            raise DegenerateLeadingCoefficient(degenerate)
+        g = series[drop:]
+        root = g[0] if abs(m) == 1 else fan_root(g[0], abs(m), n)
+        lead = 1.0 / root if m > 0 else root
+        return [_series_pow(g, -j / m, lead**j, j)[-1] / j for j in range(1, terms + 1)], g
 
     # --- asymptotic coefficients ---------------------------------------------------
 
-    def _transverse_residual(self, p, family):
-        """h(omega) = (omega - p) * (eps or mu) at omega = p, plus h'(p).
-
-        p must be a real root of exactly one oscillator of the family; the
-        removable singularity is cancelled in closed form.
-        """
-        base, oscillators = self._family(family)
-        idx = None
-        for j, osc in enumerate(oscillators):
-            if osc.damping == 0 and abs(abs(p.real) - osc.resonance) <= COINCIDENCE_TOL:
-                idx = j
-                break
-        if idx is None:
-            raise AssumptionViolated("structure", f"{p} is not an undamped {family}-pole")
-        osc = oscillators[idx]
-        other_root = -p  # q = (omega-p)(omega+p) for an undamped oscillator
-        rest = sum(
-            o.coupling**2 / o.q(p) for j, o in enumerate(oscillators) if j != idx
-        )
-        h = -base * osc.coupling**2 / (p - other_root)
-        h_prime = base * (1.0 - rest + osc.coupling**2 / (p - other_root) ** 2)
-        return h, h_prime, osc
-
     def asymptotic_coefficients(self) -> CoefficientTable:
-        """Closed-form coefficients of every slowly-decaying branch family.
+        """Coefficients of every slowly-decaying branch family.
 
-        Built once per medium and dropped with it (see ``_coefficient_table``).
+        The unbounded branches take the three oscillator sums; every other
+        coefficient is read off the series of ``_branch_series`` at the
+        origin, the real poles and the real zeros.  Built once per medium and
+        dropped with it (see ``_coefficient_table``).
         """
         return self._coefficient_table
 
@@ -599,68 +603,33 @@ class LorentzMedium:
         damped = sum(o.damping * o.coupling**2 for o in self.electric) + sum(
             o.damping * o.coupling**2 for o in self.magnetic
         )
-        eps0v = self.permittivity(0.0)
-        mu0v = self.permeability(0.0)
-        c0 = 1.0 / math.sqrt(float(eps0v.real) * float(mu0v.real))
-        epsmu_prime0 = (
-            self.permittivity_prime(0.0) * mu0v + eps0v * self.permeability_prime(0.0)
-        )
-        lf_second = -0.5 * epsmu_prime0 * c0**4
+        # fan 2 of the origin has slope +static_speed; g = eps * mu
+        (slope, lf_second), g = self._branch_series(0.0 + 0.0j, 2, n=2, terms=2)
 
         simple, double = [], []
         for entry in catalog.real_poles():
-            p = entry.location
-            if entry.klass is PoleClass.SIMPLE_REAL:
-                # the pole's own family gives h; the other family's material
-                # function enters as a regular factor
-                own, other = ("e", "m") if self._is_pole_of(p, self.electric) else ("m", "e")
-                h, h_p, osc = self._transverse_residual(p, own)
-                base, fam = self._family(own)[0], self._family(other)
-                g, g_p = _material(p, *fam), _material_prime(p, *fam)
-                a2 = -0.5 * base * p * g * osc.coupling**2
-                f = p * p * g * h
-                f_prime = 2 * p * g * h + p * p * (g_p * h + g * h_p)
-                a4 = f * f_prime
-                simple.append(SimplePoleCoefficients(p, a2, a4))
+            p, m = entry.location, entry.multiplicity
+            # fan m of a double pole is the + split (a real positive residue)
+            (lead, second), _ = self._branch_series(p, -m, n=m, terms=2)
+            if m == 1:
+                simple.append(SimplePoleCoefficients(p, lead, second))
             else:
-                h_e, h_e_p, osc_e = self._transverse_residual(p, "e")
-                h_m, h_m_p, osc_m = self._transverse_residual(p, "m")
-                split = osc_e.coupling * osc_m.coupling / (2.0 * c)
-                a2 = 0.5 * (
-                    2 * p * h_e * h_m + p * p * (h_e_p * h_m + h_e * h_m_p)
-                )
-                double.append(DoublePoleCoefficients(p, split, a2))
-
-        zeros = []
-        zeros_e = self.family_zeros[0]
-        for entry in catalog.simple_real_zeros():
-            z = entry.location
-            is_eps_zero = bool(
-                len(zeros_e) and np.min(np.abs(zeros_e - z)) <= CLUSTER_TOL * (1 + abs(z))
-            )
-            own, other = map(self._family, ("e", "m") if is_eps_zero else ("m", "e"))
-            w_prime = _material(z, *own) + z * _material_prime(z, *own)
-            a_z = 1.0 / (z * _material(z, *other) * w_prime)
-            zeros.append(ZeroCoefficients(z, a_z))
+                double.append(DoublePoleCoefficients(p, lead.real, second))
+        zeros = [
+            ZeroCoefficients(z.location, self._branch_series(z.location, 1)[0][0])
+            for z in catalog.simple_real_zeros()
+        ]
 
         return CoefficientTable(
             vacuum_speed=c,
             total_coupling=total,
             damped_coupling=damped,
-            static_speed=c0,
-            epsmu_prime0=complex(epsmu_prime0),
-            lf_second_order=complex(lf_second),
+            static_speed=slope.real,
+            epsmu_prime0=g[1],
+            lf_second_order=lf_second,
             simple_poles=tuple(simple),
             double_poles=tuple(double),
             simple_zeros=tuple(zeros),
-        )
-
-    @staticmethod
-    def _is_pole_of(p, oscillators) -> bool:
-        return any(
-            abs(r - p) <= COINCIDENCE_TOL * (1.0 + abs(p))
-            for osc in oscillators
-            for r in osc.roots()
         )
 
 
@@ -699,16 +668,27 @@ def _material(omega, base, oscillators):
     return out[()] if out.ndim == 0 else out
 
 
-def _material_prime(omega, base, oscillators):
-    """d/domega of ``_material``, closed form."""
-    omega = np.asarray(omega, dtype=complex)
-    _guard_poles(omega, oscillators)
-    s = np.zeros_like(omega)
-    for osc in oscillators:
-        q = osc.q(omega)
-        s = s + osc.coupling**2 * osc.q_prime(omega) / (q * q)
-    out = base * s
-    return out[()] if out.ndim == 0 else out
+def fan_root(residue: complex, m: int, n: int) -> complex:
+    """The n-th m-th root |residue|^(1/m) * e^(i(arg residue + 2*pi*n)/m) that labels fan n."""
+    return abs(residue) ** (1.0 / m) * cmath.exp(
+        1j * (cmath.phase(residue) / m + 2.0 * math.pi * n / m)
+    )
+
+
+def _series_mul(a, b, size):
+    """First size coefficients of the product of two power series of at least that length."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1)) for j in range(size)]
+
+
+def _series_pow(f, alpha, lead, size):
+    """First size coefficients of f(x)^alpha with constant term lead (Miller's recurrence).
+
+    f needs at least size coefficients and f[0] != 0.
+    """
+    w = [lead]
+    for k in range(1, size):
+        w.append(sum(((alpha + 1) * j - k) * f[j] * w[k - j] for j in range(1, k + 1)) / (k * f[0]))
+    return w
 
 
 def _family_pair(oscillators):

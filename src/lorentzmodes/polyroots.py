@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import RootFindingFailure
+from .errors import DegenerateLeadingCoefficient, RootFindingFailure
 
 #: relative backward error accepted for a root
 RESIDUAL_TOL = 1e-10
@@ -52,11 +52,15 @@ def certified_roots(rows: np.ndarray) -> np.ndarray:
 
     Each row must have degree n >= 1 (nonzero last entry) and roots closed
     under w -> -conj(w).  Returns the (m, n) refined roots; raises
+    DegenerateLeadingCoefficient for a zero last entry, and
     RootFindingFailure when a row lacks that symmetry or any root fails the
     certificate |p(r)| / sum |c_i||r|^i < RESIDUAL_TOL.
     """
     rows = np.asarray(rows, dtype=complex)
     m, n = rows.shape[0], rows.shape[1] - 1
+    degenerate = np.flatnonzero(rows[:, -1] == 0)
+    if degenerate.size:
+        raise DegenerateLeadingCoefficient(f"row {degenerate[0]} has a zero leading coefficient")
     q = rows * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
     q = q / q[:, -1:]
     if np.any(q.imag != 0):
@@ -118,8 +122,8 @@ def companion_roots(coeffs: np.ndarray) -> np.ndarray:
     """All roots of one polynomial (ascending coefficients, nonzero last entry).
 
     Exact origin roots (zero low-order coefficients), where a relative backward
-    error is meaningless, are deflated; raises RootFindingFailure where
-    ``certified_roots`` refuses the rest.
+    error is meaningless, are deflated; raises what ``certified_roots`` raises
+    on the rest.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     origin = int(np.argmax(coeffs != 0))

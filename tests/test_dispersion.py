@@ -1,9 +1,11 @@
-"""Dispersion polynomial, root branches, classification, Puiseux engine."""
+"""Dispersion polynomial, root branches, classification, branch-series engine."""
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -243,6 +245,16 @@ class TestRootSymmetry:
         if row[0] != 0:
             with pytest.raises(RootFindingFailure, match="symmetry"):
                 certified_roots(row[None])
+
+    @pytest.mark.parametrize(
+        "solve, coeffs",
+        [(certified_roots, np.array([[1.0, 0.0]])), (companion_roots, np.zeros(3))],
+    )
+    def test_zero_leading_coefficient_is_refused_without_warnings(self, solve, coeffs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateLeadingCoefficient, match="row 0"):
+                solve(coeffs)
 
     def test_cubic_with_the_symmetry_is_solved(self):
         roots = np.sort_complex(certified_roots(TestCertifiedRootNear.CUBIC[None])[0])
@@ -611,27 +623,91 @@ class TestAsymptoticVerification:
             assert dsp.verify_asymptotics(b, table, lf, regime="lf").ok
 
 
+def _origin_fans(medium, terms=1):
+    """Engine series of the two origin fans, the -static_speed fan first."""
+    fans = [medium._branch_series(0.0 + 0.0j, 2, n=n, terms=terms)[0] for n in (1, 2)]
+    return sorted(fans, key=lambda x: x[0].real)
+
+
+def _catalog_centers(medium):
+    """(location, m, spacing) of every catalog pole (m < 0) and zero (m > 0), with
+    the distance to the nearest other catalog point."""
+    cat = medium.catalog
+    entries = [(p.location, -p.multiplicity) for p in cat.poles]
+    entries += [(z.location, z.multiplicity) for z in cat.zeros]
+    return [
+        (center, m, min(abs(loc - center) for loc, _ in entries if loc != center))
+        for center, m in entries
+    ]
+
+
+def _mp_dispersion(medium, w):
+    """R(w) = w^2 eps(w) mu(w) from the oscillator sums at the working mpmath precision."""
+
+    def material(base, oscillators):
+        return base * (1 - sum(
+            mpmath.mpf(o.coupling) ** 2 / (w * w + 1j * o.damping * w - mpmath.mpf(o.resonance) ** 2)
+            for o in oscillators
+        ))
+
+    return w * w * material(medium.eps0, medium.electric) * material(medium.mu0, medium.magnetic)
+
+
+def _assert_series_solve_the_dispersion_relation(medium, terms=3):
+    """Every fan series of every catalog pole and zero solves R(omega) = k^2 to the
+    order it claims.
+
+    With omega = center + x_1 zeta + ... + x_terms zeta^terms and k^2 = zeta^m,
+    the relative residual |R(omega)/k^2 - 1| (40 digits) must equal, to 5 %,
+    m * sum_{j > terms} x_j zeta^(j-1) / x_1 from the engine's own next terms,
+    at zeta and at zeta/2; so it falls like zeta^terms as zeta halves.  zeta
+    is 1/100 of a convergence radius estimated from the distance to the nearest
+    other catalog point and from 2*terms coefficients.  A pole is measured
+    from the exact root of its oscillator and a zero from its catalog location
+    with R(center) subtracted, so the rounding of the center does not count.
+    """
+    with mpmath.workdps(40):
+        for center, m, spacing in _catalog_centers(medium):
+            dropped, base = 0, mpmath.mpc(center)
+            if m > 0:
+                dropped = _mp_dispersion(medium, base)
+            else:
+                roots = [
+                    (-1j * o.damping + s * mpmath.sqrt(4 * mpmath.mpf(o.resonance) ** 2 - o.damping**2)) / 2
+                    for o in medium.electric + medium.magnetic
+                    for s in (1, -1)
+                ]
+                base = min(roots, key=lambda r: abs(r - center))
+            for n in range(1, abs(m) + 1):
+                x, _ = medium._branch_series(center, m, n=n, terms=2 * terms)
+                radius = min(
+                    [spacing / abs(x[0])]
+                    + [abs(x[0] / x[j]) ** (1.0 / j) for j in range(1, 2 * terms) if x[j] != 0]
+                )
+                for zeta in (1e-2 * radius, 5e-3 * radius):
+                    z = mpmath.mpf(zeta)
+                    omega = base + sum(c * z**j for j, c in enumerate(x[:terms], start=1))
+                    measured = abs((_mp_dispersion(medium, omega) - dropped) / z**m - 1)
+                    tail = sum(c * zeta ** (j - 1) for j, c in enumerate(x[terms:], start=terms + 1))
+                    predicted = abs(m * tail / x[0])
+                    assert abs(measured / predicted - 1) <= 0.05, (center, m, n, zeta, measured, predicted)
+
+
 class TestPuiseux:
-    def test_pure_square(self):
-        result = dsp.puiseux_expand(lambda w: w * w, 0.0, 2)
-        np.testing.assert_allclose(sorted([r.real for r in result.roots]), [-1.0, 1.0])
-        assert max(abs(r.imag) for r in result.roots) < 1e-12
-        assert max(abs(s) for s in result.second_order) < 1e-10
+    """The series-reversion engine behind the catalog residues and the coefficient table."""
 
     def test_roots_are_mth_roots_of_leading(self, reference_medium):
-        result = dsp.puiseux_expand(reference_medium.dispersion_value, 0.0, 2)
         a = reference_medium.catalog.origin.residue
-        for r in result.roots:
-            assert abs(r**2 - a) < 1e-10 * abs(a)
+        for x in _origin_fans(reference_medium):
+            assert abs((1.0 / x[0]) ** 2 - a) < 1e-10 * abs(a)
 
     def test_dispersion_zero_fan(self, reference_medium):
         table = reference_medium.asymptotic_coefficients()
-        result = dsp.puiseux_expand(reference_medium.dispersion_value, 0.0, 2)
-        first = sorted(result.first_order, key=lambda z: z.real)
-        assert first[0] == pytest.approx(-table.static_speed, abs=1e-6)
-        assert first[1] == pytest.approx(table.static_speed, abs=1e-6)
-        for s in result.second_order:
-            assert s == pytest.approx(table.lf_second_order, rel=1e-6)
+        minus, plus = _origin_fans(reference_medium, terms=2)
+        assert minus[0] == pytest.approx(-table.static_speed, abs=1e-6)
+        assert plus[0] == pytest.approx(table.static_speed, abs=1e-6)
+        for x in (minus, plus):
+            assert x[1] == pytest.approx(table.lf_second_order, rel=1e-6)
 
     def test_inverse_dispersion_at_simple_pole(self, ps_noncritical_medium):
         coef = next(
@@ -639,28 +715,51 @@ class TestPuiseux:
             for p in ps_noncritical_medium.asymptotic_coefficients().simple_poles
             if p.pole.real > 0
         )
-        result = dsp.puiseux_expand(
-            lambda w: 1.0 / ps_noncritical_medium.dispersion_value(w), coef.pole, 1
-        )
-        assert result.first_order[0] == pytest.approx(coef.second_order, rel=1e-8)
+        x, _ = ps_noncritical_medium._branch_series(coef.pole, -1)
+        assert x[0] == pytest.approx(coef.second_order, rel=1e-8)
 
     def test_branch_leading_behavior_reproduced(
         self, reference_branches, reference_medium
     ):
-        result = dsp.puiseux_expand(reference_medium.dispersion_value, 0.0, 2)
+        slopes = [x[0] for x in _origin_fans(reference_medium)]
         for b in reference_branches:
             if not isinstance(b.lf_label, dsp.Zero0):
                 continue
             k0 = b.k[0]
-            slope = next(
-                a for a in result.first_order
-                if np.sign(a.real) == np.sign(b.omega[0].real)
-            )
+            slope = next(a for a in slopes if np.sign(a.real) == np.sign(b.omega[0].real))
             assert abs(b.omega[0] - slope * k0) < 0.05 * abs(slope) * k0
 
-    def test_degenerate_leading_coefficient(self):
-        with pytest.raises(DegenerateLeadingCoefficient):
-            dsp.puiseux_expand(lambda w: w**3, 0.0, 2)  # claimed multiplicity wrong
+    def test_degenerate_leading_coefficient(self, reference_medium):
+        for m in (1, 3):  # claimed order of the origin's double zero wrong
+            with pytest.raises(DegenerateLeadingCoefficient):
+                reference_medium._branch_series(0.0 + 0.0j, m)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "reference_medium",
+            "asymmetric_medium",
+            "critical_medium",
+            "double_pole_medium",
+            "ps_noncritical_medium",
+            "electric_only_medium",
+            "wide_medium",
+        ],
+    )
+    def test_fixture_series_solve_the_dispersion_relation(self, name, request):
+        _assert_series_solve_the_dispersion_relation(request.getfixturevalue(name))
+
+    @given(admissible_media())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_random_media_series_solve_the_dispersion_relation(self, medium):
+        # a damping ratio one ulp off 2 splits a pole pair by ~1e-8, and q(center)
+        # of that pair, so every double series coefficient there, is rounding
+        # noise; such draws are left out
+        try:
+            assume(min(spacing for *_, spacing in _catalog_centers(medium)) >= 1e-3)
+        except LorentzModesError:
+            assume(False)
+        _assert_series_solve_the_dispersion_relation(medium)
 
 
 def _within_leading_at(branch, table, idx, regime):
