@@ -364,8 +364,9 @@ def classify_branches(
                 f"of multiplicity {entry.multiplicity}"
             )
         m = entry.multiplicity
+        base = cmath.phase(entry.residue) / m
         dirs = [end[i] - loc for i in members]
-        for i, nn in zip(members, _fan_indices(dirs, m, cmath.phase(entry.residue) / m)):
+        for i, nn in zip(members, _fan_indices(dirs, m, base)):
             hf_labels[i] = Pole(loc, int(nn), m, fan_root(entry.residue, m, nn))
 
     lf_labels: list = [None] * n
@@ -394,8 +395,10 @@ def classify_branches(
             lf_labels[members[0]] = ZeroSimple(loc)
             continue
         # branch coefficient is 1/a_n where a_n are the m-th roots of the residue
-        inv_dirs = [1.0 / (start[i] - loc) for i in members]  # direction of a_n itself
-        for i, nn in zip(members, _fan_indices(inv_dirs, m, cmath.phase(entry.residue) / m)):
+        base = cmath.phase(entry.residue) / m
+        dirs = [start[i] - loc for i in members]
+        inv_dirs = [1.0 / d for d in dirs]  # direction of a_n itself
+        for i, nn in zip(members, _fan_indices(inv_dirs, m, base)):
             lf_labels[i] = ZeroMinus(loc, int(nn), m, 1.0 / fan_root(entry.residue, m, nn))
 
     out = []
