@@ -7,10 +7,12 @@ roots), continues the N roots into labeled branches over a k grid, classifies
 each branch by its small-k and large-k limit object, and verifies the
 closed-form expansion coefficients against the tracked data.
 
-Tracking and band diagnosis work on the stored (n_k, N) root rows of one
-stacked solve: the continuation checks and the asymptopia tests run as numpy
-passes over blocks of grid rows, and only unsafe continuation steps go through
-the per-step path, which refines them or raises.
+Tracking and band diagnosis work on the stored (n_k, N) root rows of the
+grid: every eighth row comes from one stacked companion solve, and each row in
+between from certified Newton started at the roots of the row before it.  The
+continuation checks and the asymptopia tests run as numpy passes over blocks
+of grid rows, and only unsafe continuation steps go through the per-step path,
+which refines them or raises.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ MAX_REFINEMENTS = 10
 
 #: rows per certified_roots call of a stacked solve; caps the companion stack's memory
 _SOLVE_BLOCK = 256
+
+#: every this many grid rows one is solved from its companion matrix; the rows
+#: between are solved by Newton from their predecessor's roots
+_ANCHOR_STRIDE = 8
 
 #: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis
 _PAIR_BLOCK = 64
@@ -283,21 +289,45 @@ def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
     return _continue_step(medium, mid, roots_mid, k1, roots1, depth + 1)
 
 
+def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
+    """The (len(k_grid), N) certified roots of a positive grid; refuses what ``_solvable_rows`` does.
+
+    Rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ... (the anchors) go through one
+    stacked ``solve_dispersion``.  Each row after an anchor then starts Newton
+    from the roots of the row before it, stacked over all anchors, and keeps
+    them only where ``certified_roots`` proves them the whole root set
+    converged to rounding; the other rows are solved from their companion
+    matrices as ``solve_dispersion`` solves them.
+    """
+    rows = _solvable_rows(medium, k_grid)
+    anchors = np.arange(0, len(k_grid), _ANCHOR_STRIDE)
+    solved = np.empty((len(rows), rows.shape[1] - 1), dtype=complex)
+    solved[anchors] = solve_dispersion(medium, k_grid[anchors])
+    for start in range(0, len(anchors), _SOLVE_BLOCK):
+        block = anchors[start : start + _SOLVE_BLOCK]
+        for _ in range(1, _ANCHOR_STRIDE):
+            block = block[block + 1 < len(rows)] + 1
+            solved[block] = certified_roots(rows[block], guesses=solved[block - 1])
+    return solved
+
+
 def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[BranchFamily]:
     """Continue the N dispersion roots across the sorted positive grid.
 
-    Every grid point is solved up front by the stacked solve.  Every tracked
-    row is then a permutation of its solved row, and whether a step is safe
-    (no collision, a clear nearest-neighbour order, every jump within the step
-    control) depends only on the two solved rows, so those checks run on
-    blocks of rows at once and safe steps just compose permutations.  Unsafe
-    steps go, in grid order, to the step-by-step continuation, which refines
-    them or raises; it solves again only at refinement midpoints.
+    Every grid point is solved up front by ``_solve_grid``: a companion solve
+    on every eighth row and certified Newton from the previous row's roots in
+    between.  Every tracked row is then a permutation of its solved row, and
+    whether a step is safe (no collision, a clear nearest-neighbour order,
+    every jump within the step control) depends only on the two solved rows,
+    so those checks run on blocks of rows at once and safe steps just compose
+    permutations.  Unsafe steps go, in grid order, to the step-by-step
+    continuation, which refines them or raises; it solves again only at
+    refinement midpoints.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    if np.any(np.diff(k_grid) <= 0) or np.any(k_grid <= 0):
-        raise ValueError("k_grid must be strictly increasing and positive")
-    solved = solve_dispersion(medium, k_grid)
+    if k_grid.ndim != 1 or not k_grid.size or np.any(np.diff(k_grid) <= 0) or np.any(k_grid <= 0):
+        raise ValueError("k_grid must be a non-empty 1-D array, strictly increasing and positive")
+    solved = _solve_grid(medium, k_grid)
     # deterministic start ordering
     perm = np.lexsort((solved[0].imag, solved[0].real))
     perms = np.empty(solved.shape, dtype=perm.dtype)

@@ -7,6 +7,12 @@ stack: q_j = i^j c_j / (i^n c_n) is exactly real (multiplying by 1, i, -1 or
 symmetry and raises RootFindingFailure).  The balanced real companion matrix
 of q gives first guesses in exact conjugate pairs, then up to five Newton
 steps on q, so the roots w = i s are closed under w -> -conj(w) bit for bit.
+Given guesses (the mirror-closed roots of a nearby row), the same Newton
+steps start from them instead; a row keeps the result only when every root
+has converged to rounding (backward error <= 16 u, and a last Newton step
+whose quadratic remainder lies inside the root's rounding ball) and pairwise
+disjoint Weierstrass disks prove it the whole root set.  The other rows go
+through the companion matrix as before.
 ``companion_roots`` deflates the exact origin roots of one polynomial (the
 dispersion polynomial at k = 0 has two) and hands the rest to the same core.
 ``certified_root_near`` finds only the root nearest a start point, by Newton
@@ -24,6 +30,12 @@ from .errors import DegenerateLeadingCoefficient, RootFindingFailure
 
 #: relative backward error accepted for a root
 RESIDUAL_TOL = 1e-10
+
+#: u, the unit roundoff of float64
+UNIT_ROUNDOFF = 2.0**-53
+
+#: backward error of a root kept from a guess: Newton has converged to rounding
+GUESS_TOL = 16 * UNIT_ROUNDOFF
 
 NEWTON_STEPS = 5
 
@@ -47,7 +59,54 @@ def _backward_errors(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     )
 
 
-def certified_roots(rows: np.ndarray) -> np.ndarray:
+def _newton(coeffs: np.ndarray, roots: np.ndarray, steps: int = NEWTON_STEPS) -> np.ndarray:
+    """Damped Newton steps on every root; coefficients as (n+1, m, 1) columns."""
+    for _ in range(steps):
+        pv, dv = _horner(coeffs, roots)
+        step = np.divide(pv, dv, out=np.zeros_like(pv), where=dv != 0)
+        # damp steps that would jump across the root spacing
+        roots = roots - np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
+    return roots
+
+
+def _companion_newton(q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the (m, n+1) monic real rows q: companion eigenvalues, then Newton on coeffs."""
+    m, n = q.shape[0], q.shape[1] - 1
+    comp = np.zeros((m, n, n))
+    comp[:, 1:, :-1] = np.eye(n - 1)
+    comp[:, :, -1] = -q[:, :-1]
+    return _newton(coeffs, np.linalg.eigvals(comp).astype(complex))  # geev balances internally
+
+
+def _isolated(roots: np.ndarray, step: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Per row of (m, n) roots of the monic columns coeffs: whether it is all n roots, converged.
+
+    With ball_i = u sum |q_j||z_i|^j / |prod_{j != i} (z_i - z_j)| the
+    rounding ball of root i (u = 2^-53), a row passes when
+    - every root has a backward error of at most GUESS_TOL = 16 u;
+    - the Weierstrass disks D(z_i, 16 n ball_i) are pairwise disjoint, so
+      each holds exactly one root (Carstensen, Numer. Math. 59 (1991) 349);
+    - each root's last Newton step delta_i leaves a quadratic remainder
+      |delta_i|^2 sum_{j != i} 1 / |z_i - z_j| within ball_i.  A root can
+      first reach 16 u at the last step still a dozen balls out (3e-13
+      relative, N = 16, 20 points per decade); this refuses it.
+    """
+    n = roots.shape[1]
+    diff = roots[:, :, None] - roots[:, None, :]
+    diagonal = np.arange(n)
+    diff[:, diagonal, diagonal] = 1.0
+    scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
+    ball = UNIT_ROUNDOFF * scale / np.abs(np.prod(diff, axis=2))
+    radius = 16 * n * ball
+    apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
+    apart[:, diagonal, diagonal] = True
+    diff[:, diagonal, diagonal] = np.inf
+    settled = np.abs(step) ** 2 * np.sum(1.0 / np.abs(diff), axis=2) <= ball
+    converged = _backward_errors(roots, coeffs) <= GUESS_TOL
+    return np.all(converged & settled & np.all(apart, axis=2), axis=1)
+
+
+def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.ndarray:
     """Roots of every row of an (m, n+1) stack of ascending coefficients.
 
     Each row must have degree n >= 1 (nonzero last entry) and roots closed
@@ -55,6 +114,12 @@ def certified_roots(rows: np.ndarray) -> np.ndarray:
     DegenerateLeadingCoefficient for a zero last entry, and
     RootFindingFailure when a row lacks that symmetry or any root fails the
     certificate |p(r)| / sum |c_i||r|^i < RESIDUAL_TOL.
+
+    guesses, an (m, n) stack of rows closed under w -> -conj(w) (the roots
+    of a nearby row, say), replaces the companion eigenvalues as Newton's
+    start.  A row keeps its guessed roots only if ``_isolated`` proves them
+    all n roots, converged to rounding; every other row is solved from its
+    companion matrix, exactly as without guesses.
     """
     rows = np.asarray(rows, dtype=complex)
     m, n = rows.shape[0], rows.shape[1] - 1
@@ -65,18 +130,21 @@ def certified_roots(rows: np.ndarray) -> np.ndarray:
     q = q / q[:, -1:]
     if np.any(q.imag != 0):
         raise RootFindingFailure("w -> -conj(w) symmetry missing: p(i s) is not real")
-    comp = np.zeros((m, n, n))
-    comp[:, 1:, :-1] = np.eye(n - 1)
-    comp[:, :, -1] = -q.real[:, :-1]
-    roots = np.linalg.eigvals(comp).astype(complex)  # geev balances internally
-
     # (n+1, m, 1) columns, complex so Horner never casts; each broadcasts over a row's roots
     coeffs = q.T[:, :, None]
-    for _ in range(NEWTON_STEPS):
-        pv, dv = _horner(coeffs, roots)
-        step = np.divide(pv, dv, out=np.zeros_like(pv), where=dv != 0)
-        # damp steps that would jump across the root spacing
-        roots = roots - np.where(np.abs(step) < 1.0 + np.abs(roots), step, 0.0)
+
+    if guesses is None:
+        roots = _companion_newton(q.real, coeffs)
+    else:
+        roots = np.empty((m, n), dtype=complex)
+        w = np.asarray(guesses, dtype=complex)
+        roots.real, roots.imag = w.imag, w.real  # s = i conj(w), the inverse of the output map
+        with np.errstate(all="ignore"):  # a non-finite or duplicated guess fails _isolated
+            before = _newton(coeffs, roots, NEWTON_STEPS - 1)
+            roots = _newton(coeffs, before, 1)
+            fallback = ~_isolated(roots, roots - before, coeffs)
+        if fallback.any():
+            roots[fallback] = _companion_newton(q.real[fallback], coeffs[:, fallback])
 
     errs = _backward_errors(roots, coeffs)
     if np.any(errs > RESIDUAL_TOL):

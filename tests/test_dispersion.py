@@ -163,6 +163,78 @@ class TestCertifiedRootNear:
         np.testing.assert_allclose(roots[settled], nearest[settled], rtol=1e-13)
 
 
+def _rotated_columns(rows):
+    """The monic real q(s) = p(i s) of each row as certified_roots' (n+1, m, 1) columns."""
+    n = rows.shape[1] - 1
+    q = rows * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
+    return (q / q[:, -1:]).T[:, :, None]
+
+
+class TestGuessedRoots:
+    """Guessed certified_roots keeps a certified row and solves any other row as without guesses."""
+
+    @pytest.fixture
+    def rows(self, reference_medium):
+        return dsp.dispersion_polynomial(reference_medium, np.array([1.0, 2.0]))
+
+    def _assert_falls_back(self, rows, guesses):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = certified_roots(rows, guesses=guesses)
+        np.testing.assert_array_equal(got, certified_roots(rows))
+
+    def test_good_guesses_are_kept(self, monkeypatch, reference_medium, rows):
+        guesses = dsp.solve_dispersion(reference_medium, np.array([1.01, 2.02]))
+
+        def no_companion(_):
+            raise AssertionError("a guessed row reached the companion solve")
+
+        monkeypatch.setattr(polyroots.np.linalg, "eigvals", no_companion)
+        got = certified_roots(rows, guesses=guesses)
+        for row, r in zip(rows, got):
+            np.testing.assert_array_equal(np.sort_complex(r), np.sort_complex(-np.conj(r)))
+            backward = np.abs(polyval(r, row)) / polyval(np.abs(r), np.abs(row))
+            assert backward.max() <= polyroots.GUESS_TOL
+        monkeypatch.undo()
+        np.testing.assert_allclose(
+            np.sort_complex(got[0]), np.sort_complex(certified_roots(rows)[0]), rtol=1e-14
+        )
+
+    def test_duplicated_guesses_fall_back(self, rows):
+        # two starts on each of the two roots of largest modulus: a duplicated root
+        guesses = certified_roots(rows)
+        order = np.argsort(-np.abs(guesses), axis=1)
+        doubled = np.take_along_axis(guesses, order, axis=1)
+        doubled[:, 2:4] = doubled[:, 0:2]
+        self._assert_falls_back(rows, doubled)
+
+    def test_nan_guesses_fall_back(self, rows):
+        self._assert_falls_back(rows, np.full((2, rows.shape[1] - 1), np.nan + 0j))
+
+    @pytest.mark.parametrize("k_far, above_16u", [(1.85, True), (1.65, False)])
+    def test_far_guesses_short_of_rounding_fall_back(self, reference_medium, k_far, above_16u):
+        # five Newton steps from the k_far roots reach the k = 1 roots within the
+        # 1e-10 certificate; from 1.85 not within 16 u, and from 1.65 within 16 u
+        # only at the last step, whose quadratic remainder leaves them outside
+        # their rounding balls
+        row = dsp.dispersion_polynomial(reference_medium, np.array([1.0]))
+        far = dsp.solve_dispersion(reference_medium, np.array([k_far]))
+        s = np.empty_like(far)
+        s.real, s.imag = far.imag, far.real
+        columns = _rotated_columns(row)
+        errs = polyroots._backward_errors(polyroots._newton(columns, s), columns)
+        assert errs.max() < polyroots.RESIDUAL_TOL
+        assert (errs.max() > polyroots.GUESS_TOL) == above_16u
+        self._assert_falls_back(row, far)
+
+    def test_only_the_uncertified_row_falls_back(self, reference_medium, rows):
+        guesses = dsp.solve_dispersion(reference_medium, np.array([1.01, 2.02]))
+        guesses[1] = np.nan
+        got = certified_roots(rows, guesses=guesses)
+        np.testing.assert_array_equal(got[0], certified_roots(rows[:1], guesses=guesses[:1])[0])
+        np.testing.assert_array_equal(got[1], certified_roots(rows)[1])
+
+
 #: damping / resonance range of each oscillator regime; near-critical damping
 #: (about twice the resonance) puts the two roots of its quadratic close together
 _DAMPING_REGIMES = {
@@ -192,11 +264,11 @@ def admissible_media(draw):
     return medium
 
 
-def _assert_mirror_closed(medium, ks):
+def _assert_mirror_closed(medium, ks, solve=dsp.solve_dispersion):
     """Each stacked solve row is its own -conj set bit for bit, roots near the
     imaginary axis lie exactly on it, and every root passes the backward-error
     contract on the unrotated w row."""
-    roots = dsp.solve_dispersion(medium, ks)
+    roots = solve(medium, ks)
     for row, r in zip(dsp.dispersion_polynomial(medium, ks), roots):
         np.testing.assert_array_equal(np.sort_complex(r), np.sort_complex(-np.conj(r)))
         near_axis = np.abs(r.real) <= 1e-9 * (1.0 + np.abs(r))
@@ -272,11 +344,17 @@ def _reference_match(prev, new):
     return order
 
 
-def _scalar_continuation(medium, k_grid):
-    """Reference continuation: one scalar solve per step, k1 solved again after a bisection."""
+def _scalar_continuation(medium, k_grid, solved=None):
+    """Reference continuation, one step at a time, of the grid's root rows.
 
-    def step(k0, roots0, k1, depth=0):
-        roots1 = dsp.solve_dispersion(medium, k1)
+    solved holds the roots at every grid point (default: the companion solve
+    of each point, which a stacked solve gives bit for bit); a bisection
+    midpoint is always solved by a scalar solve.
+    """
+    if solved is None:
+        solved = dsp.solve_dispersion(medium, k_grid)
+
+    def step(k0, roots0, k1, roots1, depth=0):
         d = np.abs(roots1[:, None] - roots1[None, :])
         np.fill_diagonal(d, np.inf)
         pair_scale = 1.0 + np.minimum(np.abs(roots1)[:, None], np.abs(roots1)[None, :])
@@ -288,14 +366,18 @@ def _scalar_continuation(medium, k_grid):
         if np.all(np.abs(new - roots0) <= 0.2 * gaps.min(axis=1)):
             return new
         if depth >= dsp.MAX_REFINEMENTS:
-            raise BranchCollision(f"step k={k0:g}->{k1:g} still ambiguous")
+            raise BranchCollision(
+                f"continuation step k={k0:g}->{k1:g} still ambiguous after "
+                f"{dsp.MAX_REFINEMENTS} refinements"
+            )
         mid = math.sqrt(k0 * k1)
-        return step(mid, step(k0, roots0, mid, depth + 1), k1, depth + 1)
+        at_mid = step(k0, roots0, mid, dsp.solve_dispersion(medium, mid), depth + 1)
+        return step(mid, at_mid, k1, roots1, depth + 1)
 
-    roots = dsp.solve_dispersion(medium, k_grid[0])
+    roots = solved[0]
     path = [roots[np.lexsort((roots.imag, roots.real))]]
-    for k0, k1 in zip(k_grid[:-1], k_grid[1:]):
-        path.append(step(k0, path[-1], k1))
+    for i in range(1, len(k_grid)):
+        path.append(step(k_grid[i - 1], path[-1], k_grid[i], solved[i]))
     return np.stack(path, axis=1)
 
 
@@ -316,11 +398,74 @@ class TestTracking:
         ],
     )
     def test_equals_scalar_continuation(self, request, name, points_per_decade):
-        # 1201 default grid points span several stacked-solve blocks
+        # both continue the same grid rows; 1201 default grid points span several row blocks
         medium = request.getfixturevalue(name)
         grid = dsp.default_k_grid(medium, points_per_decade)
         tracked = np.stack([b.omega for b in dsp.track_branches(medium, grid)])
-        np.testing.assert_array_equal(tracked, _scalar_continuation(medium, grid))
+        expected = _scalar_continuation(medium, grid, dsp._solve_grid(medium, grid))
+        np.testing.assert_array_equal(tracked, expected)
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "double_pole_medium",
+                                      "wide_medium"])
+    @pytest.mark.parametrize("points_per_decade", [200, 5, 20])
+    def test_grid_rows_match_the_companion_solve(self, request, name, points_per_decade):
+        medium = request.getfixturevalue(name)
+        grid = dsp.default_k_grid(medium, points_per_decade)
+        rows = dsp._solve_grid(medium, grid)
+        companion = dsp.solve_dispersion(medium, grid)
+        anchors = np.arange(len(grid)) % dsp._ANCHOR_STRIDE == 0
+        np.testing.assert_array_equal(rows[anchors], companion[anchors])
+        for row, solved in zip(rows[~anchors], companion[~anchors]):
+            if np.array_equal(row, solved):  # a row that fell back to the companion solve
+                continue
+            # a guessed row keeps its guesses' order: match it to the solved row
+            nearest = solved[np.argmin(np.abs(row[:, None] - solved[None, :]), axis=1)]
+            np.testing.assert_array_equal(np.sort_complex(nearest), np.sort_complex(solved))
+            assert np.all(np.abs(row - nearest) <= 1e-12 * np.abs(nearest))
+
+    def test_companion_solve_takes_every_eighth_row(self, monkeypatch, reference_medium):
+        stacked_rows = []
+        solve = dsp.solve_dispersion
+
+        def counting(medium, k):
+            if np.ndim(k) == 1:
+                stacked_rows.append(len(k))
+            return solve(medium, k)
+
+        monkeypatch.setattr(dsp, "solve_dispersion", counting)
+        grid = dsp.default_k_grid(reference_medium)
+        dsp.track_branches(reference_medium, grid)
+        assert len(grid) == 1201
+        assert stacked_rows == [151]
+
+    @pytest.mark.parametrize("grid", [[], np.ones((2, 3)), np.geomspace(1, 10, 6).reshape(2, 3)])
+    def test_empty_or_two_dimensional_grid_refused(self, reference_medium, grid):
+        with pytest.raises(ValueError, match="strictly increasing and positive"):
+            dsp.track_branches(reference_medium, grid)
+
+    @given(admissible_media())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_media_track_like_the_scalar_continuation(self, medium):
+        grid = dsp.default_k_grid(medium, points_per_decade=20)
+
+        def outcome(continue_branches):
+            try:
+                branches = continue_branches()
+            except BranchCollision as exc:
+                return str(exc)
+            try:
+                return [b.label_text() for b in dsp.classify_branches(branches, medium)]
+            except UnclassifiableBranch as exc:
+                return repr(exc)
+
+        def scalar():
+            path = _scalar_continuation(medium, grid)
+            return [dsp.BranchFamily(k=grid, omega=omega) for omega in path]
+
+        tracked = outcome(lambda: dsp.track_branches(medium, grid))
+        assert tracked == outcome(scalar)
+        if not isinstance(tracked, str):
+            _assert_mirror_closed(medium, grid, solve=dsp._solve_grid)
 
     def test_coarse_grid_refines_to_the_same_branches(
         self, monkeypatch, reference_medium, reference_branches
