@@ -3,9 +3,11 @@
 The eigenvalue equation at wavenumber k is a degree-N polynomial equation
 with coefficient rows from ``dispersion_polynomial``.  This module solves it
 per k (a scalar k != 0 is a one-row stack; k = 0 deflates its two origin
-roots), continues the N roots into labeled branches over a k grid, classifies
-each branch by its small-k and large-k limit object, and verifies the
-closed-form expansion coefficients against the tracked data.
+roots), continues the N roots into labeled branches over a k grid, and
+classifies each branch by its small-k and large-k limit object.  One
+``expansion`` gives every label's asymptotic series: it serves the order check
+of ``verify_asymptotics``, the leading-term mask of ``diagnose_bands`` and the
+Newton anchors of ``energy.branch_eigenvalue``.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of the
 grid: every eighth row comes from one stacked companion solve, and each row in
@@ -21,7 +23,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -123,7 +125,6 @@ class BranchFamily:
     omega: np.ndarray
     hf_label: object = None
     lf_label: object = None
-    asymptotic: Optional[CoefficientTable] = None
 
     def omega_at(self, k_value: float) -> complex:
         i = int(np.argmin(np.abs(self.k - k_value)))
@@ -363,145 +364,122 @@ def _fan_indices(directions, m, base_angle):
     return np.array(best) + 1
 
 
+def _straddling_pair(values, order, what: str):
+    """The branches order[:2], sorted by Re value; their values must lie on both sides of Re = 0."""
+    pair = sorted(order[:2], key=lambda i: values[i].real)
+    if values[pair[0]].real >= 0 or values[pair[1]].real <= 0:
+        raise UnclassifiableBranch(f"could not identify the two {what}")
+    return pair
+
+
+def _fans(values, members, nearest, kind: str):
+    """(branch, catalog entry, fan index n) of every branch in members, grouped by nearest entry.
+
+    values[i] is branch i's end, nearest the catalog's ``nearest_pole`` or
+    ``nearest_zero`` and kind its name.  Every entry must take as many
+    branches as its multiplicity m.  Fan n leaves a pole along a_n =
+    fan_root(residue, m, n) and a zero along 1/a_n, so the directions are
+    inverted at zeros before ``_fan_indices`` matches them.  A branch nearest
+    the origin zero is refused: the pair through 0 is already taken.
+    """
+    groups: dict = {}
+    for i in members:
+        entry = nearest(values[i])
+        if entry.klass is ZeroClass.ORIGIN:
+            raise UnclassifiableBranch(f"extra branch near the origin: {values[i]}")
+        groups.setdefault(entry, []).append(i)
+    fans = []
+    for entry, group in groups.items():
+        m = entry.multiplicity
+        if len(group) != m:
+            raise UnclassifiableBranch(
+                f"{len(group)} branches converge to {kind} {entry.location} of multiplicity {m}"
+            )
+        dirs = [values[i] - entry.location for i in group]
+        if kind == "zero":
+            dirs = [1.0 / d for d in dirs]
+        base = cmath.phase(entry.residue) / m
+        fans.extend((i, entry, int(n)) for i, n in zip(group, _fan_indices(dirs, m, base)))
+    return fans
+
+
 def classify_branches(
     branches: list[BranchFamily], medium: LorentzMedium
 ) -> list[BranchFamily]:
-    """Attach the large-k and small-k limit labels to every branch."""
+    """Attach the large-k and small-k limit labels to every branch.
+
+    At the far end of the grid the two branches largest in modulus are the
+    unbounded pair and every other branch joins the fan of its nearest pole;
+    at the near end the two smallest are the pair through 0 and every other
+    branch joins the fan of its nearest zero.
+    """
     catalog = medium.catalog
-    table = medium.asymptotic_coefficients()
-    n = len(branches)
     end = np.array([b.omega[-1] for b in branches])
     start = np.array([b.omega[0] for b in branches])
 
-    hf_labels: list = [None] * n
-    # the two unbounded branches dominate in modulus at the far end
     by_mod = np.argsort(-np.abs(end))
-    cone = sorted(by_mod[:2], key=lambda i: end[i].real)
-    if end[cone[0]].real >= 0 or end[cone[1]].real <= 0:
-        raise UnclassifiableBranch("could not identify the two unbounded branches")
-    hf_labels[cone[0]] = MinusInf()
-    hf_labels[cone[1]] = PlusInf()
-
-    groups: dict[complex, list[int]] = {}
-    for i in by_mod[2:]:
-        entry = catalog.nearest_pole(end[i])
-        groups.setdefault(entry.location, []).append(i)
-    for loc, members in groups.items():
-        entry = next(p for p in catalog.poles if p.location == loc)
-        if len(members) != entry.multiplicity:
-            raise UnclassifiableBranch(
-                f"{len(members)} branches converge to pole {loc} "
-                f"of multiplicity {entry.multiplicity}"
-            )
+    hf = dict(zip(_straddling_pair(end, by_mod, "unbounded branches"), (MinusInf(), PlusInf())))
+    for i, entry, n in _fans(end, by_mod[2:], catalog.nearest_pole, "pole"):
         m = entry.multiplicity
-        base = cmath.phase(entry.residue) / m
-        dirs = [end[i] - loc for i in members]
-        for i, nn in zip(members, _fan_indices(dirs, m, base)):
-            hf_labels[i] = Pole(loc, int(nn), m, fan_root(entry.residue, m, nn))
+        hf[i] = Pole(entry.location, n, m, fan_root(entry.residue, m, n))
 
-    lf_labels: list = [None] * n
     by_mod0 = np.argsort(np.abs(start))
-    origin_pair = sorted(by_mod0[:2], key=lambda i: start[i].real)
-    if start[origin_pair[0]].real >= 0 or start[origin_pair[1]].real <= 0:
-        raise UnclassifiableBranch("could not identify the two branches through 0")
-    lf_labels[origin_pair[0]] = Zero0(1)
-    lf_labels[origin_pair[1]] = Zero0(2)
-
-    zgroups: dict[complex, list[int]] = {}
-    for i in by_mod0[2:]:
-        entry = catalog.nearest_zero(start[i])
-        if entry.klass is ZeroClass.ORIGIN:
-            raise UnclassifiableBranch(f"extra branch near the origin: {start[i]}")
-        zgroups.setdefault(entry.location, []).append(i)
-    for loc, members in zgroups.items():
-        entry = next(z for z in catalog.zeros if z.location == loc)
-        if len(members) != entry.multiplicity:
-            raise UnclassifiableBranch(
-                f"{len(members)} branches converge to zero {loc} "
-                f"of multiplicity {entry.multiplicity}"
-            )
+    lf = dict(zip(_straddling_pair(start, by_mod0, "branches through 0"), (Zero0(1), Zero0(2))))
+    for i, entry, n in _fans(start, by_mod0[2:], catalog.nearest_zero, "zero"):
         m = entry.multiplicity
         if entry.klass is ZeroClass.SIMPLE_REAL:
-            lf_labels[members[0]] = ZeroSimple(loc)
-            continue
-        # branch coefficient is 1/a_n where a_n are the m-th roots of the residue
-        base = cmath.phase(entry.residue) / m
-        dirs = [start[i] - loc for i in members]
-        inv_dirs = [1.0 / d for d in dirs]  # direction of a_n itself
-        for i, nn in zip(members, _fan_indices(inv_dirs, m, base)):
-            lf_labels[i] = ZeroMinus(loc, int(nn), m, 1.0 / fan_root(entry.residue, m, nn))
+            lf[i] = ZeroSimple(entry.location)
+        else:
+            lf[i] = ZeroMinus(entry.location, n, m, 1.0 / fan_root(entry.residue, m, n))
 
-    out = []
-    for b, hf, lf in zip(branches, hf_labels, lf_labels):
-        out.append(replace(b, hf_label=hf, lf_label=lf, asymptotic=table))
-    return out
+    return [replace(b, hf_label=hf[i], lf_label=lf[i]) for i, b in enumerate(branches)]
 
 
 # --- expansions and their verification -------------------------------------------------
 
 
-def hf_expansion(label, table: CoefficientTable):
-    """(expansion(k), next omitted power) for a large-k label."""
-    c = table.vacuum_speed
-    if isinstance(label, PlusInf):
-        return (
-            lambda k: c * k
-            + table.total_coupling / (2 * c) / k
-            - 1j * table.damped_coupling / (2 * c * c) / k**2,
-            -3.0,
-        )
-    if isinstance(label, MinusInf):
-        return (
-            lambda k: -c * k
-            - table.total_coupling / (2 * c) / k
-            - 1j * table.damped_coupling / (2 * c * c) / k**2,
-            -3.0,
-        )
-    if isinstance(label, Pole):
-        try:
-            coef = table.for_pole(label.location)
-        except KeyError:
-            # branch into a non-real pole: only the leading fan term is known
-            m = label.multiplicity
-            return (
-                lambda k: label.location + label.leading * k ** (-2.0 / m),
-                -4.0 / m,
-            )
-        if label.multiplicity == 1:
-            return (
-                lambda k: label.location
-                + coef.second_order / k**2
-                + coef.fourth_order / k**4,
-                -6.0,
-            )
-        sign = -1.0 if label.index == 1 else 1.0
-        # fan order n=1,2 corresponds to -+ the positive split for real residue
-        s = sign * coef.split
-        return (
-            lambda k, s=s: label.location + s / k + coef.second_order / k**2,
-            -3.0,
-        )
-    raise ValueError(f"not a large-k label: {label}")
+def _terms(label, table: CoefficientTable):
+    """(center, [(coefficient, power), ...] leading term first, next omitted power) of a branch label.
+
+    The branch is center + sum coefficient * k^power up to the omitted power.
+    Branches into a non-real pole and ZeroMinus branches carry only their
+    leading fan term, so their next omitted power is twice its power.
+    """
+    match label:
+        case PlusInf() | MinusInf():
+            c, s = table.vacuum_speed, (1.0 if isinstance(label, PlusInf) else -1.0)
+            coupling = s * table.total_coupling / (2 * c)
+            damped = -1j * table.damped_coupling / (2 * c * c)
+            return 0.0, [(s * c, 1.0), (coupling, -1.0), (damped, -2.0)], -3.0
+        case Zero0(index=r):
+            s = -1.0 if r == 1 else 1.0
+            return 0.0, [(s * table.static_speed, 1.0), (table.lf_second_order, 2.0)], 3.0
+        case ZeroSimple(location=z):
+            return z, [(table.for_zero(z).curvature, 2.0)], 4.0
+        case ZeroMinus(location=z, multiplicity=m, leading=a):
+            return z, [(a, 2.0 / m)], 4.0 / m
+        case Pole(location=p, index=n, multiplicity=m, leading=a):
+            try:
+                coef = table.for_pole(p)
+            except KeyError:  # a non-real pole
+                return p, [(a, -2.0 / m)], -4.0 / m
+            if m == 1:
+                return p, [(coef.second_order, -2.0), (coef.fourth_order, -4.0)], -6.0
+            # fan n = 1, 2 takes the -, + split of a real positive residue
+            split = -coef.split if n == 1 else coef.split
+            return p, [(split, -1.0), (coef.second_order, -2.0)], -3.0
+    raise ValueError(f"not a branch label: {label!r}")
 
 
-def lf_expansion(label, table: CoefficientTable):
-    """(expansion(k), next omitted power) for a small-k label."""
-    if isinstance(label, Zero0):
-        sign = -1.0 if label.index == 1 else 1.0
-        return (
-            lambda k: sign * table.static_speed * k + table.lf_second_order * k**2,
-            3.0,
-        )
-    if isinstance(label, ZeroSimple):
-        coef = table.for_zero(label.location)
-        return (lambda k: label.location + coef.curvature * k**2, 4.0)
-    if isinstance(label, ZeroMinus):
-        m = label.multiplicity
-        return (
-            lambda k: label.location + label.leading * k ** (2.0 / m),
-            4.0 / m,
-        )
-    raise ValueError(f"not a small-k label: {label}")
+def expansion(label, table: CoefficientTable):
+    """(omega(k), next omitted power): the asymptotic series of any branch label.
+
+    omega(k) takes a scalar or an array of k.  The same terms give the order
+    check of ``verify_asymptotics``, the leading-term band test of
+    ``diagnose_bands`` and the Newton anchors of ``energy.branch_eigenvalue``.
+    """
+    center, terms, omitted = _terms(label, table)
+    return (lambda k: sum((a * k**p for a, p in terms), center)), omitted
 
 
 @dataclass(frozen=True)
@@ -529,13 +507,9 @@ def verify_asymptotics(
     k for the high-frequency regime, smallest for the low-frequency one).
     """
     label = branch.hf_label if regime == "hf" else branch.lf_label
-    expansion, expected = (
-        hf_expansion(label, table) if regime == "hf" else lf_expansion(label, table)
-    )
+    series, expected = expansion(label, table)
     k_probe = np.asarray(sorted(k_probe), dtype=float)
-    res = np.array(
-        [abs(branch.omega_at(k) - expansion(k)) for k in k_probe], dtype=float
-    )
+    res = np.array([abs(branch.omega_at(k) - series(k)) for k in k_probe], dtype=float)
     if np.any(res == 0):
         fitted = expected
     else:
@@ -562,23 +536,8 @@ def verify_asymptotics(
 
 def _within_leading(branch: BranchFamily, table, regime: str) -> np.ndarray:
     """Mask over the grid: the branch sits within 25 percent of its leading term."""
-    k = branch.k
-    if regime == "hf":
-        label = branch.hf_label
-        if isinstance(label, (PlusInf, MinusInf)):
-            c = table.vacuum_speed
-            center, lead = 0.0, (c * k if isinstance(label, PlusInf) else -c * k)
-        else:
-            center, lead = label.location, label.leading * k ** (-2.0 / label.multiplicity)
-    else:
-        label = branch.lf_label
-        if isinstance(label, Zero0):
-            sign = -1.0 if label.index == 1 else 1.0
-            center, lead = 0.0, sign * table.static_speed * k
-        elif isinstance(label, ZeroSimple):
-            center, lead = label.location, table.for_zero(label.location).curvature * k**2
-        else:
-            center, lead = label.location, label.leading * k ** (2.0 / label.multiplicity)
+    center, [(a, p), *_], _ = _terms(branch.hf_label if regime == "hf" else branch.lf_label, table)
+    lead = a * branch.k**p
     return np.abs(branch.omega - center - lead) <= 0.25 * np.abs(lead)
 
 

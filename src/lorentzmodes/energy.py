@@ -22,17 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dispersion import (
-    MinusInf,
-    PlusInf,
-    Pole,
-    Zero0,
-    ZeroSimple,
-    _solvable_rows,
-    hf_expansion,
-    lf_expansion,
-    solve_dispersion,
-)
+from .dispersion import PlusInf, Pole, Zero0, _solvable_rows, expansion, solve_dispersion
 from .errors import (
     ExponentMismatch,
     NonPolynomialDecay,
@@ -52,6 +42,9 @@ MAX_PANEL_DOUBLINGS = 8
 
 #: default construction slack above the sharp Sobolev tail exponent
 DEFAULT_EPS = 0.1
+
+#: relative tolerance of a fitted exponent against its target
+GAMMA_TOL = 0.10
 
 
 # --- radial profiles --------------------------------------------------------------
@@ -115,17 +108,12 @@ class FixedRandomUnit:
 def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
     """The dispersion root at k on the labeled branch: the root nearest the branch's asymptotic anchor.
 
-    k must lie in the label's validity band.  A 1-D array of k gives one
+    The anchor is the label's ``expansion``, for any label.  k must lie in the label's validity band.  A 1-D array of k gives one
     root per k (a scalar k is the one-row stack).  Each row runs Newton from
     its anchor; only the rows whose root is not certified as the nearest one
     go through the full ``solve_dispersion`` and keep its nearest root.
     """
-    if isinstance(label, (PlusInf, MinusInf, Pole)):
-        anchor, _ = hf_expansion(label, table)
-    elif isinstance(label, (Zero0, ZeroSimple)):
-        anchor, _ = lf_expansion(label, table)
-    else:
-        raise ValueError(f"cannot anchor branch label {label}")
+    anchor, _ = expansion(label, table)
     scalar = np.ndim(k) == 0
     rows = _solvable_rows(medium, k)
     ks = np.atleast_1d(np.asarray(k, dtype=float))
@@ -292,21 +280,16 @@ def _log_time_grid(t_max: float) -> np.ndarray:
 def verify_gamma_hf(
     medium: LorentzMedium,
     m: float,
-    s: Optional[float] = None,
     eps: float = DEFAULT_EPS,
     k_plus: Optional[float] = None,
-    tolerance: float = 0.10,
 ) -> GammaReport:
     """Reproduce the optimal high-frequency exponent: m, or m/2 when critical.
 
     The initial datum follows the optimality construction: the slowest
     high-band branch eigenvector under the sharpest admissible Sobolev tail
     for class m (exponent 3/4 + m/2 + eps/2, so the observable exponent is
-    m + eps up to fit tolerance).  A caller-supplied s only declares the tail
-    class and must be admissible for m.
+    m + eps up to fit tolerance).
     """
-    if s is not None and not s > 1.5 + m:
-        raise ValueError(f"declared tail class needs s > 3/2 + m, got {s}")
     report = medium.check_assumptions()
     critical = report.criticality is Criticality.CRITICAL
     table = medium.asymptotic_coefficients()
@@ -348,7 +331,7 @@ def verify_gamma_hf(
     )
     window = (max(1e2, t_onset), t_max)
     fitted, _ = fit_exponent(record, window)
-    out = GammaReport(target, fitted, tolerance, record, window)
+    out = GammaReport(target, fitted, GAMMA_TOL, record, window)
     if not out.ok:
         raise ExponentMismatch(out.text())
     return out
@@ -358,7 +341,6 @@ def verify_gamma_lf(
     medium: LorentzMedium,
     p: float,
     k_minus: Optional[float] = None,
-    tolerance: float = 0.10,
 ) -> GammaReport:
     """Reproduce the optimal low-frequency exponent p + 3/2."""
     table = medium.asymptotic_coefficients()
@@ -382,7 +364,7 @@ def verify_gamma_lf(
     )
     window = (max(1e2, t_onset), t_max)
     fitted, _ = fit_exponent(record, window)
-    out = GammaReport(p + 1.5, fitted, tolerance, record, window)
+    out = GammaReport(p + 1.5, fitted, GAMMA_TOL, record, window)
     if not out.ok:
         raise ExponentMismatch(out.text())
     return out

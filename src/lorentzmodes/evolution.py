@@ -188,10 +188,10 @@ def midband_rate(
     ks = np.geomspace(k_lo, k_hi, samples)
     # slowest modal rate over the sampled band: minus the spectral abscissa
     abscissa = -float(np.max(solve_dispersion(medium, ks).imag))
+    if abscissa <= 0:
+        raise NonPositiveRate("spectrum reaches the real axis inside the band")
     if t_grid is None:
         # long enough to resolve the slowest expected rate in the band
-        if abscissa <= 0:
-            raise NonPositiveRate("spectrum reaches the real axis inside the band")
         t_grid = np.linspace(0.0, 20.0 / abscissa, 400)
     rates, _ = _rate_samples(medium, ks, np.asarray(t_grid, float), seed)
     beta = float(np.min(rates))

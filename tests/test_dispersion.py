@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import polyroots
 from lorentzmodes.errors import (
+    AsymptoticMismatch,
     AssumptionViolated,
     BranchCollision,
     DegenerateLeadingCoefficient,
@@ -666,6 +668,58 @@ class TestClassification:
             assert gap == pytest.approx(2.0 * split / k_end, rel=0.1)
 
 
+    @staticmethod
+    def _moved(branches, pick, index, value):
+        """branches with omega[index] of the first branch that pick accepts replaced by value(that omega)."""
+        j = next(i for i, b in enumerate(branches) if pick(b))
+        omega = branches[j].omega.copy()
+        omega[index] = value(omega)
+        return branches[:j] + [replace(branches[j], omega=omega)] + branches[j + 1 :]
+
+    def test_unbounded_ends_on_one_side_refused(self, reference_branches, reference_medium):
+        moved = self._moved(
+            reference_branches,
+            lambda b: isinstance(b.hf_label, dsp.MinusInf),
+            -1,
+            lambda w: -np.conj(w[-1]),
+        )
+        with pytest.raises(UnclassifiableBranch, match="^could not identify the two unbounded branches$"):
+            dsp.classify_branches(moved, reference_medium)
+
+    def test_origin_starts_on_one_side_refused(self, reference_branches, reference_medium):
+        moved = self._moved(
+            reference_branches,
+            lambda b: b.lf_label == dsp.Zero0(1),
+            0,
+            lambda w: -np.conj(w[0]),
+        )
+        with pytest.raises(UnclassifiableBranch, match="^could not identify the two branches through 0$"):
+            dsp.classify_branches(moved, reference_medium)
+
+    def test_pole_fan_with_the_wrong_count_refused(self, reference_branches, reference_medium):
+        poles = [b for b in reference_branches if isinstance(b.hf_label, dsp.Pole)]
+        target = poles[1].hf_label.location
+        moved = self._moved(reference_branches, lambda b: b is poles[0], -1, lambda w: poles[1].omega[-1])
+        with pytest.raises(
+            UnclassifiableBranch,
+            match=rf"^2 branches converge to pole {re.escape(str(target))} of multiplicity 1$",
+        ):
+            dsp.classify_branches(moved, reference_medium)
+
+    def test_extra_branch_near_the_origin_refused(self, reference_branches, reference_medium):
+        origin = next(b for b in reference_branches if b.lf_label == dsp.Zero0(2))
+        moved = self._moved(
+            reference_branches,
+            lambda b: isinstance(b.lf_label, dsp.ZeroMinus),
+            0,
+            lambda w: 3.0 * origin.omega[0],
+        )
+        with pytest.raises(
+            UnclassifiableBranch,
+            match=rf"^extra branch near the origin: {re.escape(str(3.0 * origin.omega[0]))}$",
+        ):
+            dsp.classify_branches(moved, reference_medium)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_fan_indices_reach_the_optimal_assignment(self, m):
         rng = np.random.default_rng(m)
@@ -766,6 +820,15 @@ class TestAsymptoticVerification:
         for b in double_pole_branches:
             assert dsp.verify_asymptotics(b, table, hf, regime="hf").ok
             assert dsp.verify_asymptotics(b, table, lf, regime="lf").ok
+
+    def test_wrong_label_is_a_mismatch(self, reference_branches, reference_medium):
+        table = reference_medium.asymptotic_coefficients()
+        b = next(x for x in reference_branches if isinstance(x.hf_label, dsp.PlusInf))
+        probes = b.k[(b.k >= 20) & (b.k <= 1000)][::40]
+        with pytest.raises(
+            AsymptoticMismatch, match=r"^MinusInf: fitted residual order 1\.000, expected -3\.000$"
+        ):
+            dsp.verify_asymptotics(replace(b, hf_label=dsp.MinusInf()), table, probes, regime="hf")
 
 
 def _origin_fans(medium, terms=1):

@@ -100,9 +100,8 @@ def _anchored_labels(medium):
 def _argmin_pick(medium, label, ks):
     """The root nearest the anchor among all N roots of the full solve."""
     table = medium.asymptotic_coefficients()
-    expansion = dsp.lf_expansion if isinstance(label, dsp.Zero0) else dsp.hf_expansion
     roots = dsp.solve_dispersion(medium, ks)
-    anchor = expansion(label, table)[0](ks)
+    anchor = dsp.expansion(label, table)[0](ks)
     return roots[np.arange(len(ks)), np.argmin(np.abs(roots - anchor[:, None]), axis=1)]
 
 
@@ -138,6 +137,19 @@ class TestBranchEigenvalue:
         expected = _argmin_pick(reference_medium, dsp.PlusInf(), ks)
         assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected))
         assert en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), 2.0) == omega[0]
+
+    @pytest.mark.parametrize("name", ["reference", "critical", "double_pole"])
+    def test_every_label_anchors_to_its_tracked_branch(self, name, request):
+        # ZeroMinus, non-real poles and double-pole fans included
+        medium = request.getfixturevalue(f"{name}_medium")
+        branches = request.getfixturevalue(f"{name}_branches")
+        table = medium.asymptotic_coefficients()
+        k_minus, k_plus = dsp.diagnose_bands(branches, table)
+        k = branches[0].k
+        for b in branches:
+            for label, band in ((b.hf_label, k >= k_plus), (b.lf_label, k <= k_minus)):
+                omega = en.branch_eigenvalue(medium, table, label, k[band])
+                assert np.all(np.abs(omega - b.omega[band]) <= 1e-12 * np.abs(b.omega[band])), label
 
     def test_nan_wavenumber_refused_typed(self, reference_medium):
         table = reference_medium.asymptotic_coefficients()
@@ -286,10 +298,6 @@ class TestGammaHF:
 
     def test_critical_m2(self, hf_report_critical):
         assert 0.9 <= hf_report_critical.fitted <= 1.1
-
-    def test_declared_class_must_be_admissible(self, reference_medium):
-        with pytest.raises(ValueError):
-            en.verify_gamma_hf(reference_medium, 2.0, s=3.0)
 
     def test_lossless_medium_refused_typed(self, undamped_medium):
         with pytest.raises(ExponentMismatch, match="no dissipation reaches the high band"):

@@ -12,6 +12,7 @@ from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
 from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
+from lorentzmodes.errors import NonPositiveRate
 
 
 @pytest.fixture()
@@ -184,6 +185,12 @@ class TestMidBand:
             for k, _ in fit.per_k
         )
         assert fit.rate_constant == pytest.approx(abscissa, rel=0.10)
+
+    def test_real_spectrum_refused_with_a_given_time_grid(self, undamped_medium):
+        with pytest.raises(NonPositiveRate, match="spectrum reaches the real axis"):
+            evo.midband_rate(
+                undamped_medium, (0.1, 10.0), samples=5, t_grid=np.linspace(0, 50, 200), seed=24
+            )
 
 
 def test_stacked_paths_build_nothing_per_k(monkeypatch, reference_medium, reference_bands):
