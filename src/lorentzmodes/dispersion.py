@@ -497,6 +497,15 @@ class ConvergenceReport:
         )
 
 
+def _regime_label(branch: BranchFamily, regime: str):
+    """The branch's large-k label for regime "hf", its small-k label for "lf"."""
+    if regime == "hf":
+        return branch.hf_label
+    if regime == "lf":
+        return branch.lf_label
+    raise ValueError(f"regime must be 'hf' or 'lf', got {regime!r}")
+
+
 def verify_asymptotics(
     branch: BranchFamily, table: CoefficientTable, k_probe: Sequence[float],
     regime: str = "hf",
@@ -505,8 +514,9 @@ def verify_asymptotics(
 
     The fitted order comes from least squares on the 3 extreme probes (largest
     k for the high-frequency regime, smallest for the low-frequency one).
+    ``regime`` is "hf" or "lf"; any other value raises ValueError.
     """
-    label = branch.hf_label if regime == "hf" else branch.lf_label
+    label = _regime_label(branch, regime)
     series, expected = expansion(label, table)
     k_probe = np.asarray(sorted(k_probe), dtype=float)
     res = np.array([abs(branch.omega_at(k) - series(k)) for k in k_probe], dtype=float)
@@ -536,7 +546,7 @@ def verify_asymptotics(
 
 def _within_leading(branch: BranchFamily, table, regime: str) -> np.ndarray:
     """Mask over the grid: the branch sits within 25 percent of its leading term."""
-    center, [(a, p), *_], _ = _terms(branch.hf_label if regime == "hf" else branch.lf_label, table)
+    center, [(a, p), *_], _ = _terms(_regime_label(branch, regime), table)
     lead = a * branch.k**p
     return np.abs(branch.omega - center - lead) <= 0.25 * np.abs(lead)
 

@@ -12,6 +12,10 @@ a Rouché certificate that it is the root nearest the anchor.  The rare node
 it leaves unsettled (near a band edge) takes the full stacked root solve.  No
 operator, eigendecomposition or propagation is involved.  A fixed random
 direction costs one stacked u_+ eigendecomposition per rule.
+
+``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run and differ
+only in the branch, onset time, profile and target.  A band edge not given
+defaults to ``medium.diagnosed_bands``, tracked once per medium.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     QuadratureNonconvergent,
     WindowTooShort,
 )
-from .medium import CoefficientTable, Criticality, LorentzMedium
+from .medium import Criticality, LorentzMedium
 from .operators import _modal_norms
 from .polyroots import certified_root_near
 # unused here, kept because perfbench/spans.py wraps these three at these names
@@ -105,15 +109,17 @@ class FixedRandomUnit:
     seed: int = 0
 
 
-def branch_eigenvalue(medium: LorentzMedium, table: CoefficientTable, label, k):
-    """The dispersion root at k on the labeled branch: the root nearest the branch's asymptotic anchor.
+def branch_eigenvalue(medium: LorentzMedium, label, k):
+    """The dispersion root at k on the labeled branch: the root nearest its asymptotic anchor.
 
-    The anchor is the label's ``expansion``, for any label.  k must lie in the label's validity band.  A 1-D array of k gives one
-    root per k (a scalar k is the one-row stack).  Each row runs Newton from
-    its anchor; only the rows whose root is not certified as the nearest one
-    go through the full ``solve_dispersion`` and keep its nearest root.
+    The anchor is the label's ``expansion`` over the medium's coefficient
+    table, for any label.  k must lie in the label's validity band.  A 1-D
+    array of k gives one root per k (a scalar k is the one-row stack).  Each
+    row runs Newton from its anchor; only the rows whose root is not
+    certified as the nearest one go through the full ``solve_dispersion`` and
+    keep its nearest root.
     """
-    anchor, _ = expansion(label, table)
+    anchor, _ = expansion(label, medium.asymptotic_coefficients())
     scalar = np.ndim(k) == 0
     rows = _solvable_rows(medium, k)
     ks = np.atleast_1d(np.asarray(k, dtype=float))
@@ -142,9 +148,6 @@ class DecayRecord:
     energy: np.ndarray
     tag: str
     panels: int
-    gamma: Optional[float] = None
-    gamma_confidence: Optional[float] = None
-    fit_window: Optional[tuple] = None
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1], shared by every panel rule
@@ -178,10 +181,9 @@ def simulate_energy(
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(direction_rule, OptimalBranch):
-        table = medium.asymptotic_coefficients()
 
         def rule_traces(ks):
-            omega = branch_eigenvalue(medium, table, direction_rule.label, ks)
+            omega = branch_eigenvalue(medium, direction_rule.label, ks)
             return np.exp(2.0 * np.outer(omega.imag, t_grid))
 
     elif isinstance(direction_rule, FixedRandomUnit):
@@ -238,12 +240,7 @@ def fit_exponent(record: DecayRecord, window: tuple[float, float]):
         raise NonPolynomialDecay(
             f"local slopes drift monotonically by {drift:.3f}; not a power law"
         )
-    gamma = float(-slope)
-    confidence = float(np.max(np.abs(local - slope)))
-    record.gamma = gamma
-    record.gamma_confidence = confidence
-    record.fit_window = (float(t_lo), float(t_hi))
-    return gamma, confidence
+    return float(-slope), float(np.max(np.abs(local - slope)))
 
 
 # --- exponent verification -------------------------------------------------------------
@@ -253,19 +250,18 @@ def fit_exponent(record: DecayRecord, window: tuple[float, float]):
 class GammaReport:
     target: float
     fitted: float
-    tolerance: float
     record: DecayRecord
     window: tuple[float, float]
 
     @property
     def ok(self) -> bool:
-        return abs(self.fitted - self.target) <= self.tolerance * self.target
+        return abs(self.fitted - self.target) <= GAMMA_TOL * self.target
 
     def text(self) -> str:
         status = "ok" if self.ok else "MISMATCH"
         return (
             f"tag={self.record.tag} fitted_gamma={self.fitted:.4f} "
-            f"target={self.target:.4f} tol={self.tolerance:.0%} "
+            f"target={self.target:.4f} tol={GAMMA_TOL:.0%} "
             f"window=[{self.window[0]:g},{self.window[1]:g}] {status}\n"
             "note: the fitted exponent certifies the constructed optimal family "
             "up to fit tolerance; the theorem supremum is over all admissible data."
@@ -275,6 +271,26 @@ class GammaReport:
 def _log_time_grid(t_max: float) -> np.ndarray:
     n = int(round(20 * math.log10(t_max))) + 1  # 20 times per decade
     return np.geomspace(1.0, t_max, n)
+
+
+def _exponent_run(medium, label, t_onset, profile_at, target, tag) -> GammaReport:
+    """Fit the energy decay of the ``label`` branch datum against its target exponent.
+
+    The run lasts t_max = max(1e4, 100 t_onset) on a log time grid; the
+    profile is built for that t_max, and the fit window is
+    (max(1e2, t_onset), t_max).  A fit off the target by more than GAMMA_TOL
+    raises ExponentMismatch with the report text.
+    """
+    t_max = max(1e4, 100.0 * t_onset)
+    record = simulate_energy(
+        medium, profile_at(t_max), OptimalBranch(label), _log_time_grid(t_max), tag=tag
+    )
+    window = (max(1e2, t_onset), t_max)
+    fitted, _ = fit_exponent(record, window)
+    out = GammaReport(target, fitted, record, window)
+    if not out.ok:
+        raise ExponentMismatch(out.text())
+    return out
 
 
 def verify_gamma_hf(
@@ -290,17 +306,13 @@ def verify_gamma_hf(
     for class m (exponent 3/4 + m/2 + eps/2, so the observable exponent is
     m + eps up to fit tolerance).
     """
-    report = medium.check_assumptions()
-    critical = report.criticality is Criticality.CRITICAL
+    critical = medium.check_assumptions().criticality is Criticality.CRITICAL
     table = medium.asymptotic_coefficients()
     if k_plus is None:
-        k_plus = diagnosed_bands(medium)[1]
+        k_plus = medium.diagnosed_bands[1]
 
     if critical:
-        pole = next(
-            (p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12),
-            None,
-        )
+        pole = next((p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12), None)
         if pole is None:
             raise ExponentMismatch("critical medium has no lossless-at-order-2 pole")
         label = Pole(pole.pole, 1, 1, pole.second_order)
@@ -315,26 +327,14 @@ def verify_gamma_hf(
     if sigma == 0:
         raise ExponentMismatch("no dissipation reaches the high band")
 
-    s_run = 1.5 + m + eps
+    def profile_at(t_max):
+        k_star = (sigma * t_max) ** (1.0 / power)
+        return sobolev_tail(m, 1.5 + m + eps, k_plus, 30.0 * k_star)
+
     # the dominant wavenumber (sigma*t)^(1/power) must sit deep inside the band
     t_onset = (8.0 * k_plus) ** power / sigma
-    t_max = max(1e4, 100.0 * t_onset)
-    k_star = (sigma * t_max) ** (1.0 / power)
-    profile = sobolev_tail(m, s_run, k_plus, 30.0 * k_star)
-    t_grid = _log_time_grid(t_max)
-    record = simulate_energy(
-        medium,
-        profile,
-        OptimalBranch(label),
-        t_grid,
-        tag=f"hf(m={m:g},{'critical' if critical else 'non-critical'})",
-    )
-    window = (max(1e2, t_onset), t_max)
-    fitted, _ = fit_exponent(record, window)
-    out = GammaReport(target, fitted, GAMMA_TOL, record, window)
-    if not out.ok:
-        raise ExponentMismatch(out.text())
-    return out
+    tag = f"hf(m={m:g},{'critical' if critical else 'non-critical'})"
+    return _exponent_run(medium, label, t_onset, profile_at, target, tag)
 
 
 def verify_gamma_lf(
@@ -345,29 +345,17 @@ def verify_gamma_lf(
     """Reproduce the optimal low-frequency exponent p + 3/2."""
     table = medium.asymptotic_coefficients()
     if k_minus is None:
-        k_minus = diagnosed_bands(medium)[0]
+        k_minus = medium.diagnosed_bands[0]
     sigma = 2.0 * abs(table.lf_second_order.imag)
     if sigma == 0:
         raise ExponentMismatch("no dissipation reaches the low band")
 
-    t_onset = 30.0 / (sigma * k_minus**2)
-    t_max = max(1e4, 100.0 * t_onset)
-    k_floor = math.sqrt(1.0 / (sigma * t_max)) / 20.0
-    profile = power_law(p, k_floor, k_minus)
-    t_grid = _log_time_grid(t_max)
-    record = simulate_energy(
-        medium,
-        profile,
-        OptimalBranch(Zero0(1)),
-        t_grid,
-        tag=f"lf(p={p:g})",
+    def profile_at(t_max):
+        return power_law(p, math.sqrt(1.0 / (sigma * t_max)) / 20.0, k_minus)
+
+    return _exponent_run(
+        medium, Zero0(1), 30.0 / (sigma * k_minus**2), profile_at, p + 1.5, f"lf(p={p:g})"
     )
-    window = (max(1e2, t_onset), t_max)
-    fitted, _ = fit_exponent(record, window)
-    out = GammaReport(p + 1.5, fitted, GAMMA_TOL, record, window)
-    if not out.ok:
-        raise ExponentMismatch(out.text())
-    return out
 
 
 def convergence_to_zero(
@@ -378,19 +366,9 @@ def convergence_to_zero(
 ) -> DecayRecord:
     """Full-band energy run demonstrating monotone decay toward zero."""
     if k_band is None:
-        k_minus, k_plus = diagnosed_bands(medium)
+        k_minus, k_plus = medium.diagnosed_bands
         k_band = (k_minus / 10.0, 10.0 * k_plus)
     profile = power_law(0.0, *k_band)
-    record = simulate_energy(
-        medium,
-        profile,
-        FixedRandomUnit(seed),
-        np.asarray(t_list, float),
-        tag="full-band",
+    return simulate_energy(
+        medium, profile, FixedRandomUnit(seed), np.asarray(t_list, float), tag="full-band"
     )
-    return record
-
-
-def diagnosed_bands(medium: LorentzMedium) -> tuple[float, float]:
-    """(k_minus, k_plus) from tracked branches, kept on the medium."""
-    return medium.diagnosed_bands

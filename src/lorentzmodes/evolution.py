@@ -50,9 +50,7 @@ def propagate(
         try:
             dec = op.eigen
         except NotDiagonalizable:
-            result = propagate(op, u0, t_grid, method="oracle", keep_states=keep_states)
-            result.method = "Oracle"
-            return result
+            return propagate(op, u0, t_grid, method="oracle", keep_states=keep_states)
         comps = dec.projectors @ u0  # (n_eigs, dim)
         phases = np.exp(-1j * np.outer(t_grid, dec.eigenvalues))  # (nt, n_eigs)
         states = phases @ comps

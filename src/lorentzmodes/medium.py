@@ -449,9 +449,8 @@ class LorentzMedium:
             for pair in pairs
             for r in pair
         ]
-        groups = _merge_close([r for r, _ in tagged], COINCIDENCE_TOL)
         entries = []
-        for rep, members in groups:
+        for rep, members in _merge_close([r for r, _ in tagged], COINCIDENCE_TOL):
             mult = len(members)
             if mult > 1:
                 # only shared exact resonances (or an exactly repeated root of
@@ -466,19 +465,9 @@ class LorentzMedium:
                 klass = PoleClass.SIMPLE_REAL if mult == 1 else PoleClass.DOUBLE_REAL
             else:
                 klass = PoleClass.MINUS
-            entries.append((rep, mult, klass))
-
-        out = []
-        for rep, mult, klass in entries:
-            out.append(
-                PoleEntry(
-                    location=rep,
-                    multiplicity=mult,
-                    klass=klass,
-                    residue=self._branch_series(rep, -mult)[1][0],
-                )
-            )
-        return out
+            residue = self._branch_series(rep, -mult)[1][0]
+            entries.append(PoleEntry(location=rep, multiplicity=mult, klass=klass, residue=residue))
+        return entries
 
     def _family_zero_roots(self):
         """Zeros of eps and of mu, classified structurally as real or not."""

@@ -830,6 +830,18 @@ class TestAsymptoticVerification:
         ):
             dsp.verify_asymptotics(replace(b, hf_label=dsp.MinusInf()), table, probes, regime="hf")
 
+    def test_unknown_regime_refused(self, reference_branches, reference_medium):
+        # on these probes the branch's low-band ZeroMinus label also passes the
+        # order check (3.92 against 4), so a regime read as "lf" would go unseen
+        table = reference_medium.asymptotic_coefficients()
+        b = next(x for x in reference_branches if isinstance(x.hf_label, dsp.PlusInf))
+        probes = b.k[b.k >= 20][::5][:12]
+        for regime in ("HF", "low", ""):
+            with pytest.raises(ValueError, match=f"regime must be 'hf' or 'lf', got '{regime}'"):
+                dsp.verify_asymptotics(b, table, probes, regime=regime)
+            with pytest.raises(ValueError, match="regime must be"):
+                dsp._within_leading(b, table, regime)
+
 
 def _origin_fans(medium, terms=1):
     """Engine series of the two origin fans, the -static_speed fan first."""

@@ -58,36 +58,35 @@ class TestClosedFormTrace:
 
     @staticmethod
     def _compare(medium, label, ks):
-        table = medium.asymptotic_coefficients()
         t = en._log_time_grid(1e5)
-        omega = en.branch_eigenvalue(medium, table, label, ks)
+        omega = en.branch_eigenvalue(medium, label, ks)
         closed = np.exp(2.0 * np.outer(omega.imag, t))
         for k, row in zip(ks, closed):
-            w = en.branch_eigenvalue(medium, table, label, float(k))
+            w = en.branch_eigenvalue(medium, label, float(k))
             op = build_perp_operator(medium, float(k))
             v = eigenvector_columns(medium, float(k), w)[:, 0]
             full = propagate(op, v / op.norm(v), t, keep_states=False).norms ** 2
             assert np.all(np.abs(full - row) <= 1e-8 * row + 1e-20)
 
     def test_reference_low_band(self, reference_medium):
-        k_minus = en.diagnosed_bands(reference_medium)[0]
+        k_minus = reference_medium.diagnosed_bands[0]
         self._compare(reference_medium, dsp.Zero0(1), np.geomspace(k_minus / 100, k_minus, 6))
 
     def test_reference_high_band(self, reference_medium):
-        k_plus = en.diagnosed_bands(reference_medium)[1]
+        k_plus = reference_medium.diagnosed_bands[1]
         self._compare(reference_medium, dsp.PlusInf(), np.geomspace(k_plus, 100 * k_plus, 6))
 
     def test_critical_pole(self, critical_medium):
         table = critical_medium.asymptotic_coefficients()
         pole = next(p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12)
         label = dsp.Pole(pole.pole, 1, 1, pole.second_order)
-        k_plus = en.diagnosed_bands(critical_medium)[1]
+        k_plus = critical_medium.diagnosed_bands[1]
         self._compare(critical_medium, label, np.geomspace(k_plus, 100 * k_plus, 6))
 
 
 def _anchored_labels(medium):
     """(label, band wavenumbers) of every anchored run: Zero0(1) low, PlusInf high, a critical Pole."""
-    k_minus, k_plus = en.diagnosed_bands(medium)
+    k_minus, k_plus = medium.diagnosed_bands
     low, high = np.geomspace(k_minus / 1e4, k_minus, 120), np.geomspace(k_plus, 1e3 * k_plus, 120)
     labels = [(dsp.Zero0(1), low), (dsp.PlusInf(), high)]
     table = medium.asymptotic_coefficients()
@@ -114,16 +113,14 @@ class TestBranchEigenvalue:
     def test_matches_full_solve_pick(self, name, request):
         # the band grids start at the band edges, where the anchors are least accurate
         medium = request.getfixturevalue(name)
-        table = medium.asymptotic_coefficients()
         for label, ks in _anchored_labels(medium):
-            omega = en.branch_eigenvalue(medium, table, label, ks)
+            omega = en.branch_eigenvalue(medium, label, ks)
             expected = _argmin_pick(medium, label, ks)
             assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected)), label
-            scalar = [en.branch_eigenvalue(medium, table, label, float(k)) for k in ks]
+            scalar = [en.branch_eigenvalue(medium, label, float(k)) for k in ks]
             np.testing.assert_array_equal(np.array(scalar), omega)
 
     def test_unsettled_rows_take_the_full_solve_pick(self, reference_medium, monkeypatch):
-        table = reference_medium.asymptotic_coefficients()
         ks = np.geomspace(2.0, 200.0, 9)
         newton = en.certified_root_near
 
@@ -133,10 +130,10 @@ class TestBranchEigenvalue:
             return roots, settled & (np.arange(len(rows)) % 2 == 1)
 
         monkeypatch.setattr(en, "certified_root_near", every_other_unsettled)
-        omega = en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), ks)
+        omega = en.branch_eigenvalue(reference_medium, dsp.PlusInf(), ks)
         expected = _argmin_pick(reference_medium, dsp.PlusInf(), ks)
         assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected))
-        assert en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), 2.0) == omega[0]
+        assert en.branch_eigenvalue(reference_medium, dsp.PlusInf(), 2.0) == omega[0]
 
     @pytest.mark.parametrize("name", ["reference", "critical", "double_pole"])
     def test_every_label_anchors_to_its_tracked_branch(self, name, request):
@@ -148,23 +145,22 @@ class TestBranchEigenvalue:
         k = branches[0].k
         for b in branches:
             for label, band in ((b.hf_label, k >= k_plus), (b.lf_label, k <= k_minus)):
-                omega = en.branch_eigenvalue(medium, table, label, k[band])
+                omega = en.branch_eigenvalue(medium, label, k[band])
                 assert np.all(np.abs(omega - b.omega[band]) <= 1e-12 * np.abs(b.omega[band])), label
 
     def test_nan_wavenumber_refused_typed(self, reference_medium):
-        table = reference_medium.asymptotic_coefficients()
         for k in (np.nan, np.array([1.0, np.nan])):
             with pytest.raises(InvalidWavenumber, match="k = nan"):
-                en.branch_eigenvalue(reference_medium, table, dsp.PlusInf(), k)
+                en.branch_eigenvalue(reference_medium, dsp.PlusInf(), k)
 
     def test_few_rows_reach_the_full_solve(self, reference_medium, critical_medium, monkeypatch):
         # counts rows, times nothing
         counts = {"rows": 0, "full": 0}
         branch, full = en.branch_eigenvalue, en.solve_dispersion
 
-        def counted_branch(medium, table, label, k):
+        def counted_branch(medium, label, k):
             counts["rows"] += np.size(k)
-            return branch(medium, table, label, k)
+            return branch(medium, label, k)
 
         def counted_full(medium, k):
             counts["full"] += np.size(k)
@@ -219,8 +215,8 @@ class TestDiagnosedBands:
             return track(*args, **kwargs)
 
         monkeypatch.setattr(dsp, "track_branches", counting)
-        first = en.diagnosed_bands(medium)
-        assert en.diagnosed_bands(medium) == first
+        first = medium.diagnosed_bands
+        assert medium.diagnosed_bands == first
         assert len(calls) == 1
         ref = weakref.ref(medium)
         del medium
@@ -287,7 +283,7 @@ class TestGammaLF:
         assert report.fitted == pytest.approx(2.5, abs=0.25)
 
     def test_discretization_independence(self, reference_medium, lf_report_p0):
-        k_minus = en.diagnosed_bands(reference_medium)[0]
+        k_minus = reference_medium.diagnosed_bands[0]
         halved = en.verify_gamma_lf(reference_medium, 0.0, k_minus=k_minus / 2)
         assert abs(halved.fitted - lf_report_p0.fitted) <= 0.05
 
@@ -313,6 +309,33 @@ class TestGammaHF:
         product = rec.energy[sel] * rec.t_grid[sel] ** 2.0
         assert product.max() <= 10.0 * product.min() + 1e-30
         assert product[-1] <= product[0]
+
+
+class TestExponentMismatch:
+    """The shared exponent run raises on a fit outside GAMMA_TOL, read at call time."""
+
+    @pytest.mark.parametrize(
+        "name, run, param, tag",
+        [
+            ("reference_medium", en.verify_gamma_lf, 0.0, "tag=lf(p=0)"),
+            ("reference_medium", en.verify_gamma_hf, 2.0, "tag=hf(m=2,non-critical)"),
+            ("critical_medium", en.verify_gamma_hf, 2.0, "tag=hf(m=2,critical)"),
+        ],
+    )
+    def test_tight_tolerance_raises_with_the_run_tag(self, name, run, param, tag, request,
+                                                      monkeypatch):
+        medium = request.getfixturevalue(name)
+        monkeypatch.setattr(en, "GAMMA_TOL", 1e-9)
+        with pytest.raises(ExponentMismatch) as info:
+            run(medium, param)
+        message = str(info.value)
+        assert tag in message
+        assert "MISMATCH" in message
+        assert "tol=0%" in message
+
+    def test_default_tolerance_in_the_report(self, lf_report_p0):
+        assert lf_report_p0.ok
+        assert "tol=10% " in lf_report_p0.text()
 
 
 class TestEnergyRuns:
