@@ -14,14 +14,16 @@ k, it gives the evolved norms of the energy and envelope runs and the projector
 sweeps, and no other module splits the polarisations.  The electric and magnetic
 oscillator families enter every formula in the same way and are walked by one
 loop.  Besides the matrices this module provides the explicit resolvent, the
-contour-integral projectors and the slow-branch optimal initial data.
+contour-integral projectors and the slow-branch optimal initial data.  The
+resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same
+map as the projectors, and the contour sums only u_+ resolvents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -175,10 +177,14 @@ class PerpOperator:
         norms = np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2, axis=-1))
         return float(norms) if norms.ndim == 0 else norms
 
+    @cached_property
+    def _sqrt_gram(self) -> np.ndarray:
+        return np.sqrt(self.gram_diag)
+
     def operator_norm(self, mat: np.ndarray) -> float:
         """Spectral norm of mat measured in the weighted inner product."""
-        s = np.sqrt(self.gram_diag)
-        return float(np.linalg.norm((mat * s[:, None]) / s[None, :], 2))
+        s = self._sqrt_gram
+        return float(np.linalg.svd((mat * s[:, None]) / s[None, :], compute_uv=False)[0])
 
     @cached_property
     def eigen(self):
@@ -261,14 +267,25 @@ def build_full_operator(medium: LorentzMedium, k_vector) -> np.ndarray:
 
 
 def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
-    """Points where the formula path degenerates: spectrum, poles, mu-zeros, 0."""
+    """Points where the formula path degenerates: spectrum, poles, mu-zeros, 0.
+
+    Memoised per (medium, k) as a read-only array, so the guarded resolvent and
+    the contour projector at one wavenumber share one dispersion solve.
+    """
+    return _singular_set(medium, float(k))
+
+
+@lru_cache(maxsize=16)
+def _singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
     from .dispersion import solve_dispersion
 
     pts = [0.0 + 0.0j]
     pts.extend(p.location for p in medium.catalog.poles)
     pts.extend(medium.family_zeros[1])
     pts.extend(solve_dispersion(medium, k))
-    return np.asarray(pts, dtype=complex)
+    out = np.asarray(pts, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 def resolvent_formula(
@@ -277,8 +294,8 @@ def resolvent_formula(
     """Explicit inverse of (A - omega I) assembled from the factored blocks.
 
     omega may be a scalar or an array; the result has shape
-    ``omega.shape + (dim, dim)``, one resolvent per omega, built by
-    broadcasting the 2 x 2 block coefficients over omega.  Raises
+    ``omega.shape + (dim, dim)``, one resolvent per omega: the lift of the
+    u_+ resolvent R_+, since (A - omega)^-1 is S R_+ S on u_-.  Raises
     NearSingularEvaluation when any omega is too close to the spectrum or to
     the removable-singularity set of the auxiliary term.
     """
@@ -291,48 +308,57 @@ def resolvent_formula(
             raise NearSingularEvaluation(
                 f"omega={bad} within guard distance of the singular sets"
             )
-    lay = layout_for(medium)
-    dim = lay.dim
-    eye = np.eye(2)
-    w = omega[..., None, None]  # every block coefficient is a scalar times eye
+    return _lift(_resolvent_plus(medium, k, omega), _flip(medium))
+
+
+def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.ndarray:
+    """(A_+ - omega)^-1 on u_+, shape ``omega.shape + (N, N)``, unguarded.
+
+    The factored formula with J2 -> i: the resolvent is v s^T + t, where the
+    eigenspace map v and the row s are N-vectors, and each family's
+    oscillators fill their blocks as one array.
+    """
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    w = omega[..., None]  # block coefficients broadcast along the last axis
     mu = medium.permeability(w)
     eps_mu_omega2 = w * w * medium.permittivity(w) * mu
-
-    # row maps F -> 2-vector, as 2 x dim matrices
-    def rows(block_a, block_b, ca, cb):
-        r = np.zeros(omega.shape + (2, dim), dtype=complex)
-        r[..., block_a] = ca * eye
-        r[..., block_b] = cb * eye
-        return r
-
-    t_mat = np.zeros(omega.shape + (dim, dim), dtype=complex)
+    v = np.zeros(omega.shape + (lay.dim,), dtype=complex)
+    t = np.zeros(omega.shape + (lay.dim, lay.dim), dtype=complex)
     a_rows = []  # A_e(omega), then A_m(omega)
-    for field, base, oscillators, pos, vel in _families(medium, lay):
-        acc = np.zeros(omega.shape + (2, dim), dtype=complex)
-        acc[..., field] = -base * eye
-        for j, osc in enumerate(oscillators):
-            q = osc.q(w)
-            dot = rows(pos(j), vel(j), 1j * osc.resonance**2 / q, -w / q)
-            acc += -base * 1j * osc.coupling**2 * dot
-            t_mat[..., pos(j), :] = rows(
-                pos(j), vel(j), (-1j * osc.damping - w) / q, -1j / q
-            )
-            t_mat[..., vel(j), :] = dot
-        a_rows.append(acc)
-    a_e_rows, a_m_rows = a_rows
+    # each family's field as a function of E: 1, then H = i k E / (omega mu)
+    field_maps = (1.0, 1j * k / (w * mu))
+    for f, (field, base, oscillators, pos, vel) in zip(field_maps, _families(medium, lay)):
+        c, r, g = np.array(
+            [(o.coupling, o.resonance, o.damping) for o in oscillators]
+        ).reshape(-1, 3).T
+        p_at = pos(0).start + np.arange(len(oscillators))
+        v_at = vel(0).start + np.arange(len(oscillators))
+        q = w * w + 1j * g * w - r**2
+        dot_p, dot_v = 1j * r**2 / q, -w / q  # a velocity row of t, on (position, velocity)
+        v[..., field] = f
+        v[..., p_at] = -f / q
+        v[..., v_at] = 1j * w * f / q
+        a = np.zeros(omega.shape + (lay.dim,), dtype=complex)
+        a[..., field] = -base
+        a[..., p_at] = -base * 1j * c**2 * dot_p
+        a[..., v_at] = -base * 1j * c**2 * dot_v
+        t[..., p_at, p_at] = (-1j * g - w) / q
+        t[..., p_at, v_at] = -1j / q
+        t[..., v_at, p_at] = dot_p
+        t[..., v_at, v_at] = dot_v
+        a_rows.append(a)
+    a_e, a_m = a_rows
+    m_at, mdot_at, q_m = p_at, v_at, q  # the magnetic family, walked last
 
-    s_rows = (w * mu * a_e_rows - k * (J2 @ a_m_rows)) / (eps_mu_omega2 - k * k)
-
-    v_cols = eigenvector_columns(medium, k, omega)
+    s = (w * mu * a_e - k * (1j * a_m)) / (eps_mu_omega2 - k * k)
 
     # H is recovered from E and A_m, so only the magnetic blocks carry A_m
-    t_mat[..., lay.h, :] = a_m_rows / (w * mu)
-    for l, osc in enumerate(medium.magnetic):
-        q = osc.q(w)
-        t_mat[..., lay.m(l), :] -= a_m_rows / (w * mu * q)
-        t_mat[..., lay.mdot(l), :] += 1j * a_m_rows / (mu * q)
+    a_m = a_m[..., None, :]
+    t[..., lay.h, :] = a_m / (w * mu)[..., None]
+    t[..., m_at, :] -= a_m / (w * mu * q_m)[..., None]
+    t[..., mdot_at, :] += 1j * a_m / (mu * q_m)[..., None]
 
-    return v_cols @ s_rows + t_mat
+    return v[..., :, None] * s[..., None, :] + t
 
 
 def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
@@ -403,6 +429,15 @@ def _flip(medium: LorentzMedium) -> np.ndarray:
     return np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
 
 
+def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """p (x) u_+u_+^H + S p S (x) u_-u_-^H: N x N u_+ matrices (last two axes) to 2N x 2N."""
+    # block (a, b): p[..., a, b] (u_+u_+^H + s_a s_b u_-u_-^H)
+    q_plus = np.outer(_U_PLUS, _U_PLUS.conj())
+    q = q_plus[:, None] + np.outer(s, s)[:, None, :, None] * q_plus.conj()[:, None]
+    dim = 2 * p.shape[-1]
+    return (p[..., :, None, :, None] * q).reshape(p.shape[:-2] + (dim, dim))
+
+
 def _helicity_modes(medium: LorentzMedium, k):
     """(eigenvalues in lexsort order, eigenvectors, inverse) of the u_+ operator.
 
@@ -448,11 +483,7 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """
     vals, vecs, inv = _helicity_modes(op.medium, op.k)
     p = vecs.T[:, :, None] * inv[:, None, :]  # column n of vecs times row n of inv
-    s = _flip(op.medium)
-    # block (a, b) of the n-th projector: p[n, a, b] (u_+u_+^H + s_a s_b u_-u_-^H)
-    q_plus = np.outer(_U_PLUS, _U_PLUS.conj())
-    q = q_plus[:, None] + np.outer(s, s)[:, None, :, None] * q_plus.conj()[:, None]
-    projectors = (p[:, :, None, :, None] * q).reshape(len(vals), op.dim, op.dim)
+    projectors = _lift(p, _flip(op.medium))
     recon = np.einsum("n,nij->ij", vals, projectors) - op.matrix
     residual = float(np.linalg.norm(recon, 2) / max(np.linalg.norm(op.matrix, 2), 1e-300))
     if residual > 1e-8:
@@ -474,8 +505,8 @@ def projector_contour(
     every other eigenvalue and every removable-singularity point; nodes double
     from 32 until two successive estimates agree.  The 2n-node ring contains
     the n-node ring, so each doubling evaluates only the n new odd nodes, in
-    stacked resolvent calls of at most ``_CONTOUR_BLOCK`` nodes, and adds
-    them to the carried node sum.
+    stacked u_+ resolvent calls of at most ``_CONTOUR_BLOCK`` nodes, and adds
+    them to the carried N x N node sum, which is lifted once at the end.
     """
     pts = singular_set(medium, k)
     dist = np.abs(pts - eigenvalue)
@@ -485,19 +516,20 @@ def projector_contour(
         raise ContourTooTight(f"isolation radius {rho:.3e} at eigenvalue {eigenvalue}")
 
     prev = None
-    acc = np.zeros((2 * medium.state_blocks,) * 2, dtype=complex)
+    acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)
     nodes = 32
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     while nodes <= _CONTOUR_MAX_NODES:
         for start in range(0, len(theta), _CONTOUR_BLOCK):
             phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
-            ring = resolvent_formula(medium, k, eigenvalue + rho * phase, guard=False)
+            ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
             acc += np.einsum("n,nij->ij", phase, ring)
         est = -acc * rho / nodes
+        # the lift preserves the 2-norm, so the u_+ estimates decide convergence
         if prev is not None and np.linalg.norm(est - prev, 2) < _CONTOUR_TOL * max(
             1.0, np.linalg.norm(est, 2)
         ):
-            return est
+            return _lift(est, _flip(medium))
         prev = est
         # the odd nodes of the 2n-node ring
         theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)

@@ -138,6 +138,19 @@ class TestInnerProduct:
                 assert lhs == pytest.approx(rhs, abs=1e-12 * np.sum(np.abs(u) ** 2))
                 assert lhs <= 1e-12 * np.sum(np.abs(u) ** 2)
 
+    def test_operator_norm_is_the_weighted_2_norm_bit_for_bit(self, reference_medium,
+                                                              wide_medium):
+        rng = np.random.default_rng(6)
+        for medium in (reference_medium, wide_medium):
+            op = ops.build_perp_operator(medium, 2.1)
+            s = np.sqrt(op.gram_diag)
+            mats = list(op.eigen.projectors) + [
+                rng.standard_normal((op.dim, op.dim)) + 1j * rng.standard_normal((op.dim, op.dim))
+            ]
+            for mat in mats:
+                expected = float(np.linalg.norm((mat * s[:, None]) / s[None, :], 2))
+                assert op.operator_norm(mat) == expected
+
     def test_dissipation_vanishes_iff_damped_blocks_vanish(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
         u = ops.PerpState.from_blocks(
@@ -197,6 +210,32 @@ class TestResolvent:
             ops.resolvent_formula(reference_medium, k, z_m)
 
 
+class TestSingularSetMemo:
+    def test_one_solve_per_medium_and_k(self, monkeypatch, reference_medium):
+        solve = dsp.solve_dispersion
+        calls = []
+
+        def counting(medium, k, *args, **kwargs):
+            calls.append(k)
+            return solve(medium, k, *args, **kwargs)
+
+        monkeypatch.setattr(dsp, "solve_dispersion", counting)
+        ops._singular_set.cache_clear()
+        k = 1.2345
+        w = ops.build_perp_operator(reference_medium, k).eigen.eigenvalues[0]
+        ops.resolvent_formula(reference_medium, k, 0.3 + 0.7j)
+        ops.projector_contour(reference_medium, k, w)
+        assert calls == [k]
+        ops.resolvent_formula(reference_medium, 2 * k, 0.3 + 0.7j)
+        assert calls == [k, 2 * k]
+
+    def test_returned_points_are_read_only(self, reference_medium):
+        pts = ops.singular_set(reference_medium, 0.75)
+        with pytest.raises(ValueError):
+            pts[0] = 1.0
+        assert ops.singular_set(reference_medium, 0.75) is pts
+
+
 STACK_MEDIA = [
     "reference_medium",
     "critical_medium",
@@ -254,6 +293,29 @@ class TestStackedResolvent:
 
 ALL_MEDIA = STACK_MEDIA + ["undamped_medium", "electric_only_medium"]
 BAND_KS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+class TestResolventAcrossBands:
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_formula_matches_dense_inverse(self, name, request):
+        # covers a family without oscillators, the undamped medium and N = 16
+        medium = request.getfixturevalue(name)
+        rng = np.random.default_rng(19)
+        for k in BAND_KS:
+            op = ops.build_perp_operator(medium, k)
+            checked = 0
+            for _ in range(20):  # attempt cap: a regression that keeps refusing fails, not hangs
+                if checked == 8:
+                    break
+                w = complex(rng.uniform(-4, 4), rng.uniform(-2, 2))
+                try:
+                    r = ops.resolvent_formula(medium, k, w)
+                except NearSingularEvaluation:
+                    continue
+                dense = np.linalg.inv(op.matrix - w * np.eye(op.dim))
+                assert np.linalg.norm(r - dense, 2) <= 1e-9 * np.linalg.norm(dense, 2)
+                checked += 1
+            assert checked == 8
 
 
 def dense_eig_projectors(matrix, eigenvalues):
@@ -350,14 +412,14 @@ class TestContourProjector:
                 assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
 
     def test_nested_rings_equal_a_fresh_ring(self, monkeypatch, reference_medium, critical_medium):
-        resolvent = ops.resolvent_formula
+        resolvent = ops._resolvent_plus
         evaluated = []
 
-        def recording(medium, k, omega, guard=True):
+        def recording(medium, k, omega):
             evaluated.extend(np.ravel(omega))
-            return resolvent(medium, k, omega, guard)
+            return resolvent(medium, k, omega)
 
-        monkeypatch.setattr(ops, "resolvent_formula", recording)
+        monkeypatch.setattr(ops, "_resolvent_plus", recording)
         for medium, k in ((reference_medium, 1.0), (critical_medium, 0.1)):
             pts = ops.singular_set(medium, k)
             for w in ops.build_perp_operator(medium, k).eigen.eigenvalues:
@@ -373,9 +435,21 @@ class TestContourProjector:
                     angles, 2 * np.pi * np.arange(nodes) / nodes, rtol=0, atol=1e-12
                 )
                 phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-                ring = resolvent(medium, k, w + rho * phase, guard=False)
+                ring = ops.resolvent_formula(medium, k, w + rho * phase, guard=False)
                 fresh = -np.einsum("n,nij->ij", phase, ring) * rho / nodes
                 assert np.linalg.norm(p_cont - fresh, 2) <= 1e-12 * np.linalg.norm(fresh, 2)
+
+    def test_independent_of_the_public_resolvent(self, monkeypatch, reference_medium,
+                                                 critical_medium):
+        def refused(*args, **kwargs):
+            raise AssertionError("the contour must not assemble 2N x 2N resolvents")
+
+        monkeypatch.setattr(ops, "resolvent_formula", refused)
+        for medium, k in ((reference_medium, 1.0), (critical_medium, 0.1)):
+            dec = ops.build_perp_operator(medium, k).eigen
+            for w, p_eig in zip(dec.eigenvalues, dec.projectors):
+                p_cont = ops.projector_contour(medium, k, w)
+                assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
 
 
 class TestOptimalData:
