@@ -278,11 +278,11 @@ class LorentzMedium:
 
     def permittivity(self, omega):
         """eps(omega) = eps0 * (1 - sum coupling^2 / q_e(omega))."""
-        return _material(omega, *self._family("e"))
+        return _material(omega, *self._family("e"), self._family_arrays[0][3])
 
     def permeability(self, omega):
         """mu(omega), same structure as the permittivity."""
-        return _material(omega, *self._family("m"))
+        return _material(omega, *self._family("m"), self._family_arrays[1][3])
 
     def dispersion_value(self, omega):
         """omega^2 * eps(omega) * mu(omega)."""
@@ -347,8 +347,7 @@ class LorentzMedium:
 
     def _h2_witness(self):
         zeros_e, zeros_m = self.family_zeros
-        poles_e = [r for osc in self.electric for r in osc.roots()]
-        poles_m = [r for osc in self.magnetic for r in osc.roots()]
+        poles_e, poles_m = (poles for *_, poles in self._family_arrays)
         for z in zeros_e:
             for p in poles_m:
                 if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
@@ -441,6 +440,17 @@ class LorentzMedium:
     def _oscillator_roots(self):
         """(electric, magnetic): the root pair of every oscillator of each family."""
         return tuple(tuple(osc.roots() for osc in fam) for fam in (self.electric, self.magnetic))
+
+    @cached_property
+    def _family_arrays(self):
+        """(electric, magnetic): read-only coupling, resonance, damping and pole (root pair) arrays."""
+        out = []
+        for fam, pairs in zip((self.electric, self.magnetic), self._oscillator_roots):
+            crg = np.array([(o.coupling, o.resonance, o.damping) for o in fam]).reshape(-1, 3).T
+            poles = np.array(pairs, dtype=complex).reshape(-1)
+            crg.flags.writeable = poles.flags.writeable = False
+            out.append((*crg, poles))
+        return tuple(out)
 
     def _catalog_poles(self):
         tagged = [
@@ -639,17 +649,13 @@ def _as_oscillator(t) -> Oscillator:
     return Oscillator(float(coupling), float(resonance), float(damping))
 
 
-def _guard_poles(omega, oscillators):
-    for osc in oscillators:
-        for r in osc.roots():
-            if np.min(np.abs(omega - r)) < POLE_EVAL_TOL * (1.0 + abs(r)):
-                raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
-
-
-def _material(omega, base, oscillators):
-    """base * (1 - sum coupling^2 / q(omega)) for one oscillator family."""
+def _material(omega, base, oscillators, poles):
+    """base * (1 - sum coupling^2 / q(omega)) for one oscillator family with the given poles."""
     omega = np.asarray(omega, dtype=complex)
-    _guard_poles(omega, oscillators)
+    near = np.abs(omega[..., None] - poles) < POLE_EVAL_TOL * (1.0 + np.abs(poles))
+    if np.any(near):
+        r = complex(poles[np.argmax(near.reshape(-1, len(poles)).any(axis=0))])
+        raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
     s = np.zeros_like(omega)
     for osc in oscillators:
         s = s + osc.coupling**2 / osc.q(omega)

@@ -3,15 +3,17 @@
 A state is a stack of equal-width blocks: the E and H fields, then the
 electric polarisations and their velocities, then the magnetic magnetisations
 and their velocities.  One assembler builds the operator for any block width
-from its curl block: ``k*J2`` gives the dense 2N x 2N reduced operator on
-transverse 2-vectors, dissipative for the weighted inner product; ``[k]x``
-gives the 3N x 3N full-vector operator, which a blockwise rotation reduces to
-the former; ``[[1j*k]]`` gives the N x N operator on the circular
-polarisation u_+, whose eigenvalues are the simple dispersion roots.  On u_-
-the reduced operator is that one with the magnetic blocks' sign flipped, so
-one N x N eigendecomposition gives its rank-2 spectral projectors; stacked over
-k, it gives the evolved norms of the energy and envelope runs and the projector
-sweeps, and no other module splits the polarisations.  The electric and magnetic
+from its curl block (every other block is built once per medium): ``k*J2``
+gives the dense 2N x 2N reduced operator on transverse 2-vectors, dissipative
+for the weighted inner product; ``[k]x`` gives the 3N x 3N full-vector
+operator, which a blockwise rotation reduces to the former; ``[[1j*k]]`` gives
+the N x N operator on the circular polarisation u_+, whose eigenvalues are the
+simple dispersion roots and the spectrum of the resolvent's singular set.  On
+u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
+one N x N eigendecomposition (left vectors from its symmetry in a signed energy
+metric) gives its rank-2 spectral projectors; stacked over k, it gives the
+evolved norms of the energy and envelope runs and the projector sweeps, and no
+other module splits the polarisations.  The electric and magnetic
 oscillator families enter every formula in the same way and are walked by one
 loop.  Besides the matrices this module provides the explicit resolvent, the
 contour-integral projectors and the slow-branch optimal initial data.  The
@@ -35,8 +37,9 @@ from .errors import (
     QuadratureNonconvergent,
     ZeroWaveVector,
 )
-from .dispersion import _pairwise
+from .dispersion import _pairwise, _solvable_rows, solve_dispersion
 from .medium import LorentzMedium
+from .polyroots import certify
 
 #: u_+ eigenvalues (the simple dispersion roots) closer than this, scaled by 1 + |root|
 #: and not globally (tight pole fans sit next to large roots), refuse a decomposition
@@ -44,6 +47,10 @@ EIG_CLUSTER_TOL = 1e-7
 
 #: scaled distance to singular sets below which the formula path refuses
 SINGULAR_TOL = 1e-8
+
+# past this |V|_F |L|_F (near an exceptional point) G-symmetric left vectors lose accuracy
+# like u |V|_F^2 |L|_F^2, and the left vectors are inverted from V instead
+_G_LEFT_MAX = 1e3
 
 # contour nodes per stacked resolvent call; caps the (nodes, dim, dim) stack
 _CONTOUR_BLOCK = 256
@@ -100,11 +107,6 @@ class StateLayout:
         return self._block(2 + 2 * self.n_electric + self.n_magnetic + l)
 
 
-def layout_for(medium: LorentzMedium) -> StateLayout:
-    """The transverse (2 components per block) layout of the reduced operator."""
-    return StateLayout(medium.n_electric, medium.n_magnetic, 2)
-
-
 def _families(medium: LorentzMedium, lay: StateLayout):
     """(field block, eps0 or mu0, oscillators, position, velocity) per family."""
     yield lay.e, medium.eps0, medium.electric, lay.p, lay.pdot
@@ -137,15 +139,17 @@ class PerpState:
         return s
 
 
+@lru_cache(maxsize=16)
 def gram_diagonal(medium: LorentzMedium) -> np.ndarray:
-    """Diagonal of the energy inner product in the block layout."""
-    lay = layout_for(medium)
+    """Diagonal of the energy inner product in the block layout; read-only, one per medium."""
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, 2)
     g = np.empty(lay.dim)
     for field, base, oscillators, pos, vel in _families(medium, lay):
         g[field] = base / 2
         for j, osc in enumerate(oscillators):
             g[pos(j)] = base / 2 * osc.resonance**2 * osc.coupling**2
             g[vel(j)] = base / 2 * osc.coupling**2
+    g.flags.writeable = False
     return g
 
 
@@ -194,20 +198,29 @@ class PerpOperator:
 def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
     """Operator matrix and layout; the block width is the size of the curl block.
 
-    Leading axes of curl give a stack of matrices.
+    Leading axes of curl give a stack of matrices; the other blocks are ``_oscillator_blocks``.
     """
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, curl.shape[-1])
-    a = np.zeros(curl.shape[:-2] + (lay.dim, lay.dim), dtype=complex)
+    template, lay = _oscillator_blocks(medium, curl.shape[-1])
+    a = np.broadcast_to(template, curl.shape[:-2] + template.shape).copy()
     a[..., lay.e, lay.h] = -curl / medium.eps0
     a[..., lay.h, lay.e] = curl / medium.mu0
-    eye = np.eye(lay.width)
+    return a, lay
+
+
+@lru_cache(maxsize=16)
+def _oscillator_blocks(medium: LorentzMedium, width: int) -> tuple[np.ndarray, StateLayout]:
+    """The read-only k-independent part of the operator, memoised per (medium, width)."""
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, width)
+    a = np.zeros((lay.dim, lay.dim), dtype=complex)
+    eye = np.eye(width)
     for field, _, oscillators, pos, vel in _families(medium, lay):
         for j, osc in enumerate(oscillators):
-            a[..., field, vel(j)] = -1j * osc.coupling**2 * eye
-            a[..., pos(j), vel(j)] = 1j * eye
-            a[..., vel(j), field] = 1j * eye
-            a[..., vel(j), pos(j)] = -1j * osc.resonance**2 * eye
-            a[..., vel(j), vel(j)] = -1j * osc.damping * eye
+            a[field, vel(j)] = -1j * osc.coupling**2 * eye
+            a[pos(j), vel(j)] = 1j * eye
+            a[vel(j), field] = 1j * eye
+            a[vel(j), pos(j)] = -1j * osc.resonance**2 * eye
+            a[vel(j), vel(j)] = -1j * osc.damping * eye
+    a.flags.writeable = False
     return a, lay
 
 
@@ -270,22 +283,29 @@ def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
     """Points where the formula path degenerates: spectrum, poles, mu-zeros, 0.
 
     Memoised per (medium, k) as a read-only array, so the guarded resolvent and
-    the contour projector at one wavenumber share one dispersion solve.
+    the contour projector at one wavenumber share one spectrum.
     """
     return _singular_set(medium, float(k))
 
 
 @lru_cache(maxsize=16)
 def _singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
-    from .dispersion import solve_dispersion
-
-    pts = [0.0 + 0.0j]
-    pts.extend(p.location for p in medium.catalog.poles)
-    pts.extend(medium.family_zeros[1])
-    pts.extend(solve_dispersion(medium, k))
-    out = np.asarray(pts, dtype=complex)
+    poles = [p.location for p in medium.catalog.poles]
+    out = np.concatenate([[0j], poles, medium.family_zeros[1], _spectrum(medium, k)])
     out.flags.writeable = False
     return out
+
+
+def _spectrum(medium: LorentzMedium, k: float) -> np.ndarray:
+    """The N dispersion roots at k: u_+ eigenvalues certified on the dispersion row.
+
+    Refuses what ``solve_dispersion`` refuses.  At k = 0, where eig leaves the two
+    exact origin roots at rounding size, the root solve deflates them to 0 as before.
+    """
+    if k == 0:
+        return solve_dispersion(medium, 0.0)
+    rows = _solvable_rows(medium, k)
+    return certify(np.linalg.eigvals(_assemble(medium, np.array([[1j * k]]))[0]), rows[0])
 
 
 def resolvent_formula(
@@ -327,10 +347,8 @@ def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.nd
     a_rows = []  # A_e(omega), then A_m(omega)
     # each family's field as a function of E: 1, then H = i k E / (omega mu)
     field_maps = (1.0, 1j * k / (w * mu))
-    for f, (field, base, oscillators, pos, vel) in zip(field_maps, _families(medium, lay)):
-        c, r, g = np.array(
-            [(o.coupling, o.resonance, o.damping) for o in oscillators]
-        ).reshape(-1, 3).T
+    families = zip(field_maps, _families(medium, lay), medium._family_arrays)
+    for f, (field, base, oscillators, pos, vel), (c, r, g, _) in families:
         p_at = pos(0).start + np.arange(len(oscillators))
         v_at = vel(0).start + np.arange(len(oscillators))
         q = w * w + 1j * g * w - r**2
@@ -368,19 +386,18 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     ``omega.shape + (dim, 2)``.
     """
     omega = np.asarray(omega, dtype=complex)
-    lay = layout_for(medium)
-    eye = np.eye(2)
-    w = omega[..., None, None]
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    w = omega[..., None, None, None]  # broadcast along (block, row, column)
     # each family's field as a function of E: the identity, then H = k J2 E / (omega mu)
-    field_maps = (eye, k / (w * medium.permeability(w)) * J2)
-    v_cols = np.zeros(omega.shape + (lay.dim, 2), dtype=complex)
-    for f, (field, _, oscillators, pos, vel) in zip(field_maps, _families(medium, lay)):
-        v_cols[..., field, :] = f
-        for j, osc in enumerate(oscillators):
-            q = osc.q(w)
-            v_cols[..., pos(j), :] = -f / q
-            v_cols[..., vel(j), :] = 1j * w * f / q
-    return v_cols
+    field_maps = (np.eye(2), k / (w * medium.permeability(w)) * J2)
+    v_cols = np.zeros(omega.shape + (lay.dim, 2, 2), dtype=complex)  # 2 x 2 per block
+    families = zip(field_maps, _families(medium, lay), medium._family_arrays)
+    for f, (field, _, _, pos, vel), (_, r, g, _) in families:
+        q = w * w + 1j * g[:, None, None] * w - r[:, None, None] ** 2
+        v_cols[..., field, :, :] = f
+        v_cols[..., pos(0).start : pos(0).start + len(r), :, :] = -f / q
+        v_cols[..., vel(0).start : vel(0).start + len(r), :, :] = 1j * w * f / q
+    return v_cols.reshape(omega.shape + (2 * lay.dim, 2))
 
 
 def optimal_initial_data(
@@ -439,23 +456,30 @@ def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _helicity_modes(medium: LorentzMedium, k):
-    """(eigenvalues in lexsort order, eigenvectors, inverse) of the u_+ operator.
+    """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) of the u_+ operator.
 
-    A 1-D array of k gives stacks from one ``eig``.  The first k with a scaled
-    gap below EIG_CLUSTER_TOL or cond above 1e12 is refused.
+    A 1-D array of k gives stacks from one ``eig``.  As G A_+ = A_+^T G (G: the energy
+    weights, - on H, Pdot and M), L has rows (G v_n)^T / (v_n^T G v_n) up to _G_LEFT_MAX.
+    The first k with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 is refused.
     """
     k = np.asarray(k, dtype=float)
     vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    ne, nm = medium.n_electric, medium.n_magnetic
+    g = gram_diagonal(medium)[::2] * np.repeat([1, -1, 1, -1, -1, 1], [1, 1, ne, ne, nm, nm])
+    gv = g[:, None] * vecs
+    left = np.swapaxes(gv / np.sum(vecs * gv, axis=-2)[..., None, :], -1, -2)
+    bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
     gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
-    cond = np.linalg.cond(vecs)
-    bad = (gap < EIG_CLUSTER_TOL) | ~(cond <= 1e12)
+    bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
     if np.any(bad):
         i = np.argmax(bad) if bad.ndim else ()
-        raise NotDiagonalizable(f"k={k[i]:g}: scaled gap {gap[i]:.2e}, cond {cond[i]:.2e}")
-    return vals, vecs, np.linalg.inv(vecs)
+        raise NotDiagonalizable(f"k={k[i]:g}: scaled gap {gap[i]:.2e}, |V||L| {bound[i]:.2e}")
+    if np.any(near_ep := bound > _G_LEFT_MAX):
+        left[near_ep] = np.linalg.inv(vecs[near_ep])
+    return vals, vecs, left
 
 
 def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
@@ -467,9 +491,9 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     v = states.reshape(states.shape[:-1] + (medium.state_blocks, 2))
     parts = np.stack([v @ _U_PLUS.conj(), _flip(medium) * (v @ _U_PLUS)], axis=-1)
     weight = gram_diagonal(medium)[::2, None]  # one weight per block, both parts
-    vals, vecs, inv = _helicity_modes(medium, ks)
+    vals, vecs, left = _helicity_modes(medium, ks)
     phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
-    evolved = vecs[:, None] @ (phases * (inv @ parts)[:, None])  # (ks, times, N, 2)
+    evolved = vecs[:, None] @ (phases * (left @ parts)[:, None])  # (ks, times, N, 2)
     norms2 = np.sum(weight * np.abs(evolved) ** 2, axis=(-2, -1))
     return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
 
@@ -481,8 +505,8 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     operator.  Refuses what _helicity_modes refuses, and a matrix that the
     projectors reconstruct only to more than 1e-8 (not the medium's at op.k).
     """
-    vals, vecs, inv = _helicity_modes(op.medium, op.k)
-    p = vecs.T[:, :, None] * inv[:, None, :]  # column n of vecs times row n of inv
+    vals, vecs, left = _helicity_modes(op.medium, op.k)
+    p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
     projectors = _lift(p, _flip(op.medium))
     recon = np.einsum("n,nij->ij", vals, projectors) - op.matrix
     residual = float(np.linalg.norm(recon, 2) / max(np.linalg.norm(op.matrix, 2), 1e-300))
@@ -556,12 +580,12 @@ def projector_norm_sweep(
     ks = np.asarray(k_grid, dtype=float)
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
-    vals, vecs, inv = _helicity_modes(medium, ks)
+    vals, vecs, left = _helicity_modes(medium, ks)
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
     at, s = np.arange(len(ks)), np.sqrt(gram_diagonal(medium)[::2])  # s = W^1/2
-    norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(inv[at, n] / s, axis=1)
+    norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
     a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
-    recon = (vecs * vals[:, None, :]) @ inv - a_plus
+    recon = (vecs * vals[:, None, :]) @ left - a_plus
     residual = np.linalg.norm(recon, 2, axis=(1, 2)) / np.linalg.norm(a_plus, 2, axis=(1, 2))
     if np.any(residual > 1e-8):
         i = np.argmax(residual)

@@ -18,7 +18,8 @@ dispersion polynomial at k = 0 has two) and hands the rest to the same core.
 ``certified_root_near`` finds only the root nearest a start point, by Newton
 from that point, and reports per row whether a Rouché exclusion disk proves
 it is that root.  Every root must pass a backward-error residual certificate
-(the same in s as in w) before it is returned or settled.
+(the same in s as in w) before it is returned or settled; ``certify`` is that
+gate for roots found elsewhere (the eigenvalues of the u_+ operator).
 """
 
 from __future__ import annotations
@@ -146,12 +147,18 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
         if fallback.any():
             roots[fallback] = _companion_newton(q.real[fallback], coeffs[:, fallback])
 
+    certify(roots, coeffs)
+    return 1j * roots.conj()  # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
+
+
+def certify(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """roots if |p(r)| / sum |c_i||r|^i <= RESIDUAL_TOL for each (coeffs as _backward_errors)."""
     errs = _backward_errors(roots, coeffs)
     if np.any(errs > RESIDUAL_TOL):
         raise RootFindingFailure(
             f"root residual certificate failed: max backward error {errs.max():.3e}"
         )
-    return 1j * roots.conj()  # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
+    return roots
 
 
 def certified_root_near(rows: np.ndarray, start):

@@ -67,6 +67,36 @@ class TestMaterialFunctions:
         with pytest.raises(EvaluationAtPole):
             undamped_medium.permittivity(1.0)  # exact undamped resonance
 
+    def test_stacked_pole_guard_names_the_first_pole_hit(self, ps_noncritical_medium):
+        # reference: the per-oscillator, per-root walk over Oscillator.roots()
+        omega = np.array([[0.3, -1.0], [1.0, 2.0 + 1e-14j]])
+        r = next(r for osc in ps_noncritical_medium.electric for r in osc.roots()
+                 if np.min(np.abs(omega - r)) < 1e-12 * (1.0 + abs(r)))
+        with pytest.raises(EvaluationAtPole) as info:
+            ps_noncritical_medium.permittivity(omega)
+        assert str(info.value) == f"omega={omega.astype(complex)} too close to pole {r}"
+
+    def test_material_matches_the_oscillator_loop_bit_for_bit(self, asymmetric_medium):
+        rng = np.random.default_rng(5)
+        omega = rng.uniform(-5, 5, (4, 7)) + 1j * rng.uniform(-3, 3, (4, 7))
+        for base, oscillators, material in (
+            (asymmetric_medium.eps0, asymmetric_medium.electric, asymmetric_medium.permittivity),
+            (asymmetric_medium.mu0, asymmetric_medium.magnetic, asymmetric_medium.permeability),
+        ):
+            s = np.zeros_like(omega)
+            for osc in oscillators:
+                s = s + osc.coupling**2 / osc.q(omega)
+            np.testing.assert_array_equal(material(omega), base * (1.0 - s))
+
+    def test_family_arrays_built_once_and_read_only(self, asymmetric_medium):
+        arrays = asymmetric_medium._family_arrays
+        assert asymmetric_medium._family_arrays is arrays
+        for (c, r, g, poles), fam in zip(arrays, (asymmetric_medium.electric,
+                                                  asymmetric_medium.magnetic)):
+            assert not any(a.flags.writeable for a in (c, r, g, poles))
+            np.testing.assert_array_equal(c, [o.coupling for o in fam])
+            np.testing.assert_array_equal(poles, [x for o in fam for x in o.roots()])
+
     def test_dispersion_value_vanishes_at_origin(self, reference_medium):
         assert reference_medium.dispersion_value(0.0) == 0.0
 

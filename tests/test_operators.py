@@ -1,16 +1,25 @@
 """Reduced operator, inner product, resolvent, projectors, rotations."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
+from lorentzmodes import polyroots as pr
 from lorentzmodes.errors import (
+    DegenerateLeadingCoefficient,
     DimensionMismatch,
+    InvalidWavenumber,
     NearSingularEvaluation,
     NotDiagonalizable,
     ZeroWaveVector,
@@ -212,14 +221,15 @@ class TestResolvent:
 
 class TestSingularSetMemo:
     def test_one_solve_per_medium_and_k(self, monkeypatch, reference_medium):
-        solve = dsp.solve_dispersion
+        # the spectrum of the singular set is one certified u_+ eigvals per (medium, k)
+        solve = ops._spectrum
         calls = []
 
         def counting(medium, k, *args, **kwargs):
             calls.append(k)
             return solve(medium, k, *args, **kwargs)
 
-        monkeypatch.setattr(dsp, "solve_dispersion", counting)
+        monkeypatch.setattr(ops, "_spectrum", counting)
         ops._singular_set.cache_clear()
         k = 1.2345
         w = ops.build_perp_operator(reference_medium, k).eigen.eigenvalues[0]
@@ -275,6 +285,23 @@ class TestStackedResolvent:
             for idx, w in np.ndenumerate(omegas):
                 v = ops.eigenvector_columns(medium, k, w)
                 assert np.linalg.norm(stacked[idx] - v) <= 1e-13 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("name", STACK_MEDIA + ["electric_only_medium"])
+    def test_eigenvector_columns_match_the_oscillator_loop(self, name, request):
+        medium = request.getfixturevalue(name)
+        k, omegas = 1.3, _omega_grid(7)
+        w = omegas[..., None, None]
+        lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, 2)
+        expected = np.zeros(omegas.shape + (lay.dim, 2), dtype=complex)
+        field_maps = (np.eye(2), k / (w * medium.permeability(w)) * ops.J2)
+        for f, (field, _, oscillators, pos, vel) in zip(field_maps, ops._families(medium, lay)):
+            expected[..., field, :] = f
+            for j, osc in enumerate(oscillators):
+                expected[..., pos(j), :] = -f / osc.q(w)
+                expected[..., vel(j), :] = 1j * w * f / osc.q(w)
+        got = ops.eigenvector_columns(medium, k, omegas)
+        # r**2 on an array may round apart from the scalar power by one unit
+        np.testing.assert_allclose(got, expected, rtol=4 * np.finfo(float).eps, atol=0)
 
     def test_scalar_omega_keeps_matrix_shape(self, reference_medium):
         dim = 2 * reference_medium.state_blocks
@@ -379,6 +406,122 @@ class TestSpectralDecomposition:
         for p in dec.projectors:
             adj = np.conj(p.T) * g[None, :] / g[:, None]
             assert np.linalg.norm(p - adj, 2) < 1e-10
+
+
+GRID_61 = np.geomspace(1e-3, 1e3, 61)
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def signed_weights(medium):
+    """G from the layout: the energy weight of each block, negated on H, Pdot and M."""
+    lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    sign = np.ones(lay.dim)
+    sign[lay.h] = -1.0
+    for j in range(medium.n_electric):
+        sign[lay.pdot(j)] = -1.0
+    for j in range(medium.n_magnetic):
+        sign[lay.m(j)] = -1.0
+    return sign * ops.gram_diagonal(medium)[::2]
+
+
+@pytest.fixture(scope="module")
+def drawn_media():
+    """The benchmark's seeded draws (N 4-16, four damping regimes), seeds 1 and 2."""
+    # loaded from its file; only draw_medium is used
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [module.draw_medium(np.random.default_rng(seed), i)[0]
+            for seed in (1, 2) for i in range(len(module.DRAW_SHAPES))]
+
+
+class TestGSymmetricCore:
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_u_plus_operator_is_g_symmetric(self, name, request):
+        medium = request.getfixturevalue(name)
+        g = signed_weights(medium)
+        a = ops._assemble(medium, 1j * GRID_61[:, None, None])[0]
+        ga = g[:, None] * a
+        defect = np.abs(ga - np.swapaxes(a, -1, -2) * g)
+        if medium.eps0 == medium.mu0 == 1.0:
+            assert defect.max() == 0.0
+        else:  # (k / eps0) (eps0 / 2) and (k / mu0) (mu0 / 2): two roundings each
+            assert np.all(defect <= 2 * np.finfo(float).eps * np.abs(ga))
+
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_left_vectors_match_the_dense_inverse(self, name, request):
+        medium = request.getfixturevalue(name)
+        vals, vecs, left = ops._helicity_modes(medium, GRID_61)
+        oracle = np.linalg.inv(vecs)  # the dense eig + inv path
+        err = np.linalg.norm(left - oracle, axis=(1, 2)) / np.linalg.norm(oracle, axis=(1, 2))
+        assert err.max() <= 1e-12
+        # the refusal bound |V|_F |L|_F is never below cond_2(V)
+        bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
+        assert np.all(bound >= np.linalg.cond(vecs))
+
+    def test_worked_exceptional_point_is_not_refused(self):
+        # across the README's worked EP (k ~ 1.2815079); within 4e-9 of it the
+        # G-symmetric left vectors would reconstruct the operator only to 1e-8 to
+        # 7e-7, so past _G_LEFT_MAX they are inverted from V
+        medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
+        ks = np.linspace(1.2815078, 1.2815080, 41)
+        for k in np.append(ks, 1.2815079012):
+            op = ops.build_perp_operator(medium, k)
+            assert op.eigen.residual <= 1e-10
+        vals, vecs, left = ops._helicity_modes(medium, ks)
+        bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
+        assert np.all(bound > ops._G_LEFT_MAX) and np.all(bound < 1e7)
+        np.testing.assert_array_equal(left, np.linalg.inv(vecs))
+
+
+class TestSingularSetSpectrum:
+    @staticmethod
+    def check_spectrum(medium, ks):
+        for k in ks:
+            spectrum = ops._spectrum(medium, k)
+            row = dsp.dispersion_polynomial(medium, k)
+            assert np.all(pr._backward_errors(spectrum, row) <= pr.RESIDUAL_TOL)
+            roots = dsp.solve_dispersion(medium, k)
+            gap = np.abs(spectrum[:, None] - roots) / (1.0 + np.abs(roots))
+            rows, cols = scipy.optimize.linear_sum_assignment(gap)
+            assert gap[rows, cols].max() <= 1e-7  # worst seen: 9.1e-9, N = 14 at k = 1e3
+
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_fixture_spectra_are_certified_roots(self, name, request):
+        self.check_spectrum(request.getfixturevalue(name), GRID_61)
+
+    def test_drawn_spectra_are_certified_roots(self, drawn_media):
+        for medium in drawn_media:
+            self.check_spectrum(medium, GRID_61)
+
+    def test_refusals_are_the_root_solve_refusals(self, reference_medium):
+        for k in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidWavenumber):
+                ops.singular_set(reference_medium, k)
+            with pytest.raises(InvalidWavenumber):
+                dsp.solve_dispersion(reference_medium, k)
+        # past the trim threshold the leading coefficient is negligible
+        with pytest.raises(DegenerateLeadingCoefficient):
+            ops.singular_set(reference_medium, 1e9)
+        with pytest.raises(DegenerateLeadingCoefficient):
+            dsp.solve_dispersion(reference_medium, 1e9)
+
+    @pytest.mark.parametrize("name", ALL_MEDIA)
+    def test_k0_keeps_the_deflated_origin_roots(self, name, request):
+        medium = request.getfixturevalue(name)
+        pts = ops.singular_set(medium, 0.0)
+        expected = np.concatenate([
+            [0j],
+            [p.location for p in medium.catalog.poles],
+            medium.family_zeros[1],
+            dsp.solve_dispersion(medium, 0.0),
+        ])
+        np.testing.assert_array_equal(pts, expected)
+        assert np.count_nonzero(pts[-medium.state_blocks:] == 0) == 2
 
 
 class TestContourProjector:
