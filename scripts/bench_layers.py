@@ -13,11 +13,11 @@ oscillators):
 - ``contour``: ``projector_contour`` for one eigenvalue.
 
 Every call gets a wavenumber of its own, so work memoised per (medium, k)
-is paid by each call.  A round makes ``--calls`` calls of every layer in
-turn at fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call,
-which changes no outcome); a layer's figure is the best of ``--rounds``
-rounds, in microseconds per call.  The record, with N, the core count and the
-numpy/scipy versions, is merged into the JSON file under ``--label``:
+is paid by each call.  A round makes CALLS calls of every layer in turn at
+fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call, which
+changes no outcome); a layer's figure is the best of ROUNDS rounds, in
+microseconds per call.  The record, with N, the core count and the numpy/scipy
+versions, is merged into BENCH_layers.json under ``--label``:
 
     python scripts/bench_layers.py --label change
     python scripts/bench_layers.py --label parent --src /path/to/other/checkout/src
@@ -39,6 +39,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_layers.json"
+CALLS = 20
+ROUNDS = 15
 
 MEDIA = {
     "N=6": (1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)]),
@@ -87,17 +90,17 @@ def layers(lm, medium):
     ]
 
 
-def time_layers(lm, medium, calls: int, rounds: int) -> dict:
-    """Microseconds per call of each layer, best of ``rounds`` rounds.
+def time_layers(lm, medium) -> dict:
+    """Microseconds per call of each layer, best of ROUNDS rounds.
 
     Each round times every layer in turn, so a slow stretch of the machine
     costs every layer one round rather than one layer all of its rounds.
     """
-    ks = np.geomspace(0.05, 20.0, calls)
+    ks = np.geomspace(0.05, 20.0, CALLS)
     nudge = itertools.count(1)
     todo = layers(lm, medium)
     best = {name: np.inf for name, _, _ in todo}
-    for r in range(rounds + 1):  # round 0 warms up and is dropped
+    for r in range(ROUNDS + 1):  # round 0 warms up and is dropped
         for name, prepare, call in todo:
             spent = 0
             for k in ks:
@@ -107,16 +110,13 @@ def time_layers(lm, medium, calls: int, rounds: int) -> dict:
                 spent += time.thread_time_ns() - t0
             if r:
                 best[name] = min(best[name], spent)
-    return {name: round(spent / calls / 1e3, 1) for name, spent in best.items()}
+    return {name: round(spent / CALLS / 1e3, 1) for name, spent in best.items()}
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="key of this record in the JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding lorentzmodes")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_layers.json"))
-    parser.add_argument("--calls", type=int, default=20)
-    parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
 
     sys.path.insert(0, args.src)
@@ -125,8 +125,7 @@ def main():
     import lorentzmodes as lm
 
     record = {
-        "unit": f"us of thread CPU time per call, best of {args.rounds} rounds "
-        f"of {args.calls} calls",
+        "unit": f"us of thread CPU time per call, best of {ROUNDS} rounds of {CALLS} calls",
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -137,14 +136,13 @@ def main():
         medium = lm.new_medium(*data)
         record["media"][size] = {
             "N": medium.state_blocks,
-            **time_layers(lm, medium, args.calls, args.rounds),
+            **time_layers(lm, medium),
         }
         print(size, record["media"][size], flush=True)
 
-    path = Path(args.out)
-    runs = json.loads(path.read_text()) if path.exists() else {}
+    runs = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs[args.label] = record
-    path.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(runs, indent=2, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,15 +10,14 @@ operator, which a blockwise rotation reduces to the former; ``[[1j*k]]`` gives
 the N x N operator on the circular polarisation u_+, whose eigenvalues are the
 simple dispersion roots and the spectrum of the resolvent's singular set.  On
 u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
-one N x N eigendecomposition (left vectors from its symmetry in a signed energy
-metric) gives its rank-2 spectral projectors; stacked over k, it gives the
-evolved norms of the energy and envelope runs and the projector sweeps, and no
-other module splits the polarisations.  The electric and magnetic
-oscillator families enter every formula in the same way and are walked by one
-loop.  Besides the matrices this module provides the explicit resolvent, the
-contour-integral projectors and the slow-branch optimal initial data.  The
-resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same
-map as the projectors, and the contour sums only u_+ resolvents.
+one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
+over k, it gives the evolved norms of the energy and envelope runs and the
+projector sweeps, and no other module splits the polarisations.  The electric
+and magnetic oscillator families enter every formula in the same way and are
+walked by one loop.  Besides the matrices this module provides the explicit
+resolvent, the contour-integral projectors and the slow-branch optimal initial
+data.  The resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by
+the same map as the projectors, and the contour sums only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ EIG_CLUSTER_TOL = 1e-7
 
 #: scaled distance to singular sets below which the formula path refuses
 SINGULAR_TOL = 1e-8
-
-# past this |V|_F |L|_F (near an exceptional point) G-symmetric left vectors lose accuracy
-# like u |V|_F^2 |L|_F^2, and the left vectors are inverted from V instead
-_G_LEFT_MAX = 1e3
 
 # contour nodes per stacked resolvent call; caps the (nodes, dim, dim) stack
 _CONTOUR_BLOCK = 256
@@ -139,6 +134,10 @@ class PerpState:
         return s
 
 
+# The per-medium constants of this module (and the per-k singular set) are memoised
+# here, keyed on the frozen medium: the medium caches only what it derives for itself
+# and knows nothing of the state layout.  The bound keeps a stream of media (the
+# atlas's seeded draws) from holding every medium's matrices.
 @lru_cache(maxsize=16)
 def gram_diagonal(medium: LorentzMedium) -> np.ndarray:
     """Diagonal of the energy inner product in the block layout; read-only, one per medium."""
@@ -458,27 +457,24 @@ def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _helicity_modes(medium: LorentzMedium, k):
     """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) of the u_+ operator.
 
-    A 1-D array of k gives stacks from one ``eig``.  As G A_+ = A_+^T G (G: the energy
-    weights, - on H, Pdot and M), L has rows (G v_n)^T / (v_n^T G v_n) up to _G_LEFT_MAX.
-    The first k with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 is refused.
+    A 1-D array of k gives stacks from one ``eig``.  The first k with a scaled gap
+    below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
     """
     k = np.asarray(k, dtype=float)
     vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    ne, nm = medium.n_electric, medium.n_magnetic
-    g = gram_diagonal(medium)[::2] * np.repeat([1, -1, 1, -1, -1, 1], [1, 1, ne, ne, nm, nm])
-    gv = g[:, None] * vecs
-    left = np.swapaxes(gv / np.sum(vecs * gv, axis=-2)[..., None, :], -1, -2)
+    try:
+        left = np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:  # an exactly singular V anywhere in the stack
+        left = np.full_like(vecs, np.inf)
     bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
     gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
     bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
     if np.any(bad):
         i = np.argmax(bad) if bad.ndim else ()
         raise NotDiagonalizable(f"k={k[i]:g}: scaled gap {gap[i]:.2e}, |V||L| {bound[i]:.2e}")
-    if np.any(near_ep := bound > _G_LEFT_MAX):
-        left[near_ep] = np.linalg.inv(vecs[near_ep])
     return vals, vecs, left
 
 

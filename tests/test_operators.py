@@ -453,20 +453,22 @@ class TestGSymmetricCore:
             assert np.all(defect <= 2 * np.finfo(float).eps * np.abs(ga))
 
     @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
-    def test_left_vectors_match_the_dense_inverse(self, name, request):
+    def test_left_vectors_match_the_g_symmetric_oracle(self, name, request):
+        # as G A_+ = A_+^T G, row n of V^-1 is (G v_n)^T / (v_n^T G v_n)
         medium = request.getfixturevalue(name)
         vals, vecs, left = ops._helicity_modes(medium, GRID_61)
-        oracle = np.linalg.inv(vecs)  # the dense eig + inv path
+        gv = signed_weights(medium)[:, None] * vecs
+        oracle = np.swapaxes(gv / np.sum(vecs * gv, axis=-2)[..., None, :], -1, -2)
         err = np.linalg.norm(left - oracle, axis=(1, 2)) / np.linalg.norm(oracle, axis=(1, 2))
         assert err.max() <= 1e-12
+        np.testing.assert_array_equal(left, np.linalg.inv(vecs))  # the dense eig + inv oracle
         # the refusal bound |V|_F |L|_F is never below cond_2(V)
         bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
         assert np.all(bound >= np.linalg.cond(vecs))
 
     def test_worked_exceptional_point_is_not_refused(self):
-        # across the README's worked EP (k ~ 1.2815079); within 4e-9 of it the
-        # G-symmetric left vectors would reconstruct the operator only to 1e-8 to
-        # 7e-7, so past _G_LEFT_MAX they are inverted from V
+        # across the README's worked EP (k ~ 1.2815079) the decomposition reconstructs
+        # the operator; the bound stays far below the refusal threshold
         medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
         ks = np.linspace(1.2815078, 1.2815080, 41)
         for k in np.append(ks, 1.2815079012):
@@ -474,8 +476,27 @@ class TestGSymmetricCore:
             assert op.eigen.residual <= 1e-10
         vals, vecs, left = ops._helicity_modes(medium, ks)
         bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
-        assert np.all(bound > ops._G_LEFT_MAX) and np.all(bound < 1e7)
+        assert np.all(bound < 1e7)
         np.testing.assert_array_equal(left, np.linalg.inv(vecs))
+
+    @pytest.mark.parametrize("tilt", [1e-13, 0.0])
+    def test_near_defective_eigenvectors_are_refused(self, tilt, monkeypatch, reference_medium):
+        # well separated eigenvalues, but two eigenvector columns parallel to within tilt
+        eig = np.linalg.eig
+
+        def near_defective(a):
+            vals, vecs = eig(a)
+            v = vecs[..., 0] + tilt * vecs[..., 1]
+            vecs[..., 1] = v / np.linalg.norm(v, axis=-1, keepdims=True)
+            return vals, vecs
+
+        vecs = near_defective(ops._assemble(reference_medium, np.array([[1.0j]]))[0])[1]
+        assert np.linalg.cond(vecs) > 1e12
+        monkeypatch.setattr(np.linalg, "eig", near_defective)
+        with pytest.raises(NotDiagonalizable, match=r"k=1: scaled gap .*, \|V\|\|L\| "):
+            ops.build_perp_operator(reference_medium, 1.0).eigen
+        with pytest.raises(NotDiagonalizable, match="k=1:"):
+            ops._helicity_modes(reference_medium, np.array([1.0, 2.0]))
 
 
 class TestSingularSetSpectrum:
@@ -497,6 +518,21 @@ class TestSingularSetSpectrum:
     def test_drawn_spectra_are_certified_roots(self, drawn_media):
         for medium in drawn_media:
             self.check_spectrum(medium, GRID_61)
+
+    def test_large_k_spectra_are_certified_until_the_root_solve_refuses(
+        self, wide_medium, drawn_media
+    ):
+        # eig's error grows like u |A_+| ~ u k; up to the trim refusal (k ~ 1e4 to 1e7
+        # here) every eigenvalue still passes the certificate without a Newton polish
+        for medium in [wide_medium] + drawn_media:
+            for k in np.geomspace(1e4, 1e6, 13):
+                try:
+                    dsp.solve_dispersion(medium, k)
+                except DegenerateLeadingCoefficient:
+                    with pytest.raises(DegenerateLeadingCoefficient):
+                        ops._spectrum(medium, k)
+                else:
+                    self.check_spectrum(medium, [k])
 
     def test_refusals_are_the_root_solve_refusals(self, reference_medium):
         for k in (float("nan"), float("inf"), -float("inf")):
