@@ -15,12 +15,18 @@ oscillators):
 Every call gets a wavenumber of its own, so work memoised per (medium, k)
 is paid by each call.  A round makes CALLS calls of every layer in turn at
 fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call, which
-changes no outcome); a layer's figure is the best of ROUNDS rounds, in
-microseconds per call.  The record, with N, the core count and the numpy/scipy
-versions, is merged into BENCH_layers.json under ``--label``:
+changes no outcome), in a fresh process that first makes one untimed round.
+A layer's figure is the best of ROUNDS rounds, in microseconds per call.
+With ``--against``, each round times both sources, one process after the
+other and first one then the other first, so a drift in the machine's speed
+lands on both alike; each layer's ratio is the median over the rounds of the
+``--src`` time over the ``--against`` time, read against the ratio of
+``dispersion``, the control whose code both sides usually share.  The record,
+with N, the core count and the numpy/scipy versions, is merged into
+BENCH_layers.json under ``--label``:
 
     python scripts/bench_layers.py --label change
-    python scripts/bench_layers.py --label parent --src /path/to/other/checkout/src
+    python scripts/bench_layers.py --label "change vs parent" --against /path/to/parent/src
 """
 
 import os
@@ -31,9 +37,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import itertools  # noqa: E402
 import json  # noqa: E402
+import multiprocessing  # noqa: E402
 import platform  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from concurrent.futures import ProcessPoolExecutor  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -91,38 +99,59 @@ def layers(lm, medium):
 
 
 def time_layers(lm, medium) -> dict:
-    """Microseconds per call of each layer, best of ROUNDS rounds.
-
-    Each round times every layer in turn, so a slow stretch of the machine
-    costs every layer one round rather than one layer all of its rounds.
-    """
+    """Microseconds per call of each layer in one round, after one untimed round."""
     ks = np.geomspace(0.05, 20.0, CALLS)
     nudge = itertools.count(1)
     todo = layers(lm, medium)
-    best = {name: np.inf for name, _, _ in todo}
-    for r in range(ROUNDS + 1):  # round 0 warms up and is dropped
+    for _ in range(2):  # the first round warms up and is dropped
+        spent = {}
         for name, prepare, call in todo:
-            spent = 0
+            spent[name] = 0
             for k in ks:
                 args = prepare(float(k) * (1.0 + 1e-9 * next(nudge)))
                 t0 = time.thread_time_ns()
                 call(*args)
-                spent += time.thread_time_ns() - t0
-            if r:
-                best[name] = min(best[name], spent)
-    return {name: round(spent / CALLS / 1e3, 1) for name, spent in best.items()}
+                spent[name] += time.thread_time_ns() - t0
+    return {name: ns / CALLS / 1e3 for name, ns in spent.items()}
+
+
+def one_round(src: str) -> dict:
+    """{medium size: layer timings} for one round on the lorentzmodes in src."""
+    sys.path.insert(0, src)
+    import lorentzmodes as lm
+
+    return {size: time_layers(lm, lm.new_medium(*data)) for size, data in MEDIA.items()}
+
+
+def in_fresh_process(src: str) -> dict:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+        return pool.submit(one_round, src).result()
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--label", required=True, help="key of this record in the JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding lorentzmodes")
+    parser.add_argument("--against", help="directory of another lorentzmodes, timed alongside")
     args = parser.parse_args()
+    sources = [args.src] + ([args.against] if args.against else [])
 
-    sys.path.insert(0, args.src)
+    rounds = []  # per round, per source: {size: {layer: us per call}}
+    for r in range(ROUNDS):
+        order = range(len(sources)) if r % 2 == 0 else reversed(range(len(sources)))
+        timed = {i: in_fresh_process(sources[i]) for i in order}
+        rounds.append([timed[i] for i in range(len(sources))])
+
+    def best(side):
+        return {
+            size: {"N": 2 + 2 * (len(data[2]) + len(data[3])),
+                   **{layer: round(min(rnd[side][size][layer] for rnd in rounds), 1)
+                      for layer in rounds[0][side][size]}}
+            for size, data in MEDIA.items()
+        }
+
     import scipy
-
-    import lorentzmodes as lm
 
     record = {
         "unit": f"us of thread CPU time per call, best of {ROUNDS} rounds of {CALLS} calls",
@@ -130,15 +159,21 @@ def main():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "media": {},
+        "media": best(0),
     }
-    for size, data in MEDIA.items():
-        medium = lm.new_medium(*data)
-        record["media"][size] = {
-            "N": medium.state_blocks,
-            **time_layers(lm, medium),
+    print(json.dumps(record["media"]), flush=True)
+    if args.against:
+        record["against"] = best(1)
+        record["ratio"] = {
+            size: {layer: round(float(np.median([rnd[0][size][layer] / rnd[1][size][layer]
+                                                 for rnd in rounds])), 3)
+                   for layer in layer_times}
+            for size, layer_times in rounds[0][0].items()
         }
-        print(size, record["media"][size], flush=True)
+        for size, ratio in record["ratio"].items():
+            print(size, f"control dispersion {ratio['dispersion']:.3f};",
+                  ", ".join(f"{layer} {v:.3f}" for layer, v in ratio.items()
+                            if layer != "dispersion"), flush=True)
 
     runs = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs[args.label] = record

@@ -47,7 +47,8 @@ EIG_CLUSTER_TOL = 1e-7
 #: scaled distance to singular sets below which the formula path refuses
 SINGULAR_TOL = 1e-8
 
-# contour nodes per stacked resolvent call; caps the (nodes, dim, dim) stack
+# contour nodes per stacked resolvent call past 64 nodes; caps the (nodes, dim, dim)
+# stack.  The first call takes the 64 nodes of the first two rings.
 _CONTOUR_BLOCK = 256
 
 # a contour projector is accepted once a node doubling changes it by less than
@@ -124,12 +125,23 @@ class PerpState:
 
     @classmethod
     def from_blocks(cls, layout, e=(0, 0), h=(0, 0), p=None, pdot=None, m=None, mdot=None):
+        """A state from its E and H blocks and its oscillator blocks.
+
+        p, pdot, m and mdot each take one block per oscillator of their family, as
+        an array-like whose first axis runs over the oscillators; blocks not given
+        are zero, and more blocks than oscillators raise DimensionMismatch.
+        """
         s = cls(np.zeros(layout.dim), layout)
         s.data[layout.e] = e
         s.data[layout.h] = h
-        blocks = (layout.p, layout.pdot, layout.m, layout.mdot)
-        for block, values in zip(blocks, (p, pdot, m, mdot)):
-            for j, v in enumerate(values or []):
+        ne, nm = layout.n_electric, layout.n_magnetic
+        families = zip(("p", "pdot", "m", "mdot"), (layout.p, layout.pdot, layout.m, layout.mdot),
+                       (ne, ne, nm, nm), (p, pdot, m, mdot))
+        for name, block, count, values in families:
+            values = np.asarray(() if values is None else values, dtype=complex)
+            if len(values) > count:
+                raise DimensionMismatch(f"{name}: {len(values)} blocks for {count} oscillators")
+            for j, v in enumerate(values):
                 s.data[block(j)] = v
         return s
 
@@ -494,20 +506,38 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
 
 
+def _reconstruction_residual(medium: LorentzMedium, k, vals, vecs, left) -> np.ndarray:
+    """|V diag(vals) L - A_+|_2 / |A_+|_2 on the u_+ operator, per k of a scalar or 1-D k.
+
+    The lift keeps the 2-norm, so this is also the 2N x 2N projectors' residual.
+    Raises NotDiagonalizable naming the worst k when any residual exceeds 1e-8.
+    """
+    k = np.asarray(k, dtype=float)
+    a_plus = _assemble(medium, 1j * k[..., None, None])[0]
+    recon = (vecs * vals[..., None, :]) @ left - a_plus
+    # the 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
+    recon_norm, a_norm = np.linalg.svd(np.stack([recon, a_plus]), compute_uv=False)[..., 0]
+    residual = recon_norm / a_norm
+    if np.any(residual > 1e-8):
+        i = np.argmax(residual) if residual.ndim else ()
+        raise NotDiagonalizable(f"k={k[i]:g}: u_+ reconstruction residual {residual[i]:.2e}")
+    return residual
+
+
 def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """Rank-2 projectors p_n (x) u_+ u_+^H + S p_n S (x) u_- u_-^H, one per root.
 
     p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
-    operator.  Refuses what _helicity_modes refuses, and a matrix that the
-    projectors reconstruct only to more than 1e-8 (not the medium's at op.k).
+    operator.  Refuses a matrix that is not bit for bit the medium's operator
+    at op.k, what _helicity_modes refuses, and a u_+ reconstruction residual
+    above 1e-8 (the residual ``projector_norm_sweep`` reports at op.k).
     """
+    if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
+        raise NotDiagonalizable(f"k={op.k:g}: the matrix is not the medium's operator at k")
     vals, vecs, left = _helicity_modes(op.medium, op.k)
+    residual = float(_reconstruction_residual(op.medium, op.k, vals, vecs, left))
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
     projectors = _lift(p, _flip(op.medium))
-    recon = np.einsum("n,nij->ij", vals, projectors) - op.matrix
-    residual = float(np.linalg.norm(recon, 2) / max(np.linalg.norm(op.matrix, 2), 1e-300))
-    if residual > 1e-8:
-        raise NotDiagonalizable(f"projectors reconstruct the matrix to {residual:.2e}")
     return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
 
 
@@ -524,9 +554,12 @@ def projector_contour(
     The circle is centered at the eigenvalue with radius half the distance to
     every other eigenvalue and every removable-singularity point; nodes double
     from 32 until two successive estimates agree.  The 2n-node ring contains
-    the n-node ring, so each doubling evaluates only the n new odd nodes, in
-    stacked u_+ resolvent calls of at most ``_CONTOUR_BLOCK`` nodes, and adds
-    them to the carried N x N node sum, which is lifted once at the end.
+    the n-node ring, so each doubling evaluates only the n new odd nodes and
+    adds them to the carried N x N node sum, which is lifted once at the end.
+    The first test needs the 32- and the 64-node estimate, so one stacked u_+
+    resolvent call evaluates the 32-node ring and the 64-node ring's odd nodes,
+    summed ring by ring; later doublings make stacked calls of at most
+    ``_CONTOUR_BLOCK`` nodes.
     """
     pts = singular_set(medium, k)
     dist = np.abs(pts - eigenvalue)
@@ -539,10 +572,16 @@ def projector_contour(
     acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)
     nodes = 32
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
+    # the 32-node ring, then the 64-node ring's odd nodes: each ring sums its own half
+    odd = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
+    first = _resolvent_plus(medium, k, eigenvalue + rho * np.exp(1j * np.append(theta, odd)))
     while nodes <= _CONTOUR_MAX_NODES:
         for start in range(0, len(theta), _CONTOUR_BLOCK):
             phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
-            ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
+            if nodes <= 64:
+                ring = first[nodes - 32 : nodes]
+            else:
+                ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
             acc += np.einsum("n,nij->ij", phase, ring)
         est = -acc * rho / nodes
         # the lift preserves the 2-norm, so the u_+ estimates decide convergence
@@ -580,12 +619,7 @@ def projector_norm_sweep(
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
     at, s = np.arange(len(ks)), np.sqrt(gram_diagonal(medium)[::2])  # s = W^1/2
     norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
-    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
-    recon = (vecs * vals[:, None, :]) @ left - a_plus
-    residual = np.linalg.norm(recon, 2, axis=(1, 2)) / np.linalg.norm(a_plus, 2, axis=(1, 2))
-    if np.any(residual > 1e-8):
-        i = np.argmax(residual)
-        raise NotDiagonalizable(f"k={ks[i]:g}: u_+ reconstruction residual {residual[i]:.2e}")
+    residual = _reconstruction_residual(medium, ks, vals, vecs, left)
     return list(zip(ks.tolist(), norms.tolist(), residual.tolist()))
 
 

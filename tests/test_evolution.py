@@ -12,7 +12,7 @@ from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
 from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
-from lorentzmodes.errors import NonPositiveRate
+from lorentzmodes.errors import NonPositiveRate, NotDiagonalizable
 
 
 @pytest.fixture()
@@ -63,6 +63,22 @@ class TestPropagate:
         assert res.method == "Oracle"
         expected = [bent.norm(scipy.linalg.expm(-1j * a * s) @ u0) for s in t]
         np.testing.assert_allclose(res.norms, expected, rtol=0, atol=1e-8)
+
+    def test_oracle_fallback_one_ulp_off_the_medium_operator(self, reference_medium, rng):
+        # the eigen path decomposes only the medium's own operator at op.k
+        op = ops.build_perp_operator(reference_medium, 1.0)
+        a = op.matrix.copy()
+        e, h = op.layout.e.start, op.layout.h.start
+        assert a[e, h + 1] == 1.0  # -k J2 / eps0
+        a[e, h + 1] = np.nextafter(1.0, 2.0)
+        bent = replace(op, matrix=a)
+        with pytest.raises(NotDiagonalizable, match="not the medium's operator"):
+            bent.eigen
+        u0 = unit_state(op, rng)
+        t = np.array([0.0, 1.0, 10.0, 100.0])
+        res = evo.propagate(bent, u0, t)
+        assert res.method == "Oracle"
+        np.testing.assert_allclose(res.norms, evo.propagate(op, u0, t).norms, rtol=0, atol=1e-8)
 
     def test_norms_nonincreasing(self, reference_medium, rng):
         op = ops.build_perp_operator(reference_medium, 2.0)

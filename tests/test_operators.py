@@ -20,6 +20,7 @@ from lorentzmodes.errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
     InvalidWavenumber,
+    LorentzModesError,
     NearSingularEvaluation,
     NotDiagonalizable,
     ZeroWaveVector,
@@ -166,6 +167,21 @@ class TestInnerProduct:
             op.layout, e=(1.0, 2.0), h=(0.5, -1.0), p=[(0.3, 0.1j)], m=[(1j, 0.2)]
         )
         assert op.inner(op.matrix @ u.data, u.data).imag == pytest.approx(0.0, abs=1e-15)
+
+    def test_from_blocks_takes_array_likes_and_refuses_extra_blocks(self, reference_medium):
+        lay = ops.build_perp_operator(reference_medium, 1.0).layout
+        blocks = {"p": [(0.3, 0.1j)], "pdot": [(1, 2)], "m": [(1j, 0.2)], "mdot": [(4, 5)]}
+        listed = ops.PerpState.from_blocks(lay, e=(1.0, 2.0), **blocks)
+        arrays = {name: np.array(v) for name, v in blocks.items()}
+        np.testing.assert_array_equal(
+            ops.PerpState.from_blocks(lay, e=np.array([1.0, 2.0]), **arrays).data, listed.data
+        )
+        for name, block in (("p", lay.p), ("pdot", lay.pdot), ("m", lay.m), ("mdot", lay.mdot)):
+            np.testing.assert_array_equal(listed.data[block(0)], blocks[name][0])
+            # one oscillator per family: a second block has nowhere to go
+            for extra in ([(1, 1), (7, 7)], np.ones((2, 2))):
+                with pytest.raises(DimensionMismatch, match=f"^{name}: 2 blocks for 1 "):
+                    ops.PerpState.from_blocks(lay, **{name: extra})
 
 
 class TestResolvent:
@@ -399,6 +415,13 @@ class TestSpectralDecomposition:
         dec = op.eigen
         assert dec.residual < 1e-8
 
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_residual_is_the_sweep_residual_bit_for_bit(self, name, request):
+        medium = request.getfixturevalue(name)
+        sweep = ops.projector_norm_sweep(medium, lambda k: 0j, GRID_61)
+        for k, _, residual in sweep:
+            assert ops.build_perp_operator(medium, k).eigen.residual == residual
+
     def test_undamped_projectors_gram_orthogonal(self, undamped_medium):
         op = ops.build_perp_operator(undamped_medium, 0.8)
         dec = op.eigen
@@ -560,6 +583,33 @@ class TestSingularSetSpectrum:
         assert np.count_nonzero(pts[-medium.state_blocks:] == 0) == 2
 
 
+def ring_by_ring_contour(medium, k, eigenvalue):
+    """The contour loop with each ring in calls of its own: 32 nodes, then each doubling's odd nodes."""
+    pts = ops.singular_set(medium, k)
+    dist = np.abs(pts - eigenvalue)
+    rho = 0.5 * float(dist[dist > ops.SINGULAR_TOL * (1.0 + abs(eigenvalue))].min())
+    if rho < 1e-10:
+        raise ops.ContourTooTight("isolation radius")
+    prev = None
+    acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)
+    nodes = 32
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    while nodes <= ops._CONTOUR_MAX_NODES:
+        for start in range(0, len(theta), ops._CONTOUR_BLOCK):
+            phase = np.exp(1j * theta[start : start + ops._CONTOUR_BLOCK])
+            ring = ops._resolvent_plus(medium, k, eigenvalue + rho * phase)
+            acc += np.einsum("n,nij->ij", phase, ring)
+        est = -acc * rho / nodes
+        if prev is not None and np.linalg.norm(est - prev, 2) < ops._CONTOUR_TOL * max(
+            1.0, np.linalg.norm(est, 2)
+        ):
+            return ops._lift(est, ops._flip(medium))
+        prev = est
+        theta = 2.0 * np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
+        nodes *= 2
+    raise ops.QuadratureNonconvergent("no convergence")
+
+
 class TestContourProjector:
     def test_matches_eigendecomposition(self, reference_medium, asymmetric_medium):
         for medium in (reference_medium, asymmetric_medium):
@@ -617,6 +667,43 @@ class TestContourProjector:
                 ring = ops.resolvent_formula(medium, k, w + rho * phase, guard=False)
                 fresh = -np.einsum("n,nij->ij", phase, ring) * rho / nodes
                 assert np.linalg.norm(p_cont - fresh, 2) <= 1e-12 * np.linalg.norm(fresh, 2)
+
+    def test_first_two_rings_take_one_stacked_call(self, monkeypatch, request):
+        resolvent = ops._resolvent_plus
+        sizes = []
+
+        def counting(medium, k, omega):
+            sizes.append(omega.size)
+            return resolvent(medium, k, omega)
+
+        def outcome(contour, medium, k, w):
+            sizes.clear()
+            try:
+                return contour(medium, k, w), list(sizes)
+            except LorentzModesError as err:
+                return type(err), list(sizes)
+
+        monkeypatch.setattr(ops, "_resolvent_plus", counting)
+        cases = [(request.getfixturevalue(name), k)
+                 for name in ALL_MEDIA + ["wide_medium"] for k in BAND_KS]
+        worked_ep = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
+        cases += [(worked_ep, k) for k in (1.2815078, 1.2815079, 1.2815079012, 2.0)]
+        at_64 = 0
+        for medium, k in cases:
+            for w in ops._spectrum(medium, k):
+                got, calls = outcome(ops.projector_contour, medium, k, w)
+                expected, rings = outcome(ring_by_ring_contour, medium, k, w)
+                if isinstance(expected, type):
+                    assert got is expected
+                else:
+                    np.testing.assert_array_equal(got, expected)
+                # the 32-node ring and the 64-node ring's odd nodes go in one call;
+                # every later doubling makes the calls it made before
+                assert calls == ([sum(rings[:2])] + rings[2:] if rings else [])
+                if sum(rings) == 64:
+                    assert calls == [64]
+                    at_64 += 1
+        assert at_64 > 0
 
     def test_independent_of_the_public_resolvent(self, monkeypatch, reference_medium,
                                                  critical_medium):
