@@ -10,10 +10,15 @@ oscillators):
 - ``eigen``: ``op.eigen`` on a fresh operator;
 - ``propagate``: ``propagate`` on 201 time samples, decomposition built;
 - ``resolvent``: guarded ``resolvent_formula`` at one upper-half-plane point;
-- ``contour``: ``projector_contour`` for one eigenvalue.
+- ``contour``: ``projector_contour`` for one dispersion root;
+- ``chain``: the sequence of one ``modes`` operation of the benchmark at one k:
+  ``build_perp_operator``, ``op.eigen``, the guarded resolvent and the
+  contour projector.
 
 Every call gets a wavenumber of its own, so work memoised per (medium, k)
-is paid by each call.  A round makes CALLS calls of every layer in turn at
+is paid by each call: the untimed preparation of ``resolvent`` and
+``contour`` takes its point from ``solve_dispersion``, which shares nothing
+memoised with them.  A round makes CALLS calls of every layer in turn at
 fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call, which
 changes no outcome), in a fresh process that first makes one untimed round.
 A layer's figure is the best of ROUNDS rounds, in microseconds per call.
@@ -72,21 +77,24 @@ def layers(lm, medium):
         2 * medium.state_blocks
     )
 
-    def decomposed(k):
-        op = operators.build_perp_operator(medium, k)
-        return op, op.eigen
-
     def with_eigen(k):
-        op, dec = decomposed(k)
+        op = operators.build_perp_operator(medium, k)
+        op.eigen  # the decomposition is built before the timed call
         return op, u0 / op.norm(u0)
 
     def upper_point(k):
-        _, dec = decomposed(k)
-        return medium, k, (0.3 + 0.7j) * (1.0 + np.max(np.abs(dec.eigenvalues)))
+        roots = lm.solve_dispersion(medium, k)
+        return medium, k, (0.3 + 0.7j) * (1.0 + np.max(np.abs(roots)))
 
-    def one_eigenvalue(k):
-        _, dec = decomposed(k)
-        return medium, k, dec.eigenvalues[len(dec.eigenvalues) // 2]
+    def one_root(k):
+        roots = lm.solve_dispersion(medium, k)
+        return medium, k, roots[len(roots) // 2]
+
+    def chain(k):
+        op = operators.build_perp_operator(medium, k)
+        vals = op.eigen.eigenvalues
+        operators.resolvent_formula(medium, k, (0.3 + 0.7j) * (1.0 + np.max(np.abs(vals))))
+        operators.projector_contour(medium, k, vals[len(vals) // 2])
 
     return [
         ("assembly", lambda k: (medium, k), operators.build_perp_operator),
@@ -94,7 +102,8 @@ def layers(lm, medium):
         ("eigen", lambda k: (operators.build_perp_operator(medium, k),), lambda op: op.eigen),
         ("propagate", with_eigen, lambda op, u: evolution.propagate(op, u, T_GRID)),
         ("resolvent", upper_point, operators.resolvent_formula),
-        ("contour", one_eigenvalue, operators.projector_contour),
+        ("contour", one_root, operators.projector_contour),
+        ("chain", lambda k: (k,), chain),
     ]
 
 

@@ -652,15 +652,20 @@ def _as_oscillator(t) -> Oscillator:
 def _material(omega, base, oscillators, poles):
     """base * (1 - sum coupling^2 / q(omega)) for one oscillator family with the given poles."""
     omega = np.asarray(omega, dtype=complex)
-    near = np.abs(omega[..., None] - poles) < POLE_EVAL_TOL * (1.0 + np.abs(poles))
-    if np.any(near):
-        r = complex(poles[np.argmax(near.reshape(-1, len(poles)).any(axis=0))])
-        raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
+    _refuse_poles(omega, poles)
     s = np.zeros_like(omega)
     for osc in oscillators:
         s = s + osc.coupling**2 / osc.q(omega)
     out = base * (1.0 - s)
     return out[()] if out.ndim == 0 else out
+
+
+def _refuse_poles(omega: np.ndarray, poles: np.ndarray) -> None:
+    """Raise EvaluationAtPole naming the first of poles within POLE_EVAL_TOL of any omega."""
+    near = np.abs(omega[..., None] - poles) < POLE_EVAL_TOL * (1.0 + np.abs(poles))
+    if np.any(near):
+        r = complex(poles[np.argmax(near.reshape(-1, len(poles)).any(axis=0))])
+        raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
 
 
 def fan_root(residue: complex, m: int, n: int) -> complex:

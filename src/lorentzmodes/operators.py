@@ -12,9 +12,12 @@ simple dispersion roots and the spectrum of the resolvent's singular set.  On
 u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
 one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
 over k, it gives the evolved norms of the energy and envelope runs and the
-projector sweeps, and no other module splits the polarisations.  The electric
-and magnetic oscillator families enter every formula in the same way and are
-walked by one loop.  Besides the matrices this module provides the explicit
+projector sweeps, and no other module splits the polarisations.  At a single
+k that eig is taken once and memoised: the decomposition, its residual and the
+singular set's spectrum share it.  The electric and magnetic oscillator
+families enter every formula in the same way: the operator blocks walk them by
+one loop, and the u_+ resolvent and eigenspace map walk both as one
+concatenated array.  Besides the matrices this module provides the explicit
 resolvent, the contour-integral projectors and the slow-branch optimal initial
 data.  The resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by
 the same map as the projectors, and the contour sums only u_+ resolvents.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .errors import (
     ZeroWaveVector,
 )
 from .dispersion import _pairwise, _solvable_rows, solve_dispersion
-from .medium import LorentzMedium
+from .medium import LorentzMedium, _refuse_poles
 from .polyroots import certify
 
 #: u_+ eigenvalues (the simple dispersion roots) closer than this, scaled by 1 + |root|
@@ -308,7 +312,7 @@ def _singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
 
 
 def _spectrum(medium: LorentzMedium, k: float) -> np.ndarray:
-    """The N dispersion roots at k: u_+ eigenvalues certified on the dispersion row.
+    """The N dispersion roots at k: the ``_u_plus_at`` eigenvalues, certified on the dispersion row.
 
     Refuses what ``solve_dispersion`` refuses.  At k = 0, where eig leaves the two
     exact origin roots at rounding size, the root solve deflates them to 0 as before.
@@ -316,7 +320,7 @@ def _spectrum(medium: LorentzMedium, k: float) -> np.ndarray:
     if k == 0:
         return solve_dispersion(medium, 0.0)
     rows = _solvable_rows(medium, k)
-    return certify(np.linalg.eigvals(_assemble(medium, np.array([[1j * k]]))[0]), rows[0])
+    return certify(_u_plus_at(medium, k)[1], rows[0])
 
 
 def resolvent_formula(
@@ -342,50 +346,105 @@ def resolvent_formula(
     return _lift(_resolvent_plus(medium, k, omega), _flip(medium))
 
 
+class _OscillatorLayout(NamedTuple):
+    """Both oscillator families on u_+ as one concatenated array, electric first."""
+
+    pos: np.ndarray  # position block of each oscillator
+    vel: np.ndarray  # velocity block of each oscillator
+    family: np.ndarray  # 0 electric, 1 magnetic
+    magnetic: slice  # the magnetic oscillators
+    c2: np.ndarray  # coupling^2
+    r2: np.ndarray  # resonance^2
+    ig: np.ndarray  # 1j * damping
+    minus_ig: np.ndarray  # -1j * damping
+    ir2: np.ndarray  # 1j * resonance^2
+    a_coef: np.ndarray  # -(eps0 or mu0) * 1j * coupling^2
+    poles: np.ndarray  # the magnetic poles, then the electric ones
+
+
+@lru_cache(maxsize=16)
+def _oscillator_layout(medium: LorentzMedium) -> _OscillatorLayout:
+    """The read-only per-medium layout of the u_+ formulas, memoised like ``_oscillator_blocks``."""
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    pos, vel, family, base = [], [], [], []
+    for f, (_, b, oscillators, p, v) in enumerate(_families(medium, lay)):
+        n = len(oscillators)
+        pos += [p(j).start for j in range(n)]
+        vel += [v(j).start for j in range(n)]
+        family += [f] * n
+        base += [b] * n
+    (c_e, r_e, g_e, poles_e), (c_m, r_m, g_m, poles_m) = medium._family_arrays
+    c, r, g = np.concatenate([c_e, c_m]), np.concatenate([r_e, r_m]), np.concatenate([g_e, g_m])
+    out = _OscillatorLayout(
+        pos=np.array(pos, dtype=int), vel=np.array(vel, dtype=int),
+        family=np.array(family, dtype=int), magnetic=slice(medium.n_electric, len(c)),
+        c2=c**2, r2=r**2, ig=1j * g, minus_ig=-1j * g, ir2=1j * r**2,
+        a_coef=-np.array(base) * 1j * c**2, poles=np.concatenate([poles_m, poles_e]),
+    )
+    for x in out:
+        if isinstance(x, np.ndarray):
+            x.flags.writeable = False
+    return out
+
+
+def _oscillator_terms(medium: LorentzMedium, osc: _OscillatorLayout, w: np.ndarray):
+    """(q, eps, mu) at w: each oscillator's quadratic on a new last axis, then both materials.
+
+    eps and mu add coupling^2 / q family by family in oscillator order, as
+    ``permittivity`` and ``permeability`` do, so they are bit for bit those values.
+    A w within POLE_EVAL_TOL of a pole of either family raises EvaluationAtPole
+    naming it (a magnetic pole first, as permeability is the one evaluated first).
+    """
+    _refuse_poles(w, osc.poles)
+    q = w * w + osc.ig * w - osc.r2
+    cq = osc.c2 / q
+    sums = [np.zeros_like(w), np.zeros_like(w)]
+    for j, f in enumerate(osc.family):
+        sums[f] = sums[f] + cq[..., j : j + 1]
+    return q, medium.eps0 * (1.0 - sums[0]), medium.mu0 * (1.0 - sums[1])
+
+
 def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.ndarray:
     """(A_+ - omega)^-1 on u_+, shape ``omega.shape + (N, N)``, unguarded.
 
     The factored formula with J2 -> i: the resolvent is v s^T + t, where the
-    eigenspace map v and the row s are N-vectors, and each family's
-    oscillators fill their blocks as one array.
+    eigenspace map v and the row s are N-vectors.  Both oscillator families are
+    filled in one pass over ``_oscillator_layout``, and eps and mu come from the
+    same quadratics.
     """
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    osc = _oscillator_layout(medium)
+    n = medium.state_blocks
     w = omega[..., None]  # block coefficients broadcast along the last axis
-    mu = medium.permeability(w)
-    eps_mu_omega2 = w * w * medium.permittivity(w) * mu
-    v = np.zeros(omega.shape + (lay.dim,), dtype=complex)
-    t = np.zeros(omega.shape + (lay.dim, lay.dim), dtype=complex)
-    a_rows = []  # A_e(omega), then A_m(omega)
-    # each family's field as a function of E: 1, then H = i k E / (omega mu)
-    field_maps = (1.0, 1j * k / (w * mu))
-    families = zip(field_maps, _families(medium, lay), medium._family_arrays)
-    for f, (field, base, oscillators, pos, vel), (c, r, g, _) in families:
-        p_at = pos(0).start + np.arange(len(oscillators))
-        v_at = vel(0).start + np.arange(len(oscillators))
-        q = w * w + 1j * g * w - r**2
-        dot_p, dot_v = 1j * r**2 / q, -w / q  # a velocity row of t, on (position, velocity)
-        v[..., field] = f
-        v[..., p_at] = -f / q
-        v[..., v_at] = 1j * w * f / q
-        a = np.zeros(omega.shape + (lay.dim,), dtype=complex)
-        a[..., field] = -base
-        a[..., p_at] = -base * 1j * c**2 * dot_p
-        a[..., v_at] = -base * 1j * c**2 * dot_v
-        t[..., p_at, p_at] = (-1j * g - w) / q
-        t[..., p_at, v_at] = -1j / q
-        t[..., v_at, p_at] = dot_p
-        t[..., v_at, v_at] = dot_v
-        a_rows.append(a)
-    a_e, a_m = a_rows
-    m_at, mdot_at, q_m = p_at, v_at, q  # the magnetic family, walked last
+    q, eps, mu = _oscillator_terms(medium, osc, w)
+    eps_mu_omega2 = w * w * eps * mu
+    # each oscillator's field as a function of E: 1, or H = i k E / (omega mu)
+    h_map = 1j * k / (w * mu)
+    v = np.zeros(omega.shape + (n,), dtype=complex)
+    v[..., 0:1] = 1.0
+    v[..., 1:2] = h_map
+    # -1.0 rather than -(1+0j): the negated real keeps the signed zeros of -1.0 / q
+    v[..., osc.pos] = np.where(osc.family, -h_map, -1.0) / q
+    v[..., osc.vel] = 1j * w * np.where(osc.family, h_map, 1.0) / q
+    dot_p, dot_v = osc.ir2 / q, -w / q  # a velocity row of t, on (position, velocity)
+    a = np.zeros(omega.shape + (2, n), dtype=complex)  # A_e(omega), then A_m(omega)
+    a[..., 0, 0] = -medium.eps0
+    a[..., 1, 1] = -medium.mu0
+    a[..., osc.family, osc.pos] = osc.a_coef * dot_p
+    a[..., osc.family, osc.vel] = osc.a_coef * dot_v
+    t = np.zeros(omega.shape + (n, n), dtype=complex)
+    t[..., osc.pos, osc.pos] = (osc.minus_ig - w) / q
+    t[..., osc.pos, osc.vel] = -1j / q
+    t[..., osc.vel, osc.pos] = dot_p
+    t[..., osc.vel, osc.vel] = dot_v
+    a_e, a_m = a[..., 0, :], a[..., 1, :]
 
     s = (w * mu * a_e - k * (1j * a_m)) / (eps_mu_omega2 - k * k)
 
     # H is recovered from E and A_m, so only the magnetic blocks carry A_m
-    a_m = a_m[..., None, :]
-    t[..., lay.h, :] = a_m / (w * mu)[..., None]
-    t[..., m_at, :] -= a_m / (w * mu * q_m)[..., None]
-    t[..., mdot_at, :] += 1j * a_m / (mu * q_m)[..., None]
+    a_m, q_m = a_m[..., None, :], q[..., osc.magnetic]
+    t[..., 1:2, :] = a_m / (w * mu)[..., None]
+    t[..., osc.pos[osc.magnetic], :] -= a_m / (w * mu * q_m)[..., None]
+    t[..., osc.vel[osc.magnetic], :] += 1j * a_m / (mu * q_m)[..., None]
 
     return v[..., :, None] * s[..., None, :] + t
 
@@ -397,18 +456,19 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     ``omega.shape + (dim, 2)``.
     """
     omega = np.asarray(omega, dtype=complex)
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
-    w = omega[..., None, None, None]  # broadcast along (block, row, column)
-    # each family's field as a function of E: the identity, then H = k J2 E / (omega mu)
-    field_maps = (np.eye(2), k / (w * medium.permeability(w)) * J2)
-    v_cols = np.zeros(omega.shape + (lay.dim, 2, 2), dtype=complex)  # 2 x 2 per block
-    families = zip(field_maps, _families(medium, lay), medium._family_arrays)
-    for f, (field, _, _, pos, vel), (_, r, g, _) in families:
-        q = w * w + 1j * g[:, None, None] * w - r[:, None, None] ** 2
-        v_cols[..., field, :, :] = f
-        v_cols[..., pos(0).start : pos(0).start + len(r), :, :] = -f / q
-        v_cols[..., vel(0).start : vel(0).start + len(r), :, :] = 1j * w * f / q
-    return v_cols.reshape(omega.shape + (2 * lay.dim, 2))
+    osc = _oscillator_layout(medium)
+    q, _, mu = _oscillator_terms(medium, osc, omega[..., None])
+    q, mu = q[..., None, None], mu[..., None, None]  # broadcast along (block, row, column)
+    w = omega[..., None, None, None]
+    # each oscillator's field as a function of E: the identity, or H = k J2 E / (omega mu)
+    h_map = k / (w * mu) * J2
+    family = osc.family[:, None, None]
+    v_cols = np.zeros(omega.shape + (medium.state_blocks, 2, 2), dtype=complex)  # 2 x 2 per block
+    v_cols[..., 0:1, :, :] = np.eye(2)
+    v_cols[..., 1:2, :, :] = h_map
+    v_cols[..., osc.pos, :, :] = np.where(family, -h_map, -np.eye(2)) / q  # signed zeros as above
+    v_cols[..., osc.vel, :, :] = 1j * w * np.where(family, h_map, np.eye(2)) / q
+    return v_cols.reshape(omega.shape + (2 * medium.state_blocks, 2))
 
 
 def optimal_initial_data(
@@ -466,14 +526,31 @@ def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (p[..., :, None, :, None] * q).reshape(p.shape[:-2] + (dim, dim))
 
 
+@lru_cache(maxsize=16)
+def _u_plus_at(medium: LorentzMedium, k: float):
+    """The u_+ operator and its eig at one k, read-only: one ``eig`` per (medium, k).
+
+    The singular set's spectrum, the decomposition and its residual share it.
+    """
+    a_plus = _assemble(medium, np.array([[1j * k]]))[0]
+    out = (a_plus, *np.linalg.eig(a_plus))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 def _helicity_modes(medium: LorentzMedium, k):
     """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) of the u_+ operator.
 
-    A 1-D array of k gives stacks from one ``eig``.  The first k with a scaled gap
-    below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
+    A scalar k reads the memoised eig of ``_u_plus_at``; a 1-D array of k gives
+    stacks from one ``eig``.  The first k with a scaled gap below EIG_CLUSTER_TOL
+    or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
     """
     k = np.asarray(k, dtype=float)
-    vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
+    if k.ndim == 0:
+        _, vals, vecs = _u_plus_at(medium, float(k))
+    else:
+        vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
@@ -506,14 +583,13 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
 
 
-def _reconstruction_residual(medium: LorentzMedium, k, vals, vecs, left) -> np.ndarray:
+def _reconstruction_residual(a_plus, k, vals, vecs, left) -> np.ndarray:
     """|V diag(vals) L - A_+|_2 / |A_+|_2 on the u_+ operator, per k of a scalar or 1-D k.
 
     The lift keeps the 2-norm, so this is also the 2N x 2N projectors' residual.
     Raises NotDiagonalizable naming the worst k when any residual exceeds 1e-8.
     """
     k = np.asarray(k, dtype=float)
-    a_plus = _assemble(medium, 1j * k[..., None, None])[0]
     recon = (vecs * vals[..., None, :]) @ left - a_plus
     # the 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
     recon_norm, a_norm = np.linalg.svd(np.stack([recon, a_plus]), compute_uv=False)[..., 0]
@@ -535,7 +611,8 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
         raise NotDiagonalizable(f"k={op.k:g}: the matrix is not the medium's operator at k")
     vals, vecs, left = _helicity_modes(op.medium, op.k)
-    residual = float(_reconstruction_residual(op.medium, op.k, vals, vecs, left))
+    a_plus = _u_plus_at(op.medium, op.k)[0]
+    residual = float(_reconstruction_residual(a_plus, op.k, vals, vecs, left))
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
     projectors = _lift(p, _flip(op.medium))
     return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
@@ -584,11 +661,12 @@ def projector_contour(
                 ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
             acc += np.einsum("n,nij->ij", phase, ring)
         est = -acc * rho / nodes
-        # the lift preserves the 2-norm, so the u_+ estimates decide convergence
-        if prev is not None and np.linalg.norm(est - prev, 2) < _CONTOUR_TOL * max(
-            1.0, np.linalg.norm(est, 2)
-        ):
-            return _lift(est, _flip(medium))
+        # the lift preserves the 2-norm, so the u_+ estimates decide convergence; the
+        # 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
+        if prev is not None:
+            change, size = np.linalg.svd(np.stack([est - prev, est]), compute_uv=False)[..., 0]
+            if change < _CONTOUR_TOL * max(1.0, size):
+                return _lift(est, _flip(medium))
         prev = est
         # the odd nodes of the 2n-node ring
         theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
@@ -619,7 +697,8 @@ def projector_norm_sweep(
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
     at, s = np.arange(len(ks)), np.sqrt(gram_diagonal(medium)[::2])  # s = W^1/2
     norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
-    residual = _reconstruction_residual(medium, ks, vals, vecs, left)
+    residual = _reconstruction_residual(_assemble(medium, 1j * ks[:, None, None])[0], ks, vals,
+                                        vecs, left)
     return list(zip(ks.tolist(), norms.tolist(), residual.tolist()))
 
 

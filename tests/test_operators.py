@@ -1,6 +1,7 @@
 """Reduced operator, inner product, resolvent, projectors, rotations."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from lorentzmodes import polyroots as pr
 from lorentzmodes.errors import (
     DegenerateLeadingCoefficient,
     DimensionMismatch,
+    EvaluationAtPole,
     InvalidWavenumber,
     LorentzModesError,
     NearSingularEvaluation,
@@ -237,7 +239,7 @@ class TestResolvent:
 
 class TestSingularSetMemo:
     def test_one_solve_per_medium_and_k(self, monkeypatch, reference_medium):
-        # the spectrum of the singular set is one certified u_+ eigvals per (medium, k)
+        # the spectrum of the singular set is one certified u_+ spectrum per (medium, k)
         solve = ops._spectrum
         calls = []
 
@@ -260,6 +262,41 @@ class TestSingularSetMemo:
         with pytest.raises(ValueError):
             pts[0] = 1.0
         assert ops.singular_set(reference_medium, 0.75) is pts
+
+    def test_one_eig_per_medium_and_k(self, monkeypatch, reference_medium, wide_medium):
+        # the modes sequence at a fresh k: op.eigen, the guarded resolvent, the contour
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(a):
+                calls.append(name)
+                return fn(a)
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", eig))
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", eigvals))
+        for medium in (reference_medium, wide_medium):
+            ops.singular_set(medium, 0.5)  # the per-medium constants (poles, zeros) are built
+            ops._u_plus_at.cache_clear()
+            ops._singular_set.cache_clear()
+            calls.clear()
+            k = 0.8765
+            dec = ops.build_perp_operator(medium, k).eigen
+            ops.resolvent_formula(medium, k, (0.3 + 0.7j) * (1.0 + np.abs(dec.eigenvalues).max()))
+            ops.projector_contour(medium, k, dec.eigenvalues[len(dec.eigenvalues) // 2])
+            assert calls == ["eig"]
+            # a stacked caller keeps one eig per stack
+            ops._helicity_modes(medium, np.array([0.5, k, 2.0]))
+            assert calls == ["eig", "eig"]
+
+    def test_memoised_eig_is_read_only(self, reference_medium):
+        got = ops._u_plus_at(reference_medium, 0.625)
+        assert len(got) == 3  # (A_+, eigenvalues, eigenvectors)
+        for x in got:
+            with pytest.raises(ValueError):
+                x.flat[0] = 1.0
+        assert all(a is b for a, b in zip(ops._u_plus_at(reference_medium, 0.625), got))
 
 
 STACK_MEDIA = [
@@ -359,6 +396,76 @@ class TestResolventAcrossBands:
                 assert np.linalg.norm(r - dense, 2) <= 1e-9 * np.linalg.norm(dense, 2)
                 checked += 1
             assert checked == 8
+
+
+def per_family_resolvent_plus(medium, k, omega):
+    """The u_+ resolvent filled family by family, with eps and mu from the medium."""
+    lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, 1)
+    w = omega[..., None]
+    mu = medium.permeability(w)
+    eps_mu_omega2 = w * w * medium.permittivity(w) * mu
+    v = np.zeros(omega.shape + (lay.dim,), dtype=complex)
+    t = np.zeros(omega.shape + (lay.dim, lay.dim), dtype=complex)
+    a_rows = []
+    field_maps = (1.0, 1j * k / (w * mu))
+    families = zip(field_maps, ops._families(medium, lay), medium._family_arrays)
+    for f, (field, base, oscillators, pos, vel), (c, r, g, _) in families:
+        p_at = pos(0).start + np.arange(len(oscillators))
+        v_at = vel(0).start + np.arange(len(oscillators))
+        q = w * w + 1j * g * w - r**2
+        dot_p, dot_v = 1j * r**2 / q, -w / q
+        v[..., field] = f
+        v[..., p_at] = -f / q
+        v[..., v_at] = 1j * w * f / q
+        a = np.zeros(omega.shape + (lay.dim,), dtype=complex)
+        a[..., field] = -base
+        a[..., p_at] = -base * 1j * c**2 * dot_p
+        a[..., v_at] = -base * 1j * c**2 * dot_v
+        t[..., p_at, p_at] = (-1j * g - w) / q
+        t[..., p_at, v_at] = -1j / q
+        t[..., v_at, p_at] = dot_p
+        t[..., v_at, v_at] = dot_v
+        a_rows.append(a)
+    a_e, a_m = a_rows
+    s = (w * mu * a_e - k * (1j * a_m)) / (eps_mu_omega2 - k * k)
+    a_m = a_m[..., None, :]
+    t[..., lay.h, :] = a_m / (w * mu)[..., None]
+    t[..., p_at, :] -= a_m / (w * mu * q)[..., None]
+    t[..., v_at, :] += 1j * a_m / (mu * q)[..., None]
+    return v[..., :, None] * s[..., None, :] + t
+
+
+WORKED_EP = ((1.0, 1.0, [(2.3615, 0.26657, 1.1135)], []), 1.2815079)
+
+
+class TestOnePassResolvent:
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium", "worked_ep"])
+    def test_matches_the_per_family_formula_bit_for_bit(self, name, request):
+        medium = (lm.new_medium(*WORKED_EP[0]) if name == "worked_ep"
+                  else request.getfixturevalue(name))
+        ks = BAND_KS + ((WORKED_EP[1],) if name == "worked_ep" else ())
+        rng = np.random.default_rng(23)
+        for k in ks:
+            ring = rng.uniform(0.5, 3.0) * np.exp(2j * np.pi * np.arange(64) / 64)
+            for omega in (np.asarray(complex(rng.uniform(-4, 4), rng.uniform(-2, 2))),
+                          rng.uniform(-2, 2) + 0.5j + ring):
+                got = ops._resolvent_plus(medium, k, omega)
+                expected = per_family_resolvent_plus(medium, k, omega)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("family", [0, 1])
+    def test_unguarded_evaluation_at_a_pole_names_it(self, family, reference_medium):
+        # within 1e-13 of one electric or one magnetic pole; none of the other family is near
+        pole = complex(reference_medium._family_arrays[family][3][0])
+        others = reference_medium._family_arrays[1 - family][3]
+        assert np.abs(others - pole).min() > 0.1
+        for omega in (pole + 1e-13, np.array([0.7 + 0.3j, pole - 1e-13j, -1.0 + 1.0j])):
+            named = re.escape(f"too close to pole {pole}") + "$"
+            with pytest.raises(EvaluationAtPole, match=named):
+                ops.resolvent_formula(reference_medium, 1.0, omega, guard=False)
+            with pytest.raises(EvaluationAtPole, match="too close to pole"):
+                ops.eigenvector_columns(reference_medium, 1.0, omega)
 
 
 def dense_eig_projectors(matrix, eigenvalues):
@@ -515,11 +622,16 @@ class TestGSymmetricCore:
 
         vecs = near_defective(ops._assemble(reference_medium, np.array([[1.0j]]))[0])[1]
         assert np.linalg.cond(vecs) > 1e12
+        # the single-k eig is memoised: start without it, and drop the doctored one after
+        ops._u_plus_at.cache_clear()
         monkeypatch.setattr(np.linalg, "eig", near_defective)
-        with pytest.raises(NotDiagonalizable, match=r"k=1: scaled gap .*, \|V\|\|L\| "):
-            ops.build_perp_operator(reference_medium, 1.0).eigen
-        with pytest.raises(NotDiagonalizable, match="k=1:"):
-            ops._helicity_modes(reference_medium, np.array([1.0, 2.0]))
+        try:
+            with pytest.raises(NotDiagonalizable, match=r"k=1: scaled gap .*, \|V\|\|L\| "):
+                ops.build_perp_operator(reference_medium, 1.0).eigen
+            with pytest.raises(NotDiagonalizable, match="k=1:"):
+                ops._helicity_modes(reference_medium, np.array([1.0, 2.0]))
+        finally:
+            ops._u_plus_at.cache_clear()
 
 
 class TestSingularSetSpectrum:
@@ -537,6 +649,20 @@ class TestSingularSetSpectrum:
     @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
     def test_fixture_spectra_are_certified_roots(self, name, request):
         self.check_spectrum(request.getfixturevalue(name), GRID_61)
+
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_spectrum_is_the_certified_eigvals_set_bit_for_bit(self, name, request):
+        # without a prior op.eigen, the singular set is the set the u_+ eigvals gave
+        medium = request.getfixturevalue(name)
+        ops._u_plus_at.cache_clear()
+        ops._singular_set.cache_clear()
+        fixed = [[0j], [p.location for p in medium.catalog.poles], medium.family_zeros[1]]
+        for k in GRID_61:
+            u_plus = ops._assemble(medium, np.array([[1j * k]]))[0]
+            spectrum = pr.certify(np.linalg.eigvals(u_plus), dsp.dispersion_polynomial(medium, k))
+            expected = np.sort_complex(np.concatenate(fixed + [spectrum]))
+            got = np.sort_complex(ops.singular_set(medium, k))
+            assert got.tobytes() == expected.tobytes()
 
     def test_drawn_spectra_are_certified_roots(self, drawn_media):
         for medium in drawn_media:
