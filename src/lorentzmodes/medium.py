@@ -71,10 +71,13 @@ class Oscillator:
         """Both roots of q, closed form.
 
         Lies on the real axis iff damping == 0, on the negative imaginary
-        axis iff damping >= 2*resonance.
+        axis iff damping >= 2*resonance.  Where |disc| <= 4 eps w^2 the split
+        of the two roots is rounding, so both are the exact double root.
         """
         a, w = self.damping, self.resonance
         disc = w * w - 0.25 * a * a
+        if abs(disc) <= 4.0 * np.finfo(float).eps * w * w:
+            disc = 0.0
         if disc >= 0.0:
             s = math.sqrt(disc)
             return (complex(s, -0.5 * a), complex(-s, -0.5 * a))
@@ -254,6 +257,10 @@ class LorentzMedium:
             raise EmptyMedium("need at least one oscillator")
         _check_oscillators("electric", self.electric)
         _check_oscillators("magnetic", self.magnetic)
+        object.__setattr__(self, "_hash", hash((self.eps0, self.mu0, self.electric, self.magnetic)))
+
+    def __hash__(self) -> int:
+        return self._hash  # the dataclass's field hash, computed once: memo lookups key on it
 
     # --- sizes ---------------------------------------------------------------
 

@@ -12,15 +12,14 @@ simple dispersion roots and the spectrum of the resolvent's singular set.  On
 u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
 one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
 over k, it gives the evolved norms of the energy and envelope runs and the
-projector sweeps, and no other module splits the polarisations.  At a single
-k that eig is taken once and memoised: the decomposition, its residual and the
-singular set's spectrum share it.  The electric and magnetic oscillator
-families enter every formula in the same way: the operator blocks walk them by
-one loop, and the u_+ resolvent and eigenspace map walk both as one
-concatenated array.  Besides the matrices this module provides the explicit
-resolvent, the contour-integral projectors and the slow-branch optimal initial
-data.  The resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by
-the same map as the projectors, and the contour sums only u_+ resolvents.
+projector sweeps, and no other module splits the polarisations.  One record
+per medium, built by one walk of both oscillator families, holds every
+k-independent constant; one per (medium, k) holds the u_+ operator and its one
+eig, which the decomposition, its residual and the singular set share.  Besides
+the matrices this module provides the explicit resolvent, the contour-integral
+projectors and the slow-branch optimal initial data.  The resolvent is the
+N x N u_+ formula lifted to the 2N x 2N operator by the same map as the
+projectors, and the contour sums only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -150,22 +148,71 @@ class PerpState:
         return s
 
 
-# The per-medium constants of this module (and the per-k singular set) are memoised
-# here, keyed on the frozen medium: the medium caches only what it derives for itself
-# and knows nothing of the state layout.  The bound keeps a stream of media (the
-# atlas's seeded draws) from holding every medium's matrices.
-@lru_cache(maxsize=16)
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+class _MediumRecord:
+    """One medium's k-independent constants, read-only, from one walk of ``_families``.
+
+    The operator less its curl block at block widths 1 and 2, both families on
+    u_+ as one array (electric first), the energy weights, their roots and the
+    flip; and, on first use since the catalog refuses H1 or H2 breaches, the
+    singular set's fixed points.
+    """
+
+    def __init__(self, medium: LorentzMedium):
+        self.medium = medium
+        ne, nm = medium.n_electric, medium.n_magnetic
+        lay = StateLayout(ne, nm, 1)
+        a = np.zeros((lay.dim, lay.dim), dtype=complex)
+        gram = np.empty(lay.dim)
+        eye = np.eye(1)  # the blocks are scalar multiples of I, as at every width
+        blocks, constants = [], []  # per oscillator: (position, velocity, family), (base, c, r, g)
+        for f, (field, b, oscillators, p, v) in enumerate(_families(medium, lay)):
+            gram[field] = b / 2
+            for j, osc in enumerate(oscillators):
+                a[field, v(j)] = -1j * osc.coupling**2 * eye
+                a[p(j), v(j)] = 1j * eye
+                a[v(j), field] = 1j * eye
+                a[v(j), p(j)] = -1j * osc.resonance**2 * eye
+                a[v(j), v(j)] = -1j * osc.damping * eye
+                gram[p(j)] = b / 2 * osc.resonance**2 * osc.coupling**2
+                gram[v(j)] = b / 2 * osc.coupling**2
+                blocks.append((p(j).start, v(j).start, f))
+                constants.append((b, osc.coupling, osc.resonance, osc.damping))
+        base, c, r, g = np.array(constants).T
+        poles_e, poles_m = (poles for *_, poles in medium._family_arrays)
+        self.template, self.template2 = a, np.kron(a, np.eye(2))
+        self.pos, self.vel, self.family = np.array(blocks).T  # family 0 electric, 1 magnetic
+        self.magnetic = slice(ne, ne + nm)
+        self.c2, self.r2, self.ir2, self.ig, self.minus_ig = c**2, r**2, 1j * r**2, 1j * g, -1j * g
+        self.a_coef = -base * 1j * c**2  # -(eps0 or mu0) * 1j * coupling^2
+        self.poles = np.concatenate([poles_m, poles_e])  # magnetic first, as mu is evaluated first
+        self.gram = np.repeat(gram, 2)
+        self.sqrt_gram = np.sqrt(self.gram)
+        # S, -1 on H, M and Mdot: S A_+ S is the u_- operator
+        self.flip = np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
+        for x in vars(self).values():
+            if isinstance(x, np.ndarray):
+                _read_only(x)
+
+    @cached_property
+    def fixed_points(self) -> np.ndarray:  # 0, the poles, the mu-zeros
+        poles = [p.location for p in self.medium.catalog.poles]
+        return _read_only(np.concatenate([[0j], poles, self.medium.family_zeros[1]]))
+
+
+# Kept here, keyed on the frozen medium, as the medium knows nothing of the state
+# layout; the bound keeps a stream of media (the atlas's seeded draws) from holding
+# every medium's matrices.
+_medium_record = lru_cache(maxsize=16)(_MediumRecord)
+
+
 def gram_diagonal(medium: LorentzMedium) -> np.ndarray:
     """Diagonal of the energy inner product in the block layout; read-only, one per medium."""
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, 2)
-    g = np.empty(lay.dim)
-    for field, base, oscillators, pos, vel in _families(medium, lay):
-        g[field] = base / 2
-        for j, osc in enumerate(oscillators):
-            g[pos(j)] = base / 2 * osc.resonance**2 * osc.coupling**2
-            g[vel(j)] = base / 2 * osc.coupling**2
-    g.flags.writeable = False
-    return g
+    return _medium_record(medium).gram
 
 
 @dataclass
@@ -196,13 +243,9 @@ class PerpOperator:
         norms = np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2, axis=-1))
         return float(norms) if norms.ndim == 0 else norms
 
-    @cached_property
-    def _sqrt_gram(self) -> np.ndarray:
-        return np.sqrt(self.gram_diag)
-
     def operator_norm(self, mat: np.ndarray) -> float:
         """Spectral norm of mat measured in the weighted inner product."""
-        s = self._sqrt_gram
+        s = _medium_record(self.medium).sqrt_gram
         return float(np.linalg.svd((mat * s[:, None]) / s[None, :], compute_uv=False)[0])
 
     @cached_property
@@ -213,29 +256,17 @@ class PerpOperator:
 def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
     """Operator matrix and layout; the block width is the size of the curl block.
 
-    Leading axes of curl give a stack of matrices; the other blocks are ``_oscillator_blocks``.
+    Leading axes of curl give a stack of matrices; the other blocks are the medium
+    record's templates, widened per call to the full operator's width 3.
     """
-    template, lay = _oscillator_blocks(medium, curl.shape[-1])
+    rec = _medium_record(medium)
+    lay = StateLayout(medium.n_electric, medium.n_magnetic, curl.shape[-1])
+    template = {1: rec.template, 2: rec.template2}.get(lay.width)
+    if template is None:
+        template = np.kron(rec.template, np.eye(lay.width))
     a = np.broadcast_to(template, curl.shape[:-2] + template.shape).copy()
     a[..., lay.e, lay.h] = -curl / medium.eps0
     a[..., lay.h, lay.e] = curl / medium.mu0
-    return a, lay
-
-
-@lru_cache(maxsize=16)
-def _oscillator_blocks(medium: LorentzMedium, width: int) -> tuple[np.ndarray, StateLayout]:
-    """The read-only k-independent part of the operator, memoised per (medium, width)."""
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, width)
-    a = np.zeros((lay.dim, lay.dim), dtype=complex)
-    eye = np.eye(width)
-    for field, _, oscillators, pos, vel in _families(medium, lay):
-        for j, osc in enumerate(oscillators):
-            a[field, vel(j)] = -1j * osc.coupling**2 * eye
-            a[pos(j), vel(j)] = 1j * eye
-            a[vel(j), field] = 1j * eye
-            a[vel(j), pos(j)] = -1j * osc.resonance**2 * eye
-            a[vel(j), vel(j)] = -1j * osc.damping * eye
-    a.flags.writeable = False
     return a, lay
 
 
@@ -297,30 +328,10 @@ def build_full_operator(medium: LorentzMedium, k_vector) -> np.ndarray:
 def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
     """Points where the formula path degenerates: spectrum, poles, mu-zeros, 0.
 
-    Memoised per (medium, k) as a read-only array, so the guarded resolvent and
-    the contour projector at one wavenumber share one spectrum.
+    A read-only array from the (medium, k) modal record, so the guarded
+    resolvent and the contour projector at one wavenumber share one spectrum.
     """
-    return _singular_set(medium, float(k))
-
-
-@lru_cache(maxsize=16)
-def _singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
-    poles = [p.location for p in medium.catalog.poles]
-    out = np.concatenate([[0j], poles, medium.family_zeros[1], _spectrum(medium, k)])
-    out.flags.writeable = False
-    return out
-
-
-def _spectrum(medium: LorentzMedium, k: float) -> np.ndarray:
-    """The N dispersion roots at k: the ``_u_plus_at`` eigenvalues, certified on the dispersion row.
-
-    Refuses what ``solve_dispersion`` refuses.  At k = 0, where eig leaves the two
-    exact origin roots at rounding size, the root solve deflates them to 0 as before.
-    """
-    if k == 0:
-        return solve_dispersion(medium, 0.0)
-    rows = _solvable_rows(medium, k)
-    return certify(_u_plus_at(medium, k)[1], rows[0])
+    return _modal_record(medium, float(k)).singular_set
 
 
 def resolvent_formula(
@@ -343,51 +354,10 @@ def resolvent_formula(
             raise NearSingularEvaluation(
                 f"omega={bad} within guard distance of the singular sets"
             )
-    return _lift(_resolvent_plus(medium, k, omega), _flip(medium))
+    return _lift(_resolvent_plus(medium, k, omega), _medium_record(medium).flip)
 
 
-class _OscillatorLayout(NamedTuple):
-    """Both oscillator families on u_+ as one concatenated array, electric first."""
-
-    pos: np.ndarray  # position block of each oscillator
-    vel: np.ndarray  # velocity block of each oscillator
-    family: np.ndarray  # 0 electric, 1 magnetic
-    magnetic: slice  # the magnetic oscillators
-    c2: np.ndarray  # coupling^2
-    r2: np.ndarray  # resonance^2
-    ig: np.ndarray  # 1j * damping
-    minus_ig: np.ndarray  # -1j * damping
-    ir2: np.ndarray  # 1j * resonance^2
-    a_coef: np.ndarray  # -(eps0 or mu0) * 1j * coupling^2
-    poles: np.ndarray  # the magnetic poles, then the electric ones
-
-
-@lru_cache(maxsize=16)
-def _oscillator_layout(medium: LorentzMedium) -> _OscillatorLayout:
-    """The read-only per-medium layout of the u_+ formulas, memoised like ``_oscillator_blocks``."""
-    lay = StateLayout(medium.n_electric, medium.n_magnetic, 1)
-    pos, vel, family, base = [], [], [], []
-    for f, (_, b, oscillators, p, v) in enumerate(_families(medium, lay)):
-        n = len(oscillators)
-        pos += [p(j).start for j in range(n)]
-        vel += [v(j).start for j in range(n)]
-        family += [f] * n
-        base += [b] * n
-    (c_e, r_e, g_e, poles_e), (c_m, r_m, g_m, poles_m) = medium._family_arrays
-    c, r, g = np.concatenate([c_e, c_m]), np.concatenate([r_e, r_m]), np.concatenate([g_e, g_m])
-    out = _OscillatorLayout(
-        pos=np.array(pos, dtype=int), vel=np.array(vel, dtype=int),
-        family=np.array(family, dtype=int), magnetic=slice(medium.n_electric, len(c)),
-        c2=c**2, r2=r**2, ig=1j * g, minus_ig=-1j * g, ir2=1j * r**2,
-        a_coef=-np.array(base) * 1j * c**2, poles=np.concatenate([poles_m, poles_e]),
-    )
-    for x in out:
-        if isinstance(x, np.ndarray):
-            x.flags.writeable = False
-    return out
-
-
-def _oscillator_terms(medium: LorentzMedium, osc: _OscillatorLayout, w: np.ndarray):
+def _oscillator_terms(medium: LorentzMedium, osc: _MediumRecord, w: np.ndarray):
     """(q, eps, mu) at w: each oscillator's quadratic on a new last axis, then both materials.
 
     eps and mu add coupling^2 / q family by family in oscillator order, as
@@ -409,10 +379,10 @@ def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.nd
 
     The factored formula with J2 -> i: the resolvent is v s^T + t, where the
     eigenspace map v and the row s are N-vectors.  Both oscillator families are
-    filled in one pass over ``_oscillator_layout``, and eps and mu come from the
-    same quadratics.
+    filled in one pass over the medium record's oscillator arrays, and eps and mu
+    come from the same quadratics.
     """
-    osc = _oscillator_layout(medium)
+    osc = _medium_record(medium)
     n = medium.state_blocks
     w = omega[..., None]  # block coefficients broadcast along the last axis
     q, eps, mu = _oscillator_terms(medium, osc, w)
@@ -456,7 +426,7 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     ``omega.shape + (dim, 2)``.
     """
     omega = np.asarray(omega, dtype=complex)
-    osc = _oscillator_layout(medium)
+    osc = _medium_record(medium)
     q, _, mu = _oscillator_terms(medium, osc, omega[..., None])
     q, mu = q[..., None, None], mu[..., None, None]  # broadcast along (block, row, column)
     w = omega[..., None, None, None]
@@ -511,12 +481,6 @@ class SpectralDecomposition:
         return float(np.linalg.norm(self.projectors.sum(axis=0) - eye, 2))
 
 
-def _flip(medium: LorentzMedium) -> np.ndarray:
-    """S per block, -1 on H, M and Mdot: S A_+ S is the u_- operator."""
-    ne, nm = medium.n_electric, medium.n_magnetic
-    return np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
-
-
 def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """p (x) u_+u_+^H + S p S (x) u_-u_-^H: N x N u_+ matrices (last two axes) to 2N x 2N."""
     # block (a, b): p[..., a, b] (u_+u_+^H + s_a s_b u_-u_-^H)
@@ -526,29 +490,56 @@ def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (p[..., :, None, :, None] * q).reshape(p.shape[:-2] + (dim, dim))
 
 
-@lru_cache(maxsize=16)
-def _u_plus_at(medium: LorentzMedium, k: float):
-    """The u_+ operator and its eig at one k, read-only: one ``eig`` per (medium, k).
+class _ModalRecord:
+    """The u_+ operator at one (medium, k), its ``eig`` and what is read off it.
 
-    The singular set's spectrum, the decomposition and its residual share it.
+    Each field is built on first use and read-only.  The certified spectrum
+    refuses what ``solve_dispersion`` refuses (a non-finite k before any eig)
+    and at k = 0 takes its deflated origin roots; the singular set never reads
+    the refusing ``modes``.
     """
-    a_plus = _assemble(medium, np.array([[1j * k]]))[0]
-    out = (a_plus, *np.linalg.eig(a_plus))
-    for x in out:
-        x.flags.writeable = False
-    return out
+
+    def __init__(self, medium: LorentzMedium, k: float):
+        self.medium, self.k = medium, k
+
+    @cached_property
+    def u_plus(self) -> np.ndarray:
+        return _read_only(_assemble(self.medium, np.array([[1j * self.k]]))[0])
+
+    @cached_property
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, np.linalg.eig(self.u_plus)))
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return tuple(map(_read_only, _helicity_modes(self.medium, self.k)))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        if self.k == 0:
+            return _read_only(solve_dispersion(self.medium, 0.0))
+        rows = _solvable_rows(self.medium, self.k)
+        return certify(self.eig[0], rows[0])
+
+    @cached_property
+    def singular_set(self) -> np.ndarray:
+        return _read_only(np.concatenate([_medium_record(self.medium).fixed_points, self.spectrum]))
+
+
+# bounded like the medium record, for the same reason
+_modal_record = lru_cache(maxsize=16)(_ModalRecord)
 
 
 def _helicity_modes(medium: LorentzMedium, k):
     """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) of the u_+ operator.
 
-    A scalar k reads the memoised eig of ``_u_plus_at``; a 1-D array of k gives
-    stacks from one ``eig``.  The first k with a scaled gap below EIG_CLUSTER_TOL
-    or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
+    A scalar k sorts its modal record's eig (kept there as ``modes``); a 1-D array
+    of k gives stacks from one ``eig``.  The first k with a scaled gap below
+    EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
     """
     k = np.asarray(k, dtype=float)
     if k.ndim == 0:
-        _, vals, vecs = _u_plus_at(medium, float(k))
+        vals, vecs = _modal_record(medium, float(k)).eig
     else:
         vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
@@ -574,8 +565,9 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     S-flipped u_- part both evolve by the u_+ operator, stacked over ks.
     """
     v = states.reshape(states.shape[:-1] + (medium.state_blocks, 2))
-    parts = np.stack([v @ _U_PLUS.conj(), _flip(medium) * (v @ _U_PLUS)], axis=-1)
-    weight = gram_diagonal(medium)[::2, None]  # one weight per block, both parts
+    rec = _medium_record(medium)
+    parts = np.stack([v @ _U_PLUS.conj(), rec.flip * (v @ _U_PLUS)], axis=-1)
+    weight = rec.gram[::2, None]  # one weight per block, both parts
     vals, vecs, left = _helicity_modes(medium, ks)
     phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
     evolved = vecs[:, None] @ (phases * (left @ parts)[:, None])  # (ks, times, N, 2)
@@ -610,11 +602,11 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """
     if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
         raise NotDiagonalizable(f"k={op.k:g}: the matrix is not the medium's operator at k")
-    vals, vecs, left = _helicity_modes(op.medium, op.k)
-    a_plus = _u_plus_at(op.medium, op.k)[0]
-    residual = float(_reconstruction_residual(a_plus, op.k, vals, vecs, left))
+    rec = _modal_record(op.medium, float(op.k))
+    vals, vecs, left = rec.modes
+    residual = float(_reconstruction_residual(rec.u_plus, op.k, vals, vecs, left))
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
-    projectors = _lift(p, _flip(op.medium))
+    projectors = _lift(p, _medium_record(op.medium).flip)
     return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
 
 
@@ -666,7 +658,7 @@ def projector_contour(
         if prev is not None:
             change, size = np.linalg.svd(np.stack([est - prev, est]), compute_uv=False)[..., 0]
             if change < _CONTOUR_TOL * max(1.0, size):
-                return _lift(est, _flip(medium))
+                return _lift(est, _medium_record(medium).flip)
         prev = est
         # the odd nodes of the 2n-node ring
         theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
@@ -695,7 +687,7 @@ def projector_norm_sweep(
             for k in ks]
     vals, vecs, left = _helicity_modes(medium, ks)
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
-    at, s = np.arange(len(ks)), np.sqrt(gram_diagonal(medium)[::2])  # s = W^1/2
+    at, s = np.arange(len(ks)), _medium_record(medium).sqrt_gram[::2]  # s = W^1/2
     norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
     residual = _reconstruction_residual(_assemble(medium, 1j * ks[:, None, None])[0], ks, vals,
                                         vecs, left)

@@ -44,6 +44,13 @@ class TestConstruction:
         with pytest.raises(EmptyMedium):
             lm.new_medium(1, 1, [], [])
 
+    def test_hash_is_the_field_hash_computed_once(self):
+        a = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])
+        b = lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.1)], [(1.0, 2.0, 0.2)])
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash((a.eps0, a.mu0, a.electric, a.magnetic))
+        assert a.__dict__["_hash"] == hash(a)  # kept on the instance
+
     def test_nonpositive_vacuum_constants_rejected(self):
         with pytest.raises(NonPositiveCoefficient):
             lm.new_medium(0.0, 1, [(1, 1, 0.1)], [])
@@ -244,6 +251,22 @@ class TestCatalog:
                 p + h * 1j
             )
             assert approx == pytest.approx(entry.residue, rel=5e-4)
+
+    def test_a_damping_ratio_one_ulp_off_2_is_the_double_root(self):
+        # the roots' split is rounding there: four roots at -1j are one pole of order 4
+        # (electric 2.0 exact, magnetic one ulp above), not two noise poles
+        medium = lm.new_medium(1, 1, [(1, .5, 0), (1, 1, 0), (1, .75, 0), (1, 1, 2.0)],
+                               [(1, 1, 2.0000000000000004)])
+        minus = [p for p in medium.catalog.poles if p.klass is PoleClass.MINUS]
+        assert [p.multiplicity for p in minus] == [4]
+        assert abs(minus[0].location + 1j) <= 1e-15
+        assert abs(minus[0].residue + 1.0) <= 1e-12
+        # a lone such oscillator is the double pole of the exact ratio 2
+        near, exact = (lm.new_medium(1, 1, [(1, 1, a)], []).catalog.poles
+                       for a in (2.0000000000000004, 2.0))
+        assert [p.multiplicity for p in near] == [p.multiplicity for p in exact] == [2]
+        assert abs(near[0].location - exact[0].location) <= 1e-15
+        assert abs(near[0].residue - exact[0].residue) <= 1e-12
 
     def test_family_zeros_in_descending_order(self, critical_medium, double_pole_medium):
         # the catalog lists zeros in this order whatever order the eigensolver returns

@@ -239,16 +239,17 @@ class TestResolvent:
 
 class TestSingularSetMemo:
     def test_one_solve_per_medium_and_k(self, monkeypatch, reference_medium):
-        # the spectrum of the singular set is one certified u_+ spectrum per (medium, k)
-        solve = ops._spectrum
+        # the spectrum of the singular set is one certified u_+ spectrum per (medium, k):
+        # the modal record builds its dispersion row once
+        solve = ops._solvable_rows
         calls = []
 
         def counting(medium, k, *args, **kwargs):
             calls.append(k)
             return solve(medium, k, *args, **kwargs)
 
-        monkeypatch.setattr(ops, "_spectrum", counting)
-        ops._singular_set.cache_clear()
+        monkeypatch.setattr(ops, "_solvable_rows", counting)
+        ops._modal_record.cache_clear()
         k = 1.2345
         w = ops.build_perp_operator(reference_medium, k).eigen.eigenvalues[0]
         ops.resolvent_formula(reference_medium, k, 0.3 + 0.7j)
@@ -278,8 +279,7 @@ class TestSingularSetMemo:
         monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", eigvals))
         for medium in (reference_medium, wide_medium):
             ops.singular_set(medium, 0.5)  # the per-medium constants (poles, zeros) are built
-            ops._u_plus_at.cache_clear()
-            ops._singular_set.cache_clear()
+            ops._modal_record.cache_clear()
             calls.clear()
             k = 0.8765
             dec = ops.build_perp_operator(medium, k).eigen
@@ -290,13 +290,27 @@ class TestSingularSetMemo:
             ops._helicity_modes(medium, np.array([0.5, k, 2.0]))
             assert calls == ["eig", "eig"]
 
+    def test_nonfinite_k_is_refused_before_any_eig(self, monkeypatch, reference_medium):
+        ops.singular_set(reference_medium, 0.5)  # the per-medium constants are built
+
+        def no_eig(a):
+            raise AssertionError("eig ran")
+
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        for k in (float("nan"), float("inf")):
+            with pytest.raises(InvalidWavenumber):
+                ops.singular_set(reference_medium, k)
+
     def test_memoised_eig_is_read_only(self, reference_medium):
-        got = ops._u_plus_at(reference_medium, 0.625)
+        record = ops._modal_record(reference_medium, 0.625)
+        got = (record.u_plus, *record.eig)
         assert len(got) == 3  # (A_+, eigenvalues, eigenvectors)
-        for x in got:
+        for x in got + record.modes + (record.spectrum, record.singular_set):
             with pytest.raises(ValueError):
                 x.flat[0] = 1.0
-        assert all(a is b for a, b in zip(ops._u_plus_at(reference_medium, 0.625), got))
+        again = ops._modal_record(reference_medium, 0.625)
+        assert again is record
+        assert all(a is b for a, b in zip((again.u_plus, *again.eig), got))
 
 
 STACK_MEDIA = [
@@ -373,6 +387,72 @@ class TestStackedResolvent:
 
 ALL_MEDIA = STACK_MEDIA + ["undamped_medium", "electric_only_medium"]
 BAND_KS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+
+
+def per_block_template(medium, width):
+    """The k-independent blocks of the width-wide operator, filled block by block."""
+    lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, width)
+    a = np.zeros((lay.dim, lay.dim), dtype=complex)
+    eye = np.eye(width)
+    for field, _, oscillators, pos, vel in ops._families(medium, lay):
+        for j, osc in enumerate(oscillators):
+            a[field, vel(j)] = -1j * osc.coupling**2 * eye
+            a[pos(j), vel(j)] = 1j * eye
+            a[vel(j), field] = 1j * eye
+            a[vel(j), pos(j)] = -1j * osc.resonance**2 * eye
+            a[vel(j), vel(j)] = -1j * osc.damping * eye
+    return a
+
+
+class TestMediumRecord:
+    def test_one_families_walk_per_medium(self, monkeypatch, asymmetric_medium):
+        walk, walks = ops._families, []
+
+        def counting(medium, lay):
+            walks.append(lay.width)
+            return walk(medium, lay)
+
+        monkeypatch.setattr(ops, "_families", counting)
+        ops._medium_record.cache_clear()
+        for k in (0.5, 2.0):
+            ops.build_perp_operator(asymmetric_medium, k)
+            ops.build_full_operator(asymmetric_medium, [0.0, k, 1.0])
+            ops.resolvent_formula(asymmetric_medium, k, 0.3 + 0.7j)
+            ops.eigenvector_columns(asymmetric_medium, k, 0.3 + 0.7j)
+            ops.gram_diagonal(asymmetric_medium)
+        assert walks == [1]
+
+    @pytest.mark.parametrize("name", ["reference_medium", "electric_only_medium", "wide_medium"])
+    def test_every_array_is_read_only(self, name, request):
+        record = ops._medium_record(request.getfixturevalue(name))
+        record.fixed_points  # built on first use
+        arrays = [x for x in vars(record).values() if isinstance(x, np.ndarray)]
+        assert len(arrays) == 16
+        for x in arrays:
+            assert not x.flags.writeable
+
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    def test_templates_are_the_per_block_fill(self, name, request):
+        medium = request.getfixturevalue(name)
+        record = ops._medium_record(medium)
+        t1, t2 = record.template, record.template2
+        assert t1.tobytes() == per_block_template(medium, 1).tobytes()
+        assert t2.tobytes() == per_block_template(medium, 2).tobytes()
+        # the full operator widens the template to 3 per call
+        k = np.array([0.3, -0.2, 1.1])
+        cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+        expected = per_block_template(medium, 3)
+        expected[0:3, 3:6] = -cross / medium.eps0
+        expected[3:6, 0:3] = cross / medium.mu0
+        assert ops.build_full_operator(medium, k).tobytes() == expected.tobytes()
+
+    def test_a_stream_of_media_keeps_both_caches_bounded(self):
+        for i in range(20):
+            medium = lm.new_medium(1.0, 1.0, [(1.0, 1.0 + 0.01 * i, 0.1)], [(1.0, 2.0, 0.2)])
+            ops.build_perp_operator(medium, 1.0).eigen
+            ops.singular_set(medium, 1.0)
+            assert ops._medium_record.cache_info().currsize <= 16
+            assert ops._modal_record.cache_info().currsize <= 16
 
 
 class TestResolventAcrossBands:
@@ -623,22 +703,24 @@ class TestGSymmetricCore:
         vecs = near_defective(ops._assemble(reference_medium, np.array([[1.0j]]))[0])[1]
         assert np.linalg.cond(vecs) > 1e12
         # the single-k eig is memoised: start without it, and drop the doctored one after
-        ops._u_plus_at.cache_clear()
+        ops._modal_record.cache_clear()
         monkeypatch.setattr(np.linalg, "eig", near_defective)
         try:
             with pytest.raises(NotDiagonalizable, match=r"k=1: scaled gap .*, \|V\|\|L\| "):
                 ops.build_perp_operator(reference_medium, 1.0).eigen
             with pytest.raises(NotDiagonalizable, match="k=1:"):
                 ops._helicity_modes(reference_medium, np.array([1.0, 2.0]))
+            # the guarded resolvent reads the same eig's values, never the refused modes
+            assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, 0.3 + 0.7j)).all()
         finally:
-            ops._u_plus_at.cache_clear()
+            ops._modal_record.cache_clear()
 
 
 class TestSingularSetSpectrum:
     @staticmethod
     def check_spectrum(medium, ks):
         for k in ks:
-            spectrum = ops._spectrum(medium, k)
+            spectrum = ops._modal_record(medium, float(k)).spectrum
             row = dsp.dispersion_polynomial(medium, k)
             assert np.all(pr._backward_errors(spectrum, row) <= pr.RESIDUAL_TOL)
             roots = dsp.solve_dispersion(medium, k)
@@ -654,8 +736,7 @@ class TestSingularSetSpectrum:
     def test_spectrum_is_the_certified_eigvals_set_bit_for_bit(self, name, request):
         # without a prior op.eigen, the singular set is the set the u_+ eigvals gave
         medium = request.getfixturevalue(name)
-        ops._u_plus_at.cache_clear()
-        ops._singular_set.cache_clear()
+        ops._modal_record.cache_clear()
         fixed = [[0j], [p.location for p in medium.catalog.poles], medium.family_zeros[1]]
         for k in GRID_61:
             u_plus = ops._assemble(medium, np.array([[1j * k]]))[0]
@@ -679,7 +760,7 @@ class TestSingularSetSpectrum:
                     dsp.solve_dispersion(medium, k)
                 except DegenerateLeadingCoefficient:
                     with pytest.raises(DegenerateLeadingCoefficient):
-                        ops._spectrum(medium, k)
+                        ops._modal_record(medium, float(k)).spectrum
                 else:
                     self.check_spectrum(medium, [k])
 
@@ -729,7 +810,7 @@ def ring_by_ring_contour(medium, k, eigenvalue):
         if prev is not None and np.linalg.norm(est - prev, 2) < ops._CONTOUR_TOL * max(
             1.0, np.linalg.norm(est, 2)
         ):
-            return ops._lift(est, ops._flip(medium))
+            return ops._lift(est, ops._medium_record(medium).flip)
         prev = est
         theta = 2.0 * np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
         nodes *= 2
@@ -816,7 +897,7 @@ class TestContourProjector:
         cases += [(worked_ep, k) for k in (1.2815078, 1.2815079, 1.2815079012, 2.0)]
         at_64 = 0
         for medium, k in cases:
-            for w in ops._spectrum(medium, k):
+            for w in ops._modal_record(medium, float(k)).spectrum:
                 got, calls = outcome(ops.projector_contour, medium, k, w)
                 expected, rings = outcome(ring_by_ring_contour, medium, k, w)
                 if isinstance(expected, type):
