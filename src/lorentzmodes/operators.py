@@ -33,6 +33,7 @@ import numpy as np
 from .errors import (
     ContourTooTight,
     DimensionMismatch,
+    InvalidWavenumber,
     NearSingularEvaluation,
     NotDiagonalizable,
     QuadratureNonconvergent,
@@ -271,10 +272,16 @@ def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, Stat
 
 
 def build_perp_operator(medium: LorentzMedium, k: float) -> PerpOperator:
-    """Assemble the 2N x 2N reduced operator at wavenumber k >= 0."""
+    """Assemble the 2N x 2N reduced operator at wavenumber k >= 0.
+
+    Raises InvalidWavenumber for a non-finite k.
+    """
+    k = float(k)
+    if not math.isfinite(k):
+        raise InvalidWavenumber(f"an operator needs a finite wavenumber, got k = {k}")
     a, lay = _assemble(medium, k * J2)
     return PerpOperator(
-        matrix=a, k=float(k), gram_diag=gram_diagonal(medium), layout=lay, medium=medium
+        matrix=a, k=k, gram_diag=gram_diagonal(medium), layout=lay, medium=medium
     )
 
 

@@ -38,29 +38,73 @@ class TestPropagate:
         res = evo.propagate(op, u0, np.linspace(0, 100, 40))
         assert np.max(np.abs(res.norms - 1.0)) < 1e-9
 
-    def test_eigen_vs_oracle(self, reference_medium, rng):
-        op = ops.build_perp_operator(reference_medium, 1.0)
-        u0 = unit_state(op, rng)
+    def test_eigen_vs_oracle(self, request, rng):
+        # the projector expansion against the dense exponential, state by state,
+        # on every medium of conftest.py
         t = np.array([0.0, 1.0, 10.0, 100.0])
-        eig = evo.propagate(op, u0, t)
-        ode = evo.propagate(op, u0, t, method="oracle")
-        assert eig.method == "Eigen" and ode.method == "Oracle"
-        assert np.max(np.abs(eig.states - ode.states)) < 1e-8
-        for res in (eig, ode):
-            per_state = [op.norm(s) for s in res.states]
-            np.testing.assert_allclose(res.norms, per_state, rtol=1e-13)
+        media = ("reference", "asymmetric", "critical", "wide", "double_pole", "ps_noncritical",
+                 "electric_only", "undamped", "h1_violation", "h2_violation")
+        for name in media:
+            medium = request.getfixturevalue(f"{name}_medium")
+            for k in (0.05, 0.3, 1.0, 1.3, 5.0, 40.0):
+                op = ops.build_perp_operator(medium, k)
+                u0 = unit_state(op, rng)
+                eig = evo.propagate(op, u0, t)
+                assert eig.method == "Eigen"
+                ref = np.array([scipy.linalg.expm(-1j * s * op.matrix) @ u0 for s in t])
+                err = np.linalg.norm(eig.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+                assert np.max(err) < 1e-11, (name, k, err)
+                per_state = [op.norm(s) for s in eig.states]
+                np.testing.assert_allclose(eig.norms, per_state, rtol=1e-13)
+
+    def test_eigen_vs_oracle_at_the_worked_exceptional_point(self, rng):
+        medium = lorentzmodes.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
+        t = np.array([0.0, 1.0, 10.0, 100.0])
+        for k in np.append(np.linspace(1.2815078, 1.2815080, 41), 1.2815079012):
+            op = ops.build_perp_operator(medium, k)
+            u0 = unit_state(op, rng)
+            eig = evo.propagate(op, u0, t)
+            assert eig.method == "Eigen"
+            ref = np.array([scipy.linalg.expm(-1j * s * op.matrix) @ u0 for s in t])
+            err = np.linalg.norm(eig.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+            assert np.max(err) < 1e-9, (k, err)
+
+    @staticmethod
+    def _check_fallback(bent, u0, t):
+        """The "Oracle" result on a refused matrix, checked against the dense-eig route."""
+        res = evo.propagate(bent, u0, t)
+        assert res.method == "Oracle"
+        a = bent.matrix
+        # the fallback is per-sample expm, bit for bit
+        expm = np.array([scipy.linalg.expm(-1j * s * a) @ u0 for s in t])
+        np.testing.assert_array_equal(res.states, expm)
+        # independent reference: V exp(-i Lambda t) V^-1 u0 from a dense eig of the bent matrix
+        vals, vecs = np.linalg.eig(a)
+        coef = np.linalg.solve(vecs, u0)
+        ref = (np.exp(-1j * np.outer(t, vals)) * coef) @ vecs.T
+        err = np.linalg.norm(res.states - ref, axis=1) / np.linalg.norm(ref, axis=1)
+        assert np.max(err) < 1e-11, err
+        assert t[0] == 0.0
+        np.testing.assert_array_equal(res.states[0], u0)
+        per_state = [bent.norm(s) for s in res.states]
+        np.testing.assert_allclose(res.norms, per_state, rtol=1e-13)
+        lean = evo.propagate(bent, u0, t, keep_states=False)
+        assert lean.method == "Oracle" and lean.states is None
+        np.testing.assert_array_equal(lean.norms, res.norms)
+        empty = evo.propagate(bent, u0, [])
+        assert empty.method == "Oracle" and empty.states.shape == (0, bent.dim)
+        return res
 
     def test_oracle_fallback_when_eigenvalues_split(self, reference_medium, rng):
         # one perturbed entry splits every doubled eigenvalue, so the eigen
-        # path refuses and propagate falls back to the integration oracle
+        # path refuses and propagate falls back to the dense matrix exponential
         op = ops.build_perp_operator(reference_medium, 1.0)
         a = op.matrix.copy()
         a[0, 0] += 1e-3
         bent = replace(op, matrix=a)
         u0 = unit_state(op, rng)
         t = np.array([0.0, 1.0, 10.0, 100.0])
-        res = evo.propagate(bent, u0, t)
-        assert res.method == "Oracle"
+        res = self._check_fallback(bent, u0, t)
         expected = [bent.norm(scipy.linalg.expm(-1j * a * s) @ u0) for s in t]
         np.testing.assert_allclose(res.norms, expected, rtol=0, atol=1e-8)
 
@@ -76,9 +120,14 @@ class TestPropagate:
             bent.eigen
         u0 = unit_state(op, rng)
         t = np.array([0.0, 1.0, 10.0, 100.0])
-        res = evo.propagate(bent, u0, t)
-        assert res.method == "Oracle"
+        res = self._check_fallback(bent, u0, t)
         np.testing.assert_allclose(res.norms, evo.propagate(op, u0, t).norms, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("t", [[0.0, np.nan], [0.0, np.inf], [np.nan], [1.0, 0.0], [-1.0, 0.0]])
+    def test_bad_time_grid_refused(self, reference_medium, rng, t):
+        op = ops.build_perp_operator(reference_medium, 1.0)
+        with pytest.raises(ValueError, match="finite, sorted and nonnegative"):
+            evo.propagate(op, unit_state(op, rng), t)
 
     def test_norms_nonincreasing(self, reference_medium, rng):
         op = ops.build_perp_operator(reference_medium, 2.0)

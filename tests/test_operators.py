@@ -66,6 +66,16 @@ class TestOperatorAssembly:
             idx = [3 * b + c for b in range(nb) for c in (0, 1)]
             np.testing.assert_allclose(full[np.ix_(idx, idx)], perp.matrix, atol=1e-14)
 
+    def test_nonfinite_k_is_refused(self, reference_medium):
+        for k in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidWavenumber, match=r"k = (nan|-?inf)"):
+                ops.build_perp_operator(reference_medium, k)
+        # a negative k stays accepted: the curl block only changes sign
+        neg, pos = (ops.build_perp_operator(reference_medium, k) for k in (-0.8, 0.8))
+        lay = pos.layout
+        np.testing.assert_array_equal(neg.matrix[lay.e, lay.h], -pos.matrix[lay.e, lay.h])
+        assert neg.k == -0.8 and np.all(np.isfinite(neg.matrix))
+
 
 class TestRotation:
     def test_aligned_wave_vector_is_identity(self):
