@@ -320,9 +320,18 @@ def cmd_fit(args) -> int:
         raise ConfigError(f"decay CSV not found: {path}")
     t, e = [], []
     with open(path) as fh:
-        for row in csv.DictReader(fh):
-            t.append(float(row["t"]))
-            e.append(float(row["energy"]))
+        reader = csv.DictReader(fh)
+        missing = [col for col in ("t", "energy") if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path} has no {' or '.join(missing)} column")
+        for row in reader:
+            for col, values in (("t", t), ("energy", e)):
+                try:
+                    values.append(float(row[col]))
+                except (TypeError, ValueError):  # TypeError: a short row leaves None
+                    raise ConfigError(
+                        f"{path} line {reader.line_num}: non-numeric {col} value {row[col]!r}"
+                    ) from None
     record = energy_mod.DecayRecord(
         t_grid=np.asarray(t), energy=np.asarray(e), tag=str(path), panels=0
     )

@@ -5,7 +5,10 @@ oscillators.  This module evaluates them, catalogs the poles and zeros of the
 product function R(omega) = omega^2 * eps(omega) * mu(omega) with
 multiplicities and leading residues, validates the structural assumptions, and
 produces the asymptotic coefficient table that the dispersion-branch machinery
-checks against.
+checks against.  Each family's oscillator constants are one read-only table,
+and one evaluator, ``LorentzMedium.family_terms``, turns it into the oscillator
+quadratics and the material sum for eps, mu and the operators' resolvent and
+eigenvector columns alike.
 
 Every branch of R(omega) = k^2 near a zero or pole of R is a local inverse of
 R, so one engine, ``LorentzMedium._branch_series``, gives them all: it expands
@@ -22,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -83,6 +86,16 @@ class Oscillator:
             return (complex(s, -0.5 * a), complex(-s, -0.5 * a))
         s = math.sqrt(-disc)
         return (complex(0.0, -0.5 * a + s), complex(0.0, -0.5 * a - s))
+
+
+class FamilyTable(NamedTuple):
+    """One oscillator family's constants, one read-only array entry per oscillator."""
+
+    base: float  # eps0 or mu0
+    c2: np.ndarray  # coupling^2
+    r2: np.ndarray  # resonance^2
+    ig: np.ndarray  # 1j * damping
+    poles: np.ndarray  # the roots of every quadratic, pair by pair
 
 
 class PoleClass(enum.Enum):
@@ -279,17 +292,48 @@ class LorentzMedium:
 
     # --- material functions ---------------------------------------------------
 
-    def _family(self, name):
-        """(eps0 or mu0, oscillators) of the electric ("e") or magnetic ("m") family."""
-        return (self.eps0, self.electric) if name == "e" else (self.mu0, self.magnetic)
+    @cached_property
+    def family_tables(self) -> tuple[FamilyTable, FamilyTable]:
+        """(electric, magnetic): each family's oscillator constants, built once, read-only."""
+        out = []
+        for base, fam in ((self.eps0, self.electric), (self.mu0, self.magnetic)):
+            c, r, g = np.array([(o.coupling, o.resonance, o.damping) for o in fam]).reshape(-1, 3).T
+            poles = np.array([o.roots() for o in fam], dtype=complex).reshape(-1)
+            out.append(FamilyTable(base, c**2, r**2, 1j * g, poles))
+            for x in out[-1][1:]:
+                x.flags.writeable = False
+        return tuple(out)
+
+    def family_terms(self, name, omega):
+        """(q, material) of the electric ("e") or magnetic ("m") family at omega.
+
+        q holds each oscillator's quadratic omega^2 + i*damping*omega - resonance^2
+        on a new last axis; material, shaped like omega, is eps (or mu) = base * (1 -
+        sum coupling^2 / q), summed in oscillator order.  Raises EvaluationAtPole
+        naming the first of the family's poles within POLE_EVAL_TOL of any omega.
+        Every array of oscillator quadratics is computed here.
+        """
+        table = self.family_tables["em".index(name)]
+        omega = np.asarray(omega, dtype=complex)
+        w, poles = omega[..., None], table.poles
+        near = np.abs(w - poles) < POLE_EVAL_TOL * (1.0 + np.abs(poles))
+        if np.any(near):
+            r = complex(poles[np.argmax(near.reshape(-1, len(poles)).any(axis=0))])
+            raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
+        q = w * w + table.ig * w - table.r2
+        cq = table.c2 / q
+        s = np.zeros_like(omega)
+        for j in range(cq.shape[-1]):
+            s = s + cq[..., j]
+        return q, (table.base * (1.0 - s))[()]
 
     def permittivity(self, omega):
         """eps(omega) = eps0 * (1 - sum coupling^2 / q_e(omega))."""
-        return _material(omega, *self._family("e"), self._family_arrays[0][3])
+        return self.family_terms("e", omega)[1]
 
     def permeability(self, omega):
         """mu(omega), same structure as the permittivity."""
-        return _material(omega, *self._family("m"), self._family_arrays[1][3])
+        return self.family_terms("m", omega)[1]
 
     def dispersion_value(self, omega):
         """omega^2 * eps(omega) * mu(omega)."""
@@ -354,7 +398,7 @@ class LorentzMedium:
 
     def _h2_witness(self):
         zeros_e, zeros_m = self.family_zeros
-        poles_e, poles_m = (poles for *_, poles in self._family_arrays)
+        poles_e, poles_m = (table.poles for table in self.family_tables)
         for z in zeros_e:
             for p in poles_m:
                 if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
@@ -443,29 +487,8 @@ class LorentzMedium:
         branches = classify_branches(track_branches(self, default_k_grid(self)), self)
         return diagnose_bands(branches, self.asymptotic_coefficients())
 
-    @cached_property
-    def _oscillator_roots(self):
-        """(electric, magnetic): the root pair of every oscillator of each family."""
-        return tuple(tuple(osc.roots() for osc in fam) for fam in (self.electric, self.magnetic))
-
-    @cached_property
-    def _family_arrays(self):
-        """(electric, magnetic): read-only coupling, resonance, damping and pole (root pair) arrays."""
-        out = []
-        for fam, pairs in zip((self.electric, self.magnetic), self._oscillator_roots):
-            crg = np.array([(o.coupling, o.resonance, o.damping) for o in fam]).reshape(-1, 3).T
-            poles = np.array(pairs, dtype=complex).reshape(-1)
-            crg.flags.writeable = poles.flags.writeable = False
-            out.append((*crg, poles))
-        return tuple(out)
-
     def _catalog_poles(self):
-        tagged = [
-            (r, fam)
-            for fam, pairs in zip("em", self._oscillator_roots)
-            for pair in pairs
-            for r in pair
-        ]
+        tagged = [(r, fam) for fam, t in zip("em", self.family_tables) for r in t.poles.tolist()]
         entries = []
         for rep, members in _merge_close([r for r, _ in tagged], COINCIDENCE_TOL):
             mult = len(members)
@@ -556,9 +579,10 @@ class LorentzMedium:
         center = complex(center)
         tol = COINCIDENCE_TOL * (1.0 + abs(center))
         families = []
-        for name, pairs in zip("em", self._oscillator_roots):
+        for table, oscillators in zip(self.family_tables, (self.electric, self.magnetic)):
+            pairs = table.poles.reshape(-1, 2).tolist()
             owned = [(abs(r1 - center) <= tol) + (abs(r2 - center) <= tol) for r1, r2 in pairs]
-            families.append((*self._family(name), owned, max(owned, default=0)))
+            families.append((table.base, oscillators, owned, max(owned, default=0)))
         drop = m + sum(shift for *_, shift in families)  # x^shift * R starts at x^drop
         degenerate = f"R / (omega - {center})^{m} has no finite nonzero limit"
         if drop < 0:
@@ -654,25 +678,6 @@ def _as_oscillator(t) -> Oscillator:
         return t
     coupling, resonance, damping = t
     return Oscillator(float(coupling), float(resonance), float(damping))
-
-
-def _material(omega, base, oscillators, poles):
-    """base * (1 - sum coupling^2 / q(omega)) for one oscillator family with the given poles."""
-    omega = np.asarray(omega, dtype=complex)
-    _refuse_poles(omega, poles)
-    s = np.zeros_like(omega)
-    for osc in oscillators:
-        s = s + osc.coupling**2 / osc.q(omega)
-    out = base * (1.0 - s)
-    return out[()] if out.ndim == 0 else out
-
-
-def _refuse_poles(omega: np.ndarray, poles: np.ndarray) -> None:
-    """Raise EvaluationAtPole naming the first of poles within POLE_EVAL_TOL of any omega."""
-    near = np.abs(omega[..., None] - poles) < POLE_EVAL_TOL * (1.0 + np.abs(poles))
-    if np.any(near):
-        r = complex(poles[np.argmax(near.reshape(-1, len(poles)).any(axis=0))])
-        raise EvaluationAtPole(f"omega={omega} too close to pole {r}")
 
 
 def fan_root(residue: complex, m: int, n: int) -> complex:

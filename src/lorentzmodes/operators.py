@@ -12,14 +12,17 @@ simple dispersion roots and the spectrum of the resolvent's singular set.  On
 u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
 one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
 over k, it gives the evolved norms of the energy and envelope runs and the
-projector sweeps, and no other module splits the polarisations.  One record
-per medium, built by one walk of both oscillator families, holds every
-k-independent constant; one per (medium, k) holds the u_+ operator and its one
-eig, which the decomposition, its residual and the singular set share.  Besides
-the matrices this module provides the explicit resolvent, the contour-integral
-projectors and the slow-branch optimal initial data.  The resolvent is the
-N x N u_+ formula lifted to the 2N x 2N operator by the same map as the
-projectors, and the contour sums only u_+ resolvents.
+projector sweeps, and no other module splits the polarisations.  The oscillator
+quadratics, eps and mu come from the medium's one evaluator,
+``LorentzMedium.family_terms``.  One record per medium, built by one walk of both
+oscillator families, holds every k-independent constant of the state layout; one
+per (medium, k) holds the u_+ operator and its one eig, which the decomposition,
+its residual and the singular set share.  Besides the matrices this module
+provides the explicit resolvent, the contour-integral projectors and the
+slow-branch optimal initial data.  The resolvent is the N x N u_+ formula lifted
+to the 2N x 2N operator by the same map as the projectors; its u_+ eigenspace map
+is the one ``eigenvector_columns`` widens to two columns, and the contour sums
+only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .errors import (
     ZeroWaveVector,
 )
 from .dispersion import _pairwise, _solvable_rows, solve_dispersion
-from .medium import LorentzMedium, _refuse_poles
+from .medium import LorentzMedium
 from .polyroots import certify
 
 #: u_+ eigenvalues (the simple dispersion roots) closer than this, scaled by 1 + |root|
@@ -158,9 +161,10 @@ class _MediumRecord:
     """One medium's k-independent constants, read-only, from one walk of ``_families``.
 
     The operator less its curl block at block widths 1 and 2, both families on
-    u_+ as one array (electric first), the energy weights, their roots and the
-    flip; and, on first use since the catalog refuses H1 or H2 breaches, the
-    singular set's fixed points.
+    u_+ as one array (electric first) with the resolvent's constants from the
+    medium's family tables, the energy weights, their roots and the flip; and, on
+    first use since the catalog refuses H1 or H2 breaches, the singular set's
+    fixed points.
     """
 
     def __init__(self, medium: LorentzMedium):
@@ -170,7 +174,7 @@ class _MediumRecord:
         a = np.zeros((lay.dim, lay.dim), dtype=complex)
         gram = np.empty(lay.dim)
         eye = np.eye(1)  # the blocks are scalar multiples of I, as at every width
-        blocks, constants = [], []  # per oscillator: (position, velocity, family), (base, c, r, g)
+        blocks = []  # per oscillator: (position, velocity, family)
         for f, (field, b, oscillators, p, v) in enumerate(_families(medium, lay)):
             gram[field] = b / 2
             for j, osc in enumerate(oscillators):
@@ -182,15 +186,13 @@ class _MediumRecord:
                 gram[p(j)] = b / 2 * osc.resonance**2 * osc.coupling**2
                 gram[v(j)] = b / 2 * osc.coupling**2
                 blocks.append((p(j).start, v(j).start, f))
-                constants.append((b, osc.coupling, osc.resonance, osc.damping))
-        base, c, r, g = np.array(constants).T
-        poles_e, poles_m = (poles for *_, poles in medium._family_arrays)
+        e, m = medium.family_tables
         self.template, self.template2 = a, np.kron(a, np.eye(2))
         self.pos, self.vel, self.family = np.array(blocks).T  # family 0 electric, 1 magnetic
         self.magnetic = slice(ne, ne + nm)
-        self.c2, self.r2, self.ir2, self.ig, self.minus_ig = c**2, r**2, 1j * r**2, 1j * g, -1j * g
-        self.a_coef = -base * 1j * c**2  # -(eps0 or mu0) * 1j * coupling^2
-        self.poles = np.concatenate([poles_m, poles_e])  # magnetic first, as mu is evaluated first
+        self.ir2 = 1j * np.concatenate([e.r2, m.r2])
+        self.minus_ig = np.concatenate([e.ig, m.ig]).conj()  # -1j * damping, signed zeros too
+        self.a_coef = -np.repeat([e.base, m.base], [ne, nm]) * 1j * np.concatenate([e.c2, m.c2])
         self.gram = np.repeat(gram, 2)
         self.sqrt_gram = np.sqrt(self.gram)
         # S, -1 on H, M and Mdot: S A_+ S is the u_- operator
@@ -341,9 +343,7 @@ def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
     return _modal_record(medium, float(k)).singular_set
 
 
-def resolvent_formula(
-    medium: LorentzMedium, k: float, omega, guard: bool = True
-) -> np.ndarray:
+def resolvent_formula(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     """Explicit inverse of (A - omega I) assembled from the factored blocks.
 
     omega may be a scalar or an array; the result has shape
@@ -353,55 +353,48 @@ def resolvent_formula(
     the removable-singularity set of the auxiliary term.
     """
     omega = np.asarray(omega, dtype=complex)
-    if guard:
-        dist = np.abs(singular_set(medium, k) - omega[..., None]).min(axis=-1)
-        near = dist < SINGULAR_TOL * (1.0 + np.abs(omega))
-        if np.any(near):
-            bad = omega[near].flat[0]
-            raise NearSingularEvaluation(
-                f"omega={bad} within guard distance of the singular sets"
-            )
+    dist = np.abs(singular_set(medium, k) - omega[..., None]).min(axis=-1)
+    near = dist < SINGULAR_TOL * (1.0 + np.abs(omega))
+    if np.any(near):
+        bad = omega[near].flat[0]
+        raise NearSingularEvaluation(f"omega={bad} within guard distance of the singular sets")
     return _lift(_resolvent_plus(medium, k, omega), _medium_record(medium).flip)
 
 
-def _oscillator_terms(medium: LorentzMedium, osc: _MediumRecord, w: np.ndarray):
-    """(q, eps, mu) at w: each oscillator's quadratic on a new last axis, then both materials.
+def _eigenspace_plus(medium: LorentzMedium, k: float, omega: np.ndarray):
+    """(v, q, eps, mu) at omega: the u_+ eigenspace map v, shape ``omega.shape + (N,)``.
 
-    eps and mu add coupling^2 / q family by family in oscillator order, as
-    ``permittivity`` and ``permeability`` do, so they are bit for bit those values.
-    A w within POLE_EVAL_TOL of a pole of either family raises EvaluationAtPole
-    naming it (a magnetic pole first, as permeability is the one evaluated first).
-    """
-    _refuse_poles(w, osc.poles)
-    q = w * w + osc.ig * w - osc.r2
-    cq = osc.c2 / q
-    sums = [np.zeros_like(w), np.zeros_like(w)]
-    for j, f in enumerate(osc.family):
-        sums[f] = sums[f] + cq[..., j : j + 1]
-    return q, medium.eps0 * (1.0 - sums[0]), medium.mu0 * (1.0 - sums[1])
-
-
-def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.ndarray:
-    """(A_+ - omega)^-1 on u_+, shape ``omega.shape + (N, N)``, unguarded.
-
-    The factored formula with J2 -> i: the resolvent is v s^T + t, where the
-    eigenspace map v and the row s are N-vectors.  Both oscillator families are
-    filled in one pass over the medium record's oscillator arrays, and eps and mu
-    come from the same quadratics.
+    v takes E to the state: 1 on E, H = i k E / (omega mu), and each oscillator's
+    position and velocity from its field.  q holds the quadratics, electric first,
+    on the last axis, and eps and mu have a unit last axis.  A pole of either
+    family raises EvaluationAtPole naming it, a magnetic one first.
     """
     osc = _medium_record(medium)
-    n = medium.state_blocks
-    w = omega[..., None]  # block coefficients broadcast along the last axis
-    q, eps, mu = _oscillator_terms(medium, osc, w)
-    eps_mu_omega2 = w * w * eps * mu
-    # each oscillator's field as a function of E: 1, or H = i k E / (omega mu)
+    q_m, mu = medium.family_terms("m", omega)
+    q_e, eps = medium.family_terms("e", omega)
+    q, w, mu = np.concatenate([q_e, q_m], axis=-1), omega[..., None], mu[..., None]
     h_map = 1j * k / (w * mu)
-    v = np.zeros(omega.shape + (n,), dtype=complex)
+    v = np.zeros(omega.shape + (medium.state_blocks,), dtype=complex)
     v[..., 0:1] = 1.0
     v[..., 1:2] = h_map
     # -1.0 rather than -(1+0j): the negated real keeps the signed zeros of -1.0 / q
     v[..., osc.pos] = np.where(osc.family, -h_map, -1.0) / q
     v[..., osc.vel] = 1j * w * np.where(osc.family, h_map, 1.0) / q
+    return v, q, eps[..., None], mu
+
+
+def _resolvent_plus(medium: LorentzMedium, k: float, omega: np.ndarray) -> np.ndarray:
+    """(A_+ - omega)^-1 on u_+, shape ``omega.shape + (N, N)``, unguarded.
+
+    The factored formula with J2 -> i: the resolvent is v s^T + t for the map v of
+    ``_eigenspace_plus`` and an N-vector row s.  Both oscillator families are
+    filled in one pass over the medium record's oscillator arrays.
+    """
+    osc = _medium_record(medium)
+    n = medium.state_blocks
+    w = omega[..., None]  # block coefficients broadcast along the last axis
+    v, q, eps, mu = _eigenspace_plus(medium, k, omega)
+    eps_mu_omega2 = w * w * eps * mu
     dot_p, dot_v = osc.ir2 / q, -w / q  # a velocity row of t, on (position, velocity)
     a = np.zeros(omega.shape + (2, n), dtype=complex)  # A_e(omega), then A_m(omega)
     a[..., 0, 0] = -medium.eps0
@@ -430,22 +423,13 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     """The 2-column eigenspace map: transverse field vector to full state.
 
     omega may be a scalar or an array; the result has shape
-    ``omega.shape + (dim, 2)``.
+    ``omega.shape + (dim, 2)``.  Block b is v_b I, or -i v_b J2 on the blocks S
+    flips, for the u_+ map v of ``_eigenspace_plus``.
     """
     omega = np.asarray(omega, dtype=complex)
-    osc = _medium_record(medium)
-    q, _, mu = _oscillator_terms(medium, osc, omega[..., None])
-    q, mu = q[..., None, None], mu[..., None, None]  # broadcast along (block, row, column)
-    w = omega[..., None, None, None]
-    # each oscillator's field as a function of E: the identity, or H = k J2 E / (omega mu)
-    h_map = k / (w * mu) * J2
-    family = osc.family[:, None, None]
-    v_cols = np.zeros(omega.shape + (medium.state_blocks, 2, 2), dtype=complex)  # 2 x 2 per block
-    v_cols[..., 0:1, :, :] = np.eye(2)
-    v_cols[..., 1:2, :, :] = h_map
-    v_cols[..., osc.pos, :, :] = np.where(family, -h_map, -np.eye(2)) / q  # signed zeros as above
-    v_cols[..., osc.vel, :, :] = 1j * w * np.where(family, h_map, np.eye(2)) / q
-    return v_cols.reshape(omega.shape + (2 * medium.state_blocks, 2))
+    v = _eigenspace_plus(medium, k, omega)[0]
+    blocks = np.where(_medium_record(medium).flip[:, None, None] > 0, np.eye(2), -1j * J2)
+    return (v[..., None, None] * blocks).reshape(omega.shape + (2 * medium.state_blocks, 2))
 
 
 def optimal_initial_data(
@@ -519,7 +503,7 @@ class _ModalRecord:
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(map(_read_only, _helicity_modes(self.medium, self.k)))
+        return tuple(map(_read_only, _sorted_modes(self.k, *self.eig)))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -537,18 +521,19 @@ class _ModalRecord:
 _modal_record = lru_cache(maxsize=16)(_ModalRecord)
 
 
-def _helicity_modes(medium: LorentzMedium, k):
-    """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) of the u_+ operator.
+def _helicity_modes(medium: LorentzMedium, ks: np.ndarray):
+    """``_sorted_modes`` of the u_+ operators stacked over a 1-D array of k, from one ``eig``."""
+    return _sorted_modes(ks, *np.linalg.eig(_assemble(medium, 1j * ks[:, None, None])[0]))
 
-    A scalar k sorts its modal record's eig (kept there as ``modes``); a 1-D array
-    of k gives stacks from one ``eig``.  The first k with a scaled gap below
-    EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
+
+def _sorted_modes(k, vals, vecs):
+    """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) from a u_+ eig.
+
+    k is the scalar or 1-D array of wavenumbers the eig was taken at.  The first k
+    with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below
+    cond_2(V)) is refused.
     """
     k = np.asarray(k, dtype=float)
-    if k.ndim == 0:
-        vals, vecs = _modal_record(medium, float(k)).eig
-    else:
-        vals, vecs = np.linalg.eig(_assemble(medium, 1j * k[..., None, None])[0])
     order = np.lexsort((vals.imag, vals.real))
     vals = np.take_along_axis(vals, order, axis=-1)
     vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
@@ -604,7 +589,7 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
 
     p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
     operator.  Refuses a matrix that is not bit for bit the medium's operator
-    at op.k, what _helicity_modes refuses, and a u_+ reconstruction residual
+    at op.k, what _sorted_modes refuses, and a u_+ reconstruction residual
     above 1e-8 (the residual ``projector_norm_sweep`` reports at op.k).
     """
     if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
@@ -692,12 +677,12 @@ def projector_norm_sweep(
     ks = np.asarray(k_grid, dtype=float)
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
-    vals, vecs, left = _helicity_modes(medium, ks)
+    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
+    vals, vecs, left = _sorted_modes(ks, *np.linalg.eig(a_plus))
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
     at, s = np.arange(len(ks)), _medium_record(medium).sqrt_gram[::2]  # s = W^1/2
     norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
-    residual = _reconstruction_residual(_assemble(medium, 1j * ks[:, None, None])[0], ks, vals,
-                                        vecs, left)
+    residual = _reconstruction_residual(a_plus, ks, vals, vecs, left)
     return list(zip(ks.tolist(), norms.tolist(), residual.tolist()))
 
 

@@ -305,6 +305,23 @@ class TestEnergyAndFit:
         res = run_cli("fit", "--input", str(tmp_path / "none.csv"))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("text, named", [
+        ("t,power\n1,1\n10,0.03\n", "no energy column"),
+        ("time,power\n1,1\n", "no t or energy column"),
+        ("", "no t or energy column"),
+        ("t,energy\n1,1\n10,abc\n", "line 3: non-numeric energy value 'abc'"),
+        ("t,energy\n1,1\n10\n", "line 3: non-numeric energy value None"),
+        ("t,energy\n,1\n", "line 2: non-numeric t value ''"),
+    ])
+    def test_fit_malformed_csv_exit_2(self, tmp_path, text, named):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text(text)
+        res = run_cli("fit", "--input", str(csv_path))
+        assert res.returncode == 2
+        assert f"configuration error: {csv_path} " in res.stderr
+        assert named in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_fit_non_power_law_exit_1(self, tmp_path):
         import numpy as np
 

@@ -96,12 +96,17 @@ class TestMaterialFunctions:
             np.testing.assert_array_equal(material(omega), base * (1.0 - s))
 
     def test_family_arrays_built_once_and_read_only(self, asymmetric_medium):
-        arrays = asymmetric_medium._family_arrays
-        assert asymmetric_medium._family_arrays is arrays
-        for (c, r, g, poles), fam in zip(arrays, (asymmetric_medium.electric,
-                                                  asymmetric_medium.magnetic)):
-            assert not any(a.flags.writeable for a in (c, r, g, poles))
-            np.testing.assert_array_equal(c, [o.coupling for o in fam])
+        tables = asymmetric_medium.family_tables
+        assert asymmetric_medium.family_tables is tables
+        for (base, c2, r2, ig, poles), fam, expected_base in zip(
+            tables, (asymmetric_medium.electric, asymmetric_medium.magnetic),
+            (asymmetric_medium.eps0, asymmetric_medium.mu0),
+        ):
+            assert base == expected_base
+            assert not any(a.flags.writeable for a in (c2, r2, ig, poles))
+            np.testing.assert_array_equal(c2, np.array([o.coupling for o in fam]) ** 2)
+            np.testing.assert_array_equal(r2, np.array([o.resonance for o in fam]) ** 2)
+            np.testing.assert_array_equal(ig, 1j * np.array([o.damping for o in fam]))
             np.testing.assert_array_equal(poles, [x for o in fam for x in o.roots()])
 
     def test_dispersion_value_vanishes_at_origin(self, reference_medium):

@@ -437,8 +437,11 @@ class TestMediumRecord:
         record = ops._medium_record(request.getfixturevalue(name))
         record.fixed_points  # built on first use
         arrays = [x for x in vars(record).values() if isinstance(x, np.ndarray)]
-        assert len(arrays) == 16
-        for x in arrays:
+        assert len(arrays) == 12
+        # coupling^2, resonance^2, i*damping and the poles live in the medium's family tables
+        tables = [x for table in record.medium.family_tables for x in table[1:]]
+        assert len(tables) == 8
+        for x in arrays + tables:
             assert not x.flags.writeable
 
     @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
@@ -498,19 +501,20 @@ def per_family_resolvent_plus(medium, k, omega):
     t = np.zeros(omega.shape + (lay.dim, lay.dim), dtype=complex)
     a_rows = []
     field_maps = (1.0, 1j * k / (w * mu))
-    families = zip(field_maps, ops._families(medium, lay), medium._family_arrays)
-    for f, (field, base, oscillators, pos, vel), (c, r, g, _) in families:
+    families = zip(field_maps, ops._families(medium, lay), medium.family_tables)
+    for f, (field, base, oscillators, pos, vel), (_, c2, r2, ig, _) in families:
         p_at = pos(0).start + np.arange(len(oscillators))
         v_at = vel(0).start + np.arange(len(oscillators))
-        q = w * w + 1j * g * w - r**2
-        dot_p, dot_v = 1j * r**2 / q, -w / q
+        g = ig.imag
+        q = w * w + 1j * g * w - r2
+        dot_p, dot_v = 1j * r2 / q, -w / q
         v[..., field] = f
         v[..., p_at] = -f / q
         v[..., v_at] = 1j * w * f / q
         a = np.zeros(omega.shape + (lay.dim,), dtype=complex)
         a[..., field] = -base
-        a[..., p_at] = -base * 1j * c**2 * dot_p
-        a[..., v_at] = -base * 1j * c**2 * dot_v
+        a[..., p_at] = -base * 1j * c2 * dot_p
+        a[..., v_at] = -base * 1j * c2 * dot_v
         t[..., p_at, p_at] = (-1j * g - w) / q
         t[..., p_at, v_at] = -1j / q
         t[..., v_at, p_at] = dot_p
@@ -547,15 +551,34 @@ class TestOnePassResolvent:
     @pytest.mark.parametrize("family", [0, 1])
     def test_unguarded_evaluation_at_a_pole_names_it(self, family, reference_medium):
         # within 1e-13 of one electric or one magnetic pole; none of the other family is near
-        pole = complex(reference_medium._family_arrays[family][3][0])
-        others = reference_medium._family_arrays[1 - family][3]
+        pole = complex(reference_medium.family_tables[family].poles[0])
+        others = reference_medium.family_tables[1 - family].poles
         assert np.abs(others - pole).min() > 0.1
         for omega in (pole + 1e-13, np.array([0.7 + 0.3j, pole - 1e-13j, -1.0 + 1.0j])):
             named = re.escape(f"too close to pole {pole}") + "$"
             with pytest.raises(EvaluationAtPole, match=named):
-                ops.resolvent_formula(reference_medium, 1.0, omega, guard=False)
+                ops._resolvent_plus(reference_medium, 1.0, np.asarray(omega, dtype=complex))
             with pytest.raises(EvaluationAtPole, match="too close to pole"):
                 ops.eigenvector_columns(reference_medium, 1.0, omega)
+
+    def test_pole_refusal_is_the_materials_text(self, reference_medium):
+        # one electric pole, one magnetic pole, then a stack on both: the material of the
+        # family hit (the permeability first) words the refusal, omega printed as given
+        pole_e, pole_m = (complex(t.poles[0]) for t in reference_medium.family_tables)
+        cases = ((reference_medium.permittivity, pole_e + 1e-13),
+                 (reference_medium.permeability, pole_m + 1e-13),
+                 (reference_medium.permittivity, [0.7 + 0.3j, pole_e - 1e-13j, -1.0 + 1.0j]),
+                 (reference_medium.permeability, [0.7 + 0.3j, pole_m - 1e-13j, -1.0 + 1.0j]),
+                 (reference_medium.permeability, [[pole_e, 0.5j], [pole_m, 2.0]]))
+        for material, omega in cases:
+            omega = np.asarray(omega, dtype=complex)
+            with pytest.raises(EvaluationAtPole) as expected:
+                material(omega)
+            assert str(expected.value).startswith(f"omega={omega} too close to pole ")
+            for refusing in (ops._resolvent_plus, ops.eigenvector_columns):
+                with pytest.raises(EvaluationAtPole) as got:
+                    refusing(reference_medium, 1.0, omega)
+                assert str(got.value) == str(expected.value)
 
 
 def dense_eig_projectors(matrix, eigenvalues):
@@ -881,7 +904,8 @@ class TestContourProjector:
                     angles, 2 * np.pi * np.arange(nodes) / nodes, rtol=0, atol=1e-12
                 )
                 phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-                ring = ops.resolvent_formula(medium, k, w + rho * phase, guard=False)
+                ring = ops._lift(ops._resolvent_plus(medium, k, w + rho * phase),
+                                 ops._medium_record(medium).flip)
                 fresh = -np.einsum("n,nij->ij", phase, ring) * rho / nodes
                 assert np.linalg.norm(p_cont - fresh, 2) <= 1e-12 * np.linalg.norm(fresh, 2)
 
@@ -1050,6 +1074,21 @@ class TestProjectorSweeps:
             ops.projector_norm_sweep(reference_medium, lambda k: 0j, [50.0, 100.0])
         with pytest.raises(NotDiagonalizable, match="k=50"):
             evo.hf_envelope_check(reference_medium, [50.0, 100.0], np.linspace(0, 10.0, 5))
+
+    def test_one_assembly_and_one_eig_per_sweep(self, monkeypatch, wide_medium):
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(ops, "_assemble", counting("assemble", ops._assemble))
+        monkeypatch.setattr(np.linalg, "eig", counting("eig", np.linalg.eig))
+        ops._medium_record(wide_medium)  # the per-medium constants are built
+        ops.projector_norm_sweep(wide_medium, lambda k: 0j, GRID_61)
+        assert calls == ["assemble", "eig"]
 
 
 @given(st.integers(0, 10**6))
