@@ -27,8 +27,8 @@ other and first one then the other first, so a drift in the machine's speed
 lands on both alike; each layer's ratio is the median over the rounds of the
 ``--src`` time over the ``--against`` time, read against the ratio of
 ``dispersion``, the control whose code both sides usually share.  The record,
-with N, the core count and the numpy/scipy versions, is merged into
-BENCH_layers.json under ``--label``:
+with N, the core count, the numpy/scipy versions and the fixed malloc settings
+of the timed processes, is merged into BENCH_layers.json under ``--label``:
 
     python scripts/bench_layers.py --label change
     python scripts/bench_layers.py --label "change vs parent" --against /path/to/parent/src
@@ -38,6 +38,11 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# a fixed glibc heap policy, inherited by the spawned children: with the dynamic mmap
+# threshold and heap trimming, whether a layer's large arrays are mapped afresh (and
+# page-fault) depends on earlier allocations, which moved N = 16 times by 15-26 %
+MALLOC = {"MALLOC_MMAP_THRESHOLD_": "4194304", "MALLOC_TRIM_THRESHOLD_": "67108864"}
+os.environ.update(MALLOC)
 
 import argparse  # noqa: E402
 import itertools  # noqa: E402
@@ -168,6 +173,7 @@ def main():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "malloc": MALLOC,
         "media": best(0),
     }
     print(json.dumps(record["media"]), flush=True)

@@ -139,23 +139,29 @@ def _require(ok: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _count(args, run, name, default) -> int:
-    """_setting for an integer option; a [run] value must be a whole number."""
+def _number(args, run, name, default):
+    """_setting for a numeric option; a [run] value must parse as a number."""
     value = _setting(args, run, name, default)
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    _require(not isinstance(value, str), f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _count(args, run, name, default) -> int:
+    """_number for an integer option; a [run] value must be a whole number."""
+    value = _number(args, run, name, default)
+    whole = isinstance(value, int) or value.is_integer()
     _require(whole, f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _tracked(medium, args, run):
-    k_min = _setting(args, run, "k_min", None)
-    k_max = _setting(args, run, "k_max", None)
+    k_min, k_max = (_number(args, run, name, None) for name in ("k_min", "k_max"))
     ppd = _count(args, run, "points_per_decade", 200)
     _require(ppd >= 1, f"--points-per-decade must be at least 1, got {ppd}")
     grid = disp.default_k_grid(medium, ppd)
     if k_min is not None or k_max is not None:
-        lo = float(k_min) if k_min is not None else grid[0]
-        hi = float(k_max) if k_max is not None else grid[-1]
+        lo = k_min if k_min is not None else grid[0]
+        hi = k_max if k_max is not None else grid[-1]
         _require(0 < lo < hi, f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
         grid = disp._log_grid(lo, hi, ppd)
     return disp.classify_branches(disp.track_branches(medium, grid), medium)
@@ -263,8 +269,8 @@ def cmd_projectors(args) -> int:
 
 def cmd_evolve(args) -> int:
     medium, run = load_medium_config(args.config)
-    k = float(_setting(args, run, "k", 1.0))
-    t_max = float(_setting(args, run, "t_max", 100.0))
+    k = _number(args, run, "k", 1.0)
+    t_max = _number(args, run, "t_max", 100.0)
     n_t = _count(args, run, "time_points", 200)
     seed = _count(args, run, "seed", 0)
     _require(math.isfinite(k), f"--k must be finite, got {k}")
@@ -291,11 +297,11 @@ def cmd_energy(args) -> int:
     medium, run = load_medium_config(args.config)
     band = args.band or run.get("band", "lf")
     if band == "lf":
-        p = float(_setting(args, run, "p", 0.0))
+        p = _number(args, run, "p", 0.0)
         _require(0 <= p < math.inf, f"--p must be finite and nonnegative, got {p}")
         verify = functools.partial(energy_mod.verify_gamma_lf, medium, p)
     elif band == "hf":
-        m = float(_setting(args, run, "m", 2.0))
+        m = _number(args, run, "m", 2.0)
         _require(0 < m < math.inf, f"--m must be finite and positive, got {m}")
         verify = functools.partial(energy_mod.verify_gamma_hf, medium, m)
     else:

@@ -6,9 +6,11 @@ product function R(omega) = omega^2 * eps(omega) * mu(omega) with
 multiplicities and leading residues, validates the structural assumptions, and
 produces the asymptotic coefficient table that the dispersion-branch machinery
 checks against.  Each family's oscillator constants are one read-only table,
-and one evaluator, ``LorentzMedium.family_terms``, turns it into the oscillator
-quadratics and the material sum for eps, mu and the operators' resolvent and
-eigenvector columns alike.
+``LorentzMedium.family_tables``: past the input checks and the classification
+it is the only reader of the oscillators, so every square and pole is taken
+once, there.  One evaluator, ``LorentzMedium.family_terms``, turns it into the
+oscillator quadratics and the material sum for eps, mu and the operators'
+resolvent and eigenvector columns alike.
 
 Every branch of R(omega) = k^2 near a zero or pole of R is a local inverse of
 R, so one engine, ``LorentzMedium._branch_series``, gives them all: it expands
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -348,7 +351,7 @@ class LorentzMedium:
         Q is the product of the oscillator quadratics; P is Q minus the
         coupling-weighted deleted products, so eps = eps0 * P_e / Q_e.
         """
-        return (*_family_pair(self.electric), *_family_pair(self.magnetic))
+        return (*_family_pair(self.family_tables[0]), *_family_pair(self.family_tables[1]))
 
     @cached_property
     def family_zeros(self) -> tuple[np.ndarray, np.ndarray]:
@@ -358,10 +361,9 @@ class LorentzMedium:
         per medium; the H2 check, the zero catalog, the coefficient table and
         the resolvent's singular set all read them.
         """
-        p_e, _, p_m, _ = self.family_polynomials
         return tuple(
-            np.sort_complex(companion_roots(poly))[::-1] if oscillators else np.zeros(0, complex)
-            for poly, oscillators in ((p_e, self.electric), (p_m, self.magnetic))
+            np.sort_complex(companion_roots(poly))[::-1] if len(table.c2) else np.zeros(0, complex)
+            for poly, table in zip(self.family_polynomials[::2], self.family_tables)
         )
 
     def numerator_denominator(self) -> tuple[np.ndarray, np.ndarray]:
@@ -387,13 +389,12 @@ class LorentzMedium:
     # --- structural assumptions -----------------------------------------------
 
     def _h1_witness(self):
-        for name, fam in (("electric", self.electric), ("magnetic", self.magnetic)):
-            for i in range(len(fam)):
-                for j in range(i + 1, len(fam)):
-                    for ri in fam[i].roots():
-                        for rj in fam[j].roots():
-                            if abs(ri - rj) <= COINCIDENCE_TOL * (1.0 + abs(ri)):
-                                return (name, i, j, ri)
+        for name, table in zip(("electric", "magnetic"), self.family_tables):
+            pairs = enumerate(table.poles.reshape(-1, 2).tolist())
+            for (i, roots_i), (j, roots_j) in itertools.combinations(pairs, 2):
+                for ri, rj in itertools.product(roots_i, roots_j):
+                    if abs(ri - rj) <= COINCIDENCE_TOL * (1.0 + abs(ri)):
+                        return (name, i, j, ri)
         return None
 
     def _h2_witness(self):
@@ -579,26 +580,26 @@ class LorentzMedium:
         center = complex(center)
         tol = COINCIDENCE_TOL * (1.0 + abs(center))
         families = []
-        for table, oscillators in zip(self.family_tables, (self.electric, self.magnetic)):
+        for table in self.family_tables:
             pairs = table.poles.reshape(-1, 2).tolist()
             owned = [(abs(r1 - center) <= tol) + (abs(r2 - center) <= tol) for r1, r2 in pairs]
-            families.append((table.base, oscillators, owned, max(owned, default=0)))
+            families.append((table, owned, max(owned, default=0)))
         drop = m + sum(shift for *_, shift in families)  # x^shift * R starts at x^drop
         degenerate = f"R / (omega - {center})^{m} has no finite nonzero limit"
         if drop < 0:
             raise DegenerateLeadingCoefficient(degenerate)
         size = drop + terms
         series = [center * center, 2.0 * center, 1.0, *[0.0] * size][:size]
-        for base, oscillators, owned, shift in families:
+        for (base, c2, r2, ig, _), owned, shift in families:
             # x^shift * eps = base * (x^shift - sum coupling^2 x^(shift-v) / (q / x^v))
             fam = [0j] * size
             if shift < size:
                 fam[shift] = base
-            for osc, v in zip(oscillators, owned):
+            for c2_j, r2_j, ig_j, v in zip(c2.tolist(), r2.tolist(), ig.tolist(), owned):
                 # q(center + x) / x^v = d0 + d1 x + d2 x^2: a 3-term series division
-                d = (osc.q(center), 2.0 * center + 1j * osc.damping, 1.0, 0.0, 0.0)
+                d = (center * center + ig_j * center - r2_j, 2.0 * center + ig_j, 1.0, 0.0, 0.0)
                 d0, d1, d2 = d[v : v + 3]
-                t, prev = base * osc.coupling**2 / d0, 0.0
+                t, prev = base * c2_j / d0, 0.0
                 for j in range(shift - v, size):
                     fam[j] -= t
                     t, prev = -(d1 * t + d2 * prev) / d0, t
@@ -627,12 +628,9 @@ class LorentzMedium:
     def _coefficient_table(self) -> CoefficientTable:
         catalog = self.catalog
         c = 1.0 / math.sqrt(self.eps0 * self.mu0)
-        total = sum(o.coupling**2 for o in self.electric) + sum(
-            o.coupling**2 for o in self.magnetic
-        )
-        damped = sum(o.damping * o.coupling**2 for o in self.electric) + sum(
-            o.damping * o.coupling**2 for o in self.magnetic
-        )
+        e, m = self.family_tables
+        total = sum(e.c2.tolist()) + sum(m.c2.tolist())
+        damped = sum((e.ig.imag * e.c2).tolist()) + sum((m.ig.imag * m.c2).tolist())
         # fan 2 of the origin has slope +static_speed; g = eps * mu
         (slope, lf_second), g = self._branch_series(0.0 + 0.0j, 2, n=2, terms=2)
 
@@ -703,21 +701,20 @@ def _series_pow(f, alpha, lead, size):
     return w
 
 
-def _family_pair(oscillators):
+def _family_pair(table: FamilyTable):
     """Monic (P, Q) coefficient arrays for one oscillator family."""
     pp = np.polynomial.polynomial
+    quadratics = [np.array([-r2, ig, 1.0]) for r2, ig in zip(table.r2, table.ig)]
     q = np.array([1.0 + 0.0j])
-    for osc in oscillators:
-        q = pp.polymul(q, np.array([-osc.resonance**2, 1j * osc.damping, 1.0]))
+    for quadratic in quadratics:
+        q = pp.polymul(q, quadratic)
     p = q.copy()
-    for j, osc in enumerate(oscillators):
+    for j, c2 in enumerate(table.c2):
         deleted = np.array([1.0 + 0.0j])
-        for k, other in enumerate(oscillators):
+        for k, other in enumerate(quadratics):
             if k != j:
-                deleted = pp.polymul(
-                    deleted, np.array([-other.resonance**2, 1j * other.damping, 1.0])
-                )
-        p = pp.polysub(p, osc.coupling**2 * deleted)
+                deleted = pp.polymul(deleted, other)
+        p = pp.polysub(p, c2 * deleted)
     return p, q
 
 

@@ -14,15 +14,15 @@ one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
 over k, it gives the evolved norms of the energy and envelope runs and the
 projector sweeps, and no other module splits the polarisations.  The oscillator
 quadratics, eps and mu come from the medium's one evaluator,
-``LorentzMedium.family_terms``.  One record per medium, built by one walk of both
-oscillator families, holds every k-independent constant of the state layout; one
-per (medium, k) holds the u_+ operator and its one eig, which the decomposition,
-its residual and the singular set share.  Besides the matrices this module
-provides the explicit resolvent, the contour-integral projectors and the
-slow-branch optimal initial data.  The resolvent is the N x N u_+ formula lifted
-to the 2N x 2N operator by the same map as the projectors; its u_+ eigenspace map
-is the one ``eigenvector_columns`` widens to two columns, and the contour sums
-only u_+ resolvents.
+``LorentzMedium.family_terms``, and every other oscillator constant from its
+``family_tables``.  One record per medium, indexed from those tables, holds every
+k-independent constant of the state layout; one per (medium, k) holds the u_+
+operator and its one eig, which the decomposition, its residual and the singular
+set share.  Besides the matrices this module provides the explicit resolvent,
+the contour-integral projectors and the slow-branch optimal initial data.  The
+resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same map
+as the projectors; its u_+ eigenspace map is the one ``eigenvector_columns``
+widens to two columns, and the contour sums only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -109,12 +109,6 @@ class StateLayout:
         return self._block(2 + 2 * self.n_electric + self.n_magnetic + l)
 
 
-def _families(medium: LorentzMedium, lay: StateLayout):
-    """(field block, eps0 or mu0, oscillators, position, velocity) per family."""
-    yield lay.e, medium.eps0, medium.electric, lay.p, lay.pdot
-    yield lay.h, medium.mu0, medium.magnetic, lay.m, lay.mdot
-
-
 @dataclass
 class PerpState:
     """A transverse state: one 2-vector per block, stored flat."""
@@ -158,41 +152,42 @@ def _read_only(x: np.ndarray) -> np.ndarray:
 
 
 class _MediumRecord:
-    """One medium's k-independent constants, read-only, from one walk of ``_families``.
+    """One medium's k-independent constants, read-only, indexed from its family tables.
 
     The operator less its curl block at block widths 1 and 2, both families on
-    u_+ as one array (electric first) with the resolvent's constants from the
-    medium's family tables, the energy weights, their roots and the flip; and, on
-    first use since the catalog refuses H1 or H2 breaches, the singular set's
-    fixed points.
+    u_+ as one array (electric first): each oscillator's position and velocity
+    block and its family, the resolvent's constants, the energy weights, their
+    roots and the flip; and, on first use since the catalog refuses H1 or H2
+    breaches, the singular set's fixed points.  Every oscillator constant is read
+    from ``LorentzMedium.family_tables``.
     """
 
     def __init__(self, medium: LorentzMedium):
         self.medium = medium
         ne, nm = medium.n_electric, medium.n_magnetic
-        lay = StateLayout(ne, nm, 1)
-        a = np.zeros((lay.dim, lay.dim), dtype=complex)
-        gram = np.empty(lay.dim)
-        eye = np.eye(1)  # the blocks are scalar multiples of I, as at every width
-        blocks = []  # per oscillator: (position, velocity, family)
-        for f, (field, b, oscillators, p, v) in enumerate(_families(medium, lay)):
-            gram[field] = b / 2
-            for j, osc in enumerate(oscillators):
-                a[field, v(j)] = -1j * osc.coupling**2 * eye
-                a[p(j), v(j)] = 1j * eye
-                a[v(j), field] = 1j * eye
-                a[v(j), p(j)] = -1j * osc.resonance**2 * eye
-                a[v(j), v(j)] = -1j * osc.damping * eye
-                gram[p(j)] = b / 2 * osc.resonance**2 * osc.coupling**2
-                gram[v(j)] = b / 2 * osc.coupling**2
-                blocks.append((p(j).start, v(j).start, f))
         e, m = medium.family_tables
+        c2, r2, ig = (np.concatenate([x, y]) for x, y in zip(e[1:4], m[1:4]))
+        base = np.repeat([e.base, m.base], [ne, nm])
+        # family 0 electric, 1 magnetic, which is also the block of its field (E or H);
+        # positions P_j at 2 + j and M_l at 2 + 2 ne + l, each velocity a family width on
+        self.family = np.repeat([0, 1], [ne, nm])
+        self.pos = 2 + np.arange(ne + nm) + ne * self.family
+        self.vel = self.pos + np.repeat([ne, nm], [ne, nm])
+        self.minus_ig = ig.conj()  # -1j * damping, signed zeros too
+        a = np.zeros((medium.state_blocks,) * 2, dtype=complex)
+        a[self.family, self.vel] = -1j * c2
+        a[self.pos, self.vel] = 1j
+        a[self.vel, self.family] = 1j
+        a[self.vel, self.pos] = -1j * r2
+        a[self.vel, self.vel] = 0 - ig  # -1j * damping, +0j (not minus_ig's -0j) if undamped
         self.template, self.template2 = a, np.kron(a, np.eye(2))
-        self.pos, self.vel, self.family = np.array(blocks).T  # family 0 electric, 1 magnetic
         self.magnetic = slice(ne, ne + nm)
-        self.ir2 = 1j * np.concatenate([e.r2, m.r2])
-        self.minus_ig = np.concatenate([e.ig, m.ig]).conj()  # -1j * damping, signed zeros too
-        self.a_coef = -np.repeat([e.base, m.base], [ne, nm]) * 1j * np.concatenate([e.c2, m.c2])
+        self.ir2 = 1j * r2
+        self.a_coef = -base * 1j * c2
+        gram = np.empty(medium.state_blocks)
+        gram[:2] = e.base / 2, m.base / 2
+        gram[self.pos] = base / 2 * r2 * c2
+        gram[self.vel] = base / 2 * c2
         self.gram = np.repeat(gram, 2)
         self.sqrt_gram = np.sqrt(self.gram)
         # S, -1 on H, M and Mdot: S A_+ S is the u_- operator
@@ -522,8 +517,9 @@ _modal_record = lru_cache(maxsize=16)(_ModalRecord)
 
 
 def _helicity_modes(medium: LorentzMedium, ks: np.ndarray):
-    """``_sorted_modes`` of the u_+ operators stacked over a 1-D array of k, from one ``eig``."""
-    return _sorted_modes(ks, *np.linalg.eig(_assemble(medium, 1j * ks[:, None, None])[0]))
+    """(A_+, *``_sorted_modes``) of the u_+ operators stacked over a 1-D array of k, one ``eig``."""
+    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
+    return (a_plus, *_sorted_modes(ks, *np.linalg.eig(a_plus)))
 
 
 def _sorted_modes(k, vals, vecs):
@@ -560,7 +556,7 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     rec = _medium_record(medium)
     parts = np.stack([v @ _U_PLUS.conj(), rec.flip * (v @ _U_PLUS)], axis=-1)
     weight = rec.gram[::2, None]  # one weight per block, both parts
-    vals, vecs, left = _helicity_modes(medium, ks)
+    _, vals, vecs, left = _helicity_modes(medium, ks)
     phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
     evolved = vecs[:, None] @ (phases * (left @ parts)[:, None])  # (ks, times, N, 2)
     norms2 = np.sum(weight * np.abs(evolved) ** 2, axis=(-2, -1))
@@ -677,8 +673,7 @@ def projector_norm_sweep(
     ks = np.asarray(k_grid, dtype=float)
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
-    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
-    vals, vecs, left = _sorted_modes(ks, *np.linalg.eig(a_plus))
+    a_plus, vals, vecs, left = _helicity_modes(medium, ks)
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
     at, s = np.arange(len(ks)), _medium_record(medium).sqrt_gram[::2]  # s = W^1/2
     norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)

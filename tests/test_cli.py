@@ -213,8 +213,11 @@ class TestBranches:
             err = capsys.readouterr().err
             assert code == 2, (args, err)
             assert err.startswith("configuration error:")
-        # [run] counts must be whole numbers
+        # [run] counts must be whole numbers, and the other numeric settings numbers
         for command, setting in (
+            ("evolve", "k = abc"),
+            ("branches", "k_min = lo"),
+            ("energy", "p = x"),
             ("projectors", "samples = abc"),
             ("projectors", "samples = 2.5"),
             ("branches", "points_per_decade = abc"),
@@ -230,6 +233,8 @@ class TestBranches:
             err = capsys.readouterr().err
             assert code == 2, (command, setting, err)
             assert err.startswith("configuration error:")
+            key, value = setting.split(" = ")
+            assert key in err and value in err, err  # the message names the key and value
         assert not out.exists()
 
 

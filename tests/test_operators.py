@@ -323,6 +323,12 @@ class TestSingularSetMemo:
         assert all(a is b for a, b in zip((again.u_plus, *again.eig), got))
 
 
+def oscillator_blocks(medium, lay):
+    """(field block, eps0 or mu0, oscillators, position, velocity) per family of lay."""
+    yield lay.e, medium.eps0, medium.electric, lay.p, lay.pdot
+    yield lay.h, medium.mu0, medium.magnetic, lay.m, lay.mdot
+
+
 STACK_MEDIA = [
     "reference_medium",
     "critical_medium",
@@ -371,7 +377,7 @@ class TestStackedResolvent:
         lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, 2)
         expected = np.zeros(omegas.shape + (lay.dim, 2), dtype=complex)
         field_maps = (np.eye(2), k / (w * medium.permeability(w)) * ops.J2)
-        for f, (field, _, oscillators, pos, vel) in zip(field_maps, ops._families(medium, lay)):
+        for f, (field, _, oscillators, pos, vel) in zip(field_maps, oscillator_blocks(medium, lay)):
             expected[..., field, :] = f
             for j, osc in enumerate(oscillators):
                 expected[..., pos(j), :] = -f / osc.q(w)
@@ -404,7 +410,7 @@ def per_block_template(medium, width):
     lay = ops.StateLayout(medium.n_electric, medium.n_magnetic, width)
     a = np.zeros((lay.dim, lay.dim), dtype=complex)
     eye = np.eye(width)
-    for field, _, oscillators, pos, vel in ops._families(medium, lay):
+    for field, _, oscillators, pos, vel in oscillator_blocks(medium, lay):
         for j, osc in enumerate(oscillators):
             a[field, vel(j)] = -1j * osc.coupling**2 * eye
             a[pos(j), vel(j)] = 1j * eye
@@ -415,14 +421,14 @@ def per_block_template(medium, width):
 
 
 class TestMediumRecord:
-    def test_one_families_walk_per_medium(self, monkeypatch, asymmetric_medium):
-        walk, walks = ops._families, []
+    def test_one_record_build_per_medium(self, monkeypatch, asymmetric_medium):
+        build, builds = ops._MediumRecord.__init__, []
 
-        def counting(medium, lay):
-            walks.append(lay.width)
-            return walk(medium, lay)
+        def counting(record, medium):
+            builds.append(medium)
+            build(record, medium)
 
-        monkeypatch.setattr(ops, "_families", counting)
+        monkeypatch.setattr(ops._MediumRecord, "__init__", counting)
         ops._medium_record.cache_clear()
         for k in (0.5, 2.0):
             ops.build_perp_operator(asymmetric_medium, k)
@@ -430,7 +436,7 @@ class TestMediumRecord:
             ops.resolvent_formula(asymmetric_medium, k, 0.3 + 0.7j)
             ops.eigenvector_columns(asymmetric_medium, k, 0.3 + 0.7j)
             ops.gram_diagonal(asymmetric_medium)
-        assert walks == [1]
+        assert builds == [asymmetric_medium]
 
     @pytest.mark.parametrize("name", ["reference_medium", "electric_only_medium", "wide_medium"])
     def test_every_array_is_read_only(self, name, request):
@@ -443,6 +449,27 @@ class TestMediumRecord:
         assert len(tables) == 8
         for x in arrays + tables:
             assert not x.flags.writeable
+
+    def test_every_oscillator_constant_is_the_tables_square(self):
+        # x**2 rounds apart from x * x on both values; every reader takes the table's x * x
+        coupling, resonance = 1.2890429289947154, 0.6708612998243347
+        assert coupling**2 != coupling * coupling and resonance**2 != resonance * resonance
+        medium = lm.new_medium(1.3, 0.9, [(coupling, resonance, 0.3)], [(0.8, 1.7, 0.2)])
+        e, m = medium.family_tables
+        assert (e.c2[0], e.r2[0]) == (coupling * coupling, resonance * resonance)
+        c2, r2, ig = (np.concatenate([x, y]) for x, y in zip(e[1:4], m[1:4]))
+        record = ops._medium_record(medium)
+        pos, vel, family, t = record.pos, record.vel, record.family, record.template
+        assert t[family, vel].tobytes() == (-1j * c2).tobytes()
+        assert t[vel, pos].tobytes() == (-1j * r2).tobytes()
+        assert t[vel, vel].tobytes() == (0 - ig).tobytes()
+        base, gram = np.array([e.base, m.base])[family], record.gram[::2]
+        assert gram[pos].tobytes() == (base / 2 * r2 * c2).tobytes()
+        assert gram[vel].tobytes() == (base / 2 * c2).tobytes()
+        assert medium.family_polynomials[1][0] == -e.r2[0]  # Q_e's constant coefficient
+        table = medium.asymptotic_coefficients()
+        assert table.total_coupling == sum(c2.tolist())
+        assert table.damped_coupling == sum((ig.imag * c2).tolist())
 
     @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
     def test_templates_are_the_per_block_fill(self, name, request):
@@ -501,7 +528,7 @@ def per_family_resolvent_plus(medium, k, omega):
     t = np.zeros(omega.shape + (lay.dim, lay.dim), dtype=complex)
     a_rows = []
     field_maps = (1.0, 1j * k / (w * mu))
-    families = zip(field_maps, ops._families(medium, lay), medium.family_tables)
+    families = zip(field_maps, oscillator_blocks(medium, lay), medium.family_tables)
     for f, (field, base, oscillators, pos, vel), (_, c2, r2, ig, _) in families:
         p_at = pos(0).start + np.arange(len(oscillators))
         v_at = vel(0).start + np.arange(len(oscillators))
@@ -699,7 +726,8 @@ class TestGSymmetricCore:
     def test_left_vectors_match_the_g_symmetric_oracle(self, name, request):
         # as G A_+ = A_+^T G, row n of V^-1 is (G v_n)^T / (v_n^T G v_n)
         medium = request.getfixturevalue(name)
-        vals, vecs, left = ops._helicity_modes(medium, GRID_61)
+        a_plus, vals, vecs, left = ops._helicity_modes(medium, GRID_61)
+        assert a_plus.tobytes() == ops._assemble(medium, 1j * GRID_61[:, None, None])[0].tobytes()
         gv = signed_weights(medium)[:, None] * vecs
         oracle = np.swapaxes(gv / np.sum(vecs * gv, axis=-2)[..., None, :], -1, -2)
         err = np.linalg.norm(left - oracle, axis=(1, 2)) / np.linalg.norm(oracle, axis=(1, 2))
@@ -717,7 +745,7 @@ class TestGSymmetricCore:
         for k in np.append(ks, 1.2815079012):
             op = ops.build_perp_operator(medium, k)
             assert op.eigen.residual <= 1e-10
-        vals, vecs, left = ops._helicity_modes(medium, ks)
+        _, vals, vecs, left = ops._helicity_modes(medium, ks)
         bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
         assert np.all(bound < 1e7)
         np.testing.assert_array_equal(left, np.linalg.inv(vecs))
