@@ -25,8 +25,13 @@ A layer's figure is the best of ROUNDS rounds, in microseconds per call.
 With ``--against``, each round times both sources, one process after the
 other and first one then the other first, so a drift in the machine's speed
 lands on both alike; each layer's ratio is the median over the rounds of the
-``--src`` time over the ``--against`` time, read against the ratio of
-``dispersion``, the control whose code both sides usually share.  The record,
+``--src`` time over the ``--against`` time, recorded with the interquartile
+range of the per-round ratios and read against the ratio of ``dispersion``,
+the control whose code both sides usually share.  A ratio whose quartiles
+contain 1 is no effect.  Runs of one source against itself (A/A) read medians
+from 0.89 to 1.12, and one layer's quartiles there excluded 1 (N = 16
+assembly, 15 us per call: [0.84, 0.97]), so a ratio reads as an effect only
+well outside that spread.  The record,
 with N, the core count, the numpy/scipy versions and the fixed malloc settings
 of the timed processes, is merged into BENCH_layers.json under ``--label``:
 
@@ -179,16 +184,21 @@ def main():
     print(json.dumps(record["media"]), flush=True)
     if args.against:
         record["against"] = best(1)
+
+        def spread(size, layer):
+            per_round = [rnd[0][size][layer] / rnd[1][size][layer] for rnd in rounds]
+            q1, median, q3 = (round(float(q), 3) for q in np.percentile(per_round, [25, 50, 75]))
+            return {"median": median, "iqr": [q1, q3]}
+
         record["ratio"] = {
-            size: {layer: round(float(np.median([rnd[0][size][layer] / rnd[1][size][layer]
-                                                 for rnd in rounds])), 3)
-                   for layer in layer_times}
+            size: {layer: spread(size, layer) for layer in layer_times}
             for size, layer_times in rounds[0][0].items()
         }
         for size, ratio in record["ratio"].items():
-            print(size, f"control dispersion {ratio['dispersion']:.3f};",
-                  ", ".join(f"{layer} {v:.3f}" for layer, v in ratio.items()
-                            if layer != "dispersion"), flush=True)
+            print(size, "; ".join(
+                f"{'control ' * (layer == 'dispersion')}{layer} {r['median']:.3f} "
+                f"[{r['iqr'][0]:.3f}, {r['iqr'][1]:.3f}]" for layer, r in ratio.items()
+            ), flush=True)
 
     runs = json.loads(OUT.read_text()) if OUT.exists() else {}
     runs[args.label] = record

@@ -171,23 +171,19 @@ def cmd_classify(args) -> int:
     medium, _ = load_medium_config(args.config)
     report = medium.check_assumptions()
     lines = [f"configuration: {report.summary()}"]
-    lines.append(f"H1 satisfied: {report.h1_satisfied}")
-    if not report.h1_satisfied:
-        lines.append(f"  witness: {report.h1_witness}")
-    lines.append(f"H2 satisfied: {report.h2_satisfied}")
-    if not report.h2_satisfied:
-        lines.append(f"  witness: {report.h2_witness}")
+    for name, satisfied, witness in (
+        ("H1", report.h1_satisfied, report.h1_witness),
+        ("H2", report.h2_satisfied, report.h2_witness),
+    ):
+        lines.append(f"{name} satisfied: {satisfied}")
+        if not satisfied:
+            lines.append(f"  witness: {witness}")
     if report.h1_satisfied and report.h2_satisfied:
         catalog = medium.catalog
-        lines.append("poles (location, multiplicity, class):")
-        for p in catalog.poles:
-            lines.append(
-                f"  {p.location:.12g}  m={p.multiplicity}  {p.klass.value}"
-            )
-        lines.append("zeros (location, multiplicity, class):")
-        for z in catalog.zeros:
-            lines.append(
-                f"  {z.location:.12g}  m={z.multiplicity}  {z.klass.value}"
+        for kind, entries in (("poles", catalog.poles), ("zeros", catalog.zeros)):
+            lines.append(f"{kind} (location, multiplicity, class):")
+            lines.extend(
+                f"  {e.location:.12g}  m={e.multiplicity}  {e.klass.value}" for e in entries
             )
     text = "\n".join(lines)
     print(text)

@@ -34,7 +34,7 @@ from .errors import (
     InvalidWavenumber,
     UnclassifiableBranch,
 )
-from .medium import CoefficientTable, LorentzMedium, ZeroClass, fan_root
+from .medium import CLUSTER_TOL, CoefficientTable, LorentzMedium, ZeroClass, fan_root
 from .polyroots import certified_roots, companion_roots
 
 #: a leading dispersion coefficient this small relative to its row is degenerate
@@ -45,14 +45,21 @@ MATCH_TOL = 1e-10
 
 MAX_REFINEMENTS = 10
 
-#: rows per certified_roots call of a stacked solve; caps the companion stack's memory
+#: rows per certified_roots call of a stacked solve; caps the companion stack's memory.
+#: No benchmark or CLI default grid splits (the largest stacked solve is 151 rows),
+#: but large user grids do: tracking N = 16 at 2000 points per decade peaks at 45 MB
+#: blocked against 55 MB unblocked, at 8000 per decade 81 MB against 119 MB
+#: (ru_maxrss, one BLAS thread, 2-vCPU VM)
 _SOLVE_BLOCK = 256
 
 #: every this many grid rows one is solved from its companion matrix; the rows
 #: between are solved by Newton from their predecessor's roots
 _ANCHOR_STRIDE = 8
 
-#: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis
+#: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis.
+#: Unblocking tracking raises the benchmark atlas loop's peak RSS from 41.2 to
+#: 49.7 MB, unblocking the diagnose_bands mask alone to 50.8 MB (ru_maxrss, one
+#: BLAS thread, 2-vCPU VM)
 _PAIR_BLOCK = 64
 
 
@@ -569,7 +576,9 @@ def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
         size = np.abs(r)
         # ten times the clustering tolerance, scaled per pair
         scale = 1.0 + np.maximum(size[:, :, None], size[:, None, :])
-        simple[start : start + _PAIR_BLOCK] = np.all(_pairwise(r) > 1e-6 * scale, axis=(1, 2))
+        simple[start : start + _PAIR_BLOCK] = np.all(
+            _pairwise(r) > 10 * CLUSTER_TOL * scale, axis=(1, 2)
+        )
 
     def inside(regime):
         return simple & np.all([_within_leading(b, table, regime) for b in branches], axis=0)

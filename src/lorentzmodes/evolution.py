@@ -10,6 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .dispersion import solve_dispersion
 from .errors import BandViolation, NonPositiveRate, NotDiagonalizable
 from .medium import Criticality, LorentzMedium
 from .operators import PerpOperator, PerpState, _modal_norms
@@ -155,8 +156,6 @@ def midband_rate(
     it must be positive and is cross-checked against the sampled spectral
     abscissa by the caller.
     """
-    from .dispersion import solve_dispersion
-
     k_lo, k_hi = k_band
     if k_lo <= 0:
         raise ValueError("mid band must start at a positive wavenumber")

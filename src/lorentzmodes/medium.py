@@ -5,7 +5,11 @@ oscillators.  This module evaluates them, catalogs the poles and zeros of the
 product function R(omega) = omega^2 * eps(omega) * mu(omega) with
 multiplicities and leading residues, validates the structural assumptions, and
 produces the asymptotic coefficient table that the dispersion-branch machinery
-checks against.  Each family's oscillator constants are one read-only table,
+checks against.  The structural analysis is symmetric in eps and mu, and each
+check is written once for both families: H1 loops over the families, H2 and
+the two critical conditions over the pairings (electric, magnetic) and
+(magnetic, electric), and the zero catalog over the zeros of eps, then of mu.
+Each family's oscillator constants are one read-only table,
 ``LorentzMedium.family_tables``: past the input checks and the classification
 it is the only reader of the oscillators, so every square and pole is taken
 once, there.  One evaluator, ``LorentzMedium.family_terms``, turns it into the
@@ -398,16 +402,16 @@ class LorentzMedium:
         return None
 
     def _h2_witness(self):
-        zeros_e, zeros_m = self.family_zeros
-        poles_e, poles_m = (table.poles for table in self.family_tables)
-        for z in zeros_e:
-            for p in poles_m:
-                if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
-                    return ("eps-zero is mu-pole", z)
-        for z in zeros_m:
-            for p in poles_e:
-                if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
-                    return ("mu-zero is eps-pole", z)
+        pairings = zip(
+            self.family_zeros,
+            self.family_tables[::-1],
+            ("eps-zero is mu-pole", "mu-zero is eps-pole"),
+        )
+        for zeros, other, what in pairings:
+            for z in zeros:
+                for p in other.poles:
+                    if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
+                        return (what, z)
         return None
 
     def check_assumptions(self) -> ConfigurationReport:
@@ -415,13 +419,10 @@ class LorentzMedium:
         h1 = self._h1_witness()
         h2 = self._h2_witness()
 
-        alphas_e = [o.damping for o in self.electric]
-        alphas_m = [o.damping for o in self.magnetic]
-        total = sum(alphas_e) + sum(alphas_m)
-        all_positive = all(a > 0 for a in alphas_e) and all(a > 0 for a in alphas_m)
-        if total == 0:
+        dampings = [o.damping for o in self.electric + self.magnetic]
+        if all(a == 0 for a in dampings):
             dissipation = Dissipation.NONE
-        elif all_positive:
+        elif all(a > 0 for a in dampings):
             dissipation = Dissipation.STRONG
         else:
             dissipation = Dissipation.WEAK
@@ -429,18 +430,17 @@ class LorentzMedium:
         criticality = Criticality.NON_CRITICAL
         condition = None
         if dissipation is not Dissipation.NONE:
-            res_m = [o.resonance for o in self.magnetic]
-            res_e = [o.resonance for o in self.electric]
-            if all(a == 0 for a in alphas_m) and any(
-                o.damping == 0 and not _near_any(o.resonance, res_m)
-                for o in self.electric
+            for number, family, other in (
+                (1, self.electric, self.magnetic),
+                (2, self.magnetic, self.electric),
             ):
-                criticality, condition = Criticality.CRITICAL, 1
-            elif all(a == 0 for a in alphas_e) and any(
-                o.damping == 0 and not _near_any(o.resonance, res_e)
-                for o in self.magnetic
-            ):
-                criticality, condition = Criticality.CRITICAL, 2
+                resonances = [o.resonance for o in other]
+                if all(o.damping == 0 for o in other) and any(
+                    o.damping == 0 and not _near_any(o.resonance, resonances)
+                    for o in family
+                ):
+                    criticality, condition = Criticality.CRITICAL, number
+                    break
 
         return ConfigurationReport(
             dissipation=dissipation,
@@ -510,12 +510,10 @@ class LorentzMedium:
             entries.append(PoleEntry(location=rep, multiplicity=mult, klass=klass, residue=residue))
         return entries
 
-    def _family_zero_roots(self):
-        """Zeros of eps and of mu, classified structurally as real or not."""
-        out = []
-        families = (self.electric, self.magnetic)
-        for fam, zeros, oscillators in zip("em", self.family_zeros, families):
-            undamped = all(o.damping == 0 for o in oscillators)
+    def _catalog_zeros(self):
+        tagged = []  # (zero, undamped family): the zeros of eps, then those of mu
+        for zeros, table in zip(self.family_zeros, self.family_tables):
+            undamped = not table.ig.any()
             for z in zeros:
                 if undamped:
                     # real rational function: every zero is real
@@ -524,13 +522,10 @@ class LorentzMedium:
                             f"undamped family produced non-real zero {z}"
                         )
                     z = complex(z.real, 0.0)
-                out.append((z, fam, undamped))
-        return out
-
-    def _catalog_zeros(self):
-        tagged = self._family_zero_roots()
-        locations = [z for z, _, _ in tagged]
-        for rep, members in _merge_close(locations, CLUSTER_TOL):
+                tagged.append((z, undamped))
+        # every refusal comes before the residues: _branch_series would raise
+        # DegenerateLeadingCoefficient first at a clustered zero
+        for rep, members in _merge_close([z for z, _ in tagged], CLUSTER_TOL):
             if len(members) > 1:
                 raise UnresolvedClustering(
                     f"{len(members)} zeros cluster at {rep}; no structural multiplicity"
@@ -538,25 +533,16 @@ class LorentzMedium:
             if abs(rep) <= CLUSTER_TOL:
                 raise UnresolvedClustering(f"zero {rep} clusters with the origin")
 
-        entries = [
+        origin = ZeroEntry(0j, 2, ZeroClass.ORIGIN, self._branch_series(0j, 2)[1][0])
+        return [origin] + [
             ZeroEntry(
-                location=0.0 + 0.0j,
-                multiplicity=2,
-                klass=ZeroClass.ORIGIN,
-                residue=self._branch_series(0.0 + 0.0j, 2)[1][0],
+                location=z,
+                multiplicity=1,
+                klass=ZeroClass.SIMPLE_REAL if undamped else ZeroClass.MINUS,
+                residue=self._branch_series(z, 1)[1][0],
             )
+            for z, undamped in tagged
         ]
-        for z, _, undamped in tagged:
-            klass = ZeroClass.SIMPLE_REAL if undamped else ZeroClass.MINUS
-            entries.append(
-                ZeroEntry(
-                    location=z,
-                    multiplicity=1,
-                    klass=klass,
-                    residue=self._branch_series(z, 1)[1][0],
-                )
-            )
-        return entries
 
     # --- local branch expansions ---------------------------------------------------
 

@@ -119,6 +119,33 @@ class TestClassify:
         assert res.returncode == 0
         assert "Weak, Critical (condition 1)" in res.stdout
 
+    @pytest.mark.parametrize(
+        "name, text, witness",
+        [
+            (
+                "H1",
+                "[medium]\neps0 = 1.0\nmu0 = 1.0\n"
+                "[electric.1]\nomega = 2.0\nOmega = 1.0\nalpha = 5.0\n"
+                "[electric.2]\nomega = 1.0\nOmega = 1.0\nalpha = 4.25\n",
+                "('electric', 0, 1, -4j)",
+            ),
+            (
+                "H2",
+                "[medium]\neps0 = 1.0\nmu0 = 1.0\n"
+                "[electric.1]\nomega = 1.0\nOmega = 1.0\nalpha = 0.0\n"
+                "[magnetic.1]\nomega = 1.4142135623730951\nOmega = 1.0\nalpha = 0.0\n",
+                "('eps-zero is mu-pole', np.complex128(1.414213562373095+0j))",
+            ),
+        ],
+    )
+    def test_violation_prints_its_witness(self, tmp_path, name, text, witness):
+        config = tmp_path / "violating.cfg"
+        config.write_text(text)
+        res = run_cli("classify", "--config", str(config))
+        assert res.returncode == 0, res.stderr
+        assert f"{name} satisfied: False\n  witness: {witness}\n" in res.stdout
+        assert "poles" not in res.stdout  # no catalog without H1 and H2
+
     def test_missing_config_exit_2(self, tmp_path):
         res = run_cli("classify", "--config", str(tmp_path / "nope.cfg"))
         assert res.returncode == 2

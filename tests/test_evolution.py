@@ -12,7 +12,7 @@ from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
 from lorentzmodes import evolution as evo
 from lorentzmodes import operators as ops
-from lorentzmodes.errors import NonPositiveRate, NotDiagonalizable
+from lorentzmodes.errors import BandViolation, NonPositiveRate, NotDiagonalizable
 
 
 @pytest.fixture()
@@ -213,6 +213,23 @@ class TestEnvelopes:
         t = np.linspace(0.0, 1200.0, 401)
         norms = np.sqrt(weight * np.exp(-0.37 * t) ** 2)
         assert evo.tail_rate(t, norms) == pytest.approx(0.37, rel=1e-12)
+
+    def test_tail_rate_refuses_a_trace_that_vanishes_at_once(self):
+        with pytest.raises(BandViolation, match="too short or vanished"):
+            evo.tail_rate(np.linspace(0.0, 1.0, 10), np.r_[1.0, np.zeros(9)])
+
+    @pytest.mark.parametrize(
+        "check, ks, side",
+        [
+            (evo.hf_envelope_check, np.geomspace(10.0, 100.0, 8), "high"),
+            (evo.lf_envelope_check, np.geomspace(0.01, 0.1, 8), "low"),
+        ],
+    )
+    def test_undamped_envelope_refused(self, undamped_medium, check, ks, side):
+        # the norm is conserved, so each fitted rate is rounding noise of either
+        # sign; eight wavenumbers make a nonpositive one certain in practice
+        with pytest.raises(BandViolation, match=f"nonpositive decay rate in the {side} band"):
+            check(undamped_medium, ks, np.linspace(0.0, 50.0, 100))
 
     @pytest.mark.parametrize(
         "name", ["reference_medium", "critical_medium", "electric_only_medium"]

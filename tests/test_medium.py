@@ -18,6 +18,7 @@ from lorentzmodes.errors import (
     EmptyMedium,
     EvaluationAtPole,
     NonPositiveCoefficient,
+    UnresolvedClustering,
 )
 from lorentzmodes.medium import Criticality, Dissipation, PoleClass
 
@@ -304,6 +305,13 @@ class TestAssumptions:
         assert rep.critical_condition == 1
         assert rep.summary() == "Weak, Critical (condition 1)"
 
+    def test_weak_critical_condition_2(self):
+        # critical_medium with its families swapped
+        rep = lm.new_medium(1, 1, [(1, 2, 0)], [(1, 1, 0), (1, 1.5, 0.3)]).check_assumptions()
+        assert rep.dissipation is Dissipation.WEAK
+        assert rep.critical_condition == 2
+        assert rep.summary() == "Weak, Critical (condition 2)"
+
     def test_no_dissipation(self, undamped_medium):
         rep = undamped_medium.check_assumptions()
         assert rep.dissipation is Dissipation.NONE
@@ -312,7 +320,7 @@ class TestAssumptions:
     def test_h1_violation_reported_and_raised(self, h1_violation_medium):
         rep = h1_violation_medium.check_assumptions()
         assert not rep.h1_satisfied
-        assert rep.h1_witness is not None
+        assert rep.h1_witness == ("electric", 0, 1, -4j)
         with pytest.raises(AssumptionViolated):
             _ = h1_violation_medium.catalog
 
@@ -321,6 +329,30 @@ class TestAssumptions:
         assert not rep.h2_satisfied
         with pytest.raises(AssumptionViolated):
             _ = h2_violation_medium.catalog
+
+    def test_h2_witness_in_both_directions(self, h2_violation_medium):
+        mirror = lm.new_medium(
+            1.0, 1.0, h2_violation_medium.magnetic, h2_violation_medium.electric
+        )
+        for medium, direction in (
+            (h2_violation_medium, "eps-zero is mu-pole"),
+            (mirror, "mu-zero is eps-pole"),
+        ):
+            rep = medium.check_assumptions()
+            assert rep.h1_satisfied and not rep.h2_satisfied
+            assert rep.h2_witness[0] == direction
+            assert rep.h2_witness[1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+
+    def test_identical_families_refused_as_a_zero_cluster(self):
+        # eps * mu then has a double zero the catalog does not model; the refusal is typed
+        medium = lm.new_medium(1, 1, [(1, 1, 0.1)], [(1, 1, 0.1)])
+        rep = medium.check_assumptions()
+        assert rep.h1_satisfied and rep.h2_satisfied
+        with pytest.raises(UnresolvedClustering) as info:
+            _ = medium.catalog
+        assert str(info.value) == (
+            "2 zeros cluster at (1.413329402510257-0.05j); no structural multiplicity"
+        )
 
     def test_shared_resonance_is_not_critical(self, double_pole_medium):
         rep = double_pole_medium.check_assumptions()
