@@ -13,12 +13,15 @@ oscillators):
 - ``contour``: ``projector_contour`` for one dispersion root;
 - ``chain``: the sequence of one ``modes`` operation of the benchmark at one k:
   ``build_perp_operator``, ``op.eigen``, the guarded resolvent and the
-  contour projector.
+  contour projector;
+- ``track``: ``track_branches``, ``classify_branches`` and ``diagnose_bands``
+  on the medium's default grid, one ``atlas`` operation of the benchmark.
 
-Every call gets a wavenumber of its own, so work memoised per (medium, k)
-is paid by each call: the untimed preparation of ``resolvent`` and
+Every single-k call gets a wavenumber of its own, so work memoised per
+(medium, k) is paid by each call: the untimed preparation of ``resolvent`` and
 ``contour`` takes its point from ``solve_dispersion``, which shares nothing
-memoised with them.  A round makes CALLS calls of every layer in turn at
+memoised with them.  ``track`` memoises nothing per grid; its figure is per
+grid, not per wavenumber.  A round makes CALLS calls of every layer in turn at
 fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call, which
 changes no outcome), in a fresh process that first makes one untimed round.
 A layer's figure is the best of ROUNDS rounds, in microseconds per call.
@@ -106,6 +109,13 @@ def layers(lm, medium):
         operators.resolvent_formula(medium, k, (0.3 + 0.7j) * (1.0 + np.max(np.abs(vals))))
         operators.projector_contour(medium, k, vals[len(vals) // 2])
 
+    grid = lm.default_k_grid(medium)
+    table = medium.asymptotic_coefficients()
+
+    def track():
+        branches = lm.classify_branches(lm.track_branches(medium, grid), medium)
+        lm.diagnose_bands(branches, table)
+
     return [
         ("assembly", lambda k: (medium, k), operators.build_perp_operator),
         ("dispersion", lambda k: (medium, k), lm.solve_dispersion),
@@ -114,6 +124,7 @@ def layers(lm, medium):
         ("resolvent", upper_point, operators.resolvent_formula),
         ("contour", one_root, operators.projector_contour),
         ("chain", lambda k: (k,), chain),
+        ("track", lambda k: (), track),
     ]
 
 

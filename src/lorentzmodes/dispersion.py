@@ -56,11 +56,16 @@ _SOLVE_BLOCK = 256
 #: between are solved by Newton from their predecessor's roots
 _ANCHOR_STRIDE = 8
 
-#: grid rows per (rows, N, N) distance temporary of tracking and band diagnosis.
-#: Unblocking tracking raises the benchmark atlas loop's peak RSS from 41.2 to
-#: 49.7 MB, unblocking the diagnose_bands mask alone to 50.8 MB (ru_maxrss, one
-#: BLAS thread, 2-vCPU VM)
-_PAIR_BLOCK = 64
+#: pair entries per (rows, N, N) distance temporary of tracking and band diagnosis:
+#: 64 grid rows at N = 16.  The benchmark atlas run peaks at 43.6 MB blocked;
+#: unblocking tracking alone raises that to 52.5 MB, the diagnose_bands mask alone
+#: to 53.3 MB, both to 54.2 MB (peak_rss_mb, one BLAS thread, 2-vCPU VM)
+_PAIR_BUDGET = 64 * 16**2
+
+
+def _pair_rows(n: int) -> int:
+    """Grid rows per pair block at N = n: the budget's worth, and never fewer than at N = 16."""
+    return _PAIR_BUDGET // min(n, 16) ** 2
 
 
 # --- branch labels -------------------------------------------------------------
@@ -340,8 +345,9 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
     perm = np.lexsort((solved[0].imag, solved[0].real))
     perms = np.empty(solved.shape, dtype=perm.dtype)
     perms[0] = perm
-    for start in range(1, len(k_grid), _PAIR_BLOCK):
-        stop = min(start + _PAIR_BLOCK, len(k_grid))
+    block = _pair_rows(solved.shape[1])
+    for start in range(1, len(k_grid), block):
+        stop = min(start + block, len(k_grid))
         order, _, safe = _step(solved[start - 1 : stop - 1], solved[start:stop])
         for i in range(start, stop):
             if safe[i - start]:
@@ -571,12 +577,13 @@ def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
     k = branches[0].k
     roots = np.stack([b.omega for b in branches], axis=1)
     simple = np.empty(len(k), dtype=bool)
-    for start in range(0, len(k), _PAIR_BLOCK):
-        r = roots[start : start + _PAIR_BLOCK]
+    block = _pair_rows(len(branches))
+    for start in range(0, len(k), block):
+        r = roots[start : start + block]
         size = np.abs(r)
         # ten times the clustering tolerance, scaled per pair
         scale = 1.0 + np.maximum(size[:, :, None], size[:, None, :])
-        simple[start : start + _PAIR_BLOCK] = np.all(
+        simple[start : start + block] = np.all(
             _pairwise(r) > 10 * CLUSTER_TOL * scale, axis=(1, 2)
         )
 

@@ -411,7 +411,7 @@ class LorentzMedium:
             for z in zeros:
                 for p in other.poles:
                     if abs(z - p) <= COINCIDENCE_TOL * (1.0 + abs(p)):
-                        return (what, z)
+                        return (what, complex(z))
         return None
 
     def check_assumptions(self) -> ConfigurationReport:

@@ -49,9 +49,13 @@ def _horner(coeffs: np.ndarray, x: np.ndarray):
     return p, dp
 
 
-def _backward_errors(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """|p(r)| / sum |c_i||r|^i, with coefficients as (n+1, m[, 1]) columns; inf where it is 0/0."""
-    scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
+def _backward_errors(roots: np.ndarray, coeffs: np.ndarray, scale=None) -> np.ndarray:
+    """|p(r)| / sum |c_i||r|^i, with coefficients as (n+1, m[, 1]) columns; inf where it is 0/0.
+
+    scale, if given, is the denominator sum |c_i||r|^i already computed.
+    """
+    if scale is None:
+        scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
     return np.divide(
         np.abs(polyval(roots, coeffs, tensor=False)),
         scale,
@@ -82,7 +86,7 @@ def _companion_newton(q: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def _isolated(roots: np.ndarray, step: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """Per row of (m, n) roots of the monic columns coeffs: whether it is all n roots, converged.
 
-    With ball_i = u sum |q_j||z_i|^j / |prod_{j != i} (z_i - z_j)| the
+    With ball_i = u sum |q_j||z_i|^j / prod_{j != i} |z_i - z_j| the
     rounding ball of root i (u = 2^-53), a row passes when
     - every root has a backward error of at most GUESS_TOL = 16 u;
     - the Weierstrass disks D(z_i, 16 n ball_i) are pairwise disjoint, so
@@ -93,17 +97,17 @@ def _isolated(roots: np.ndarray, step: np.ndarray, coeffs: np.ndarray) -> np.nda
       relative, N = 16, 20 points per decade); this refuses it.
     """
     n = roots.shape[1]
-    diff = roots[:, :, None] - roots[:, None, :]
+    dist = np.abs(roots[:, :, None] - roots[:, None, :])
     diagonal = np.arange(n)
-    diff[:, diagonal, diagonal] = 1.0
+    dist[:, diagonal, diagonal] = 1.0
     scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
-    ball = UNIT_ROUNDOFF * scale / np.abs(np.prod(diff, axis=2))
+    ball = UNIT_ROUNDOFF * scale / np.prod(dist, axis=2)
     radius = 16 * n * ball
-    apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
+    apart = dist > radius[:, :, None] + radius[:, None, :]
     apart[:, diagonal, diagonal] = True
-    diff[:, diagonal, diagonal] = np.inf
-    settled = np.abs(step) ** 2 * np.sum(1.0 / np.abs(diff), axis=2) <= ball
-    converged = _backward_errors(roots, coeffs) <= GUESS_TOL
+    dist[:, diagonal, diagonal] = np.inf
+    settled = np.abs(step) ** 2 * np.sum(1.0 / dist, axis=2) <= ball
+    converged = _backward_errors(roots, coeffs, scale) <= GUESS_TOL
     return np.all(converged & settled & np.all(apart, axis=2), axis=1)
 
 
@@ -120,7 +124,9 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
     of a nearby row, say), replaces the companion eigenvalues as Newton's
     start.  A row keeps its guessed roots only if ``_isolated`` proves them
     all n roots, converged to rounding; every other row is solved from its
-    companion matrix, exactly as without guesses.
+    companion matrix, exactly as without guesses, and certified.  A kept
+    row's certificate is ``_isolated``'s backward error <= GUESS_TOL = 16 u,
+    the same quotient far below RESIDUAL_TOL, so it is not evaluated again.
     """
     rows = np.asarray(rows, dtype=complex)
     m, n = rows.shape[0], rows.shape[1] - 1
@@ -135,7 +141,7 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
     coeffs = q.T[:, :, None]
 
     if guesses is None:
-        roots = _companion_newton(q.real, coeffs)
+        roots = certify(_companion_newton(q.real, coeffs), coeffs)
     else:
         roots = np.empty((m, n), dtype=complex)
         w = np.asarray(guesses, dtype=complex)
@@ -145,9 +151,8 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
             roots = _newton(coeffs, before, 1)
             fallback = ~_isolated(roots, roots - before, coeffs)
         if fallback.any():
-            roots[fallback] = _companion_newton(q.real[fallback], coeffs[:, fallback])
-
-    certify(roots, coeffs)
+            columns = coeffs[:, fallback]
+            roots[fallback] = certify(_companion_newton(q.real[fallback], columns), columns)
     return 1j * roots.conj()  # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
 
 

@@ -134,7 +134,7 @@ class TestClassify:
                 "[medium]\neps0 = 1.0\nmu0 = 1.0\n"
                 "[electric.1]\nomega = 1.0\nOmega = 1.0\nalpha = 0.0\n"
                 "[magnetic.1]\nomega = 1.4142135623730951\nOmega = 1.0\nalpha = 0.0\n",
-                "('eps-zero is mu-pole', np.complex128(1.414213562373095+0j))",
+                "('eps-zero is mu-pole', (1.414213562373095+0j))",
             ),
         ],
     )

@@ -279,6 +279,108 @@ def _assert_mirror_closed(medium, ks, solve=dsp.solve_dispersion):
         assert backward.max() < 1e-10
 
 
+def _first_form_isolated(roots, step, coeffs):
+    """``polyroots._isolated`` as first written: |prod (z_i - z_j)| of the complex
+    differences, and the backward error evaluated on its own."""
+    n = roots.shape[1]
+    diff = roots[:, :, None] - roots[:, None, :]
+    diagonal = np.arange(n)
+    diff[:, diagonal, diagonal] = 1.0
+    scale = polyval(np.abs(roots), np.abs(coeffs), tensor=False)
+    ball = polyroots.UNIT_ROUNDOFF * scale / np.abs(np.prod(diff, axis=2))
+    radius = 16 * n * ball
+    apart = np.abs(diff) > radius[:, :, None] + radius[:, None, :]
+    apart[:, diagonal, diagonal] = True
+    diff[:, diagonal, diagonal] = np.inf
+    settled = np.abs(step) ** 2 * np.sum(1.0 / np.abs(diff), axis=2) <= ball
+    converged = polyroots._backward_errors(roots, coeffs) <= polyroots.GUESS_TOL
+    return np.all(converged & settled & np.all(apart, axis=2), axis=1)
+
+
+def _first_form_guessed_roots(rows, guesses):
+    """(roots, kept) of guessed ``certified_roots`` with the first-form certificate
+    and a ``certify`` pass over every row, kept or not."""
+    coeffs = _rotated_columns(np.asarray(rows, dtype=complex))
+    q = coeffs[:, :, 0].T
+    roots = np.empty(q[:, 1:].shape, dtype=complex)
+    w = np.asarray(guesses, dtype=complex)
+    roots.real, roots.imag = w.imag, w.real
+    with np.errstate(all="ignore"):
+        before = polyroots._newton(coeffs, roots, polyroots.NEWTON_STEPS - 1)
+        roots = polyroots._newton(coeffs, before, 1)
+        kept = _first_form_isolated(roots, roots - before, coeffs)
+    if not kept.all():
+        roots[~kept] = polyroots._companion_newton(q.real[~kept], coeffs[:, ~kept])
+    polyroots.certify(roots, coeffs)
+    return 1j * roots.conj(), kept
+
+
+def _kept_and_roots(rows, guesses):
+    """(kept, roots) of guessed ``certified_roots``, kept as ``_isolated`` reported it."""
+    reported = []
+    isolated = polyroots._isolated
+
+    def recording(*args):
+        reported.append(isolated(*args))
+        return reported[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyroots, "_isolated", recording)
+        roots = certified_roots(rows, guesses=guesses)
+    (kept,) = reported
+    return kept, roots
+
+
+def _consecutive_rows(medium, points_per_decade):
+    """Each default-grid row after the first, with its predecessor's roots as guesses."""
+    grid = dsp.default_k_grid(medium, points_per_decade)
+    return dsp.dispersion_polynomial(medium, grid[1:]), dsp.solve_dispersion(medium, grid[:-1])
+
+
+class TestCertificateAgainstFirstForm:
+    """One pass over the real distances and the backward error keeps exactly the rows the
+    first form kept, and certifying only the fallback rows returns the same roots."""
+
+    def _assert_same(self, rows, guesses):
+        kept, roots = _kept_and_roots(rows, guesses)
+        expected, expected_kept = _first_form_guessed_roots(rows, guesses)
+        np.testing.assert_array_equal(kept, expected_kept)
+        np.testing.assert_array_equal(roots, expected)
+        return kept
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium",
+                                      "double_pole_medium", "wide_medium"])
+    def test_fixture_grids(self, request, name):
+        medium = request.getfixturevalue(name)
+        kept = [self._assert_same(*_consecutive_rows(medium, ppd)) for ppd in (5, 20, 200)]
+        assert all(k.any() for k in kept)
+        assert not kept[0].all()  # 5 points per decade: some rows fall back
+
+    @given(admissible_media())
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    def test_random_media(self, medium):
+        try:
+            rows, guesses = _consecutive_rows(medium, 20)
+        except LorentzModesError:
+            assume(False)
+        self._assert_same(rows, guesses)
+
+    def test_failing_fallback_row_raises_the_same_message(self, monkeypatch, reference_medium):
+        rows = dsp.dispersion_polynomial(reference_medium, np.array([1.0, 2.0, 3.0]))
+        guesses = dsp.solve_dispersion(reference_medium, np.array([1.01, 2.02, 3.03]))
+        guesses[1] = np.nan  # row 1 falls back; rows 0 and 2 are kept
+        companion = polyroots._companion_newton
+        monkeypatch.setattr(
+            polyroots, "_companion_newton", lambda q, c: companion(q, c) * (1.0 + 1e-6)
+        )
+        with pytest.raises(RootFindingFailure) as expected:
+            _first_form_guessed_roots(rows, guesses)
+        with pytest.raises(RootFindingFailure) as got:
+            certified_roots(rows, guesses=guesses)
+        assert str(got.value) == str(expected.value)
+        assert "max backward error" in str(got.value)
+
+
 class TestRootSymmetry:
     @pytest.mark.parametrize(
         "name",
@@ -633,6 +735,37 @@ class TestTracking:
                     and abs(bb.hf_label.location - mirror) < 1e-9
                     for bb in reference_branches
                 )
+
+
+class TestPairBlocks:
+    """Tracking and band diagnosis do not depend on where their pair blocks end."""
+
+    def test_rows_per_block(self):
+        assert [dsp._pair_rows(n) for n in (2, 6, 16, 24)] == [4096, 455, 64, 64]
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium",
+                                      "double_pole_medium", "wide_medium"])
+    @pytest.mark.parametrize("points_per_decade", [200, 5])
+    def test_small_blocks_change_nothing(self, monkeypatch, request, name, points_per_decade):
+        medium = request.getfixturevalue(name)
+        grid = dsp.default_k_grid(medium, points_per_decade)
+        table = medium.asymptotic_coefficients()
+
+        def outcome():
+            branches = dsp.classify_branches(dsp.track_branches(medium, grid), medium)
+            try:
+                bands = dsp.diagnose_bands(branches, table)
+            except UnclassifiableBranch as exc:
+                bands = str(exc)
+            return np.stack([b.omega for b in branches]), [b.label_text() for b in branches], bands
+
+        omega, labels, bands = outcome()
+        for budget, rows in ((300, {6: 8, 8: 4, 16: 1}), (1000, {6: 27, 8: 15, 16: 3})):
+            monkeypatch.setattr(dsp, "_PAIR_BUDGET", budget)
+            assert dsp._pair_rows(medium.state_blocks) == rows[medium.state_blocks]
+            small_omega, small_labels, small_bands = outcome()
+            np.testing.assert_array_equal(small_omega, omega)
+            assert (small_labels, small_bands) == (labels, bands)
 
 
 class TestClassification:

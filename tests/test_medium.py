@@ -342,6 +342,7 @@ class TestAssumptions:
             assert rep.h1_satisfied and not rep.h2_satisfied
             assert rep.h2_witness[0] == direction
             assert rep.h2_witness[1] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+            assert type(rep.h2_witness[1]) is complex  # printed as the H1 witness is
 
     def test_identical_families_refused_as_a_zero_cluster(self):
         # eps * mu then has a double zero the catalog does not model; the refusal is typed
