@@ -15,15 +15,19 @@ oscillators):
   ``build_perp_operator``, ``op.eigen``, the guarded resolvent and the
   contour projector;
 - ``track``: ``track_branches``, ``classify_branches`` and ``diagnose_bands``
-  on the medium's default grid, one ``atlas`` operation of the benchmark.
+  on the medium's default grid, one ``atlas`` operation of the benchmark;
+- ``exponent``: one ``verify_gamma_lf(medium, 0)`` run, its band edge from
+  ``medium.diagnosed_bands``, one ``exponents`` operation of the benchmark.
 
 Every single-k call gets a wavenumber of its own, so work memoised per
 (medium, k) is paid by each call: the untimed preparation of ``resolvent`` and
 ``contour`` takes its point from ``solve_dispersion``, which shares nothing
-memoised with them.  ``track`` memoises nothing per grid; its figure is per
-grid, not per wavenumber.  A round makes CALLS calls of every layer in turn at
-fixed log-spaced wavenumbers (each nudged by 1e-9 relative per call, which
-changes no outcome), in a fresh process that first makes one untimed round.
+memoised with them.  ``track`` memoises nothing per grid and ``exponent``
+nothing per run (its preparation tracks the bands, once per medium); their
+figures are per grid and per run, not per wavenumber.  A round makes CALLS
+calls of every layer in turn at fixed log-spaced wavenumbers (each nudged by
+1e-9 relative per call, which changes no outcome), in a fresh process that
+first makes one untimed round.
 A layer's figure is the best of ROUNDS rounds, in microseconds per call.
 With ``--against``, each round times both sources, one process after the
 other and first one then the other first, so a drift in the machine's speed
@@ -125,6 +129,7 @@ def layers(lm, medium):
         ("contour", one_root, operators.projector_contour),
         ("chain", lambda k: (k,), chain),
         ("track", lambda k: (), track),
+        ("exponent", lambda k: (medium, 0.0, medium.diagnosed_bands[0]), lm.verify_gamma_lf),
     ]
 
 

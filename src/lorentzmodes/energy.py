@@ -3,15 +3,17 @@
 The squared norm of the solution is a radial integral of per-wavenumber decay
 traces against an initial radial profile.  Composite Gauss-Legendre panels
 (log-spaced edges, plain Gauss nodes inside each panel) integrate it; the
-number of panels doubles until the energy at the final time settles.
+number of panels doubles until the energy at the final time settles.  The
+first test always needs the n- and the 2n-panel rule, so one stacked
+evaluation over both rules' nodes serves it; each later rule takes its own.
 
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
-trace is exp(2 Im omega(k) t) in closed form.  A panel rule needs only that
+trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
 branch's root at each node: Newton from the branch's asymptotic anchor, with
 a Rouché certificate that it is the root nearest the anchor.  The rare node
 it leaves unsettled (near a band edge) takes the full stacked root solve.  No
 operator, eigendecomposition or propagation is involved.  A fixed random
-direction costs one stacked u_+ eigendecomposition per rule.
+direction costs one stacked u_+ eigendecomposition per evaluation.
 
 ``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run and differ
 only in the branch, onset time, profile and target.  A band edge not given
@@ -172,12 +174,15 @@ def simulate_energy(
 ) -> DecayRecord:
     """E(t) = 4*pi * integral of k^2 phi(k)^2 |exp(-iAt) v(k)|^2 over the band.
 
-    An OptimalBranch datum is an eigenvector, so its trace is the closed form
-    exp(2 Im omega(k) t), with the omega of a whole panel rule from one
-    stacked ``branch_eigenvalue`` call: certified Newton on the branch root
-    alone, the full root solve only for the nodes Newton leaves unsettled.  A
-    FixedRandomUnit datum is propagated through one stacked N x N
-    eigendecomposition per rule.
+    Panels double from one per decade of the band until the final-time
+    energies of two successive rules agree to QUAD_TOL; the first two rules
+    (n and 2n panels) are evaluated in one stacked call over both rules'
+    nodes, each later rule in one call of its own.  An OptimalBranch datum is
+    an eigenvector, so its trace is the closed form exp(2 Im omega(k) t),
+    with the omega of a call from one stacked ``branch_eigenvalue``:
+    certified Newton on the branch root alone, the full root solve only for
+    the nodes Newton leaves unsettled.  A FixedRandomUnit datum is
+    propagated through one stacked N x N eigendecomposition per call.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(direction_rule, OptimalBranch):
@@ -194,21 +199,27 @@ def simulate_energy(
     else:
         raise ValueError(f"unknown direction rule {direction_rule!r}")
 
+    def rule_energies(*panel_counts):
+        """E(t) of each panel rule, from one rule_traces call over all their nodes."""
+        rules = [gauss_panels(profile.k_min, profile.k_max, n) for n in panel_counts]
+        ks, ws = (np.concatenate(part) for part in zip(*rules))
+        split = np.cumsum([len(nodes) for nodes, _ in rules[:-1]])
+        weights = np.split(ws * ks**2 * profile(ks) ** 2, split)
+        traces = np.split(rule_traces(ks), split)
+        return [4.0 * math.pi * np.einsum("i,ij->j", w, tr) for w, tr in zip(weights, traces)]
+
     decades = max(math.log10(profile.k_max / profile.k_min), 0.3)
     n_panels = max(1, int(math.ceil(decades)))
-    prev_ref = None
-    for _ in range(MAX_PANEL_DOUBLINGS + 1):
-        ks, ws = gauss_panels(profile.k_min, profile.k_max, n_panels)
-        phi2 = profile(ks) ** 2
-        energy = 4.0 * math.pi * np.einsum("i,ij->j", ws * ks**2 * phi2, rule_traces(ks))
-        ref = float(energy[-1])
-        if prev_ref is not None and abs(ref - prev_ref) <= QUAD_TOL * abs(prev_ref):
-            return DecayRecord(t_grid=t_grid, energy=energy, tag=tag, panels=n_panels)
-        prev_ref = ref
+    # the first test needs the n- and the 2n-panel rule either way: one call evaluates both
+    coarse, energy = rule_energies(n_panels, 2 * n_panels)
+    for doubling in range(MAX_PANEL_DOUBLINGS):
         n_panels *= 2
-    raise QuadratureNonconvergent(
-        f"energy quadrature not settled after {n_panels // 2} panels"
-    )
+        if doubling:
+            coarse, (energy,) = energy, rule_energies(n_panels)
+        ref = float(coarse[-1])
+        if abs(float(energy[-1]) - ref) <= QUAD_TOL * abs(ref):
+            return DecayRecord(t_grid=t_grid, energy=energy, tag=tag, panels=n_panels)
+    raise QuadratureNonconvergent(f"energy quadrature not settled after {n_panels} panels")
 
 
 # --- exponent fitting ----------------------------------------------------------------

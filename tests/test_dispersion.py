@@ -229,6 +229,33 @@ class TestGuessedRoots:
         assert (errs.max() > polyroots.GUESS_TOL) == above_16u
         self._assert_falls_back(row, far)
 
+    @pytest.mark.parametrize("delta, kept", [(1e-2, True), (1.2e-7, False)])
+    def test_overlapping_weierstrass_disks_fall_back(self, delta, kept):
+        # s-roots 1, 1 + delta and -2 from exact guesses: at delta = 1.2e-7 every root
+        # has converged to rounding and settled, but the disks D(z_i, 16 n ball_i) of
+        # the close pair overlap; at 8 n they would not (the two radii stop overlapping
+        # at about 1.45e-7 and 1.02e-7)
+        s = np.array([1.0, 1.0 + delta, -2.0])
+        q = np.polynomial.polynomial.polyfromroots(s)
+        coeffs = q.astype(complex)[:, None, None]
+        before = polyroots._newton(coeffs, s[None] + 0j, polyroots.NEWTON_STEPS - 1)
+        z = polyroots._newton(coeffs, before, 1)
+        assert polyroots._isolated(z, z - before, coeffs).tolist() == [kept]
+
+        assert polyroots._backward_errors(z, coeffs).max() <= polyroots.GUESS_TOL
+        dist = np.abs(z[0, :, None] - z[0]) + np.diag(np.full(3, np.inf))
+        denominator = np.prod(dist, axis=1, where=np.isfinite(dist))
+        ball = polyroots.UNIT_ROUNDOFF * polyval(np.abs(z[0]), np.abs(q)) / denominator
+        assert np.all(np.abs(z[0] - before[0]) ** 2 * np.sum(1.0 / dist, axis=1) <= ball)
+        assert (dist[0, 1] <= 16 * 3 * (ball[0] + ball[1])) == (not kept)
+        assert dist[0, 1] > 8 * 3 * (ball[0] + ball[1])
+
+        rows = (q * np.array([1, -1j, -1, 1j]))[None]  # p(w) with p(i s) = q(s)
+        reported, _ = _kept_and_roots(rows, 1j * s[None])
+        assert reported.tolist() == [kept]
+        if not kept:
+            self._assert_falls_back(rows, 1j * s[None])
+
     def test_only_the_uncertified_row_falls_back(self, reference_medium, rows):
         guesses = dsp.solve_dispersion(reference_medium, np.array([1.01, 2.02]))
         guesses[1] = np.nan

@@ -16,6 +16,7 @@ from lorentzmodes.errors import (
     ExponentMismatch,
     InvalidWavenumber,
     NonPolynomialDecay,
+    QuadratureNonconvergent,
     WindowTooShort,
 )
 from lorentzmodes.evolution import propagate
@@ -51,6 +52,68 @@ class TestQuadratureEngine:
             reference_medium, profile, en.FixedRandomUnit(0), [0.0, 1.0]
         )
         assert record.energy[0] == pytest.approx(28.0 * math.pi / 3.0, rel=1e-10)
+
+
+class TestPanelDoubling:
+    """Which panel rules simulate_energy evaluates, and in how many stacked calls."""
+
+    def test_first_two_rules_share_one_call(self, reference_medium, reference_bands, monkeypatch):
+        rows, profiles = [], []
+        branch, simulate = en.branch_eigenvalue, en.simulate_energy
+
+        def counted(medium, label, k):
+            rows.append(np.size(k))
+            return branch(medium, label, k)
+
+        def recorded(medium, profile, *args, **kwargs):
+            profiles.append(profile)
+            return simulate(medium, profile, *args, **kwargs)
+
+        monkeypatch.setattr(en, "branch_eigenvalue", counted)
+        monkeypatch.setattr(en, "simulate_energy", recorded)
+        record = en.verify_gamma_lf(reference_medium, 0.0, k_minus=reference_bands[0]).record
+        (profile,) = profiles
+        n = math.ceil(math.log10(profile.k_max / profile.k_min))  # one panel per decade
+        assert rows == [3 * n * en.NODES_PER_PANEL]
+        assert record.panels == 2 * n
+
+        energies = []
+        for panels in (n, 2 * n):
+            ks, ws = en.gauss_panels(profile.k_min, profile.k_max, panels)
+            omega = branch(reference_medium, dsp.Zero0(1), ks)
+            traces = np.exp(2.0 * np.outer(omega.imag, record.t_grid))
+            weights = ws * ks**2 * profile(ks) ** 2
+            energies.append(4.0 * math.pi * np.einsum("i,ij->j", weights, traces))
+        assert np.array_equal(record.energy, energies[1])
+        assert abs(energies[1][-1] - energies[0][-1]) <= en.QUAD_TOL * abs(energies[0][-1])
+
+    def test_unsettled_run_evaluates_each_rule_once(
+        self, reference_medium, reference_bands, monkeypatch
+    ):
+        panels, rows = [], []
+        gauss, branch = en.gauss_panels, en.branch_eigenvalue
+
+        def counted_rule(k_min, k_max, n_panels):
+            panels.append(n_panels)
+            return gauss(k_min, k_max, n_panels)
+
+        def counted_rows(medium, label, k):
+            rows.append(np.size(k))
+            return branch(medium, label, k)
+
+        monkeypatch.setattr(en, "gauss_panels", counted_rule)
+        monkeypatch.setattr(en, "branch_eigenvalue", counted_rows)
+        monkeypatch.setattr(en, "QUAD_TOL", 0.0)
+        # a jump no panel edge meets keeps every doubling off by far more than rounding;
+        # 0.6 decades make one panel first
+        k_plus = reference_bands[1]
+        step = en.RadialProfile(k_plus, 4.0 * k_plus, lambda k: 1.0 + (k < 3.0 * k_plus), "step")
+        last = 2**en.MAX_PANEL_DOUBLINGS
+        with pytest.raises(QuadratureNonconvergent, match=f"not settled after {last} panels$"):
+            en.simulate_energy(reference_medium, step, en.OptimalBranch(dsp.PlusInf()), [0, 10])
+        doubled = [2**d for d in range(en.MAX_PANEL_DOUBLINGS + 1)]
+        assert panels == doubled
+        assert rows == [n * en.NODES_PER_PANEL for n in [3] + doubled[2:]]
 
 
 class TestClosedFormTrace:
