@@ -317,6 +317,11 @@ def cmd_energy(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    _require(
+        args.t_min < args.t_max,
+        f"fit window needs --t-min below --t-max, got --t-min {args.t_min:g} "
+        f"--t-max {args.t_max:g}",
+    )
     path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"decay CSV not found: {path}")

@@ -102,7 +102,7 @@ class BandViolation(LorentzModesError):
 
 
 class NonPositiveRate(LorentzModesError):
-    """The fitted mid-band exponential rate is not positive."""
+    """The mid-band exponential rate (minus the spectral abscissa) is not positive."""
 
 
 class WindowTooShort(LorentzModesError):

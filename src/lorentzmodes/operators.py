@@ -524,6 +524,19 @@ def _helicity_modes(medium: LorentzMedium, ks: np.ndarray):
     return (a_plus, *_sorted_modes(ks, *np.linalg.eig(a_plus)))
 
 
+def _projector_norms(medium: LorentzMedium, ks: np.ndarray):
+    """(``_helicity_modes``'s tuple, the (len(ks), N) weighted projector norms |Pi_n(k)|_W).
+
+    A projector's weighted norm is that of its rank-1 u_+ part, |W^1/2 col n|
+    |W^-1/2 row n|; both norms reduce a contiguous last axis.
+    """
+    modes = _helicity_modes(medium, ks)
+    _, _, vecs, left = modes
+    s = _medium_record(medium).sqrt_gram[::2]  # W^1/2
+    cols = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)) * s
+    return modes, np.linalg.norm(cols, axis=-1) * np.linalg.norm(left / s, axis=-1)
+
+
 def _sorted_modes(k, vals, vecs):
     """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) from a u_+ eig.
 
@@ -668,19 +681,16 @@ def projector_norm_sweep(
     branch is either a tracked BranchFamily (its nearest sample anchors the
     eigenvalue at each k) or a callable k -> eigenvalue.  The log-log trend of
     the norms is reported by sweep_trend; growth is the caller's signal to
-    distrust the band.  One stacked u_+ eigendecomposition serves the grid: a
-    projector's weighted norm is that of its rank-1 u_+ part, |W^1/2 col|
-    |W^-1/2 row|, and the residual, refused above 1e-8, is the u_+ one.
+    distrust the band.  One stacked u_+ eigendecomposition serves the grid
+    (``_projector_norms``), and the residual, refused above 1e-8, is the u_+ one.
     """
     ks = np.asarray(k_grid, dtype=float)
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
-    a_plus, vals, vecs, left = _helicity_modes(medium, ks)
+    (a_plus, vals, vecs, left), norms = _projector_norms(medium, ks)
     n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
-    at, s = np.arange(len(ks)), _medium_record(medium).sqrt_gram[::2]  # s = W^1/2
-    norms = np.linalg.norm(s * vecs[at, :, n], axis=1) * np.linalg.norm(left[at, n] / s, axis=1)
     residual = _reconstruction_residual(a_plus, ks, vals, vecs, left)
-    return list(zip(ks.tolist(), norms.tolist(), residual.tolist()))
+    return list(zip(ks.tolist(), norms[np.arange(len(ks)), n].tolist(), residual.tolist()))
 
 
 def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:

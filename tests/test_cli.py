@@ -354,6 +354,22 @@ class TestEnergyAndFit:
         assert named in res.stderr
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("t_min, t_max", [
+        ("nan", "1e5"), ("1e2", "nan"), ("1e5", "1e3"), ("1e3", "1e3"), ("inf", "inf"),
+    ])
+    def test_fit_empty_window_exit_2(self, tmp_path, capsys, t_min, t_max):
+        csv_path = tmp_path / "decay.csv"
+        t = [10.0**e for e in range(6)]
+        csv_path.write_text("t,energy\n" + "".join(f"{x},{x**-1.5}\n" for x in t))
+        args = ["fit", "--input", str(csv_path), "--t-min", t_min, "--t-max", t_max]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: fit window needs --t-min below --t-max")
+        assert f"--t-min {float(t_min):g} --t-max {float(t_max):g}" in err
+        # an open-ended window stays a valid one
+        assert cli.main([*args[:3], "--t-min", "100", "--t-max", "inf"]) == 0
+        assert "fitted_gamma=1.500000" in capsys.readouterr().out
+
     def test_fit_non_power_law_exit_1(self, tmp_path):
         import numpy as np
 

@@ -1101,7 +1101,7 @@ class TestProjectorSweeps:
         with pytest.raises(NotDiagonalizable, match="k=50"):
             ops.projector_norm_sweep(reference_medium, lambda k: 0j, [50.0, 100.0])
         with pytest.raises(NotDiagonalizable, match="k=50"):
-            evo.hf_envelope_check(reference_medium, [50.0, 100.0], np.linspace(0, 10.0, 5))
+            evo.hf_envelope_check(reference_medium, [50.0, 100.0])
 
     def test_one_assembly_and_one_eig_per_sweep(self, monkeypatch, wide_medium):
         calls = []
@@ -1117,6 +1117,14 @@ class TestProjectorSweeps:
         ops._medium_record(wide_medium)  # the per-medium constants are built
         ops.projector_norm_sweep(wide_medium, lambda k: 0j, GRID_61)
         assert calls == ["assemble", "eig"]
+        for envelope in (
+            lambda: evo.hf_envelope_check(wide_medium, GRID_61),
+            lambda: evo.lf_envelope_check(wide_medium, GRID_61),
+            lambda: evo.midband_rate(wide_medium, (0.5, 5.0)),
+        ):
+            calls.clear()
+            envelope()
+            assert calls == ["assemble", "eig"]
 
 
 @given(st.integers(0, 10**6))
