@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Reproduce the optimal polynomial energy-decay exponents.
 
-Runs the low-band fits for p = 0, 1, 2 and the high-band fit for m = 2 on the
-reference and critical media of ``configs/`` and prints a comparison table
-against the predicted exponents (p + 3/2, and m or m/2).
+Runs the low-band fits for p = 0, 1, 2 on the reference medium and the
+high-band fit for m = 2 on the reference, critical and double-pole media of
+``configs/``, and prints a comparison table against the predicted exponents
+(p + 3/2, and m or m/2).  The double-pole medium is weakly dissipative and
+non-critical: its high-band run measures the slow branch at the undamped pole.
 """
 
 import argparse
@@ -21,6 +23,7 @@ def main():
 
     reference, _ = load_medium_config(CONFIGS / "reference.cfg")
     critical, _ = load_medium_config(CONFIGS / "critical.cfg")
+    double_pole, _ = load_medium_config(CONFIGS / "double_pole.cfg")
     rows = []
 
     for p in (0.0, 1.0, 2.0):
@@ -28,7 +31,9 @@ def main():
         rep = en.verify_gamma_lf(reference, p)
         rows.append((f"reference lf p={p:g}", rep.target, rep.fitted, time.monotonic() - t0))
 
-    for name, medium in (("reference", reference), ("critical", critical)):
+    for name, medium in (
+        ("reference", reference), ("critical", critical), ("double_pole", double_pole)
+    ):
         t0 = time.monotonic()
         rep = en.verify_gamma_hf(medium, 2.0)
         rows.append((f"{name} hf m=2", rep.target, rep.fitted, time.monotonic() - t0))

@@ -155,6 +155,7 @@ def _count(args, run, name, default) -> int:
 
 
 def _tracked(medium, args, run):
+    """(classified branches, diagnosed (k_minus, k_plus)) on the run's k grid."""
     k_min, k_max = (_number(args, run, name, None) for name in ("k_min", "k_max"))
     ppd = _count(args, run, "points_per_decade", 200)
     _require(ppd >= 1, f"--points-per-decade must be at least 1, got {ppd}")
@@ -164,7 +165,8 @@ def _tracked(medium, args, run):
         hi = k_max if k_max is not None else grid[-1]
         _require(0 < lo < hi, f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
         grid = disp._log_grid(lo, hi, ppd)
-    return disp.classify_branches(disp.track_branches(medium, grid), medium)
+    branches = disp.classify_branches(disp.track_branches(medium, grid), medium)
+    return branches, disp.diagnose_bands(branches, medium.asymptotic_coefficients())
 
 
 def cmd_classify(args) -> int:
@@ -194,9 +196,7 @@ def cmd_classify(args) -> int:
 
 def cmd_branches(args) -> int:
     medium, run = load_medium_config(args.config)
-    branches = _tracked(medium, args, run)
-    table = medium.asymptotic_coefficients()
-    k_minus, k_plus = disp.diagnose_bands(branches, table)
+    branches, (k_minus, k_plus) = _tracked(medium, args, run)
     print(f"diagnosed bands: k_minus={k_minus:g} k_plus={k_plus:g}")
     print(f"branches: {len(branches)}")
 
@@ -208,7 +208,7 @@ def cmd_branches(args) -> int:
             rows.append((_fmt(k), label, _fmt(w.real), _fmt(w.imag)))
     _write_csv(out / "branches.csv", ("k", "branch_label", "re_omega", "im_omega"), rows)
 
-    conv_rows = []
+    conv_rows, table = [], medium.asymptotic_coefficients()
     grid = branches[0].k
     # probes stay within a decade of the band edge so residuals clear the
     # root-solver noise floor
@@ -244,9 +244,7 @@ def cmd_projectors(args) -> int:
     medium, run = load_medium_config(args.config)
     n_samples = _count(args, run, "samples", 12)
     _require(n_samples >= 1, f"--samples must be at least 1, got {n_samples}")
-    branches = _tracked(medium, args, run)
-    table = medium.asymptotic_coefficients()
-    k_minus, k_plus = disp.diagnose_bands(branches, table)
+    branches, (k_minus, k_plus) = _tracked(medium, args, run)
     out = _out_dir(args)
 
     rows = []
@@ -322,6 +320,8 @@ def cmd_fit(args) -> int:
         f"fit window needs --t-min below --t-max, got --t-min {args.t_min:g} "
         f"--t-max {args.t_max:g}",
     )
+    floor = energy_mod.FIT_T_MIN
+    _require(args.t_min >= floor, f"--t-min must be at least {floor:g}, got {args.t_min:g}")
     path = Path(args.input)
     if not path.is_file():
         raise ConfigError(f"decay CSV not found: {path}")
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a power-law exponent to a decay CSV")
     common(p, needs_config=False, out_default=None)
     p.add_argument("--input", required=True, help="CSV with t and energy columns")
-    p.add_argument("--t-min", type=float, default=1e2)
+    p.add_argument("--t-min", type=float, default=energy_mod.FIT_T_MIN)
     p.add_argument("--t-max", type=float, default=1e6)
     p.set_defaults(func=cmd_fit)
 

@@ -377,6 +377,12 @@ def _fan_indices(directions, m, base_angle):
     return np.array(best) + 1
 
 
+def _pole_fans(entry):
+    """The Pole labels of fans n = 1..m of a catalog pole entry of multiplicity m."""
+    m = entry.multiplicity
+    return [Pole(entry.location, n, m, fan_root(entry.residue, m, n)) for n in range(1, m + 1)]
+
+
 def _straddling_pair(values, order, what: str):
     """The branches order[:2], sorted by Re value; their values must lie on both sides of Re = 0."""
     pair = sorted(order[:2], key=lambda i: values[i].real)
@@ -433,8 +439,7 @@ def classify_branches(
     by_mod = np.argsort(-np.abs(end))
     hf = dict(zip(_straddling_pair(end, by_mod, "unbounded branches"), (MinusInf(), PlusInf())))
     for i, entry, n in _fans(end, by_mod[2:], catalog.nearest_pole, "pole"):
-        m = entry.multiplicity
-        hf[i] = Pole(entry.location, n, m, fan_root(entry.residue, m, n))
+        hf[i] = _pole_fans(entry)[n - 1]
 
     by_mod0 = np.argsort(np.abs(start))
     lf = dict(zip(_straddling_pair(start, by_mod0, "branches through 0"), (Zero0(1), Zero0(2))))
@@ -482,6 +487,33 @@ def _terms(label, table: CoefficientTable):
             split = -coef.split if n == 1 else coef.split
             return p, [(split, -1.0), (coef.second_order, -2.0)], -3.0
     raise ValueError(f"not a branch label: {label!r}")
+
+
+def _decay_law(label, table: CoefficientTable):
+    """(sigma, p, k_cross): the label's eigenvector energy exp(2 Im omega t) ~ exp(-sigma k^p t).
+
+    a k^p is the first term of ``_terms`` with Im a != 0, and sigma = 2|Im a|; a
+    label without one has sigma = 0.  k_cross = (sigma'/sigma)^(1/(p - p')) is
+    where a k^p overtakes the next such term a' k^p', or 0 if none is listed.
+    """
+    _, terms, _ = _terms(label, table)
+    lossy = [(2.0 * abs(a.imag), p) for a, p in terms if a.imag != 0]
+    if not lossy:
+        return 0.0, 0.0, 0.0
+    (sigma, p), *rest = lossy
+    return sigma, p, (rest[0][0] / sigma) ** (1.0 / (p - rest[0][1])) if rest else 0.0
+
+
+def _slowest_hf_branch(medium: LorentzMedium):
+    """(label, _decay_law) of the slowest of PlusInf and every real-pole fan.
+
+    That is the least (p, sigma), the first on a tie; a candidate without
+    dissipation (sigma = 0) comes first of all.
+    """
+    table = medium.asymptotic_coefficients()
+    labels = [PlusInf(), *(f for e in medium.catalog.real_poles() for f in _pole_fans(e))]
+    laws = [(label, _decay_law(label, table)) for label in labels]
+    return min(laws, key=lambda law: (law[1][0] > 0, law[1][1], law[1][0]))
 
 
 def expansion(label, table: CoefficientTable):

@@ -15,9 +15,12 @@ it leaves unsettled (near a band edge) takes the full stacked root solve.  No
 operator, eigendecomposition or propagation is involved.  A fixed random
 direction costs one stacked u_+ eigendecomposition per evaluation.
 
-``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run and differ
-only in the branch, onset time, profile and target.  A band edge not given
-defaults to ``medium.diagnosed_bands``, tracked once per medium.
+``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run, on the
+branch whose decay law exp(-sigma k^p t) is read off the expansion that anchors
+the Newton solves (``dispersion._decay_law``): Zero0(1) in the low band, and in
+the high band the slowest of PlusInf and the real poles' fans, from an onset
+past the wavenumber k_cross where that law overtakes the branch's next lossy
+term.  A band edge not given defaults to ``medium.diagnosed_bands``.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dispersion import PlusInf, Pole, Zero0, _solvable_rows, expansion, solve_dispersion
+from .dispersion import Zero0, _decay_law, _slowest_hf_branch, _solvable_rows, expansion
+from .dispersion import solve_dispersion
 from .errors import (
     ExponentMismatch,
     NonPolynomialDecay,
@@ -51,6 +55,9 @@ DEFAULT_EPS = 0.1
 
 #: relative tolerance of a fitted exponent against its target
 GAMMA_TOL = 0.10
+
+#: earliest time a fit window may start: the asymptotic regime of every exponent run
+FIT_T_MIN = 1e2
 
 
 # --- radial profiles --------------------------------------------------------------
@@ -233,7 +240,7 @@ def fit_exponent(record: DecayRecord, window: tuple[float, float]):
     drift beyond 0.3 means the decay is not a power law.
     """
     t_lo, t_hi = window
-    if t_lo < 1e2 * (1 - 1e-12):
+    if t_lo < FIT_T_MIN * (1 - 1e-12):
         raise WindowTooShort("fit window must start inside the asymptotic regime")
     sel = (record.t_grid >= t_lo) & (record.t_grid <= t_hi)
     t = record.t_grid[sel]
@@ -289,14 +296,14 @@ def _exponent_run(medium, label, t_onset, profile_at, target, tag) -> GammaRepor
 
     The run lasts t_max = max(1e4, 100 t_onset) on a log time grid; the
     profile is built for that t_max, and the fit window is
-    (max(1e2, t_onset), t_max).  A fit off the target by more than GAMMA_TOL
+    (max(FIT_T_MIN, t_onset), t_max).  A fit off the target by more than GAMMA_TOL
     raises ExponentMismatch with the report text.
     """
     t_max = max(1e4, 100.0 * t_onset)
     record = simulate_energy(
         medium, profile_at(t_max), OptimalBranch(label), _log_time_grid(t_max), tag=tag
     )
-    window = (max(1e2, t_onset), t_max)
+    window = (max(FIT_T_MIN, t_onset), t_max)
     fitted, _ = fit_exponent(record, window)
     out = GammaReport(target, fitted, record, window)
     if not out.ok:
@@ -310,42 +317,28 @@ def verify_gamma_hf(
     eps: float = DEFAULT_EPS,
     k_plus: Optional[float] = None,
 ) -> GammaReport:
-    """Reproduce the optimal high-frequency exponent: m, or m/2 when critical.
+    """Reproduce the optimal high-frequency exponent -2m/p: m, or m/2 when critical.
 
-    The initial datum follows the optimality construction: the slowest
-    high-band branch eigenvector under the sharpest admissible Sobolev tail
-    for class m (exponent 3/4 + m/2 + eps/2, so the observable exponent is
-    m + eps up to fit tolerance).
+    The initial datum follows the optimality construction: the eigenvector of
+    the slowest high-band branch, decaying like exp(-sigma k^p t), under the
+    sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2,
+    so the observable exponent is -2(m + eps)/p up to fit tolerance).
     """
-    critical = medium.check_assumptions().criticality is Criticality.CRITICAL
-    table = medium.asymptotic_coefficients()
+    label, (sigma, p, k_cross) = _slowest_hf_branch(medium)
+    if sigma == 0:
+        raise ExponentMismatch(f"no dissipation reaches the high band on {label}")
     if k_plus is None:
         k_plus = medium.diagnosed_bands[1]
 
-    if critical:
-        pole = next((p for p in table.simple_poles if abs(p.second_order.imag) < 1e-12), None)
-        if pole is None:
-            raise ExponentMismatch("critical medium has no lossless-at-order-2 pole")
-        label = Pole(pole.pole, 1, 1, pole.second_order)
-        sigma = 2.0 * abs(pole.fourth_order.imag)
-        power = 4.0
-        target = m / 2.0
-    else:
-        label = PlusInf()
-        sigma = table.damped_coupling / table.vacuum_speed**2
-        power = 2.0
-        target = m
-    if sigma == 0:
-        raise ExponentMismatch("no dissipation reaches the high band")
-
     def profile_at(t_max):
-        k_star = (sigma * t_max) ** (1.0 / power)
+        k_star = (sigma * t_max) ** (-1.0 / p)
         return sobolev_tail(m, 1.5 + m + eps, k_plus, 30.0 * k_star)
 
-    # the dominant wavenumber (sigma*t)^(1/power) must sit deep inside the band
-    t_onset = (8.0 * k_plus) ** power / sigma
+    # the dominant wavenumber (sigma*t)^(-1/p) must sit deep inside the band, past k_cross
+    t_onset = (8.0 * max(k_plus, k_cross)) ** -p / sigma
+    critical = medium.check_assumptions().criticality is Criticality.CRITICAL
     tag = f"hf(m={m:g},{'critical' if critical else 'non-critical'})"
-    return _exponent_run(medium, label, t_onset, profile_at, target, tag)
+    return _exponent_run(medium, label, t_onset, profile_at, -2.0 * m / p, tag)
 
 
 def verify_gamma_lf(
@@ -354,12 +347,11 @@ def verify_gamma_lf(
     k_minus: Optional[float] = None,
 ) -> GammaReport:
     """Reproduce the optimal low-frequency exponent p + 3/2."""
-    table = medium.asymptotic_coefficients()
-    if k_minus is None:
-        k_minus = medium.diagnosed_bands[0]
-    sigma = 2.0 * abs(table.lf_second_order.imag)
+    sigma = _decay_law(Zero0(1), medium.asymptotic_coefficients())[0]
     if sigma == 0:
         raise ExponentMismatch("no dissipation reaches the low band")
+    if k_minus is None:
+        k_minus = medium.diagnosed_bands[0]
 
     def profile_at(t_max):
         return power_law(p, math.sqrt(1.0 / (sigma * t_max)) / 20.0, k_minus)

@@ -12,9 +12,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispersion import _solvable_rows, solve_dispersion
+from .dispersion import _slowest_hf_branch, _solvable_rows, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
-from .medium import Criticality, LorentzMedium
+from .medium import LorentzMedium
 from .operators import PerpOperator, PerpState, _projector_norms
 from .polyroots import certify
 
@@ -109,10 +109,10 @@ def _envelope(medium, band, power, k_list) -> EnvelopeFit:
 def hf_envelope_check(medium: LorentzMedium, k_list: Sequence[float]) -> EnvelopeFit:
     """The high-band envelope |U| <= prefactor * exp(-C t / k^e).
 
-    e is 2 in the non-critical configuration and 4 in the critical one, per check_assumptions().
+    e = -p of the decay law of the slowest high-band branch (``_slowest_hf_branch``),
+    the branch verify_gamma_hf runs on: 2, or 4 in the critical configuration.
     """
-    critical = medium.check_assumptions().criticality is Criticality.CRITICAL
-    return _envelope(medium, "HF", -4.0 if critical else -2.0, k_list)
+    return _envelope(medium, "HF", _slowest_hf_branch(medium)[1][1], k_list)
 
 
 def lf_envelope_check(medium: LorentzMedium, k_list: Sequence[float]) -> EnvelopeFit:

@@ -1,5 +1,9 @@
 """Shared media and expensive session-scoped artifacts for the test suite."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +86,31 @@ def h1_violation_medium():
 def h2_violation_medium():
     # zeros of the permittivity at +-sqrt(2) coincide with the permeability poles
     return lm.new_medium(1.0, 1.0, [(1.0, 1.0, 0.0)], [(1.0, np.sqrt(2.0), 0.0)])
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def seeded_draws(seeds):
+    """The benchmark's seeded draws (N 4-16, four damping regimes), all draws of each seed.
+
+    Loaded from the benchmark's workload file; only draw_medium is used.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return [module.draw_medium(np.random.default_rng(seed), i)[0]
+            for seed in seeds for i in range(len(module.DRAW_SHAPES))]
+
+
+@pytest.fixture(scope="session")
+def survey_media():
+    """The 96-draw survey: seeds 0-11, draws 0-7."""
+    return seeded_draws(range(12))
 
 
 def _classified(medium):

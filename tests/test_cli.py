@@ -370,6 +370,15 @@ class TestEnergyAndFit:
         assert cli.main([*args[:3], "--t-min", "100", "--t-max", "inf"]) == 0
         assert "fitted_gamma=1.500000" in capsys.readouterr().out
 
+    def test_fit_window_below_the_floor_exit_2(self, tmp_path, capsys):
+        # refused before the input is read: the missing file is never reported
+        missing = tmp_path / "none.csv"
+        args = ["fit", "--input", str(missing), "--t-min", "50"]
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: --t-min must be at least 100, got 50")
+        assert "not found" not in err
+
     def test_fit_non_power_law_exit_1(self, tmp_path):
         import numpy as np
 
@@ -407,7 +416,7 @@ def test_readme_scripts_run(tmp_path):
     names = [row.rsplit(None, 3)[0] for row in rows]
     assert names == [
         "reference lf p=0", "reference lf p=1", "reference lf p=2",
-        "reference hf m=2", "critical hf m=2",
+        "reference hf m=2", "critical hf m=2", "double_pole hf m=2",
     ]
     for row in rows:
         target, fitted = map(float, row.split()[-3:-1])

@@ -15,6 +15,7 @@ from lorentzmodes import energy as en
 from lorentzmodes.errors import (
     ExponentMismatch,
     InvalidWavenumber,
+    LorentzModesError,
     NonPolynomialDecay,
     QuadratureNonconvergent,
     WindowTooShort,
@@ -372,6 +373,96 @@ class TestGammaHF:
         product = rec.energy[sel] * rec.t_grid[sel] ** 2.0
         assert product.max() <= 10.0 * product.min() + 1e-30
         assert product[-1] <= product[0]
+
+
+def _alpha_medium(alpha):
+    """critical_medium with magnetic damping alpha: weak and non-critical for alpha > 0."""
+    return lm.new_medium(1, 1, [(1, 1, 0), (1, 1.5, 0.3)], [(1, 2, alpha)])
+
+
+class TestSlowestHighBandBranch:
+    """verify_gamma_hf runs on the slowest of PlusInf and the real poles' fans."""
+
+    FIXTURES = (
+        "reference_medium", "asymmetric_medium", "critical_medium", "wide_medium",
+        "double_pole_medium", "ps_noncritical_medium", "electric_only_medium", "undamped_medium",
+    )
+
+    def test_rule_agrees_with_the_classification(self, survey_media, request):
+        media = [request.getfixturevalue(name) for name in self.FIXTURES] + survey_media
+        picked = {"strong": 0, "critical": 0, "lossless": 0}
+        for medium in media:
+            report = medium.check_assumptions()
+            label, (sigma, p, _) = dsp._slowest_hf_branch(medium)
+            if report.dissipation is lm.Dissipation.NONE:
+                assert sigma == 0, medium
+                # refused before any band is tracked
+                with pytest.raises(ExponentMismatch, match="no dissipation reaches the high band"):
+                    en.verify_gamma_hf(medium, 2.0)
+                picked["lossless"] += 1
+                continue
+            assert sigma > 0, medium
+            critical = report.criticality is lm.Criticality.CRITICAL
+            assert (p == -4.0) == critical, medium
+            picked["critical"] += critical
+            if report.dissipation is lm.Dissipation.STRONG:
+                assert label == dsp.PlusInf(), medium
+                picked["strong"] += 1
+        assert min(picked.values()) > 0, picked
+
+    def test_decay_laws_from_the_expansion(self, ps_noncritical_medium, critical_medium):
+        table = ps_noncritical_medium.asymptotic_coefficients()
+        coef = table.for_pole(1.0)
+        pole = next(f for e in ps_noncritical_medium.catalog.real_poles()
+                    for f in dsp._pole_fans(e) if f.location == 1.0)
+        sigma2, sigma4 = 2 * abs(coef.second_order.imag), 2 * abs(coef.fourth_order.imag)
+        law = (sigma2, -2.0, math.sqrt(sigma4 / sigma2))
+        assert dsp._decay_law(pole, table) == pytest.approx(law, rel=1e-15)
+        c = table.vacuum_speed
+        assert dsp._decay_law(dsp.PlusInf(), table) == (table.damped_coupling / c**2, -2.0, 0.0)
+        assert dsp._decay_law(dsp.Zero0(1), table)[0] == 2 * abs(table.lf_second_order.imag)
+        # critical: the pole is lossless at order k^-2, so its law is the k^-4 term
+        label, (sigma, p, k_cross) = dsp._slowest_hf_branch(critical_medium)
+        coef = critical_medium.asymptotic_coefficients().for_pole(label.location)
+        assert coef.second_order.imag == 0.0
+        assert (sigma, p, k_cross) == (2 * abs(coef.fourth_order.imag), -4.0, 0.0)
+
+    def test_onset_past_the_crossover(self, ps_noncritical_medium):
+        label, (sigma, p, k_cross) = dsp._slowest_hf_branch(ps_noncritical_medium)
+        k_plus = ps_noncritical_medium.diagnosed_bands[1]
+        assert isinstance(label, dsp.Pole) and k_cross > k_plus
+        report = en.verify_gamma_hf(ps_noncritical_medium, 2.0)
+        assert report.window[0] == (8.0 * k_cross) ** 2 / sigma
+        assert report.record.tag == "hf(m=2,non-critical)"
+
+    @pytest.mark.parametrize(
+        "medium",
+        [pytest.param("ps_noncritical_medium", id="ps_noncritical"),
+         pytest.param("double_pole_medium", id="double_pole")]
+        + [pytest.param(alpha, id=f"alpha={alpha:g}") for alpha in (0.3, 0.1, 0.03, 0.01)],
+    )
+    def test_weak_media_measure_the_slowest_root(self, medium, request):
+        if isinstance(medium, str):
+            medium = request.getfixturevalue(medium)
+        else:
+            medium = _alpha_medium(medium)
+        label, _ = dsp._slowest_hf_branch(medium)
+        assert isinstance(label, dsp.Pole)  # a real pole's fan decays slower than PlusInf
+        k_plus = medium.diagnosed_bands[1]
+        for k in (2 * k_plus, 10 * k_plus, 100 * k_plus):
+            omega = en.branch_eigenvalue(medium, label, k)
+            roots = dsp.solve_dispersion(medium, k)
+            assert np.min(np.abs(roots - omega)) <= 1e-12 * abs(omega)
+            assert omega.imag >= roots.imag.max() - 1e-12 * abs(omega)
+            # and well apart from the PlusInf branch, which decays faster
+            assert en.branch_eigenvalue(medium, dsp.PlusInf(), k).imag < 2 * omega.imag
+        report = en.verify_gamma_hf(medium, 2.0)
+        assert abs(report.fitted - 2.0) <= en.GAMMA_TOL * 2.0
+
+    def test_far_crossover_refused_typed(self):
+        # at alpha = 1e-4 the k^-2 term takes over only past k_cross ~ 170
+        with pytest.raises(LorentzModesError):
+            en.verify_gamma_hf(_alpha_medium(1e-4), 2.0)
 
 
 class TestExponentMismatch:

@@ -188,6 +188,17 @@ class TestEnvelopes:
         assert fit.rate_constant > 0
         assert fit.exponent == 2.0
 
+    def test_hf_rate_ratio_weak_noncritical(self, ps_noncritical_medium):
+        # the bound's per-k rate is the decay of the branch the hf exponent run measures
+        fit = evo.hf_envelope_check(ps_noncritical_medium, [50.0, 100.0])
+        rates = dict(fit.per_k)
+        assert rates[50.0] / rates[100.0] == pytest.approx(4.0, rel=0.2)
+        assert fit.exponent == 2.0
+        label, _ = dsp._slowest_hf_branch(ps_noncritical_medium)
+        for k, rate in fit.per_k:
+            omega = en.branch_eigenvalue(ps_noncritical_medium, label, k)
+            assert rate == pytest.approx(-omega.imag, rel=1e-9)
+
     def test_hf_rate_ratio_critical(self, critical_medium):
         fit = evo.hf_envelope_check(critical_medium, [10.0, 20.0])
         rates = dict(fit.per_k)

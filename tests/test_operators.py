@@ -1,9 +1,6 @@
 """Reduced operator, inner product, resolvent, projectors, rotations."""
 
-import importlib.util
 import re
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +24,8 @@ from lorentzmodes.errors import (
     NotDiagonalizable,
     ZeroWaveVector,
 )
+
+from conftest import seeded_draws
 
 
 def random_state(op, rng):
@@ -679,7 +678,6 @@ class TestSpectralDecomposition:
 
 
 GRID_61 = np.geomspace(1e-3, 1e3, 61)
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
 def signed_weights(medium):
@@ -697,16 +695,7 @@ def signed_weights(medium):
 @pytest.fixture(scope="module")
 def drawn_media():
     """The benchmark's seeded draws (N 4-16, four damping regimes), seeds 1 and 2."""
-    # loaded from its file; only draw_medium is used
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return [module.draw_medium(np.random.default_rng(seed), i)[0]
-            for seed in (1, 2) for i in range(len(module.DRAW_SHAPES))]
+    return seeded_draws((1, 2))
 
 
 class TestGSymmetricCore:
