@@ -164,6 +164,8 @@ def _tracked(medium, args, run):
         lo = k_min if k_min is not None else grid[0]
         hi = k_max if k_max is not None else grid[-1]
         _require(0 < lo < hi, f"need 0 < k_min < k_max, got k_min={lo:g} k_max={hi:g}")
+        span = f"need a finite span k_max / k_min, got k_min={lo:g} k_max={hi:g}"
+        _require(math.isfinite(hi / lo), span)
         grid = disp._log_grid(lo, hi, ppd)
     branches = disp.classify_branches(disp.track_branches(medium, grid), medium)
     return branches, disp.diagnose_bands(branches, medium.asymptotic_coefficients())

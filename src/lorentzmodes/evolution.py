@@ -12,11 +12,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispersion import _slowest_hf_branch, _solvable_rows, solve_dispersion
+from .dispersion import _slowest_hf_branch, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
-from .operators import PerpOperator, PerpState, _projector_norms
-from .polyroots import certify
+from .operators import PerpOperator, PerpState, _ModalRecord
 
 
 @dataclass
@@ -86,23 +85,23 @@ class EnvelopeFit:
 def _envelope(medium, band, power, k_list) -> EnvelopeFit:
     """The envelope |exp(-i A(k) t)|_W <= prefactor * exp(-C k^power t) on the sampled k.
 
-    Each per-k rate is -max_n Im w_n over the u_+ eigenvalues, certified on their
-    dispersion rows.  Refuses an empty k_list (ValueError), what ``_solvable_rows``
-    refuses (InvalidWavenumber for a non-positive or non-finite k), and a
-    nonpositive rate.
+    Each per-k rate is -max_n Im w_n over the modal record's certified spectrum.
+    Refuses, in this order: an empty k_list (ValueError), what the record's
+    dispersion rows refuse (InvalidWavenumber for a non-positive or non-finite k),
+    what its modes refuse, a failed root certificate, and a nonpositive rate.
     """
     ks = np.asarray(k_list, dtype=float).reshape(-1)
     if not len(ks):
         raise ValueError("an envelope needs at least one wavenumber")
-    rows = _solvable_rows(medium, ks)
-    (_, vals, _, _), norms = _projector_norms(medium, ks)
-    rates = -certify(vals, rows.T[..., None]).imag.max(axis=1)
+    rec = _ModalRecord(medium, ks)
+    rec.rows  # the wavenumber refusals come before any eig
+    pref = float(np.max(rec.norms.sum(axis=1)))
+    rates = -rec.spectrum.imag.max(axis=1)
     if np.any(rates <= 0):
         side = {"HF": "high", "LF": "low"}.get(band, "mid")
         raise BandViolation(f"nonpositive decay rate in the {side} band")
     c = float(np.min(rates / ks**power))
     resid = float(np.std(np.log(rates / (c * ks**power))))
-    pref = float(np.max(norms.sum(axis=1)))
     return EnvelopeFit(band, abs(power), c, pref, list(zip(ks.tolist(), rates.tolist())), resid)
 
 

@@ -16,10 +16,10 @@ projector sweeps, and no other module splits the polarisations.  The oscillator
 quadratics, eps and mu come from the medium's one evaluator,
 ``LorentzMedium.family_terms``, and every other oscillator constant from its
 ``family_tables``.  One record per medium, indexed from those tables, holds every
-k-independent constant of the state layout; one per (medium, k) holds the u_+
-operator and its one eig, which the decomposition, its residual and the singular
-set share.  Besides the matrices this module provides the explicit resolvent,
-the contour-integral projectors and the slow-branch optimal initial data.  The
+k-independent constant of the state layout; one modal record, for one k or a
+1-D array, holds the u_+ operators, their one eig and all that is read off it.
+Besides the matrices this module provides the explicit resolvent, the
+contour-integral projectors and the slow-branch optimal initial data.  The
 resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same map
 as the projectors; its u_+ eigenspace map is the one ``eigenvector_columns``
 widens to two columns, and the contour sums only u_+ resolvents.
@@ -479,20 +479,25 @@ def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 class _ModalRecord:
-    """The u_+ operator at one (medium, k), its ``eig`` and what is read off it.
+    """The u_+ operators at one medium and a scalar k or a 1-D array of k, one ``eig``.
 
-    Each field is built on first use and read-only.  The certified spectrum
-    refuses what ``solve_dispersion`` refuses (a non-finite k before any eig)
-    and at k = 0 takes its deflated origin roots; the singular set never reads
-    the refusing ``modes``.
+    Every field is read-only, built on first use and computed here alone, as a
+    stack over the wavenumbers (a scalar k is the one-row stack).  A non-finite
+    k is refused before any assembly; the spectrum reads the rows, which refuse
+    what ``solve_dispersion`` refuses, before the eig.  A scalar k = 0 keeps its
+    deflated origin roots, and a scalar k's singular set never reads ``modes``.
     """
 
-    def __init__(self, medium: LorentzMedium, k: float):
+    def __init__(self, medium: LorentzMedium, k):
         self.medium, self.k = medium, k
+        self.ks = np.atleast_1d(np.asarray(k, dtype=float))
 
     @cached_property
     def u_plus(self) -> np.ndarray:
-        return _read_only(_assemble(self.medium, np.array([[1j * self.k]]))[0])
+        if not np.all(np.isfinite(self.ks)):
+            bad = self.ks[~np.isfinite(self.ks)][0]
+            raise InvalidWavenumber(f"an operator needs finite wavenumbers, got k = {bad}")
+        return _read_only(_assemble(self.medium, 1j * self.ks[:, None, None])[0])
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -500,65 +505,78 @@ class _ModalRecord:
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(map(_read_only, _sorted_modes(self.k, *self.eig)))
+        """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1).
+
+        The first k with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12
+        (never below cond_2(V)) is refused.
+        """
+        vals, vecs = self.eig
+        order = np.lexsort((vals.imag, vals.real))
+        vals = np.take_along_axis(vals, order, axis=-1)
+        vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+        try:
+            left = np.linalg.inv(vecs)
+        except np.linalg.LinAlgError:  # an exactly singular V anywhere in the stack
+            left = np.full_like(vecs, np.inf)
+        bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
+        gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
+        bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
+        if np.any(bad):
+            i = np.argmax(bad)
+            raise NotDiagonalizable(
+                f"k={self.ks[i]:g}: scaled gap {gap[i]:.2e}, |V||L| {bound[i]:.2e}"
+            )
+        return tuple(map(_read_only, (vals, vecs, left)))
+
+    @cached_property
+    def residual(self) -> np.ndarray:
+        """|V diag(vals) L - A_+|_2 / |A_+|_2 per k, refused above 1e-8 at the worst k.
+
+        The lift keeps the 2-norm, so this is also the 2N x 2N projectors' residual.
+        """
+        vals, vecs, left = self.modes
+        recon = (vecs * vals[..., None, :]) @ left - self.u_plus
+        # the 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
+        recon_norm, a_norm = np.linalg.svd(np.stack([recon, self.u_plus]), compute_uv=False)[..., 0]
+        residual = recon_norm / a_norm
+        if np.any(residual > 1e-8):
+            i = np.argmax(residual)
+            raise NotDiagonalizable(
+                f"k={self.ks[i]:g}: u_+ reconstruction residual {residual[i]:.2e}"
+            )
+        return _read_only(residual)
+
+    @cached_property
+    def norms(self) -> np.ndarray:
+        """The (len(ks), N) weighted projector norms |Pi_n(k)|_W.
+
+        A projector's weighted norm is that of its rank-1 u_+ part, |W^1/2 col n|
+        |W^-1/2 row n|; both norms reduce a contiguous last axis.
+        """
+        _, vecs, left = self.modes
+        s = _medium_record(self.medium).sqrt_gram[::2]  # W^1/2
+        cols = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)) * s
+        return _read_only(np.linalg.norm(cols, axis=-1) * np.linalg.norm(left / s, axis=-1))
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _read_only(_solvable_rows(self.medium, self.k))
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        if self.k == 0:
-            return _read_only(solve_dispersion(self.medium, 0.0))
-        rows = _solvable_rows(self.medium, self.k)
-        return certify(self.eig[0], rows[0])
+        if np.ndim(self.k) == 0 and self.k == 0:
+            return _read_only(solve_dispersion(self.medium, 0.0)[None])
+        rows = self.rows
+        return certify(self.eig[0], rows.T[..., None])
 
     @cached_property
     def singular_set(self) -> np.ndarray:
-        return _read_only(np.concatenate([_medium_record(self.medium).fixed_points, self.spectrum]))
+        fixed_points = _medium_record(self.medium).fixed_points
+        return _read_only(np.concatenate([fixed_points, self.spectrum[0]]))
 
 
-# bounded like the medium record, for the same reason
+# a scalar k's record, bounded like the medium record for the same reason
 _modal_record = lru_cache(maxsize=16)(_ModalRecord)
-
-
-def _helicity_modes(medium: LorentzMedium, ks: np.ndarray):
-    """(A_+, *``_sorted_modes``) of the u_+ operators stacked over a 1-D array of k, one ``eig``."""
-    a_plus = _assemble(medium, 1j * ks[:, None, None])[0]
-    return (a_plus, *_sorted_modes(ks, *np.linalg.eig(a_plus)))
-
-
-def _projector_norms(medium: LorentzMedium, ks: np.ndarray):
-    """(``_helicity_modes``'s tuple, the (len(ks), N) weighted projector norms |Pi_n(k)|_W).
-
-    A projector's weighted norm is that of its rank-1 u_+ part, |W^1/2 col n|
-    |W^-1/2 row n|; both norms reduce a contiguous last axis.
-    """
-    modes = _helicity_modes(medium, ks)
-    _, _, vecs, left = modes
-    s = _medium_record(medium).sqrt_gram[::2]  # W^1/2
-    cols = np.ascontiguousarray(np.swapaxes(vecs, -1, -2)) * s
-    return modes, np.linalg.norm(cols, axis=-1) * np.linalg.norm(left / s, axis=-1)
-
-
-def _sorted_modes(k, vals, vecs):
-    """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1) from a u_+ eig.
-
-    k is the scalar or 1-D array of wavenumbers the eig was taken at.  The first k
-    with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12 (never below
-    cond_2(V)) is refused.
-    """
-    k = np.asarray(k, dtype=float)
-    order = np.lexsort((vals.imag, vals.real))
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
-    try:
-        left = np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:  # an exactly singular V anywhere in the stack
-        left = np.full_like(vecs, np.inf)
-    bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
-    gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
-    bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
-    if np.any(bad):
-        i = np.argmax(bad) if bad.ndim else ()
-        raise NotDiagonalizable(f"k={k[i]:g}: scaled gap {gap[i]:.2e}, |V||L| {bound[i]:.2e}")
-    return vals, vecs, left
 
 
 def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
@@ -571,28 +589,11 @@ def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
     rec = _medium_record(medium)
     parts = np.stack([v @ _U_PLUS.conj(), rec.flip * (v @ _U_PLUS)], axis=-1)
     weight = rec.gram[::2, None]  # one weight per block, both parts
-    _, vals, vecs, left = _helicity_modes(medium, ks)
+    vals, vecs, left = _ModalRecord(medium, ks).modes
     phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
     evolved = vecs[:, None] @ (phases * (left @ parts)[:, None])  # (ks, times, N, 2)
     norms2 = np.sum(weight * np.abs(evolved) ** 2, axis=(-2, -1))
     return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
-
-
-def _reconstruction_residual(a_plus, k, vals, vecs, left) -> np.ndarray:
-    """|V diag(vals) L - A_+|_2 / |A_+|_2 on the u_+ operator, per k of a scalar or 1-D k.
-
-    The lift keeps the 2-norm, so this is also the 2N x 2N projectors' residual.
-    Raises NotDiagonalizable naming the worst k when any residual exceeds 1e-8.
-    """
-    k = np.asarray(k, dtype=float)
-    recon = (vecs * vals[..., None, :]) @ left - a_plus
-    # the 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
-    recon_norm, a_norm = np.linalg.svd(np.stack([recon, a_plus]), compute_uv=False)[..., 0]
-    residual = recon_norm / a_norm
-    if np.any(residual > 1e-8):
-        i = np.argmax(residual) if residual.ndim else ()
-        raise NotDiagonalizable(f"k={k[i]:g}: u_+ reconstruction residual {residual[i]:.2e}")
-    return residual
 
 
 def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
@@ -600,14 +601,14 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
 
     p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
     operator.  Refuses a matrix that is not bit for bit the medium's operator
-    at op.k, what _sorted_modes refuses, and a u_+ reconstruction residual
-    above 1e-8 (the residual ``projector_norm_sweep`` reports at op.k).
+    at op.k, what the modal record's ``modes`` refuse, and a u_+ reconstruction
+    residual above 1e-8 (the residual ``projector_norm_sweep`` reports at op.k).
     """
     if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
         raise NotDiagonalizable(f"k={op.k:g}: the matrix is not the medium's operator at k")
     rec = _modal_record(op.medium, float(op.k))
-    vals, vecs, left = rec.modes
-    residual = float(_reconstruction_residual(rec.u_plus, op.k, vals, vecs, left))
+    vals, vecs, left = (x[0] for x in rec.modes)
+    residual = float(rec.residual[0])
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
     projectors = _lift(p, _medium_record(op.medium).flip)
     return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
@@ -681,16 +682,15 @@ def projector_norm_sweep(
     branch is either a tracked BranchFamily (its nearest sample anchors the
     eigenvalue at each k) or a callable k -> eigenvalue.  The log-log trend of
     the norms is reported by sweep_trend; growth is the caller's signal to
-    distrust the band.  One stacked u_+ eigendecomposition serves the grid
-    (``_projector_norms``), and the residual, refused above 1e-8, is the u_+ one.
+    distrust the band.  One modal record serves the grid, and the residual,
+    refused above 1e-8, is the u_+ one.
     """
     ks = np.asarray(k_grid, dtype=float)
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
-    (a_plus, vals, vecs, left), norms = _projector_norms(medium, ks)
-    n = np.argmin(np.abs(vals - np.asarray(near)[:, None]), axis=1)
-    residual = _reconstruction_residual(a_plus, ks, vals, vecs, left)
-    return list(zip(ks.tolist(), norms[np.arange(len(ks)), n].tolist(), residual.tolist()))
+    rec = _ModalRecord(medium, ks)
+    n = np.argmin(np.abs(rec.modes[0] - np.asarray(near)[:, None]), axis=1)
+    return list(zip(ks.tolist(), rec.norms[np.arange(len(ks)), n].tolist(), rec.residual.tolist()))
 
 
 def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:

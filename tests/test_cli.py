@@ -206,14 +206,19 @@ class TestBranches:
             assert f"branches: {count}" in res.stdout
 
     def test_bad_k_range_exit_2(self, reference_cfg, tmp_path):
+        # the last three spans k_max / k_min overflow: an infinite k_max, a subnormal
+        # k_min, and a finite ratio past the float range
         out = tmp_path / "bad"
-        for command, k_min, k_max in (("branches", "10", "1"), ("projectors", "0", "1")):
+        for command, k_min, k_max in (("branches", "10", "1"), ("projectors", "0", "1"),
+                                      ("branches", "1e-3", "inf"), ("branches", "1e-320", "1"),
+                                      ("projectors", "1e-3", "1e308")):
             res = run_cli(
                 command, "--config", str(reference_cfg), "--out", str(out),
                 "--k-min", k_min, "--k-max", k_max,
             )
             assert res.returncode == 2, res.stderr
             assert "configuration error:" in res.stderr
+            assert "k_min=" in res.stderr and "k_max=" in res.stderr
             assert "Traceback" not in res.stderr
         assert not out.exists()
 

@@ -15,7 +15,6 @@ from lorentzmodes import energy as en
 from lorentzmodes.errors import (
     ExponentMismatch,
     InvalidWavenumber,
-    LorentzModesError,
     NonPolynomialDecay,
     QuadratureNonconvergent,
     WindowTooShort,
@@ -122,7 +121,7 @@ class TestClosedFormTrace:
 
     @staticmethod
     def _compare(medium, label, ks):
-        t = en._log_time_grid(1e5)
+        t = dsp._log_grid(1.0, 1e5, 20)
         omega = en.branch_eigenvalue(medium, label, ks)
         closed = np.exp(2.0 * np.outer(omega.imag, t))
         for k, row in zip(ks, closed):
@@ -460,9 +459,19 @@ class TestSlowestHighBandBranch:
         assert abs(report.fitted - 2.0) <= en.GAMMA_TOL * 2.0
 
     def test_far_crossover_refused_typed(self):
-        # at alpha = 1e-4 the k^-2 term takes over only past k_cross ~ 170
-        with pytest.raises(LorentzModesError):
-            en.verify_gamma_hf(_alpha_medium(1e-4), 2.0)
+        # at alpha = 1e-4 the k^-2 term takes over only past k_cross ~ 170, and the
+        # refusal names the branch, k_cross and the onset it sets
+        medium = _alpha_medium(1e-4)
+        label, (sigma, p, k_cross) = dsp._slowest_hf_branch(medium)
+        t_onset = (8.0 * max(medium.diagnosed_bands[1], k_cross)) ** -p / sigma
+        with pytest.raises(QuadratureNonconvergent) as info:
+            en.verify_gamma_hf(medium, 2.0)
+        message = str(info.value)
+        assert message.startswith("energy quadrature not settled after ")
+        assert f"hf branch {label}," in message
+        assert f"k_cross={k_cross:g} (t_onset={t_onset:g})" in message
+        assert round(k_cross, 1) == 170.4
+        assert type(info.value.__cause__) is QuadratureNonconvergent
 
 
 class TestExponentMismatch:

@@ -16,8 +16,10 @@ from lorentzmodes.errors import (
     BandViolation,
     DimensionMismatch,
     InvalidWavenumber,
+    LorentzModesError,
     NonPositiveRate,
     NotDiagonalizable,
+    RootFindingFailure,
 )
 
 
@@ -262,6 +264,31 @@ class TestEnvelopes:
     def test_bad_wavenumbers_refused(self, reference_medium, check, ks, error, match):
         with pytest.raises(error, match=match):
             check(reference_medium, ks)
+
+    def test_refusal_order(self, monkeypatch, reference_medium, undamped_medium):
+        # a bad wavenumber, then a refused decomposition, then a failed root
+        # certificate, then a nonpositive rate
+        eig = np.linalg.eig
+
+        def defective(a):  # eigenvector columns 0 and 1 made parallel
+            vals, vecs = eig(a)
+            vecs[..., 1] = vecs[..., 0]
+            return vals, vecs
+
+        def uncertified(roots, coeffs):
+            raise RootFindingFailure("root residual certificate failed")
+
+        monkeypatch.setattr(ops, "certify", uncertified)
+        with pytest.raises(RootFindingFailure):
+            evo.lf_envelope_check(undamped_medium, np.geomspace(0.01, 0.1, 8))
+        monkeypatch.setattr(np.linalg, "eig", defective)
+        with pytest.raises(NotDiagonalizable, match="k=1:"):
+            evo.lf_envelope_check(reference_medium, [1.0, 2.0])
+        for ks, match in (([1.0, np.nan], "needs positive finite wavenumbers, got k = nan"),
+                          ([1e9], "leading dispersion coefficient vanishes")):
+            with pytest.raises(LorentzModesError, match=match) as info:
+                evo.lf_envelope_check(reference_medium, ks)
+            assert not isinstance(info.value, NotDiagonalizable)
 
     @pytest.mark.parametrize(
         "name", ["reference_medium", "critical_medium", "electric_only_medium"]

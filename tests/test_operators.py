@@ -296,7 +296,7 @@ class TestSingularSetMemo:
             ops.projector_contour(medium, k, dec.eigenvalues[len(dec.eigenvalues) // 2])
             assert calls == ["eig"]
             # a stacked caller keeps one eig per stack
-            ops._helicity_modes(medium, np.array([0.5, k, 2.0]))
+            ops._ModalRecord(medium, np.array([0.5, k, 2.0])).modes
             assert calls == ["eig", "eig"]
 
     def test_nonfinite_k_is_refused_before_any_eig(self, monkeypatch, reference_medium):
@@ -310,11 +310,23 @@ class TestSingularSetMemo:
             with pytest.raises(InvalidWavenumber):
                 ops.singular_set(reference_medium, k)
 
+    @pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_sweep_k_is_refused_before_any_assembly(self, monkeypatch, k,
+                                                              reference_medium):
+        def never(*args):
+            raise AssertionError("an operator was assembled or decomposed")
+
+        monkeypatch.setattr(ops, "_assemble", never)
+        monkeypatch.setattr(np.linalg, "eig", never)
+        with pytest.raises(InvalidWavenumber, match=f"finite wavenumbers, got k = {k}$"):
+            ops.projector_norm_sweep(reference_medium, lambda k: 0j, [0.5, k, 2.0])
+
     def test_memoised_eig_is_read_only(self, reference_medium):
         record = ops._modal_record(reference_medium, 0.625)
         got = (record.u_plus, *record.eig)
         assert len(got) == 3  # (A_+, eigenvalues, eigenvectors)
-        for x in got + record.modes + (record.spectrum, record.singular_set):
+        fields = (record.residual, record.norms, record.rows, record.spectrum, record.singular_set)
+        for x in got + record.modes + fields:
             with pytest.raises(ValueError):
                 x.flat[0] = 1.0
         again = ops._modal_record(reference_medium, 0.625)
@@ -634,7 +646,7 @@ class TestSpectralDecomposition:
         with pytest.raises(NotDiagonalizable, match="k=0"):
             ops.build_perp_operator(reference_medium, 0.0).eigen
         with pytest.raises(NotDiagonalizable, match="k=0"):
-            ops._helicity_modes(reference_medium, np.array([1.0, 0.0, 2.0]))
+            ops._ModalRecord(reference_medium, np.array([1.0, 0.0, 2.0])).modes
 
     def test_reference_structure(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
@@ -661,12 +673,26 @@ class TestSpectralDecomposition:
         dec = op.eigen
         assert dec.residual < 1e-8
 
-    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium"])
+    @pytest.mark.parametrize("name", ALL_MEDIA + ["wide_medium", "worked_ep"])
     def test_residual_is_the_sweep_residual_bit_for_bit(self, name, request):
-        medium = request.getfixturevalue(name)
-        sweep = ops.projector_norm_sweep(medium, lambda k: 0j, GRID_61)
+        # and every field of row i of a stacked record is the single-k record's one row
+        if name == "worked_ep":
+            medium, ks = lm.new_medium(*WORKED_EP[0]), np.linspace(1.2815078, 1.2815080, 41)
+        else:
+            medium, ks = request.getfixturevalue(name), GRID_61
+        sweep = ops.projector_norm_sweep(medium, lambda k: 0j, ks)
         for k, _, residual in sweep:
             assert ops.build_perp_operator(medium, k).eigen.residual == residual
+        stack = ops._ModalRecord(medium, ks)
+        fields = ("u_plus", "eig", "modes", "residual", "norms", "spectrum")
+
+        def rows(record, i):
+            arrays = [getattr(record, field) for field in fields]
+            arrays = [x for a in arrays for x in (a if isinstance(a, tuple) else (a,))]
+            return [(x.dtype, x[i].shape, x[i].tobytes()) for x in arrays]
+
+        for i, k in enumerate(ks):
+            assert rows(stack, i) == rows(ops._modal_record(medium, float(k)), 0), k
 
     def test_undamped_projectors_gram_orthogonal(self, undamped_medium):
         op = ops.build_perp_operator(undamped_medium, 0.8)
@@ -715,7 +741,8 @@ class TestGSymmetricCore:
     def test_left_vectors_match_the_g_symmetric_oracle(self, name, request):
         # as G A_+ = A_+^T G, row n of V^-1 is (G v_n)^T / (v_n^T G v_n)
         medium = request.getfixturevalue(name)
-        a_plus, vals, vecs, left = ops._helicity_modes(medium, GRID_61)
+        record = ops._ModalRecord(medium, GRID_61)
+        a_plus, (vals, vecs, left) = record.u_plus, record.modes
         assert a_plus.tobytes() == ops._assemble(medium, 1j * GRID_61[:, None, None])[0].tobytes()
         gv = signed_weights(medium)[:, None] * vecs
         oracle = np.swapaxes(gv / np.sum(vecs * gv, axis=-2)[..., None, :], -1, -2)
@@ -734,7 +761,7 @@ class TestGSymmetricCore:
         for k in np.append(ks, 1.2815079012):
             op = ops.build_perp_operator(medium, k)
             assert op.eigen.residual <= 1e-10
-        _, vals, vecs, left = ops._helicity_modes(medium, ks)
+        vals, vecs, left = ops._ModalRecord(medium, ks).modes
         bound = np.linalg.norm(vecs, axis=(1, 2)) * np.linalg.norm(left, axis=(1, 2))
         assert np.all(bound < 1e7)
         np.testing.assert_array_equal(left, np.linalg.inv(vecs))
@@ -759,7 +786,7 @@ class TestGSymmetricCore:
             with pytest.raises(NotDiagonalizable, match=r"k=1: scaled gap .*, \|V\|\|L\| "):
                 ops.build_perp_operator(reference_medium, 1.0).eigen
             with pytest.raises(NotDiagonalizable, match="k=1:"):
-                ops._helicity_modes(reference_medium, np.array([1.0, 2.0]))
+                ops._ModalRecord(reference_medium, np.array([1.0, 2.0])).modes
             # the guarded resolvent reads the same eig's values, never the refused modes
             assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, 0.3 + 0.7j)).all()
         finally:
@@ -770,7 +797,7 @@ class TestSingularSetSpectrum:
     @staticmethod
     def check_spectrum(medium, ks):
         for k in ks:
-            spectrum = ops._modal_record(medium, float(k)).spectrum
+            spectrum = ops._modal_record(medium, float(k)).spectrum[0]
             row = dsp.dispersion_polynomial(medium, k)
             assert np.all(pr._backward_errors(spectrum, row) <= pr.RESIDUAL_TOL)
             roots = dsp.solve_dispersion(medium, k)
@@ -948,7 +975,7 @@ class TestContourProjector:
         cases += [(worked_ep, k) for k in (1.2815078, 1.2815079, 1.2815079012, 2.0)]
         at_64 = 0
         for medium, k in cases:
-            for w in ops._modal_record(medium, float(k)).spectrum:
+            for w in ops._modal_record(medium, float(k)).spectrum[0]:
                 got, calls = outcome(ops.projector_contour, medium, k, w)
                 expected, rings = outcome(ring_by_ring_contour, medium, k, w)
                 if isinstance(expected, type):
