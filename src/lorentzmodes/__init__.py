@@ -28,12 +28,7 @@ from .dispersion import (
 )
 from .operators import (
     PerpOperator,
-    PerpState,
-    RotationMap,
-    build_full_operator,
     build_perp_operator,
-    build_rotation,
-    optimal_initial_data,
     projector_contour,
     resolvent_formula,
     spectral_decomposition,

@@ -334,13 +334,15 @@ def cmd_fit(args) -> int:
         if missing:
             raise ConfigError(f"{path} has no {' or '.join(missing)} column")
         for row in reader:
+            where = f"{path} line {reader.line_num}"
             for col, values in (("t", t), ("energy", e)):
                 try:
                     values.append(float(row[col]))
                 except (TypeError, ValueError):  # TypeError: a short row leaves None
-                    raise ConfigError(
-                        f"{path} line {reader.line_num}: non-numeric {col} value {row[col]!r}"
-                    ) from None
+                    raise ConfigError(f"{where}: non-numeric {col} value {row[col]!r}") from None
+                _require(math.isfinite(values[-1]), f"{where}: non-finite {col} value {row[col]!r}")
+            if len(t) > 1 and not t[-1] > t[-2]:
+                raise ConfigError(f"{where}: t value {row['t']!r} does not increase past {t[-2]:g}")
     record = energy_mod.DecayRecord(
         t_grid=np.asarray(t), energy=np.asarray(e), tag=str(path), panels=0
     )

@@ -335,8 +335,8 @@ def verify_gamma_hf(
     try:
         return _exponent_run(medium, label, t_onset, profile_at, -2.0 * m / p, tag)
     except QuadratureNonconvergent as err:
-        why = f"whose decay law takes over only past k_cross={k_cross:g} (t_onset={t_onset:g})"
-        raise QuadratureNonconvergent(f"{err} on the hf branch {label}, {why}") from err
+        where = f"k_cross={k_cross:g} (t_onset={t_onset:g})"
+        raise QuadratureNonconvergent(f"{err} on the hf branch {label}, {where}") from err
 
 
 def verify_gamma_lf(

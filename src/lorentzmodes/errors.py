@@ -71,10 +71,6 @@ class InvalidWavenumber(LorentzModesError, ValueError):
 
 # --- operator / projector ----------------------------------------------------
 
-class ZeroWaveVector(LorentzModesError):
-    """A rotation was requested for the zero wave vector."""
-
-
 class DimensionMismatch(LorentzModesError):
     """State vectors do not match the medium's block layout."""
 

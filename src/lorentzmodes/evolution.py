@@ -15,7 +15,7 @@ import numpy as np
 from .dispersion import _slowest_hf_branch, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
-from .operators import PerpOperator, PerpState, _ModalRecord
+from .operators import PerpOperator, _ModalRecord
 
 
 @dataclass
@@ -29,22 +29,23 @@ class PropagatorResult:
 
 def propagate(
     op: PerpOperator,
-    initial: PerpState | np.ndarray,
+    initial: np.ndarray,
     t_grid: Sequence[float],
     keep_states: bool = True,
 ) -> PropagatorResult:
-    """Evolve the state through exp(-i A t) on the sorted, finite, nonnegative grid.
+    """Evolve a flat state through exp(-i A t) on the sorted, finite, nonnegative grid.
 
-    The state is expanded over the spectral projectors of ``op.eigen`` (tag
-    "Eigen"). Where that decomposition is refused (NotDiagonalizable), the
-    same semigroup is the dense matrix exponential, ``scipy.linalg.expm(-i t A)``
-    applied to the state one time sample at a time (tag "Oracle": the
-    reference the eigen path is tested against).
+    A state whose shape is not ``(op.dim,)`` raises DimensionMismatch.  It is
+    expanded over the spectral projectors of ``op.eigen`` (tag "Eigen"). Where
+    that decomposition is refused (NotDiagonalizable), the same semigroup is the
+    dense matrix exponential, ``scipy.linalg.expm(-i t A)`` applied to the state
+    one time sample at a time (tag "Oracle": the reference the eigen path is
+    tested against).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
         raise ValueError("t_grid must be finite, sorted and nonnegative")
-    u0 = initial.data if isinstance(initial, PerpState) else np.asarray(initial, complex)
+    u0 = np.asarray(initial, complex)
     if u0.shape != (op.dim,):
         raise DimensionMismatch(f"initial state has shape {u0.shape}, operator needs ({op.dim},)")
 

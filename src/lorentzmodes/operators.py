@@ -1,13 +1,13 @@
 """The wave operator at fixed wavenumber and its spectral machinery.
 
-A state is a stack of equal-width blocks: the E and H fields, then the
-electric polarisations and their velocities, then the magnetic magnetisations
-and their velocities.  One assembler builds the operator for any block width
-from its curl block (every other block is built once per medium): ``k*J2``
-gives the dense 2N x 2N reduced operator on transverse 2-vectors, dissipative
-for the weighted inner product; ``[k]x`` gives the 3N x 3N full-vector
-operator, which a blockwise rotation reduces to the former; ``[[1j*k]]`` gives
-the N x N operator on the circular polarisation u_+, whose eigenvalues are the
+A state is a flat complex array, a stack of equal-width blocks: the E and H
+fields, then the electric polarisations and their velocities, then the magnetic
+magnetisations and their velocities.  One assembler builds the operator at
+block width 2 or 1 from its curl block (every other block is built once per
+medium): ``k*J2`` gives the dense 2N x 2N reduced operator on transverse
+2-vectors, the Fourier-transformed operator once the wave vector is rotated
+onto e3, dissipative for the weighted inner product; ``[[1j*k]]`` gives the
+N x N operator on the circular polarisation u_+, whose eigenvalues are the
 simple dispersion roots and the spectrum of the resolvent's singular set.  On
 u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
 one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
@@ -18,11 +18,11 @@ quadratics, eps and mu come from the medium's one evaluator,
 ``family_tables``.  One record per medium, indexed from those tables, holds every
 k-independent constant of the state layout; one modal record, for one k or a
 1-D array, holds the u_+ operators, their one eig and all that is read off it.
-Besides the matrices this module provides the explicit resolvent, the
-contour-integral projectors and the slow-branch optimal initial data.  The
-resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same map
-as the projectors; its u_+ eigenspace map is the one ``eigenvector_columns``
-widens to two columns, and the contour sums only u_+ resolvents.
+Besides the matrices this module provides the explicit resolvent and the
+contour-integral projectors.  The resolvent is the N x N u_+ formula lifted to
+the 2N x 2N operator by the same map as the projectors; its u_+ eigenspace map
+is the one ``eigenvector_columns`` widens to two columns, and the contour sums
+only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .errors import (
     NearSingularEvaluation,
     NotDiagonalizable,
     QuadratureNonconvergent,
-    ZeroWaveVector,
 )
 from .dispersion import _pairwise, _solvable_rows, solve_dispersion
 from .medium import LorentzMedium
@@ -109,43 +108,6 @@ class StateLayout:
 
     def mdot(self, l):
         return self._block(2 + 2 * self.n_electric + self.n_magnetic + l)
-
-
-@dataclass
-class PerpState:
-    """A transverse state: one 2-vector per block, stored flat."""
-
-    data: np.ndarray
-    layout: StateLayout
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=complex)
-        if self.data.shape != (self.layout.dim,):
-            raise DimensionMismatch(
-                f"state has shape {self.data.shape}, layout needs ({self.layout.dim},)"
-            )
-
-    @classmethod
-    def from_blocks(cls, layout, e=(0, 0), h=(0, 0), p=None, pdot=None, m=None, mdot=None):
-        """A state from its E and H blocks and its oscillator blocks.
-
-        p, pdot, m and mdot each take one block per oscillator of their family, as
-        an array-like whose first axis runs over the oscillators; blocks not given
-        are zero, and more blocks than oscillators raise DimensionMismatch.
-        """
-        s = cls(np.zeros(layout.dim), layout)
-        s.data[layout.e] = e
-        s.data[layout.h] = h
-        ne, nm = layout.n_electric, layout.n_magnetic
-        families = zip(("p", "pdot", "m", "mdot"), (layout.p, layout.pdot, layout.m, layout.mdot),
-                       (ne, ne, nm, nm), (p, pdot, m, mdot))
-        for name, block, count, values in families:
-            values = np.asarray(() if values is None else values, dtype=complex)
-            if len(values) > count:
-                raise DimensionMismatch(f"{name}: {len(values)} blocks for {count} oscillators")
-            for j, v in enumerate(values):
-                s.data[block(j)] = v
-        return s
 
 
 def _read_only(x: np.ndarray) -> np.ndarray:
@@ -231,15 +193,13 @@ class PerpOperator:
 
     def inner(self, u, v) -> complex:
         """Weighted inner product, linear in the first argument."""
-        u = u.data if isinstance(u, PerpState) else np.asarray(u)
-        v = v.data if isinstance(v, PerpState) else np.asarray(v)
+        u, v = np.asarray(u), np.asarray(v)
         if u.shape != v.shape or u.shape != (self.dim,):
             raise DimensionMismatch("state dimensions do not match the operator")
         return complex(np.sum(self.gram_diag * u * np.conj(v)))
 
     def norm(self, u):
         """Weighted norm of a state; a stack of states (last axis) gives an array."""
-        u = u.data if isinstance(u, PerpState) else np.asarray(u)
         norms = np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2, axis=-1))
         return float(norms) if norms.ndim == 0 else norms
 
@@ -254,16 +214,14 @@ class PerpOperator:
 
 
 def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
-    """Operator matrix and layout; the block width is the size of the curl block.
+    """Operator matrix and layout; the block width, 1 or 2, is the size of the curl block.
 
     Leading axes of curl give a stack of matrices; the other blocks are the medium
-    record's templates, widened per call to the full operator's width 3.
+    record's template of that width.
     """
     rec = _medium_record(medium)
     lay = StateLayout(medium.n_electric, medium.n_magnetic, curl.shape[-1])
-    template = {1: rec.template, 2: rec.template2}.get(lay.width)
-    if template is None:
-        template = np.kron(rec.template, np.eye(lay.width))
+    template = rec.template if lay.width == 1 else rec.template2
     a = np.broadcast_to(template, curl.shape[:-2] + template.shape).copy()
     a[..., lay.e, lay.h] = -curl / medium.eps0
     a[..., lay.h, lay.e] = curl / medium.mu0
@@ -282,50 +240,6 @@ def build_perp_operator(medium: LorentzMedium, k: float) -> PerpOperator:
     return PerpOperator(
         matrix=a, k=k, gram_diag=gram_diagonal(medium), layout=lay, medium=medium
     )
-
-
-# --- full 3-vector operator and the rotation reduction ---------------------------
-
-
-@dataclass(frozen=True)
-class RotationMap:
-    """Rotation taking the unit wave vector to e3, applied blockwise."""
-
-    k_vector: np.ndarray
-    rotation: np.ndarray  # 3x3 real
-
-    def blockwise(self, blocks: int) -> np.ndarray:
-        return np.kron(np.eye(blocks), self.rotation)
-
-
-def build_rotation(k_vector) -> RotationMap:
-    k = np.asarray(k_vector, dtype=float)
-    norm = np.linalg.norm(k)
-    if norm == 0:
-        raise ZeroWaveVector("rotation undefined for the zero wave vector")
-    khat = k / norm
-    e3 = np.array([0.0, 0.0, 1.0])
-    if np.allclose(khat, e3):
-        rot = np.eye(3)
-    elif np.allclose(khat, -e3):
-        # explicit mirror pair: e1 -> -e2, e2 -> -e1, e3 -> -e3
-        rot = np.array([[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
-    else:
-        w = np.cross(khat, e3)
-        w = w / np.linalg.norm(w)
-        kxw = np.cross(khat, w)
-        # rows of the matrix are the images' coordinates: R k = e3, R w = e1
-        rot = np.vstack([w, kxw, khat])
-    return RotationMap(k_vector=k.copy(), rotation=rot)
-
-
-def build_full_operator(medium: LorentzMedium, k_vector) -> np.ndarray:
-    """The 3N x 3N operator for a general wave vector (3 components per block)."""
-    k = np.asarray(k_vector, dtype=float)
-    cross = np.array(
-        [[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]]
-    )
-    return _assemble(medium, cross)[0]
 
 
 # --- explicit resolvent -------------------------------------------------------------
@@ -429,29 +343,6 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     return (v[..., None, None] * blocks).reshape(omega.shape + (2 * medium.state_blocks, 2))
 
 
-def optimal_initial_data(
-    medium: LorentzMedium, k: float, omega: complex
-) -> PerpState:
-    """Unit-norm eigenvector state for the branch eigenvalue omega at k.
-
-    The caller provides the branch eigenvalue (from solve_dispersion or a
-    tracked branch); the state is the first eigenspace column, normalized in
-    the energy norm, and verified to be an eigenvector.
-    """
-    pts = [0.0 + 0.0j] + [p.location for p in medium.catalog.poles]
-    if np.min(np.abs(np.asarray(pts) - omega)) < SINGULAR_TOL * (1.0 + abs(omega)):
-        raise NearSingularEvaluation(f"branch eigenvalue {omega} sits on a singular point")
-    op = build_perp_operator(medium, k)
-    v = eigenvector_columns(medium, k, omega)[:, 0]
-    v = v / op.norm(v)
-    residual = np.linalg.norm(op.matrix @ v - omega * v) / np.linalg.norm(v)
-    if residual > 1e-8:
-        raise NearSingularEvaluation(
-            f"eigen-residual {residual:.2e} too large; omega is not an eigenvalue"
-        )
-    return PerpState(v, op.layout)
-
-
 # --- spectral decomposition ------------------------------------------------------
 
 
@@ -462,11 +353,6 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     projectors: np.ndarray  # shape (n_eigs, dim, dim)
     residual: float
-
-    @property
-    def identity_defect(self) -> float:
-        eye = np.eye(self.projectors.shape[1])
-        return float(np.linalg.norm(self.projectors.sum(axis=0) - eye, 2))
 
 
 def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -680,21 +566,17 @@ def projector_norm_sweep(
     """(k, weighted projector norm, decomposition residual) along one branch.
 
     branch is either a tracked BranchFamily (its nearest sample anchors the
-    eigenvalue at each k) or a callable k -> eigenvalue.  The log-log trend of
-    the norms is reported by sweep_trend; growth is the caller's signal to
-    distrust the band.  One modal record serves the grid, and the residual,
-    refused above 1e-8, is the u_+ one.
+    eigenvalue at each k) or a callable k -> eigenvalue.  Growth of the norms
+    along the grid is the caller's signal to distrust the band.  One modal
+    record serves the grid, and the residual, refused above 1e-8, is the u_+
+    one.  Refuses an empty or non-1-D k_grid (ValueError).
     """
     ks = np.asarray(k_grid, dtype=float)
+    if ks.ndim != 1 or not len(ks):
+        raise ValueError(f"a projector sweep needs a non-empty 1-D k_grid, got shape {ks.shape}")
     near = [branch(k) if callable(branch) else branch.omega[np.argmin(abs(branch.k - k))]
             for k in ks]
     rec = _ModalRecord(medium, ks)
     n = np.argmin(np.abs(rec.modes[0] - np.asarray(near)[:, None]), axis=1)
     return list(zip(ks.tolist(), rec.norms[np.arange(len(ks)), n].tolist(), rec.residual.tolist()))
 
-
-def sweep_trend(sweep: list[tuple[float, float, float]]) -> float:
-    """Log-log slope of projector norm against k."""
-    k = np.array([s[0] for s in sweep])
-    v = np.array([s[1] for s in sweep])
-    return float(np.polyfit(np.log(k), np.log(v), 1)[0])

@@ -244,7 +244,7 @@ def _sweep_all_branches(medium, branches):
             sweep = ops.projector_norm_sweep(medium, b, band)
             norms = [v for _, v, _ in sweep]
             worst_ratio = max(worst_ratio, max(norms) / min(norms))
-            worst_trend = max(worst_trend, ops.sweep_trend(sweep))
+            worst_trend = max(worst_trend, np.polyfit(np.log(band), np.log(norms), 1)[0])
     return worst_ratio, worst_trend
 
 

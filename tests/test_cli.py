@@ -349,6 +349,14 @@ class TestEnergyAndFit:
         ("t,energy\n1,1\n10,abc\n", "line 3: non-numeric energy value 'abc'"),
         ("t,energy\n1,1\n10\n", "line 3: non-numeric energy value None"),
         ("t,energy\n,1\n", "line 2: non-numeric t value ''"),
+        # a nan or inf energy used to fit nan with exit 0
+        ("t,energy\n1e2,1\n1e3,nan\n", "line 3: non-finite energy value 'nan'"),
+        ("t,energy\n1e2,1\n1e3,-inf\n", "line 3: non-finite energy value '-inf'"),
+        ("t,energy\n1e2,1\ninf,0.03\n", "line 3: non-finite t value 'inf'"),
+        # a repeated t used to divide by zero in fit_exponent's local slopes
+        ("t,energy\n1e2,1\n1e2,0.03\n", "line 3: t value '1e2' does not increase past 100"),
+        ("t,energy\n1e2,1\n1e3,0.03\n500,0.02\n",
+         "line 4: t value '500' does not increase past 1000"),
     ])
     def test_fit_malformed_csv_exit_2(self, tmp_path, text, named):
         csv_path = tmp_path / "bad.csv"

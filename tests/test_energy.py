@@ -459,8 +459,8 @@ class TestSlowestHighBandBranch:
         assert abs(report.fitted - 2.0) <= en.GAMMA_TOL * 2.0
 
     def test_far_crossover_refused_typed(self):
-        # at alpha = 1e-4 the k^-2 term takes over only past k_cross ~ 170, and the
-        # refusal names the branch, k_cross and the onset it sets
+        # at alpha = 1e-4 (k_cross ~ 170) the run does not settle; the refusal names the
+        # branch, k_cross and the onset it sets, and claims no cause for the miss
         medium = _alpha_medium(1e-4)
         label, (sigma, p, k_cross) = dsp._slowest_hf_branch(medium)
         t_onset = (8.0 * max(medium.diagnosed_bands[1], k_cross)) ** -p / sigma
@@ -471,6 +471,7 @@ class TestSlowestHighBandBranch:
         assert f"hf branch {label}," in message
         assert f"k_cross={k_cross:g} (t_onset={t_onset:g})" in message
         assert round(k_cross, 1) == 170.4
+        assert "takes over" not in message
         assert type(info.value.__cause__) is QuadratureNonconvergent
 
 

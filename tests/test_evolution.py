@@ -226,8 +226,9 @@ class TestEnvelopes:
         k = 100.0
         roots = dsp.solve_dispersion(reference_medium, k)
         w = roots[np.argmax(roots.real)]
-        state = ops.optimal_initial_data(reference_medium, k, w)
         op = ops.build_perp_operator(reference_medium, k)
+        v = ops.eigenvector_columns(reference_medium, k, w)[:, 0]
+        state = v / op.norm(v)
         t_grid = np.linspace(0, 5e5, 100)
         res = evo.propagate(op, state, t_grid, keep_states=False)
         rate = -w.imag

@@ -1,4 +1,4 @@
-"""Reduced operator, inner product, resolvent, projectors, rotations."""
+"""Reduced operator, inner product, resolvent, projectors, the rotation reduction."""
 
 import re
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
+from scipy.spatial.transform import Rotation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from lorentzmodes.errors import (
     LorentzModesError,
     NearSingularEvaluation,
     NotDiagonalizable,
-    ZeroWaveVector,
 )
 
 from conftest import seeded_draws
@@ -59,7 +59,7 @@ class TestOperatorAssembly:
     def test_perp_matches_full_operator_restriction(self, reference_medium, asymmetric_medium):
         k = 0.8
         for medium in (reference_medium, asymmetric_medium):
-            full = ops.build_full_operator(medium, [0.0, 0.0, k])
+            full = full_operator(medium, [0.0, 0.0, k])
             perp = ops.build_perp_operator(medium, k)
             nb = medium.state_blocks
             idx = [3 * b + c for b in range(nb) for c in (0, 1)]
@@ -77,44 +77,33 @@ class TestOperatorAssembly:
 
 
 class TestRotation:
-    def test_aligned_wave_vector_is_identity(self):
-        rot = ops.build_rotation([0.0, 0.0, 2.5])
-        np.testing.assert_allclose(rot.rotation, np.eye(3))
-
-    def test_antialigned_wave_vector_mirror(self):
-        rot = ops.build_rotation([0.0, 0.0, -1.0])
-        np.testing.assert_allclose(rot.rotation @ [1, 0, 0], [0, -1, 0], atol=1e-15)
-        np.testing.assert_allclose(rot.rotation @ [0, 1, 0], [-1, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(rot.rotation @ [0, 0, 1], [0, 0, -1], atol=1e-15)
-
-    def test_zero_wave_vector_rejected(self):
-        with pytest.raises(ZeroWaveVector):
-            ops.build_rotation([0.0, 0.0, 0.0])
-
     def test_unitary_equivalence_random_wave_vectors(self, reference_medium, asymmetric_medium):
+        # the reduction to the transverse operator: a rotation R with R k-hat = e3, applied
+        # blockwise, takes the full operator at k to the one at |k| e3
         rng = np.random.default_rng(5)
+        e3 = np.array([0.0, 0.0, 1.0])
         for medium in (reference_medium, asymmetric_medium):
             nb = medium.state_blocks
-            for _ in range(50):
-                kvec = rng.standard_normal(3)
+            kvecs = [rng.standard_normal(3) for _ in range(50)] + [2.5 * e3, -e3]
+            for kvec in kvecs:
                 if np.linalg.norm(kvec) < 1e-3:
                     continue
-                rot = ops.build_rotation(kvec)
-                big = rot.blockwise(nb)
-                a_k = ops.build_full_operator(medium, kvec)
-                a_mod = ops.build_full_operator(medium, [0, 0, np.linalg.norm(kvec)])
+                khat = kvec / np.linalg.norm(kvec)
+                rot = Rotation.align_vectors([e3], [khat])[0].as_matrix()
+                big = np.kron(np.eye(nb), rot)
+                a_k = full_operator(medium, kvec)
+                a_mod = full_operator(medium, np.linalg.norm(kvec) * e3)
                 resid = np.linalg.norm(big @ a_k @ big.T.conj() - a_mod, 2)
                 assert resid < 1e-12 * np.linalg.norm(a_mod, 2)
                 # rotation maps k-hat to e3
-                np.testing.assert_allclose(
-                    rot.rotation @ (kvec / np.linalg.norm(kvec)), [0, 0, 1], atol=1e-12
-                )
+                np.testing.assert_allclose(rot @ khat, e3, atol=1e-12)
 
 
 class TestInnerProduct:
     def test_unit_e_state(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
-        u = ops.PerpState.from_blocks(op.layout, e=(1.0, 0.0))
+        u = np.zeros(op.dim)
+        u[op.layout.e] = (1.0, 0.0)
         assert op.inner(u, u) == pytest.approx(reference_medium.eps0 / 2)
 
     def test_positive_definite(self, reference_medium):
@@ -174,25 +163,10 @@ class TestInnerProduct:
 
     def test_dissipation_vanishes_iff_damped_blocks_vanish(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
-        u = ops.PerpState.from_blocks(
-            op.layout, e=(1.0, 2.0), h=(0.5, -1.0), p=[(0.3, 0.1j)], m=[(1j, 0.2)]
-        )
-        assert op.inner(op.matrix @ u.data, u.data).imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_from_blocks_takes_array_likes_and_refuses_extra_blocks(self, reference_medium):
-        lay = ops.build_perp_operator(reference_medium, 1.0).layout
-        blocks = {"p": [(0.3, 0.1j)], "pdot": [(1, 2)], "m": [(1j, 0.2)], "mdot": [(4, 5)]}
-        listed = ops.PerpState.from_blocks(lay, e=(1.0, 2.0), **blocks)
-        arrays = {name: np.array(v) for name, v in blocks.items()}
-        np.testing.assert_array_equal(
-            ops.PerpState.from_blocks(lay, e=np.array([1.0, 2.0]), **arrays).data, listed.data
-        )
-        for name, block in (("p", lay.p), ("pdot", lay.pdot), ("m", lay.m), ("mdot", lay.mdot)):
-            np.testing.assert_array_equal(listed.data[block(0)], blocks[name][0])
-            # one oscillator per family: a second block has nowhere to go
-            for extra in ([(1, 1), (7, 7)], np.ones((2, 2))):
-                with pytest.raises(DimensionMismatch, match=f"^{name}: 2 blocks for 1 "):
-                    ops.PerpState.from_blocks(lay, **{name: extra})
+        lay = op.layout
+        u = np.zeros(op.dim, dtype=complex)
+        u[lay.e], u[lay.h], u[lay.p(0)], u[lay.m(0)] = (1.0, 2.0), (0.5, -1.0), (0.3, 0.1j), (1j, 0.2)
+        assert op.inner(op.matrix @ u, u).imag == pytest.approx(0.0, abs=1e-15)
 
 
 class TestResolvent:
@@ -321,6 +295,13 @@ class TestSingularSetMemo:
         with pytest.raises(InvalidWavenumber, match=f"finite wavenumbers, got k = {k}$"):
             ops.projector_norm_sweep(reference_medium, lambda k: 0j, [0.5, k, 2.0])
 
+    @pytest.mark.parametrize("k_grid", [[], np.ones((2, 3)), 1.0])
+    def test_empty_or_non_1d_sweep_grid_is_refused(self, k_grid, reference_medium):
+        # an empty grid used to return [], and a 2-D one to fail formatting its own refusal
+        shape = re.escape(str(np.shape(k_grid)))
+        with pytest.raises(ValueError, match=f"non-empty 1-D k_grid, got shape {shape}$"):
+            ops.projector_norm_sweep(reference_medium, lambda k: 0j, k_grid)
+
     def test_memoised_eig_is_read_only(self, reference_medium):
         record = ops._modal_record(reference_medium, 0.625)
         got = (record.u_plus, *record.eig)
@@ -431,6 +412,16 @@ def per_block_template(medium, width):
     return a
 
 
+def full_operator(medium, k_vector):
+    """The 3N x 3N operator at a wave vector: the width-3 template and the curl blocks [k]x."""
+    k = np.asarray(k_vector, dtype=float)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    a = per_block_template(medium, 3)
+    a[0:3, 3:6] = -cross / medium.eps0
+    a[3:6, 0:3] = cross / medium.mu0
+    return a
+
+
 class TestMediumRecord:
     def test_one_record_build_per_medium(self, monkeypatch, asymmetric_medium):
         build, builds = ops._MediumRecord.__init__, []
@@ -443,7 +434,6 @@ class TestMediumRecord:
         ops._medium_record.cache_clear()
         for k in (0.5, 2.0):
             ops.build_perp_operator(asymmetric_medium, k)
-            ops.build_full_operator(asymmetric_medium, [0.0, k, 1.0])
             ops.resolvent_formula(asymmetric_medium, k, 0.3 + 0.7j)
             ops.eigenvector_columns(asymmetric_medium, k, 0.3 + 0.7j)
             ops.gram_diagonal(asymmetric_medium)
@@ -489,13 +479,6 @@ class TestMediumRecord:
         t1, t2 = record.template, record.template2
         assert t1.tobytes() == per_block_template(medium, 1).tobytes()
         assert t2.tobytes() == per_block_template(medium, 2).tobytes()
-        # the full operator widens the template to 3 per call
-        k = np.array([0.3, -0.2, 1.1])
-        cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
-        expected = per_block_template(medium, 3)
-        expected[0:3, 3:6] = -cross / medium.eps0
-        expected[3:6, 0:3] = cross / medium.mu0
-        assert ops.build_full_operator(medium, k).tobytes() == expected.tobytes()
 
     def test_a_stream_of_media_keeps_both_caches_bounded(self):
         for i in range(20):
@@ -653,7 +636,7 @@ class TestSpectralDecomposition:
         dec = op.eigen
         assert len(dec.eigenvalues) == reference_medium.state_blocks
         assert dec.projectors.shape == (6, 12, 12)
-        assert dec.identity_defect < 1e-8
+        assert np.linalg.norm(dec.projectors.sum(axis=0) - np.eye(op.dim), 2) < 1e-8
         for p in dec.projectors:
             assert np.trace(p).real == pytest.approx(2.0, abs=1e-9)
             assert np.linalg.norm(p @ p - p, 2) < 1e-8
@@ -1003,28 +986,26 @@ class TestContourProjector:
                 assert np.linalg.norm(p_cont - p_eig, 2) < 1e-8
 
 
+def eigenvector_state(medium, k, w):
+    """The first eigenspace column at the branch eigenvalue w, unit in the energy norm."""
+    v = ops.eigenvector_columns(medium, k, w)[:, 0]
+    return v / ops.build_perp_operator(medium, k).norm(v)
+
+
 class TestOptimalData:
     def test_eigen_residuals(self, reference_medium, critical_medium, asymmetric_medium):
         rng = np.random.default_rng(21)
         media = [reference_medium, critical_medium, asymmetric_medium]
-        count = 0
-        for _ in range(60):  # attempt cap: a regression that keeps refusing fails, not hangs
-            if count == 30:
-                break
+        for count in range(30):
             medium = media[count % 3]
             k = float(10 ** rng.uniform(-2, 2))
             roots = dsp.solve_dispersion(medium, k)
             w = roots[rng.integers(len(roots))]
-            try:
-                state = ops.optimal_initial_data(medium, k, w)
-            except NearSingularEvaluation:
-                continue
+            state = eigenvector_state(medium, k, w)
             op = ops.build_perp_operator(medium, k)
-            resid = np.linalg.norm(op.matrix @ state.data - w * state.data)
-            assert resid < 1e-8 * np.linalg.norm(state.data)
-            assert op.norm(state.data) == pytest.approx(1.0, rel=1e-12)
-            count += 1
-        assert count == 30
+            resid = np.linalg.norm(op.matrix @ state - w * state)
+            assert resid < 1e-8 * np.linalg.norm(state)
+            assert op.norm(state) == pytest.approx(1.0, rel=1e-12)
 
     def test_scalar_propagation_high_band(self, reference_medium):
         from lorentzmodes.evolution import propagate
@@ -1032,7 +1013,7 @@ class TestOptimalData:
         k = 1e3
         roots = dsp.solve_dispersion(reference_medium, k)
         w = roots[np.argmax(roots.real)]
-        state = ops.optimal_initial_data(reference_medium, k, w)
+        state = eigenvector_state(reference_medium, k, w)
         op = ops.build_perp_operator(reference_medium, k)
         t = np.linspace(0.0, 100.0, 11)
         res = propagate(op, state, t)
@@ -1045,7 +1026,7 @@ class TestOptimalData:
         c0 = reference_medium.asymptotic_coefficients().static_speed
         roots = dsp.solve_dispersion(reference_medium, k)
         w = roots[np.argmin(np.abs(roots - (-c0 * k)))]
-        state = ops.optimal_initial_data(reference_medium, k, w)
+        state = eigenvector_state(reference_medium, k, w)
         op = ops.build_perp_operator(reference_medium, k)
         t = np.linspace(0.0, 1e4, 9)
         res = propagate(op, state, t)
@@ -1066,7 +1047,7 @@ class TestProjectorSweeps:
         sweep = ops.projector_norm_sweep(reference_medium, eig_of, grid)
         norms = [v for _, v, _ in sweep]
         assert max(norms) / min(norms) < 10
-        assert ops.sweep_trend(sweep) <= 0.1
+        assert np.polyfit(np.log(grid), np.log(norms), 1)[0] <= 0.1
 
     def test_origin_sweep_bounded(self, reference_medium, reference_bands):
         k_minus, _ = reference_bands
@@ -1080,7 +1061,7 @@ class TestProjectorSweeps:
         sweep = ops.projector_norm_sweep(reference_medium, eig_of, grid)
         norms = [v for _, v, _ in sweep]
         assert max(norms) / min(norms) < 10
-        assert ops.sweep_trend(sweep) <= 0.1
+        assert np.polyfit(np.log(grid), np.log(norms), 1)[0] <= 0.1
 
     @pytest.mark.parametrize(
         "name",
