@@ -343,10 +343,7 @@ def cmd_fit(args) -> int:
                 _require(math.isfinite(values[-1]), f"{where}: non-finite {col} value {row[col]!r}")
             if len(t) > 1 and not t[-1] > t[-2]:
                 raise ConfigError(f"{where}: t value {row['t']!r} does not increase past {t[-2]:g}")
-    record = energy_mod.DecayRecord(
-        t_grid=np.asarray(t), energy=np.asarray(e), tag=str(path), panels=0
-    )
-    gamma, conf = energy_mod.fit_exponent(record, (args.t_min, args.t_max))
+    gamma, conf = energy_mod.fit_exponent(np.asarray(t), np.asarray(e), (args.t_min, args.t_max))
     text = (
         f"fitted_gamma={gamma:.6f} confidence={conf:.6f} "
         f"window=[{args.t_min:g},{args.t_max:g}] source={path}"

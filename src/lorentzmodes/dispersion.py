@@ -529,7 +529,6 @@ def expansion(label, table: CoefficientTable):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    label: object
     k_probe: np.ndarray
     residuals: np.ndarray
     expected_order: float
@@ -573,7 +572,6 @@ def verify_asymptotics(
             np.polyfit(np.log(k_probe[sel]), np.log(res[sel]), 1)[0]
         )
     report = ConvergenceReport(
-        label=label,
         k_probe=k_probe,
         residuals=res,
         expected_order=expected,

@@ -20,7 +20,12 @@ branch whose decay law exp(-sigma k^p t) is read off the expansion that anchors
 the Newton solves (``dispersion._decay_law``): Zero0(1) in the low band, and in
 the high band the slowest of PlusInf and the real poles' fans, from an onset
 past the wavenumber k_cross where that law overtakes the branch's next lossy
-term.  A band edge not given defaults to ``medium.diagnosed_bands``.
+term.  A band edge not given defaults to ``medium.diagnosed_bands``; the hf
+datum's Sobolev slack is fixed at SOBOLEV_SLACK.  A run's energy samples come
+back as a DecayRecord (t_grid, energy and the panel count of the accepted
+rule), its fit as a GammaReport that also names the run (``tag``).
+``fit_exponent`` takes the samples themselves, so the CLI fits a CSV with no
+record.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ QUAD_TOL = 1e-6
 NODES_PER_PANEL = 32
 MAX_PANEL_DOUBLINGS = 8
 
-#: default construction slack above the sharp Sobolev tail exponent
-DEFAULT_EPS = 0.1
+#: construction slack eps above the sharp Sobolev tail exponent: s = 3/2 + m + eps
+SOBOLEV_SLACK = 0.1
 
 #: relative tolerance of a fitted exponent against its target
 GAMMA_TOL = 0.10
@@ -70,7 +75,6 @@ class RadialProfile:
     k_min: float
     k_max: float
     shape: Callable[[np.ndarray], np.ndarray]
-    tag: str
 
     def __post_init__(self):
         if not (0 < self.k_min < self.k_max):
@@ -84,16 +88,14 @@ def power_law(p: float, k_min: float, k_max: float) -> RadialProfile:
     """phi(k) = k^p on the band: the low-frequency datum class."""
     if p < 0:
         raise ValueError("power-law exponent must be nonnegative")
-    return RadialProfile(k_min, k_max, lambda k: k**p, f"PowerLaw({p:g})")
+    return RadialProfile(k_min, k_max, lambda k: k**p)
 
 
 def sobolev_tail(m: float, s: float, k_min: float, k_max: float) -> RadialProfile:
     """phi(k) = (1+k^2)^(-s/2): a datum of Sobolev regularity m needs s > 3/2 + m."""
     if not s > 1.5 + m:
         raise ValueError(f"need s > 3/2 + m, got s={s}, m={m}")
-    return RadialProfile(
-        k_min, k_max, lambda k: (1.0 + k * k) ** (-s / 2.0), f"SobolevTail({m:g},{s:g})"
-    )
+    return RadialProfile(k_min, k_max, lambda k: (1.0 + k * k) ** (-s / 2.0))
 
 
 # --- direction rules ---------------------------------------------------------------
@@ -155,7 +157,6 @@ def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
 class DecayRecord:
     t_grid: np.ndarray
     energy: np.ndarray
-    tag: str
     panels: int
 
 
@@ -177,7 +178,6 @@ def simulate_energy(
     profile: RadialProfile,
     direction_rule,
     t_grid: Sequence[float],
-    tag: str = "",
 ) -> DecayRecord:
     """E(t) = 4*pi * integral of k^2 phi(k)^2 |exp(-iAt) v(k)|^2 over the band.
 
@@ -225,26 +225,27 @@ def simulate_energy(
             coarse, (energy,) = energy, rule_energies(n_panels)
         ref = float(coarse[-1])
         if abs(float(energy[-1]) - ref) <= QUAD_TOL * abs(ref):
-            return DecayRecord(t_grid=t_grid, energy=energy, tag=tag, panels=n_panels)
+            return DecayRecord(t_grid=t_grid, energy=energy, panels=n_panels)
     raise QuadratureNonconvergent(f"energy quadrature not settled after {n_panels} panels")
 
 
 # --- exponent fitting ----------------------------------------------------------------
 
 
-def fit_exponent(record: DecayRecord, window: tuple[float, float]):
-    """Least-squares power-law exponent of the energy on the time window.
+def fit_exponent(t_grid: np.ndarray, energy: np.ndarray, window: tuple[float, float]):
+    """Least-squares power-law exponent of the energy samples E(t) on the time window.
 
     Returns (gamma, confidence) where the confidence is the largest deviation
-    of local two-point slopes from the global slope.  Monotone local-slope
-    drift beyond 0.3 means the decay is not a power law.
+    of local two-point slopes from the global slope.  A window starting below
+    FIT_T_MIN, fewer than 3 samples inside it or a nonpositive energy there
+    raises WindowTooShort; monotone local-slope drift beyond 0.3 means the
+    decay is not a power law (NonPolynomialDecay).
     """
     t_lo, t_hi = window
     if t_lo < FIT_T_MIN * (1 - 1e-12):
         raise WindowTooShort("fit window must start inside the asymptotic regime")
-    sel = (record.t_grid >= t_lo) & (record.t_grid <= t_hi)
-    t = record.t_grid[sel]
-    e = record.energy[sel]
+    sel = (t_grid >= t_lo) & (t_grid <= t_hi)
+    t, e = t_grid[sel], energy[sel]
     if len(t) < 3:
         raise WindowTooShort(f"only {len(t)} samples inside {window}")
     if np.any(e <= 0):
@@ -270,6 +271,7 @@ class GammaReport:
     fitted: float
     record: DecayRecord
     window: tuple[float, float]
+    tag: str  # the run: lf(p=...) or hf(m=...,critical|non-critical)
 
     @property
     def ok(self) -> bool:
@@ -278,7 +280,7 @@ class GammaReport:
     def text(self) -> str:
         status = "ok" if self.ok else "MISMATCH"
         return (
-            f"tag={self.record.tag} fitted_gamma={self.fitted:.4f} "
+            f"tag={self.tag} fitted_gamma={self.fitted:.4f} "
             f"target={self.target:.4f} tol={GAMMA_TOL:.0%} "
             f"window=[{self.window[0]:g},{self.window[1]:g}] {status}\n"
             "note: the fitted exponent certifies the constructed optimal family "
@@ -295,12 +297,11 @@ def _exponent_run(medium, label, t_onset, profile_at, target, tag) -> GammaRepor
     GAMMA_TOL raises ExponentMismatch with the report text.
     """
     t_max = max(1e4, 100.0 * t_onset)
-    record = simulate_energy(
-        medium, profile_at(t_max), OptimalBranch(label), _log_grid(1.0, t_max, 20), tag=tag
-    )
+    t_grid = _log_grid(1.0, t_max, 20)
+    record = simulate_energy(medium, profile_at(t_max), OptimalBranch(label), t_grid)
     window = (max(FIT_T_MIN, t_onset), t_max)
-    fitted, _ = fit_exponent(record, window)
-    out = GammaReport(target, fitted, record, window)
+    fitted, _ = fit_exponent(record.t_grid, record.energy, window)
+    out = GammaReport(target, fitted, record, window, tag)
     if not out.ok:
         raise ExponentMismatch(out.text())
     return out
@@ -309,15 +310,15 @@ def _exponent_run(medium, label, t_onset, profile_at, target, tag) -> GammaRepor
 def verify_gamma_hf(
     medium: LorentzMedium,
     m: float,
-    eps: float = DEFAULT_EPS,
     k_plus: Optional[float] = None,
 ) -> GammaReport:
     """Reproduce the optimal high-frequency exponent -2m/p: m, or m/2 when critical.
 
     The initial datum follows the optimality construction: the eigenvector of
     the slowest high-band branch, decaying like exp(-sigma k^p t), under the
-    sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2,
-    so the observable exponent is -2(m + eps)/p up to fit tolerance).
+    sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2 with
+    eps = SOBOLEV_SLACK, so the observable exponent is -2(m + eps)/p up to fit
+    tolerance).
     """
     label, (sigma, p, k_cross) = _slowest_hf_branch(medium)
     if sigma == 0:
@@ -327,7 +328,7 @@ def verify_gamma_hf(
 
     def profile_at(t_max):
         k_star = (sigma * t_max) ** (-1.0 / p)
-        return sobolev_tail(m, 1.5 + m + eps, k_plus, 30.0 * k_star)
+        return sobolev_tail(m, 1.5 + m + SOBOLEV_SLACK, k_plus, 30.0 * k_star)
 
     # the dominant wavenumber (sigma*t)^(-1/p) must sit deep inside the band, past k_cross
     t_onset = (8.0 * max(k_plus, k_cross)) ** -p / sigma
@@ -359,17 +360,12 @@ def verify_gamma_lf(
     )
 
 
-def convergence_to_zero(
-    medium: LorentzMedium,
-    t_list: Sequence[float],
-    k_band: Optional[tuple[float, float]] = None,
-    seed: int = 0,
-) -> DecayRecord:
-    """Full-band energy run demonstrating monotone decay toward zero."""
-    if k_band is None:
-        k_minus, k_plus = medium.diagnosed_bands
-        k_band = (k_minus / 10.0, 10.0 * k_plus)
-    profile = power_law(0.0, *k_band)
-    return simulate_energy(
-        medium, profile, FixedRandomUnit(seed), np.asarray(t_list, float), tag="full-band"
-    )
+def convergence_to_zero(medium: LorentzMedium, t_list: Sequence[float]) -> DecayRecord:
+    """Full-band energy run demonstrating monotone decay toward zero.
+
+    A flat profile on (k_minus/10, 10 k_plus) of the diagnosed bands, from the
+    random direction of seed 0.
+    """
+    k_minus, k_plus = medium.diagnosed_bands
+    profile = power_law(0.0, k_minus / 10.0, 10.0 * k_plus)
+    return simulate_energy(medium, profile, FixedRandomUnit(0), np.asarray(t_list, float))

@@ -83,10 +83,6 @@ class NotDiagonalizable(LorentzModesError):
     """Eigenvalues cluster beyond tolerance; no clean spectral decomposition."""
 
 
-class ContourTooTight(LorentzModesError):
-    """The isolating contour radius fell below the minimum radius."""
-
-
 class QuadratureNonconvergent(LorentzModesError):
     """Node doubling did not reach the requested quadrature tolerance."""
 

@@ -20,7 +20,6 @@ from .operators import PerpOperator, _ModalRecord
 
 @dataclass
 class PropagatorResult:
-    k: float
     t_grid: np.ndarray
     norms: np.ndarray  # weighted norms |U(k, t)|
     states: Optional[np.ndarray]  # (len(t_grid), dim) when kept
@@ -65,7 +64,6 @@ def propagate(
         tag = "Eigen"
 
     return PropagatorResult(
-        k=op.k,
         t_grid=t_grid,
         norms=op.norm(states),
         states=states if keep_states else None,
@@ -75,7 +73,6 @@ def propagate(
 
 @dataclass
 class EnvelopeFit:
-    band: str  # "HF", "LF" or "Mid"
     exponent: float  # power of k in the rate law (0 for Mid)
     rate_constant: float  # C: every per-k rate >= C * k^(-exponent) (HF) or C * k^exponent (LF)
     prefactor: float  # max over k of sum_n |Pi_n(k)|_W: |exp(-i A t)|_W <= prefactor * exp(-rate t)
@@ -83,7 +80,7 @@ class EnvelopeFit:
     residual: float  # HF, LF: std of log(rate / (C k^power)); Mid: gap to the abscissa
 
 
-def _envelope(medium, band, power, k_list) -> EnvelopeFit:
+def _envelope(medium, side, power, k_list) -> EnvelopeFit:
     """The envelope |exp(-i A(k) t)|_W <= prefactor * exp(-C k^power t) on the sampled k.
 
     Each per-k rate is -max_n Im w_n over the modal record's certified spectrum.
@@ -99,11 +96,10 @@ def _envelope(medium, band, power, k_list) -> EnvelopeFit:
     pref = float(np.max(rec.norms.sum(axis=1)))
     rates = -rec.spectrum.imag.max(axis=1)
     if np.any(rates <= 0):
-        side = {"HF": "high", "LF": "low"}.get(band, "mid")
         raise BandViolation(f"nonpositive decay rate in the {side} band")
     c = float(np.min(rates / ks**power))
     resid = float(np.std(np.log(rates / (c * ks**power))))
-    return EnvelopeFit(band, abs(power), c, pref, list(zip(ks.tolist(), rates.tolist())), resid)
+    return EnvelopeFit(abs(power), c, pref, list(zip(ks.tolist(), rates.tolist())), resid)
 
 
 def hf_envelope_check(medium: LorentzMedium, k_list: Sequence[float]) -> EnvelopeFit:
@@ -112,12 +108,12 @@ def hf_envelope_check(medium: LorentzMedium, k_list: Sequence[float]) -> Envelop
     e = -p of the decay law of the slowest high-band branch (``_slowest_hf_branch``),
     the branch verify_gamma_hf runs on: 2, or 4 in the critical configuration.
     """
-    return _envelope(medium, "HF", _slowest_hf_branch(medium)[1][1], k_list)
+    return _envelope(medium, "high", _slowest_hf_branch(medium)[1][1], k_list)
 
 
 def lf_envelope_check(medium: LorentzMedium, k_list: Sequence[float]) -> EnvelopeFit:
     """The low-band envelope |U| <= prefactor * exp(-C k^2 t)."""
-    return _envelope(medium, "LF", 2.0, k_list)
+    return _envelope(medium, "low", 2.0, k_list)
 
 
 def midband_rate(
@@ -141,5 +137,5 @@ def midband_rate(
     abscissa = -float(np.max(solve_dispersion(medium, ks).imag))
     if abscissa <= 0:
         raise NonPositiveRate("spectrum reaches the real axis inside the band")
-    fit = _envelope(medium, "Mid", 0.0, ks)
+    fit = _envelope(medium, "mid", 0.0, ks)
     return replace(fit, residual=abs(fit.rate_constant - abscissa) / abscissa)

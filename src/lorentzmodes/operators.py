@@ -34,7 +34,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import (
-    ContourTooTight,
     DimensionMismatch,
     InvalidWavenumber,
     NearSingularEvaluation,
@@ -199,7 +198,15 @@ class PerpOperator:
         return complex(np.sum(self.gram_diag * u * np.conj(v)))
 
     def norm(self, u):
-        """Weighted norm of a state; a stack of states (last axis) gives an array."""
+        """Weighted norm of a state; a stack of states (last axis) gives an array.
+
+        A last axis other than ``dim`` raises DimensionMismatch.
+        """
+        u = np.asarray(u)
+        if u.shape[-1:] != (self.dim,):
+            raise DimensionMismatch(
+                f"state has shape {u.shape}, operator needs ({self.dim},) on its last axis"
+            )
         norms = np.sqrt(np.sum(self.gram_diag * np.abs(u) ** 2, axis=-1))
         return float(norms) if norms.ndim == 0 else norms
 
@@ -254,16 +261,25 @@ def singular_set(medium: LorentzMedium, k: float) -> np.ndarray:
     return _modal_record(medium, float(k)).singular_set
 
 
+def _finite_frequency(omega: np.ndarray) -> None:
+    """Refuse a non-finite frequency, naming it, with NearSingularEvaluation."""
+    bad = ~np.isfinite(omega)
+    if np.any(bad):
+        raise NearSingularEvaluation(f"omega={omega[bad][0]} is not finite")
+
+
 def resolvent_formula(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     """Explicit inverse of (A - omega I) assembled from the factored blocks.
 
     omega may be a scalar or an array; the result has shape
     ``omega.shape + (dim, dim)``, one resolvent per omega: the lift of the
     u_+ resolvent R_+, since (A - omega)^-1 is S R_+ S on u_-.  Raises
-    NearSingularEvaluation when any omega is too close to the spectrum or to
-    the removable-singularity set of the auxiliary term.
+    NearSingularEvaluation, before any evaluation, when any omega is not finite,
+    and then when any is too close to the spectrum or to the removable-singularity
+    set of the auxiliary term.
     """
     omega = np.asarray(omega, dtype=complex)
+    _finite_frequency(omega)
     dist = np.abs(singular_set(medium, k) - omega[..., None]).min(axis=-1)
     near = dist < SINGULAR_TOL * (1.0 + np.abs(omega))
     if np.any(near):
@@ -518,14 +534,13 @@ def projector_contour(
     The first test needs the 32- and the 64-node estimate, so one stacked u_+
     resolvent call evaluates the 32-node ring and the 64-node ring's odd nodes,
     summed ring by ring; later doublings make stacked calls of at most
-    ``_CONTOUR_BLOCK`` nodes.
+    ``_CONTOUR_BLOCK`` nodes.  A non-finite eigenvalue raises NearSingularEvaluation
+    before any evaluation.
     """
-    pts = singular_set(medium, k)
-    dist = np.abs(pts - eigenvalue)
-    dist = dist[dist > SINGULAR_TOL * (1.0 + abs(eigenvalue))]
-    rho = 0.5 * float(dist.min())
-    if rho < 1e-10:
-        raise ContourTooTight(f"isolation radius {rho:.3e} at eigenvalue {eigenvalue}")
+    _finite_frequency(np.asarray(eigenvalue, dtype=complex))
+    dist = np.abs(singular_set(medium, k) - eigenvalue)
+    # every point kept lies over SINGULAR_TOL (1 + |eigenvalue|) away, so rho > 5e-9
+    rho = 0.5 * float(dist[dist > SINGULAR_TOL * (1.0 + abs(eigenvalue))].min())
 
     prev = None
     acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)

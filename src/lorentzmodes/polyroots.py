@@ -5,21 +5,22 @@ data.  ``certified_roots`` solves q(s) = p(i s), s = -i w, for each row of a
 stack: q_j = i^j c_j / (i^n c_n) is exactly real (multiplying by 1, i, -1 or
 -i only swaps and negates parts; a row left with an imaginary part lacks the
 symmetry and raises RootFindingFailure).  The balanced real companion matrix
-of q gives first guesses in exact conjugate pairs, then up to five Newton
-steps on q, so the roots w = i s are closed under w -> -conj(w) bit for bit.
-Given guesses (the mirror-closed roots of a nearby row), the same Newton
-steps start from them instead; a row keeps the result only when every root
-has converged to rounding (backward error <= 16 u, and a last Newton step
-whose quadratic remainder lies inside the root's rounding ball) and pairwise
-disjoint Weierstrass disks prove it the whole root set.  The other rows go
-through the companion matrix as before.
-``companion_roots`` deflates the exact origin roots of one polynomial (the
-dispersion polynomial at k = 0 has two) and hands the rest to the same core.
-``certified_root_near`` finds only the root nearest a start point, by Newton
-from that point, and reports per row whether a Rouché exclusion disk proves
-it is that root.  Every root must pass a backward-error residual certificate
-(the same in s as in w) before it is returned or settled; ``certify`` is that
-gate for roots found elsewhere (the eigenvalues of the u_+ operator).
+of q gives first guesses in exact conjugate pairs, then ``_newton`` runs five
+damped Newton steps on q (a step longer than 1 + |root| is skipped), so the
+roots w = i s are closed under w -> -conj(w) bit for bit.  Given guesses (the
+mirror-closed roots of a nearby row), the same Newton steps start from them
+instead; a row keeps the result only when every root has converged to rounding
+(backward error <= 16 u, and a last Newton step whose quadratic remainder lies
+inside the root's rounding ball) and pairwise disjoint Weierstrass disks prove
+it the whole root set.  The other rows go through the companion matrix as
+before.  ``companion_roots`` deflates the exact origin roots of one polynomial
+(the dispersion polynomial at k = 0 has two) and hands the rest to the same
+core.  ``certified_root_near`` finds only the root nearest a start point, by
+the same damped Newton steps from that point, and reports per row whether a
+Rouché exclusion disk proves it is that root.  Every root must pass a
+backward-error residual certificate (the same in s as in w) before it is
+returned or settled; ``certify`` is that gate for roots found elsewhere (the
+eigenvalues of the u_+ operator).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ def _backward_errors(roots: np.ndarray, coeffs: np.ndarray, scale=None) -> np.nd
 
 
 def _newton(coeffs: np.ndarray, roots: np.ndarray, steps: int = NEWTON_STEPS) -> np.ndarray:
-    """Damped Newton steps on every root; coefficients as (n+1, m, 1) columns."""
+    """Damped Newton steps on every root; coefficients along the first axis, as _horner."""
     for _ in range(steps):
         pv, dv = _horner(coeffs, roots)
         step = np.divide(pv, dv, out=np.zeros_like(pv), where=dv != 0)
@@ -169,8 +170,8 @@ def certify(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 def certified_root_near(rows: np.ndarray, start):
     """(roots, settled): the root of each row of an (m, n+1) stack nearest its start point.
 
-    Runs NEWTON_STEPS Newton steps on row i from start[i] (Horner for p and
-    p').  Row i is settled when its root r passes the backward-error
+    Runs the NEWTON_STEPS damped Newton steps of ``_newton`` on row i from
+    start[i].  Row i is settled when its root r passes the backward-error
     certificate (RESIDUAL_TOL) and a Rouché test proves r the only
     root in the disk D(a, R), a = start[i], R = 2|r - a|: with c_j the Taylor
     coefficients of the row at a, |c_1| R > |c_0| + sum_{j>=2} |c_j| R^j.
@@ -180,12 +181,8 @@ def certified_root_near(rows: np.ndarray, start):
     coeffs = np.ascontiguousarray(np.asarray(rows, dtype=complex).T)  # (n+1, m): c_j of every row
     a = np.asarray(start, dtype=complex).reshape(coeffs.shape[1])
     n = len(coeffs) - 1
-    with np.errstate(all="ignore"):  # a diverging row ends non-finite and unsettled
-        roots = a.copy()
-        for _ in range(NEWTON_STEPS):
-            p, dp = _horner(coeffs, roots)
-            roots = roots - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-
+    with np.errstate(all="ignore"):  # a diverging row ends unsettled
+        roots = _newton(coeffs, a)
         # Taylor coefficients at a by repeated synthetic division (Horner's shift)
         taylor = coeffs.copy()
         for i in range(n):

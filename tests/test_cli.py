@@ -421,6 +421,12 @@ class TestProjectorsCommand:
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def test_readme_library_tour_runs():
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(tour, "README.md", "exec"), {})
+
+
 def test_readme_scripts_run(tmp_path):
     res = run_python(str(SCRIPTS / "run_decay_exponents.py"), cwd=tmp_path)
     assert res.returncode == 0, res.stderr

@@ -1001,6 +1001,20 @@ class TestAsymptoticVerification:
                 dsp.verify_asymptotics(b, table, probes, regime=regime)
             with pytest.raises(ValueError, match="regime must be"):
                 dsp._within_leading(b, table, regime)
+            # nor is a regime a branch label
+            with pytest.raises(ValueError, match=f"not a branch label: '{regime}'"):
+                dsp.expansion(regime, table)
+
+    def test_probe_off_the_grid_refused(self, reference_branches, reference_medium):
+        b = next(x for x in reference_branches if isinstance(x.hf_label, dsp.PlusInf))
+        assert b.omega_at(b.k[700]) == b.omega[700]
+        off = 0.5 * (b.k[700] + b.k[701])
+        with pytest.raises(KeyError, match="not a grid point of this branch"):
+            b.omega_at(off)
+        table = reference_medium.asymptotic_coefficients()
+        probes = np.append(b.k[(b.k >= 20) & (b.k <= 1000)][::40], off)
+        with pytest.raises(KeyError, match="not a grid point"):
+            dsp.verify_asymptotics(b, table, probes, regime="hf")
 
 
 def _origin_fans(medium, terms=1):

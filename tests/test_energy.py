@@ -107,7 +107,7 @@ class TestPanelDoubling:
         # a jump no panel edge meets keeps every doubling off by far more than rounding;
         # 0.6 decades make one panel first
         k_plus = reference_bands[1]
-        step = en.RadialProfile(k_plus, 4.0 * k_plus, lambda k: 1.0 + (k < 3.0 * k_plus), "step")
+        step = en.RadialProfile(k_plus, 4.0 * k_plus, lambda k: 1.0 + (k < 3.0 * k_plus))
         last = 2**en.MAX_PANEL_DOUBLINGS
         with pytest.raises(QuadratureNonconvergent, match=f"not settled after {last} panels$"):
             en.simulate_energy(reference_medium, step, en.OptimalBranch(dsp.PlusInf()), [0, 10])
@@ -297,6 +297,8 @@ class TestProfiles:
     def test_power_law_band(self):
         with pytest.raises(ValueError):
             en.power_law(0.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match="exponent must be nonnegative"):
+            en.power_law(-0.5, 0.1, 1.0)
         prof = en.power_law(2.0, 0.1, 1.0)
         assert prof(0.5) == pytest.approx(0.25)
 
@@ -304,8 +306,7 @@ class TestProfiles:
 class TestFitExponent:
     def test_pure_power_law_recovered_exactly(self):
         t = np.geomspace(1.0, 1e4, 81)
-        record = en.DecayRecord(t_grid=t, energy=t**-2.5, tag="synthetic", panels=0)
-        gamma, conf = en.fit_exponent(record, (1e2, 1e4))
+        gamma, conf = en.fit_exponent(t, t**-2.5, (1e2, 1e4))
         assert gamma == pytest.approx(2.5, abs=1e-10)
         assert conf < 1e-10
 
@@ -313,25 +314,23 @@ class TestFitExponent:
     @settings(max_examples=50, deadline=None)
     def test_power_law_property(self, exponent, scale):
         t = np.geomspace(1.0, 1e4, 61)
-        record = en.DecayRecord(
-            t_grid=t, energy=scale * t**-exponent, tag="synthetic", panels=0
-        )
-        gamma, _ = en.fit_exponent(record, (1e2, 1e4))
+        gamma, _ = en.fit_exponent(t, scale * t**-exponent, (1e2, 1e4))
         assert gamma == pytest.approx(exponent, rel=1e-9)
 
     def test_exponential_rejected(self):
         t = np.geomspace(1.0, 500.0, 61)
-        record = en.DecayRecord(t_grid=t, energy=np.exp(-t), tag="synthetic", panels=0)
         with pytest.raises(NonPolynomialDecay):
-            en.fit_exponent(record, (1e2, 500.0))
+            en.fit_exponent(t, np.exp(-t), (1e2, 500.0))
 
     def test_window_too_short(self):
         t = np.geomspace(1.0, 1e4, 10)
-        record = en.DecayRecord(t_grid=t, energy=t**-1.0, tag="synthetic", panels=0)
+        energy = t**-1.0
         with pytest.raises(WindowTooShort):
-            en.fit_exponent(record, (5e3, 6e3))
+            en.fit_exponent(t, energy, (5e3, 6e3))
         with pytest.raises(WindowTooShort):
-            en.fit_exponent(record, (1.0, 1e4))  # starts before the asymptotic regime
+            en.fit_exponent(t, energy, (1.0, 1e4))  # starts before the asymptotic regime
+        with pytest.raises(WindowTooShort, match="energy vanished inside the fit window"):
+            en.fit_exponent(t, np.where(t > 1e3, 0.0, energy), (1e2, 1e4))
 
 
 class TestGammaLF:
@@ -432,7 +431,7 @@ class TestSlowestHighBandBranch:
         assert isinstance(label, dsp.Pole) and k_cross > k_plus
         report = en.verify_gamma_hf(ps_noncritical_medium, 2.0)
         assert report.window[0] == (8.0 * k_cross) ** 2 / sigma
-        assert report.record.tag == "hf(m=2,non-critical)"
+        assert report.tag == "hf(m=2,non-critical)"
 
     @pytest.mark.parametrize(
         "medium",
@@ -524,6 +523,10 @@ class TestEnergyRuns:
         record = en.convergence_to_zero(reference_medium, t_list)
         assert np.all(np.diff(record.energy) < 0)
         assert record.energy[-1] / record.energy[0] < 1e-2
+
+    def test_unknown_direction_rule_refused(self, reference_medium):
+        with pytest.raises(ValueError, match="unknown direction rule 'random'"):
+            en.simulate_energy(reference_medium, en.power_law(0.0, 0.1, 1.0), "random", [0.0])
 
     def test_undamped_energy_constant(self, undamped_medium):
         profile = en.power_law(0.0, 0.3, 0.7)  # real-axis crossings avoided

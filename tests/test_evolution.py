@@ -339,6 +339,9 @@ class TestMidBand:
         assert fit.residual <= 0.10  # against the sampled spectral abscissa
         with pytest.raises(ValueError, match="samples"):
             evo.midband_rate(reference_medium, (0.5, 5.0), samples=0)
+        for k_lo in (0.0, -0.5):
+            with pytest.raises(ValueError, match="must start at a positive wavenumber"):
+                evo.midband_rate(reference_medium, (k_lo, 5.0))
 
     def test_nested_band_monotonicity(self, reference_medium):
         wide = evo.midband_rate(reference_medium, (0.5, 5.0), samples=12)

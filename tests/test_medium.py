@@ -370,6 +370,13 @@ class TestCoefficientTable:
         gc.collect()
         assert ref() is None
 
+    def test_zero_lookup_away_from_every_zero_refused(self, reference_medium):
+        table = reference_medium.asymptotic_coefficients()
+        for entry in table.simple_zeros:
+            assert table.for_zero(entry.zero) is entry
+        with pytest.raises(KeyError, match="no asymptotic coefficients for zero"):
+            table.for_zero(0.5 + 0.5j)
+
     def test_reference_closed_forms(self, reference_medium):
         t = reference_medium.asymptotic_coefficients()
         assert t.vacuum_speed == pytest.approx(1.0)

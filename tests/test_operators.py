@@ -120,6 +120,13 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             ops.build_perp_operator(reference_medium, 1.0).inner(u, u)
 
+    @pytest.mark.parametrize("shape", [(14,), (3, 10), ()])
+    def test_norm_refuses_a_wrong_last_axis(self, reference_medium, shape):
+        op = ops.build_perp_operator(reference_medium, 1.0)
+        assert op.dim == 12
+        with pytest.raises(DimensionMismatch, match=r"operator needs \(12,\)"):
+            op.norm(np.ones(shape))
+
     def test_dissipation_identity_exact(self, reference_medium, asymmetric_medium):
         rng = np.random.default_rng(4)
         for medium in (reference_medium, asymmetric_medium):
@@ -218,6 +225,19 @@ class TestResolvent:
         assert np.isfinite(dense).all()
         with pytest.raises(NearSingularEvaluation):
             ops.resolvent_formula(reference_medium, k, z_m)
+
+    @pytest.mark.parametrize("call", [ops.resolvent_formula, ops.projector_contour])
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, complex(0.5, np.nan)])
+    def test_non_finite_frequency_refused_before_any_evaluation(
+        self, reference_medium, monkeypatch, call, omega
+    ):
+        def evaluated(*args):
+            raise AssertionError("evaluated at a non-finite frequency")
+
+        monkeypatch.setattr(ops, "singular_set", evaluated)
+        monkeypatch.setattr(ops, "_resolvent_plus", evaluated)
+        with pytest.raises(NearSingularEvaluation, match=re.escape(f"omega={complex(omega)} ")):
+            call(reference_medium, 1.0, omega)
 
 
 class TestSingularSetMemo:
@@ -389,6 +409,8 @@ class TestStackedResolvent:
         omegas = np.array([0.7 + 0.3j, z_m, -1.2 + 0.5j])
         with pytest.raises(NearSingularEvaluation):
             ops.resolvent_formula(reference_medium, 1.0, omegas)
+        with pytest.raises(NearSingularEvaluation, match=r"omega=\(nan\+0j\) is not finite"):
+            ops.resolvent_formula(reference_medium, 1.0, np.append(omegas[[0, 2]], np.nan))
         # without the singular entry the same stack evaluates
         assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, omegas[[0, 2]])).all()
 
@@ -855,8 +877,6 @@ def ring_by_ring_contour(medium, k, eigenvalue):
     pts = ops.singular_set(medium, k)
     dist = np.abs(pts - eigenvalue)
     rho = 0.5 * float(dist[dist > ops.SINGULAR_TOL * (1.0 + abs(eigenvalue))].min())
-    if rho < 1e-10:
-        raise ops.ContourTooTight("isolation radius")
     prev = None
     acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)
     nodes = 32
