@@ -5,7 +5,8 @@ Times one call of each layer in thread CPU time on one BLAS thread, at
 N = 6 (the reference medium) and N = 16 (4 electric, 3 magnetic
 oscillators):
 
-- ``assembly``: ``build_perp_operator``;
+- ``assembly``: ``build_perp_operator(medium, k).matrix``, the operator's matrix
+  being built on first read;
 - ``dispersion``: ``solve_dispersion`` at a scalar k;
 - ``eigen``: ``op.eigen`` on a fresh operator;
 - ``propagate``: ``propagate`` on 201 time samples, decomposition built;
@@ -121,7 +122,7 @@ def layers(lm, medium):
         lm.diagnose_bands(branches, table)
 
     return [
-        ("assembly", lambda k: (medium, k), operators.build_perp_operator),
+        ("assembly", lambda k: (medium, k), lambda m, k: operators.build_perp_operator(m, k).matrix),
         ("dispersion", lambda k: (medium, k), lm.solve_dispersion),
         ("eigen", lambda k: (operators.build_perp_operator(medium, k),), lambda op: op.eigen),
         ("propagate", with_eigen, lambda op, u: evolution.propagate(op, u, T_GRID)),

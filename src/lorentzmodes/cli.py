@@ -84,10 +84,15 @@ def load_medium_config(path: str | Path):
         if key not in med:
             raise ConfigError(f"[medium] must define {key}")
 
+    def index(section):
+        try:
+            return int(section.split(".", 1)[1])
+        except ValueError:
+            raise ConfigError(f"oscillator section [{section}] needs an integer suffix") from None
+
     def family(prefix):
         blocks = sorted(
-            (s for s in parser.sections() if s.startswith(prefix + ".")),
-            key=lambda s: int(s.split(".", 1)[1]),
+            (s for s in parser.sections() if s.startswith(prefix + ".")), key=index
         )
         oscillators = []
         for sec in blocks:

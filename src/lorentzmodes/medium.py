@@ -66,12 +66,12 @@ class Oscillator:
     damping: float
 
     def __post_init__(self):
-        if self.coupling <= 0 or self.resonance <= 0:
+        if not (0 < self.coupling < math.inf and 0 < self.resonance < math.inf):
             raise NonPositiveCoefficient(
-                f"coupling and resonance must be positive, got {self}"
+                f"coupling and resonance must be positive and finite, got {self}"
             )
-        if self.damping < 0:
-            raise NonPositiveCoefficient(f"damping must be nonnegative, got {self}")
+        if not 0 <= self.damping < math.inf:
+            raise NonPositiveCoefficient(f"damping must be nonnegative and finite, got {self}")
 
     def q(self, omega):
         """The quadratic omega^2 + i*damping*omega - resonance^2."""
@@ -269,8 +269,8 @@ class LorentzMedium:
     magnetic: tuple[Oscillator, ...]
 
     def __post_init__(self):
-        if self.eps0 <= 0 or self.mu0 <= 0:
-            raise NonPositiveCoefficient("eps0 and mu0 must be positive")
+        if not (0 < self.eps0 < math.inf and 0 < self.mu0 < math.inf):
+            raise NonPositiveCoefficient("eps0 and mu0 must be positive and finite")
         object.__setattr__(self, "electric", tuple(self.electric))
         object.__setattr__(self, "magnetic", tuple(self.magnetic))
         if len(self.electric) + len(self.magnetic) < 1:

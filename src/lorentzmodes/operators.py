@@ -17,12 +17,12 @@ quadratics, eps and mu come from the medium's one evaluator,
 ``LorentzMedium.family_terms``, and every other oscillator constant from its
 ``family_tables``.  One record per medium, indexed from those tables, holds every
 k-independent constant of the state layout; one modal record, for one k or a
-1-D array, holds the u_+ operators, their one eig and all that is read off it.
-Besides the matrices this module provides the explicit resolvent and the
-contour-integral projectors.  The resolvent is the N x N u_+ formula lifted to
-the 2N x 2N operator by the same map as the projectors; its u_+ eigenspace map
-is the one ``eigenvector_columns`` widens to two columns, and the contour sums
-only u_+ resolvents.
+1-D array, holds the u_+ operators, their one eig and all that is read off it;
+an operator is its (medium, k), its matrix assembled on first read.  This module
+also provides the explicit resolvent and the contour-integral projectors.  The
+resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same
+map as the projectors; its u_+ eigenspace map is the one ``eigenvector_columns``
+widens to two columns, and the contour sums only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -171,24 +171,32 @@ class _MediumRecord:
 _medium_record = lru_cache(maxsize=16)(_MediumRecord)
 
 
-def gram_diagonal(medium: LorentzMedium) -> np.ndarray:
-    """Diagonal of the energy inner product in the block layout; read-only, one per medium."""
-    return _medium_record(medium).gram
-
-
-@dataclass
+@dataclass(frozen=True)
 class PerpOperator:
-    """The reduced operator at one wavenumber plus its weighted inner product."""
+    """The reduced operator at (medium, k) and its inner product; matrix built on first read."""
 
-    matrix: np.ndarray
-    k: float
-    gram_diag: np.ndarray
-    layout: StateLayout
     medium: LorentzMedium
+    k: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise InvalidWavenumber(f"an operator needs a finite wavenumber, got k = {self.k}")
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _read_only(_assemble(self.medium, self.k * J2))
+
+    @property
+    def gram_diag(self) -> np.ndarray:
+        return _medium_record(self.medium).gram
+
+    @property
+    def layout(self) -> StateLayout:
+        return StateLayout(self.medium.n_electric, self.medium.n_magnetic, 2)
 
     @property
     def dim(self) -> int:
-        return self.layout.dim
+        return 2 * self.medium.state_blocks
 
     def inner(self, u, v) -> complex:
         """Weighted inner product, linear in the first argument."""
@@ -211,7 +219,11 @@ class PerpOperator:
         return float(norms) if norms.ndim == 0 else norms
 
     def operator_norm(self, mat: np.ndarray) -> float:
-        """Spectral norm of mat measured in the weighted inner product."""
+        """Weighted spectral norm of a (dim, dim) matrix; other shapes raise DimensionMismatch."""
+        if np.shape(mat) != (self.dim,) * 2:
+            raise DimensionMismatch(
+                f"matrix has shape {np.shape(mat)}, operator needs ({self.dim}, {self.dim})"
+            )
         s = _medium_record(self.medium).sqrt_gram
         return float(np.linalg.svd((mat * s[:, None]) / s[None, :], compute_uv=False)[0])
 
@@ -220,8 +232,8 @@ class PerpOperator:
         return spectral_decomposition(self)
 
 
-def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, StateLayout]:
-    """Operator matrix and layout; the block width, 1 or 2, is the size of the curl block.
+def _assemble(medium: LorentzMedium, curl: np.ndarray) -> np.ndarray:
+    """Operator matrix; the block width, 1 or 2, is the size of the curl block.
 
     Leading axes of curl give a stack of matrices; the other blocks are the medium
     record's template of that width.
@@ -232,21 +244,15 @@ def _assemble(medium: LorentzMedium, curl: np.ndarray) -> tuple[np.ndarray, Stat
     a = np.broadcast_to(template, curl.shape[:-2] + template.shape).copy()
     a[..., lay.e, lay.h] = -curl / medium.eps0
     a[..., lay.h, lay.e] = curl / medium.mu0
-    return a, lay
+    return a
 
 
 def build_perp_operator(medium: LorentzMedium, k: float) -> PerpOperator:
-    """Assemble the 2N x 2N reduced operator at wavenumber k >= 0.
+    """The 2N x 2N reduced operator at wavenumber k >= 0; its matrix is built on first read.
 
     Raises InvalidWavenumber for a non-finite k.
     """
-    k = float(k)
-    if not math.isfinite(k):
-        raise InvalidWavenumber(f"an operator needs a finite wavenumber, got k = {k}")
-    a, lay = _assemble(medium, k * J2)
-    return PerpOperator(
-        matrix=a, k=k, gram_diag=gram_diagonal(medium), layout=lay, medium=medium
-    )
+    return PerpOperator(medium, float(k))
 
 
 # --- explicit resolvent -------------------------------------------------------------
@@ -399,7 +405,7 @@ class _ModalRecord:
         if not np.all(np.isfinite(self.ks)):
             bad = self.ks[~np.isfinite(self.ks)][0]
             raise InvalidWavenumber(f"an operator needs finite wavenumbers, got k = {bad}")
-        return _read_only(_assemble(self.medium, 1j * self.ks[:, None, None])[0])
+        return _read_only(_assemble(self.medium, 1j * self.ks[:, None, None]))
 
     @cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -502,12 +508,10 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """Rank-2 projectors p_n (x) u_+ u_+^H + S p_n S (x) u_- u_-^H, one per root.
 
     p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
-    operator.  Refuses a matrix that is not bit for bit the medium's operator
-    at op.k, what the modal record's ``modes`` refuse, and a u_+ reconstruction
-    residual above 1e-8 (the residual ``projector_norm_sweep`` reports at op.k).
+    operator.  Refuses what the modal record's ``modes`` refuse and a u_+
+    reconstruction residual above 1e-8 (the residual ``projector_norm_sweep``
+    reports at op.k).
     """
-    if not np.array_equal(op.matrix, _assemble(op.medium, op.k * J2)[0]):
-        raise NotDiagonalizable(f"k={op.k:g}: the matrix is not the medium's operator at k")
     rec = _modal_record(op.medium, float(op.k))
     vals, vecs, left = (x[0] for x in rec.modes)
     residual = float(rec.residual[0])

@@ -153,9 +153,18 @@ class TestClassify:
 
     def test_malformed_medium_exit_2(self, tmp_path):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("[medium]\neps0 = 1.0\nmu0 = 1.0\n\n[electric.1]\nomega = 1.0\nOmega = 1.0\nalpha = -0.5\n")
-        res = run_cli("classify", "--config", str(bad))
-        assert res.returncode == 2
+        for eps0, section, alpha, named in (
+            ("1.0", "electric.1", "-0.5", "damping must be nonnegative"),
+            ("nan", "electric.1", "0.5", "eps0 and mu0 must be positive and finite"),
+            ("1.0", "electric.a", "0.5", "oscillator section [electric.a] needs an integer suffix"),
+        ):
+            bad.write_text(
+                f"[medium]\neps0 = {eps0}\nmu0 = 1.0\n\n"
+                f"[{section}]\nomega = 1.0\nOmega = 1.0\nalpha = {alpha}\n"
+            )
+            res = run_cli("classify", "--config", str(bad))
+            assert res.returncode == 2, (section, res.stderr)
+            assert named in res.stderr and "Traceback" not in res.stderr
 
 
 class TestBranches:

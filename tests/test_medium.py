@@ -56,6 +56,16 @@ class TestConstruction:
         with pytest.raises(NonPositiveCoefficient):
             lm.new_medium(0.0, 1, [(1, 1, 0.1)], [])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("slot", ["eps0", "mu0", "coupling", "resonance", "damping"])
+    def test_non_finite_coefficient_rejected(self, slot, bad):
+        # NaN compares False with 0 and inf passes every sign test: both are refused
+        args = {"eps0": 1.0, "mu0": 1.0, "coupling": 1.0, "resonance": 1.0, "damping": 0.1}
+        args[slot] = bad
+        oscillator = (args["coupling"], args["resonance"], args["damping"])
+        with pytest.raises(NonPositiveCoefficient, match="finite"):
+            lm.new_medium(args["eps0"], args["mu0"], [oscillator], [(1.0, 2.0, 0.2)])
+
 
 class TestMaterialFunctions:
     def test_static_permittivity(self, reference_medium):
