@@ -30,6 +30,17 @@ calls of every layer in turn at fixed log-spaced wavenumbers (each nudged by
 1e-9 relative per call, which changes no outcome), in a fresh process that
 first makes one untimed round.
 A layer's figure is the best of ROUNDS rounds, in microseconds per call.
+
+After its timed rounds each process runs ``track`` once more, untimed, with
+five library functions wrapped to count its work on one grid exactly:
+``companion_rows`` (rows solved from their companion matrices),
+``newton_kept_rows`` (guessed rows that kept their Newton roots),
+``guessed_newton_steps`` (Newton steps summed over guessed rows),
+``nearest_rows`` (step rows sent through the nearest-neighbour search) and
+``compositions`` (safe steps whose order was composed with the running
+permutation, ``order[i][perm]``).  Counts do not depend on the machine, so
+every round must read the same ones, and a per-layer gain is read from a
+count that fell.
 With ``--against``, each round times both sources, one process after the
 other and first one then the other first, so a drift in the machine's speed
 lands on both alike; each layer's ratio is the median over the rounds of the
@@ -134,8 +145,68 @@ def layers(lm, medium):
     ]
 
 
-def time_layers(lm, medium) -> dict:
-    """Microseconds per call of each layer in one round, after one untimed round."""
+class _CountedOrder(np.ndarray):
+    """A step's order that counts each running permutation composed with it, order[i][perm]."""
+
+    composed = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            _CountedOrder.composed += 1
+        return super().__getitem__(key)
+
+
+def track_counts(track) -> dict:
+    """Exact work counts of one call of the track layer, from wrapped library functions."""
+    from lorentzmodes import dispersion, polyroots
+
+    counts = {"companion_rows": 0, "newton_kept_rows": 0, "guessed_newton_steps": 0,
+              "nearest_rows": 0}
+    originals = {(module, name): getattr(module, name) for module, name in (
+        (polyroots, "_companion_newton"), (polyroots, "_newton"), (polyroots, "_isolated"),
+        (dispersion, "_nearest"), (dispersion, "_step"))}
+    companion = []  # non-empty while a companion solve runs its own Newton steps
+
+    def companion_newton(q, coeffs):
+        counts["companion_rows"] += len(q)
+        companion.append(True)
+        try:
+            return originals[polyroots, "_companion_newton"](q, coeffs)
+        finally:
+            companion.pop()
+
+    def newton(coeffs, roots, steps=polyroots.NEWTON_STEPS):
+        if not companion:
+            counts["guessed_newton_steps"] += len(roots) * steps
+        return originals[polyroots, "_newton"](coeffs, roots, steps)
+
+    def isolated(*args):
+        kept = originals[polyroots, "_isolated"](*args)
+        counts["newton_kept_rows"] += int(kept.sum())
+        return kept
+
+    def nearest(prev, new):
+        counts["nearest_rows"] += int(np.prod(np.shape(new)[:-1]))
+        return originals[dispersion, "_nearest"](prev, new)
+
+    def step(prev, new):
+        order, collides, safe = originals[dispersion, "_step"](prev, new)
+        return order.view(_CountedOrder), collides, safe
+
+    wrapped = (companion_newton, newton, isolated, nearest, step)
+    _CountedOrder.composed = 0
+    try:
+        for (module, name), wrapper in zip(originals, wrapped):
+            setattr(module, name, wrapper)
+        track()
+    finally:
+        for (module, name), original in originals.items():
+            setattr(module, name, original)
+    return {**counts, "compositions": _CountedOrder.composed}
+
+
+def time_layers(lm, medium) -> tuple[dict, dict]:
+    """({layer: microseconds per call} of one round after one untimed round, track counts)."""
     ks = np.geomspace(0.05, 20.0, CALLS)
     nudge = itertools.count(1)
     todo = layers(lm, medium)
@@ -148,11 +219,12 @@ def time_layers(lm, medium) -> dict:
                 t0 = time.thread_time_ns()
                 call(*args)
                 spent[name] += time.thread_time_ns() - t0
-    return {name: ns / CALLS / 1e3 for name, ns in spent.items()}
+    track = next(call for name, _, call in todo if name == "track")
+    return {name: ns / CALLS / 1e3 for name, ns in spent.items()}, track_counts(track)
 
 
 def one_round(src: str) -> dict:
-    """{medium size: layer timings} for one round on the lorentzmodes in src."""
+    """{medium size: (layer timings, track counts)} for one round on the lorentzmodes in src."""
     sys.path.insert(0, src)
     import lorentzmodes as lm
 
@@ -182,10 +254,16 @@ def main():
     def best(side):
         return {
             size: {"N": 2 + 2 * (len(data[2]) + len(data[3])),
-                   **{layer: round(min(rnd[side][size][layer] for rnd in rounds), 1)
-                      for layer in rounds[0][side][size]}}
+                   **{layer: round(min(rnd[side][size][0][layer] for rnd in rounds), 1)
+                      for layer in rounds[0][side][size][0]}}
             for size, data in MEDIA.items()
         }
+
+    def counts(side):
+        per_round = [{size: rnd[side][size][1] for size in MEDIA} for rnd in rounds]
+        if any(c != per_round[0] for c in per_round):
+            raise RuntimeError(f"track counts differ between rounds: {per_round}")
+        return per_round[0]
 
     import scipy
 
@@ -197,19 +275,22 @@ def main():
         "scipy": scipy.__version__,
         "malloc": MALLOC,
         "media": best(0),
+        "track_counts": counts(0),
     }
-    print(json.dumps(record["media"]), flush=True)
+    print(json.dumps(record["media"]), json.dumps(record["track_counts"]), flush=True)
     if args.against:
         record["against"] = best(1)
+        record["against_track_counts"] = counts(1)
+        print("against", json.dumps(record["against_track_counts"]), flush=True)
 
         def spread(size, layer):
-            per_round = [rnd[0][size][layer] / rnd[1][size][layer] for rnd in rounds]
+            per_round = [rnd[0][size][0][layer] / rnd[1][size][0][layer] for rnd in rounds]
             q1, median, q3 = (round(float(q), 3) for q in np.percentile(per_round, [25, 50, 75]))
             return {"median": median, "iqr": [q1, q3]}
 
         record["ratio"] = {
             size: {layer: spread(size, layer) for layer in layer_times}
-            for size, layer_times in rounds[0][0].items()
+            for size, (layer_times, _) in rounds[0][0].items()
         }
         for size, ratio in record["ratio"].items():
             print(size, "; ".join(

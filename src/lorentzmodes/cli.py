@@ -21,9 +21,10 @@ Configuration file format (INI, case-sensitive keys)::
     k_min = 1e-3
     k_max = 1e3
 
-Oscillator blocks repeat with increasing suffix.  Every [run] key can be
-overridden by the matching command-line flag.  Exit codes: 0 success, 1
-analysis failure, 2 configuration or IO error.
+Oscillator blocks repeat with increasing suffix.  Any other section, and any
+other key in [medium] or in an oscillator block, is refused.  Every [run] key
+can be overridden by the matching command-line flag.  Exit codes: 0 success,
+1 analysis failure, 2 configuration or IO error.
 """
 
 from __future__ import annotations
@@ -63,8 +64,18 @@ def load_medium_config(path: str | Path):
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     if "medium" not in parser:
         raise ConfigError(f"{path} has no [medium] section")
+    for section in parser.sections():
+        if section not in ("medium", "run") and not section.startswith(("electric.", "magnetic.")):
+            raise ConfigError(f"unknown section [{section}] in {path}")
 
-    def floats_of(section):
+    def floats_of(section, keys):
+        """The section's values as floats; its keys must be exactly keys."""
+        unknown = sorted(set(parser[section]) - set(keys))
+        if unknown:
+            raise ConfigError(f"[{section}] has unknown keys {unknown}")
+        missing = [k for k in keys if k not in parser[section]]
+        if missing:
+            raise ConfigError(f"[{section}] missing keys {missing}")
         try:
             return {k: float(v) for k, v in parser[section].items()}
         except ValueError as exc:
@@ -79,10 +90,7 @@ def load_medium_config(path: str | Path):
                 out[k] = v  # run parameters may be symbolic (e.g. band = lf)
         return out
 
-    med = floats_of("medium")
-    for key in ("eps0", "mu0"):
-        if key not in med:
-            raise ConfigError(f"[medium] must define {key}")
+    med = floats_of("medium", ("eps0", "mu0"))
 
     def index(section):
         try:
@@ -96,10 +104,7 @@ def load_medium_config(path: str | Path):
         )
         oscillators = []
         for sec in blocks:
-            vals = floats_of(sec)
-            missing = {"omega", "Omega", "alpha"} - set(vals)
-            if missing:
-                raise ConfigError(f"[{sec}] missing keys {sorted(missing)}")
+            vals = floats_of(sec, ("omega", "Omega", "alpha"))
             oscillators.append(
                 Oscillator(
                     coupling=vals["Omega"], resonance=vals["omega"], damping=vals["alpha"]

@@ -11,10 +11,13 @@ Newton anchors of ``energy.branch_eigenvalue``.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of the
 grid: every eighth row comes from one stacked companion solve, and each row in
-between from certified Newton started at the roots of the row before it.  The
-continuation checks and the asymptopia tests run as numpy passes over blocks
-of grid rows, and only unsafe continuation steps go through the per-step path,
-which refines them or raises.
+between from certified Newton, started at the secant through the two rows
+before it where both hold their roots in the same positions and at the roots
+of the row before it otherwise.  The continuation checks and the asymptopia
+tests run as numpy passes over blocks of grid rows.  A row that passes the
+step control in its raw order needs no nearest-neighbour search and leaves the
+running permutation as it is; only unsafe continuation steps go through the
+per-step path, which refines them or raises.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .errors import (
     UnclassifiableBranch,
 )
 from .medium import CLUSTER_TOL, CoefficientTable, LorentzMedium, ZeroClass, fan_root
-from .polyroots import certified_roots, companion_roots
+from .polyroots import NEWTON_STEPS, _guessed_roots, certified_roots, companion_roots
 
 #: a leading dispersion coefficient this small relative to its row is degenerate
 TRIM_TOL = 1e-14
@@ -265,19 +268,27 @@ def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray)
 
 
 def _step(prev: np.ndarray, new: np.ndarray):
-    """(order, collides, safe) of the continuation step prev -> new; broadcasts over leading axes.
+    """(order, collides, safe) of the continuation step prev -> new over leading axes of one shape.
 
     order is the greedy nearest-neighbour order into new.  A step is safe when
     no two new roots collide, the order is clear and it passes the step
     control.  An order that passes the step control puts every root within
     0.2 gap of its partner and at least 0.8 gap from every other new root, so
     it is the greedy order and clear; a contested or near-tie match therefore
-    never passes and needs no assignment solve.
+    never passes and needs no assignment solve.  For the same reason a row
+    whose raw order passes the step control without a collision has the
+    identity as its greedy order and is safe, so only the other rows (anchor
+    rows, fallback rows, swaps) go through ``_nearest``.
     """
     d = _pairwise(new)
-    collides = _collides(new, d)
-    order, clear = _nearest(prev, new)
-    return order, collides, clear & ~collides & _steady(prev, new, order, d)
+    collides = np.asarray(_collides(new, d))
+    order = np.broadcast_to(np.arange(new.shape[-1]), new.shape).copy()
+    safe = np.asarray(~collides & _steady(prev, new, order, d))
+    rest = ~safe
+    if rest.any():
+        order[rest], clear = _nearest(prev[rest], new[rest])
+        safe[rest] = clear & ~collides[rest] & _steady(prev[rest], new[rest], order[rest], d[rest])
+    return order, collides, safe
 
 
 def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
@@ -306,21 +317,38 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
     """The (len(k_grid), N) certified roots of a positive grid; refuses what ``_solvable_rows`` does.
 
     Rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ... (the anchors) go through one
-    stacked ``solve_dispersion``.  Each row after an anchor then starts Newton
-    from the roots of the row before it, stacked over all anchors, and keeps
-    them only where ``certified_roots`` proves them the whole root set
-    converged to rounding; the other rows are solved from their companion
-    matrices as ``solve_dispersion`` solves them.
+    stacked ``solve_dispersion``.  The rows after each anchor form a chain,
+    solved one link at a time stacked over all chains: a row starts Newton
+    from guesses and keeps the result only where ``certified_roots`` proves
+    it the whole root set converged to rounding; the other rows are solved
+    from their companion matrices as ``solve_dispersion`` solves them.  A row
+    whose predecessor kept its own guesses starts from the secant
+    r1 + t (r1 - r0) in log k through its two predecessors, which then hold
+    their roots in the same positions, so the secant is mirror-closed bit for
+    bit, and takes NEWTON_STEPS - 2 steps; any other row starts from its
+    predecessor's roots and takes NEWTON_STEPS.
     """
     rows = _solvable_rows(medium, k_grid)
+    log_k = np.log(k_grid)
     anchors = np.arange(0, len(k_grid), _ANCHOR_STRIDE)
     solved = np.empty((len(rows), rows.shape[1] - 1), dtype=complex)
     solved[anchors] = solve_dispersion(medium, k_grid[anchors])
     for start in range(0, len(anchors), _SOLVE_BLOCK):
         block = anchors[start : start + _SOLVE_BLOCK]
+        secant = np.zeros(len(block), dtype=bool)  # the row before kept its guesses
         for _ in range(1, _ANCHOR_STRIDE):
-            block = block[block + 1 < len(rows)] + 1
-            solved[block] = certified_roots(rows[block], guesses=solved[block - 1])
+            live = block + 1 < len(rows)
+            block, secant = block[live] + 1, secant[live]
+            kept = np.empty(len(block), dtype=bool)
+            i = block[~secant]
+            if i.size:
+                solved[i], kept[~secant] = _guessed_roots(rows[i], solved[i - 1], NEWTON_STEPS)
+            i = block[secant]
+            if i.size:
+                t = (log_k[i] - log_k[i - 1]) / (log_k[i - 1] - log_k[i - 2])
+                guesses = solved[i - 1] + t[:, None] * (solved[i - 1] - solved[i - 2])
+                solved[i], kept[secant] = _guessed_roots(rows[i], guesses, NEWTON_STEPS - 2)
+            secant = kept
     return solved
 
 
@@ -328,14 +356,16 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
     """Continue the N dispersion roots across the sorted positive grid.
 
     Every grid point is solved up front by ``_solve_grid``: a companion solve
-    on every eighth row and certified Newton from the previous row's roots in
-    between.  Every tracked row is then a permutation of its solved row, and
-    whether a step is safe (no collision, a clear nearest-neighbour order,
-    every jump within the step control) depends only on the two solved rows,
-    so those checks run on blocks of rows at once and safe steps just compose
-    permutations.  Unsafe steps go, in grid order, to the step-by-step
-    continuation, which refines them or raises; it solves again only at
-    refinement midpoints.
+    on every eighth row and certified Newton from a prediction of the earlier
+    rows in between.  Every tracked row is then a permutation of its solved
+    row, and whether a step is safe (no collision, a clear nearest-neighbour
+    order, every jump within the step control) depends only on the two solved
+    rows, so those checks run on blocks of rows at once.  A Newton row keeps
+    its predecessor's order, so most safe steps have the identity as their
+    order and leave the running permutation as it is; only the other safe
+    steps compose permutations.  Unsafe steps go, in grid order, to the
+    step-by-step continuation, which refines them or raises; it solves again
+    only at refinement midpoints.
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if k_grid.ndim != 1 or not k_grid.size or np.any(np.diff(k_grid) <= 0) or np.any(k_grid <= 0):
@@ -344,19 +374,23 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
     # deterministic start ordering
     perm = np.lexsort((solved[0].imag, solved[0].real))
     perms = np.empty(solved.shape, dtype=perm.dtype)
-    perms[0] = perm
+    done = 0  # perms[:done] are written
     block = _pair_rows(solved.shape[1])
     for start in range(1, len(k_grid), block):
         stop = min(start + block, len(k_grid))
         order, _, safe = _step(solved[start - 1 : stop - 1], solved[start:stop])
-        for i in range(start, stop):
+        # a safe step in raw order leaves the running permutation as it is
+        moved = ~safe | np.any(order != np.arange(solved.shape[1]), axis=1)
+        for i in start + np.flatnonzero(moved):
+            perms[done:i] = perm
             if safe[i - start]:
                 perm = order[i - start][perm]
             else:
                 perm = _continue_step(
                     medium, k_grid[i - 1], solved[i - 1][perm], k_grid[i], solved[i]
                 )
-            perms[i] = perm
+            done = i
+    perms[done:] = perm
     path = np.take_along_axis(solved, perms, axis=1)
     return [BranchFamily(k=k_grid.copy(), omega=path[:, j].copy()) for j in range(path.shape[1])]
 

@@ -9,18 +9,20 @@ of q gives first guesses in exact conjugate pairs, then ``_newton`` runs five
 damped Newton steps on q (a step longer than 1 + |root| is skipped), so the
 roots w = i s are closed under w -> -conj(w) bit for bit.  Given guesses (the
 mirror-closed roots of a nearby row), the same Newton steps start from them
-instead; a row keeps the result only when every root has converged to rounding
-(backward error <= 16 u, and a last Newton step whose quadratic remainder lies
-inside the root's rounding ball) and pairwise disjoint Weierstrass disks prove
-it the whole root set.  The other rows go through the companion matrix as
-before.  ``companion_roots`` deflates the exact origin roots of one polynomial
-(the dispersion polynomial at k = 0 has two) and hands the rest to the same
-core.  ``certified_root_near`` finds only the root nearest a start point, by
-the same damped Newton steps from that point, and reports per row whether a
-Rouché exclusion disk proves it is that root.  Every root must pass a
-backward-error residual certificate (the same in s as in w) before it is
-returned or settled; ``certify`` is that gate for roots found elsewhere (the
-eigenvalues of the u_+ operator).
+instead; a row keeps the result only when every root has converged to
+rounding (backward error <= 16 u, and a last Newton step whose quadratic
+remainder lies inside the root's rounding ball) and pairwise disjoint
+Weierstrass disks prove it the whole root set.  The other rows go through the
+companion matrix as before.  ``_guessed_roots`` is that solve with a given
+number of Newton steps, for starts closer than a nearby row's roots, and
+reports which rows kept their guesses.  ``companion_roots`` deflates the exact
+origin roots of one polynomial (the dispersion polynomial at k = 0 has two)
+and hands the rest to the same core.  ``certified_root_near`` finds only the
+root nearest a start point, by the same damped Newton steps from that point,
+and reports per row whether a Rouché exclusion disk proves it is that root.
+Every root must pass a backward-error residual certificate (the same in s as
+in w) before it is returned or settled; ``certify`` is that gate for roots
+found elsewhere (the eigenvalues of the u_+ operator).
 """
 
 from __future__ import annotations
@@ -129,6 +131,15 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
     row's certificate is ``_isolated``'s backward error <= GUESS_TOL = 16 u,
     the same quotient far below RESIDUAL_TOL, so it is not evaluated again.
     """
+    return _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
+
+
+def _guessed_roots(rows: np.ndarray, guesses: np.ndarray | None, steps: int):
+    """(roots, kept): ``certified_roots(rows, guesses)``, taking steps Newton steps from the guesses.
+
+    kept marks the rows that kept their guessed roots, each root in its
+    guess's position; without guesses it is all False.
+    """
     rows = np.asarray(rows, dtype=complex)
     m, n = rows.shape[0], rows.shape[1] - 1
     degenerate = np.flatnonzero(rows[:, -1] == 0)
@@ -143,18 +154,20 @@ def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.n
 
     if guesses is None:
         roots = certify(_companion_newton(q.real, coeffs), coeffs)
+        kept = np.zeros(m, dtype=bool)
     else:
         roots = np.empty((m, n), dtype=complex)
         w = np.asarray(guesses, dtype=complex)
         roots.real, roots.imag = w.imag, w.real  # s = i conj(w), the inverse of the output map
         with np.errstate(all="ignore"):  # a non-finite or duplicated guess fails _isolated
-            before = _newton(coeffs, roots, NEWTON_STEPS - 1)
+            before = _newton(coeffs, roots, steps - 1)
             roots = _newton(coeffs, before, 1)
-            fallback = ~_isolated(roots, roots - before, coeffs)
-        if fallback.any():
-            columns = coeffs[:, fallback]
-            roots[fallback] = certify(_companion_newton(q.real[fallback], columns), columns)
-    return 1j * roots.conj()  # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
+            kept = _isolated(roots, roots - before, coeffs)
+        if not kept.all():
+            columns = coeffs[:, ~kept]
+            roots[~kept] = certify(_companion_newton(q.real[~kept], columns), columns)
+    # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
+    return 1j * roots.conj(), kept
 
 
 def certify(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

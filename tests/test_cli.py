@@ -166,6 +166,36 @@ class TestClassify:
             assert res.returncode == 2, (section, res.stderr)
             assert named in res.stderr and "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (("[electric.1]", "[electric]"), "unknown section [electric]"),
+            (("[magnetic.1]", "[electrc.1]"), "unknown section [electrc.1]"),
+            (("mu0 = 1.0", "mu0 = 1.0\nfoo = 3"), "[medium] has unknown keys ['foo']"),
+            (("alpha = 0.1", "alpha = 0.1\nbeta = 2"), "[electric.1] has unknown keys ['beta']"),
+        ],
+    )
+    def test_unknown_section_or_key_exit_2(self, tmp_path, edit, named):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(REFERENCE_CFG.replace(*edit, 1))
+        with pytest.raises(cli.ConfigError) as exc:
+            cli.load_medium_config(bad)
+        assert named in str(exc.value)
+        res = run_cli("classify", "--config", str(bad))
+        assert res.returncode == 2, res.stderr
+        assert named in res.stderr and "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize(
+        "name, fixture",
+        [("reference", "reference_medium"), ("critical", "critical_medium"),
+         ("double_pole", "double_pole_medium")],
+    )
+    def test_shipped_configs_load(self, request, name, fixture):
+        config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / f"{name}.cfg"
+        medium, run = cli.load_medium_config(config)
+        assert medium == request.getfixturevalue(fixture)
+        assert run == {"seed": 0.0}
+
 
 class TestBranches:
     def test_outputs_and_diagnostics(self, reference_cfg, tmp_path):

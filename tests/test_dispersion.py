@@ -764,6 +764,150 @@ class TestTracking:
                 )
 
 
+def _greedy_step(prev, new):
+    """``dsp._step`` as the full greedy test: ``_nearest`` on every row."""
+    d = dsp._pairwise(new)
+    collides = dsp._collides(new, d)
+    order, clear = dsp._nearest(prev, new)
+    return order, collides, clear & ~collides & dsp._steady(prev, new, order, d)
+
+
+def _assert_same_step(got, prev, new):
+    """got, the (order, collides, safe) of prev -> new, is the full greedy test's bit for bit."""
+    for g, e in zip(got, _greedy_step(prev, new), strict=True):
+        assert np.shape(g) == np.shape(e)
+        np.testing.assert_array_equal(g, e)
+
+
+@st.composite
+def _step_row(draw, n):
+    """(prev, new) of n roots: a small or large move, a swap, a near tie or a collision."""
+    lattice = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    new = np.array([complex(*p) for p in draw(
+        st.lists(lattice, min_size=n, max_size=n, unique=True))])
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["move", "swap", "near_tie", "collision"]))
+    if kind == "collision":
+        new[j] = new[i] + draw(st.sampled_from([0.0, 1e-12, 1e-9]))
+    unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+    offsets = np.array([complex(*o) for o in draw(st.lists(unit, min_size=n, max_size=n))])
+    prev = new + draw(st.sampled_from([0.0, 1e-13, 1e-3, 0.05, 0.15, 0.3, 1.0])) * offsets
+    if kind == "swap":
+        prev[[i, j]] = prev[[j, i]]
+    elif kind == "near_tie":  # the second distance below twice the first
+        prev[i] = new[i] + (new[j] - new[i]) * draw(st.floats(0.34, 0.5))
+    return prev, new
+
+
+class TestIdentityFirstStep:
+    """The raw order tested first gives the greedy test's (order, collides, safe) bit for bit."""
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_random_rows(self, data):
+        n = data.draw(st.integers(2, 6))
+        rows = data.draw(st.integers(0, 5))  # 0: one 1-D call, as a refinement makes
+        pairs = [data.draw(_step_row(n)) for _ in range(max(rows, 1))]
+        prev, new = (np.stack(side) for side in zip(*pairs))
+        if rows == 0:
+            prev, new = prev[0], new[0]
+        _assert_same_step(dsp._step(prev, new), prev, new)
+
+    @pytest.mark.parametrize("name, points_per_decade", [
+        ("reference_medium", 5), ("critical_medium", 5), ("wide_medium", 20),
+        ("double_pole_medium", 200),
+    ])
+    def test_tracking_calls(self, monkeypatch, request, name, points_per_decade):
+        # every block of grid rows and every refinement step of a tracking run
+        medium = request.getfixturevalue(name)
+        calls = []
+        step = dsp._step
+
+        def checked(prev, new):
+            calls.append(np.ndim(new))
+            got = step(prev, new)
+            _assert_same_step(got, prev, new)
+            return got
+
+        monkeypatch.setattr(dsp, "_step", checked)
+        dsp.track_branches(medium, dsp.default_k_grid(medium, points_per_decade))
+        assert 2 in calls
+        assert (1 in calls) == (points_per_decade < 200)
+
+
+def _recorded_grid(monkeypatch, medium, grid):
+    """(solved, calls) of ``_solve_grid``; calls maps a Newton row's index to (guesses, steps, kept)."""
+    rows = dsp.dispersion_polynomial(medium, grid)
+    index = {row.tobytes(): i for i, row in enumerate(rows)}
+    calls = {}
+    guessed = dsp._guessed_roots
+
+    def recording(block, guesses, steps):
+        roots, kept = guessed(block, guesses, steps)
+        for row, guess, keep in zip(block, guesses, kept):
+            calls[index[row.tobytes()]] = (guess, steps, keep)
+        return roots, kept
+
+    monkeypatch.setattr(dsp, "_guessed_roots", recording)
+    return dsp._solve_grid(medium, grid), calls
+
+
+class TestSecantStart:
+    """A chained row starts from the secant through its two predecessors only where both hold
+    their roots in the same positions."""
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "double_pole_medium",
+                                      "wide_medium"])
+    def test_no_guessed_row_falls_back_at_200_per_decade(self, monkeypatch, request, name):
+        medium = request.getfixturevalue(name)
+        grid = dsp.default_k_grid(medium)
+        solved, calls = _recorded_grid(monkeypatch, medium, grid)
+        assert all(keep for _, _, keep in calls.values())
+        chained = [i for i in calls if i % dsp._ANCHOR_STRIDE > 1]
+        assert sorted(calls) == [i for i in range(len(grid)) if i % dsp._ANCHOR_STRIDE]
+        log_k = np.log(grid)
+        for i in chained:
+            t = (log_k[i] - log_k[i - 1]) / (log_k[i - 1] - log_k[i - 2])
+            guess, steps, _ = calls[i]
+            secant = solved[i - 1] + t * (solved[i - 1] - solved[i - 2])
+            np.testing.assert_array_equal(guess, secant)
+            assert steps == polyroots.NEWTON_STEPS - 2
+        assert {calls[i][1] for i in calls if i % dsp._ANCHOR_STRIDE == 1} == {
+            polyroots.NEWTON_STEPS}
+
+    def test_row_after_a_fallback_starts_from_its_predecessor(self, monkeypatch, reference_medium):
+        grid = dsp.default_k_grid(reference_medium)
+        refused = 11  # the third row of the chain after anchor 8
+        target = _rotated_columns(dsp.dispersion_polynomial(reference_medium, grid[[refused]]))
+        isolated = polyroots._isolated
+
+        def refusing(roots, step, coeffs):
+            return isolated(roots, step, coeffs) & ~np.all(coeffs == target, axis=0)[:, 0]
+
+        monkeypatch.setattr(polyroots, "_isolated", refusing)
+        solved, calls = _recorded_grid(monkeypatch, reference_medium, grid)
+        companion = dsp.solve_dispersion(reference_medium, grid)
+        np.testing.assert_array_equal(solved[refused], companion[refused])
+        assert [i for i, (_, _, keep) in calls.items() if not keep] == [refused]
+        guess, steps, _ = calls[refused + 1]
+        np.testing.assert_array_equal(guess, solved[refused])
+        assert steps == polyroots.NEWTON_STEPS
+        # the row after that one kept its guesses, so the secant starts again
+        assert calls[refused + 2][1] == polyroots.NEWTON_STEPS - 2
+        _assert_mirror_closed(reference_medium, grid, solve=lambda m, k: solved)
+        nearest = companion[refused + 1][np.argmin(
+            np.abs(solved[refused + 1][:, None] - companion[refused + 1][None, :]), axis=1)]
+        assert np.all(np.abs(solved[refused + 1] - nearest) <= 1e-12 * np.abs(nearest))
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "double_pole_medium",
+                                      "wide_medium"])
+    @pytest.mark.parametrize("points_per_decade", [5, 20, 200])
+    def test_grid_rows_are_mirror_closed(self, request, name, points_per_decade):
+        medium = request.getfixturevalue(name)
+        _assert_mirror_closed(medium, dsp.default_k_grid(medium, points_per_decade),
+                              solve=dsp._solve_grid)
+
+
 class TestPairBlocks:
     """Tracking and band diagnosis do not depend on where their pair blocks end."""
 
