@@ -10,13 +10,17 @@ of ``verify_asymptotics``, the leading-term mask of ``diagnose_bands`` and the
 Newton anchors of ``energy.branch_eigenvalue``.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of the
-grid: every eighth row comes from one stacked companion solve, and each row in
-between from certified Newton, started at the secant through the two rows
-before it where both hold their roots in the same positions and at the roots
-of the row before it otherwise.  The continuation checks and the asymptopia
-tests run as numpy passes over blocks of grid rows.  A row that passes the
-step control in its raw order needs no nearest-neighbour search and leaves the
-running permutation as it is; only unsafe continuation steps go through the
+grid.  The grid's dispersion rows are built once: every eighth row goes
+through ``polyroots.certified_roots``, the one stacked companion solve, and
+each row in between through ``polyroots._guessed_roots``, certified Newton
+started at the secant through the two rows before it where both hold their
+roots in the same positions and at the roots of the row before it otherwise;
+a row Newton cannot certify goes through the same companion solve.  The
+continuation checks and the asymptopia tests run as numpy passes over blocks
+of grid rows.  A row that passes the step control in its raw order needs no
+nearest-neighbour search and leaves the running permutation as it is; a
+nearest-neighbour order needs no near-tie test, because the step control
+never passes a near tie.  Only unsafe continuation steps go through the
 per-step path, which refines them or raises.
 """
 
@@ -171,10 +175,12 @@ def dispersion_polynomial(medium: LorentzMedium, k) -> np.ndarray:
 def _solvable_rows(medium: LorentzMedium, k) -> np.ndarray:
     """The (m, N + 1) dispersion rows of a scalar k (m = 1) or of a 1-D array, checked for a root solve.
 
-    Raises InvalidWavenumber for a non-finite k, or a non-positive k in an
-    array, and DegenerateLeadingCoefficient where the leading coefficient
-    vanishes relative to the k^2 terms.
+    Raises InvalidWavenumber for a k of more than one dimension, a non-finite
+    k, or a non-positive k in an array, and DegenerateLeadingCoefficient where
+    the leading coefficient vanishes relative to the k^2 terms.
     """
+    if np.ndim(k) > 1:
+        raise InvalidWavenumber(f"k must be a scalar or a 1-D array, got shape {np.shape(k)}")
     scalar = np.ndim(k) == 0
     k = np.atleast_1d(np.asarray(k, dtype=float))
     bad = ~np.isfinite(k) if scalar else ~(np.isfinite(k) & (k > 0))
@@ -215,7 +221,12 @@ def _log_grid(k_min: float, k_max: float, points_per_decade: int) -> np.ndarray:
 
 
 def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.ndarray:
-    """Log-spaced grid covering both asymptotic regimes of the medium."""
+    """Log-spaced grid covering both asymptotic regimes of the medium.
+
+    A points_per_decade below 1 raises ValueError.
+    """
+    if not points_per_decade >= 1:
+        raise ValueError(f"points_per_decade must be at least 1, got {points_per_decade}")
     catalog = medium.catalog
     p_max = max(abs(p.location) for p in catalog.poles)
     z_nonzero = [abs(z.location) for z in catalog.zeros if abs(z.location) > 0]
@@ -243,16 +254,14 @@ def _collides(roots: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _nearest(prev: np.ndarray, new: np.ndarray):
-    """(order, clear): greedy nearest-neighbour order from prev into new.
+    """(order, unique): greedy nearest-neighbour order from prev into new.
 
-    clear says the order is a permutation with no near tie; broadcasts over
-    leading axes.
+    unique says the order is a permutation; broadcasts over leading axes.  A
+    near tie (a second distance below twice the first) is left to the step
+    control, which never passes one (see ``_step``).
     """
-    dist = np.abs(prev[..., :, None] - new[..., None, :])
-    order = np.argmin(dist, axis=-1)
-    unique = np.all(np.sort(order, axis=-1) == np.arange(order.shape[-1]), axis=-1)
-    part = np.partition(dist, 1, axis=-1)
-    return order, unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
+    order = np.argmin(np.abs(prev[..., :, None] - new[..., None, :]), axis=-1)
+    return order, np.all(np.sort(order, axis=-1) == np.arange(order.shape[-1]), axis=-1)
 
 
 def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray):
@@ -271,14 +280,15 @@ def _step(prev: np.ndarray, new: np.ndarray):
     """(order, collides, safe) of the continuation step prev -> new over leading axes of one shape.
 
     order is the greedy nearest-neighbour order into new.  A step is safe when
-    no two new roots collide, the order is clear and it passes the step
-    control.  An order that passes the step control puts every root within
-    0.2 gap of its partner and at least 0.8 gap from every other new root, so
-    it is the greedy order and clear; a contested or near-tie match therefore
-    never passes and needs no assignment solve.  For the same reason a row
-    whose raw order passes the step control without a collision has the
-    identity as its greedy order and is safe, so only the other rows (anchor
-    rows, fallback rows, swaps) go through ``_nearest``.
+    no two new roots collide, the order is a permutation and it passes the
+    step control.  An order that passes the step control puts every root
+    within 0.2 gap of its partner and at least 0.8 gap from every other new
+    root, four jumps away, so it is the greedy order with no near tie (second
+    distance below twice the first); a contested or near-tie match therefore
+    never passes, and needs neither a near-tie test nor an assignment solve.
+    For the same reason a row whose raw order passes the step control without
+    a collision has the identity as its greedy order and is safe, so only the
+    other rows (anchor rows, fallback rows, swaps) go through ``_nearest``.
     """
     d = _pairwise(new)
     collides = np.asarray(_collides(new, d))
@@ -286,8 +296,8 @@ def _step(prev: np.ndarray, new: np.ndarray):
     safe = np.asarray(~collides & _steady(prev, new, order, d))
     rest = ~safe
     if rest.any():
-        order[rest], clear = _nearest(prev[rest], new[rest])
-        safe[rest] = clear & ~collides[rest] & _steady(prev[rest], new[rest], order[rest], d[rest])
+        order[rest], unique = _nearest(prev[rest], new[rest])
+        safe[rest] = unique & ~collides[rest] & _steady(prev[rest], new[rest], order[rest], d[rest])
     return order, collides, safe
 
 
@@ -316,13 +326,15 @@ def _continue_step(medium, k0, roots0, k1, roots1, depth=0):
 def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
     """The (len(k_grid), N) certified roots of a positive grid; refuses what ``_solvable_rows`` does.
 
-    Rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE, ... (the anchors) go through one
-    stacked ``solve_dispersion``.  The rows after each anchor form a chain,
-    solved one link at a time stacked over all chains: a row starts Newton
-    from guesses and keeps the result only where ``certified_roots`` proves
-    it the whole root set converged to rounding; the other rows are solved
-    from their companion matrices as ``solve_dispersion`` solves them.  A row
-    whose predecessor kept its own guesses starts from the secant
+    The grid's rows are built once.  Rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE,
+    ... (the anchors) go through ``certified_roots``, at most 256 in one
+    stacked companion solve, as ``solve_dispersion`` solves them.  The rows
+    after each anchor form a chain, solved one link at a time stacked over
+    the chains of those anchors by ``_guessed_roots``: a row starts Newton
+    from guesses and keeps the result only where it is proved the whole root
+    set converged to rounding; the other rows go through the same companion
+    solve as the anchors.  A row whose predecessor kept its own guesses
+    starts from the secant
     r1 + t (r1 - r0) in log k through its two predecessors, which then hold
     their roots in the same positions, so the secant is mirror-closed bit for
     bit, and takes NEWTON_STEPS - 2 steps; any other row starts from its
@@ -332,9 +344,9 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
     log_k = np.log(k_grid)
     anchors = np.arange(0, len(k_grid), _ANCHOR_STRIDE)
     solved = np.empty((len(rows), rows.shape[1] - 1), dtype=complex)
-    solved[anchors] = solve_dispersion(medium, k_grid[anchors])
     for start in range(0, len(anchors), _SOLVE_BLOCK):
         block = anchors[start : start + _SOLVE_BLOCK]
+        solved[block] = certified_roots(rows[block])
         secant = np.zeros(len(block), dtype=bool)  # the row before kept its guesses
         for _ in range(1, _ANCHOR_STRIDE):
             live = block + 1 < len(rows)
@@ -591,17 +603,20 @@ def verify_asymptotics(
     """Check that branch residuals against the expansion decay at the right order.
 
     The fitted order comes from least squares on the 3 extreme probes (largest
-    k for the high-frequency regime, smallest for the low-frequency one).
-    ``regime`` is "hf" or "lf"; any other value raises ValueError.
+    k for the high-frequency regime, smallest for the low-frequency one), which
+    must hold two distinct wavenumbers.  ``regime`` is "hf" or "lf"; any other
+    value, or fewer than two distinct fitted probes, raises ValueError.
     """
     label = _regime_label(branch, regime)
     series, expected = expansion(label, table)
     k_probe = np.asarray(sorted(k_probe), dtype=float)
+    sel = slice(-3, None) if regime == "hf" else slice(None, 3)
+    if len(set(k_probe[sel])) < 2:
+        raise ValueError(f"the order fit needs two distinct probe wavenumbers, got {k_probe[sel]}")
     res = np.array([abs(branch.omega_at(k) - series(k)) for k in k_probe], dtype=float)
     if np.any(res == 0):
         fitted = expected
     else:
-        sel = slice(-3, None) if regime == "hf" else slice(None, 3)
         fitted = float(
             np.polyfit(np.log(k_probe[sel]), np.log(res[sel]), 1)[0]
         )

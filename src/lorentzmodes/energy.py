@@ -44,6 +44,7 @@ from .errors import (
     QuadratureNonconvergent,
     WindowTooShort,
 )
+from .evolution import _time_grid
 from .medium import LorentzMedium
 from .operators import _modal_norms
 from .polyroots import certified_root_near
@@ -85,9 +86,9 @@ class RadialProfile:
 
 
 def power_law(p: float, k_min: float, k_max: float) -> RadialProfile:
-    """phi(k) = k^p on the band: the low-frequency datum class."""
-    if p < 0:
-        raise ValueError("power-law exponent must be nonnegative")
+    """phi(k) = k^p on the band: the low-frequency datum class, for a finite p >= 0."""
+    if not 0 <= p < math.inf:
+        raise ValueError(f"power-law exponent must be nonnegative and finite, got p={p}")
     return RadialProfile(k_min, k_max, lambda k: k**p)
 
 
@@ -189,9 +190,13 @@ def simulate_energy(
     with the omega of a call from one stacked ``branch_eigenvalue``:
     certified Newton on the branch root alone, the full root solve only for
     the nodes Newton leaves unsettled.  A FixedRandomUnit datum is
-    propagated through one stacked N x N eigendecomposition per call.
+    propagated through one stacked N x N eigendecomposition per call.  A
+    t_grid that ``propagate`` refuses, or an empty one, raises ValueError
+    before any evaluation.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _time_grid(t_grid)
+    if not t_grid.size:
+        raise ValueError("t_grid must hold at least one time")
     if isinstance(direction_rule, OptimalBranch):
 
         def rule_traces(ks):
@@ -318,8 +323,10 @@ def verify_gamma_hf(
     the slowest high-band branch, decaying like exp(-sigma k^p t), under the
     sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2 with
     eps = SOBOLEV_SLACK, so the observable exponent is -2(m + eps)/p up to fit
-    tolerance).
+    tolerance).  An m that is not finite and positive raises ValueError.
     """
+    if not 0 < m < math.inf:
+        raise ValueError(f"the Sobolev class m must be finite and positive, got m={m}")
     label, (sigma, p, k_cross) = _slowest_hf_branch(medium)
     if sigma == 0:
         raise ExponentMismatch(f"no dissipation reaches the high band on {label}")

@@ -26,6 +26,14 @@ class PropagatorResult:
     method: str  # "Eigen" (projector expansion) or "Oracle" (dense matrix exponential)
 
 
+def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
+    """t_grid as a float array; refuses one that is not finite, sorted and nonnegative."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
+        raise ValueError("t_grid must be finite, sorted and nonnegative")
+    return t_grid
+
+
 def propagate(
     op: PerpOperator,
     initial: np.ndarray,
@@ -41,9 +49,7 @@ def propagate(
     one time sample at a time (tag "Oracle": the reference the eigen path is
     tested against).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.all(np.isfinite(t_grid)) or np.any(np.diff(t_grid) < 0) or np.any(t_grid < 0):
-        raise ValueError("t_grid must be finite, sorted and nonnegative")
+    t_grid = _time_grid(t_grid)
     u0 = np.asarray(initial, complex)
     if u0.shape != (op.dim,):
         raise DimensionMismatch(f"initial state has shape {u0.shape}, operator needs ({op.dim},)")

@@ -474,8 +474,8 @@ class _ModalRecord:
     def spectrum(self) -> np.ndarray:
         if np.ndim(self.k) == 0 and self.k == 0:
             return _read_only(solve_dispersion(self.medium, 0.0)[None])
-        rows = self.rows
-        return certify(self.eig[0], rows.T[..., None])
+        rows = self.rows  # its refusals come before the eig
+        return certify(self.eig[0], rows)
 
     @cached_property
     def singular_set(self) -> np.ndarray:

@@ -7,19 +7,21 @@ stack: q_j = i^j c_j / (i^n c_n) is exactly real (multiplying by 1, i, -1 or
 symmetry and raises RootFindingFailure).  The balanced real companion matrix
 of q gives first guesses in exact conjugate pairs, then ``_newton`` runs five
 damped Newton steps on q (a step longer than 1 + |root| is skipped), so the
-roots w = i s are closed under w -> -conj(w) bit for bit.  Given guesses (the
-mirror-closed roots of a nearby row), the same Newton steps start from them
-instead; a row keeps the result only when every root has converged to
-rounding (backward error <= 16 u, and a last Newton step whose quadratic
-remainder lies inside the root's rounding ball) and pairwise disjoint
-Weierstrass disks prove it the whole root set.  The other rows go through the
-companion matrix as before.  ``_guessed_roots`` is that solve with a given
-number of Newton steps, for starts closer than a nearby row's roots, and
-reports which rows kept their guesses.  ``companion_roots`` deflates the exact
-origin roots of one polynomial (the dispersion polynomial at k = 0 has two)
-and hands the rest to the same core.  ``certified_root_near`` finds only the
-root nearest a start point, by the same damped Newton steps from that point,
-and reports per row whether a Rouché exclusion disk proves it is that root.
+roots w = i s are closed under w -> -conj(w) bit for bit.  That companion
+solve is the only one.  ``_guessed_roots`` starts a given number of the same
+Newton steps from guesses instead (mirror-closed roots of a nearby row, or a
+prediction from them); a row keeps the result only when every root has
+converged to rounding (backward error <= 16 u, and a last Newton step whose
+quadratic remainder lies inside the root's rounding ball) and pairwise
+disjoint Weierstrass disks prove it the whole root set.  It reports which
+rows kept their guesses and sends the others through ``certified_roots``.
+Every entry takes the (m, n+1) rows of ascending coefficients; the (n+1, m, 1)
+coefficient columns that Newton and the certificates broadcast over are built
+here alone.  ``companion_roots`` deflates the exact origin roots of one
+polynomial (the dispersion polynomial at k = 0 has two) and hands the rest to
+the same companion solve.  ``certified_root_near`` finds only the root
+nearest a start point, by the same damped Newton steps from that point, and
+reports per row whether a Rouché exclusion disk proves it is that root.
 Every root must pass a backward-error residual certificate (the same in s as
 in w) before it is returned or settled; ``certify`` is that gate for roots
 found elsewhere (the eigenvalues of the u_+ operator).
@@ -114,34 +116,14 @@ def _isolated(roots: np.ndarray, step: np.ndarray, coeffs: np.ndarray) -> np.nda
     return np.all(converged & settled & np.all(apart, axis=2), axis=1)
 
 
-def certified_roots(rows: np.ndarray, guesses: np.ndarray | None = None) -> np.ndarray:
-    """Roots of every row of an (m, n+1) stack of ascending coefficients.
+def _monic(rows: np.ndarray) -> np.ndarray:
+    """The monic q(s) = p(i s) / (i^n c_n) of each (m, n+1) row, complex but exactly real.
 
-    Each row must have degree n >= 1 (nonzero last entry) and roots closed
-    under w -> -conj(w).  Returns the (m, n) refined roots; raises
-    DegenerateLeadingCoefficient for a zero last entry, and
-    RootFindingFailure when a row lacks that symmetry or any root fails the
-    certificate |p(r)| / sum |c_i||r|^i < RESIDUAL_TOL.
-
-    guesses, an (m, n) stack of rows closed under w -> -conj(w) (the roots
-    of a nearby row, say), replaces the companion eigenvalues as Newton's
-    start.  A row keeps its guessed roots only if ``_isolated`` proves them
-    all n roots, converged to rounding; every other row is solved from its
-    companion matrix, exactly as without guesses, and certified.  A kept
-    row's certificate is ``_isolated``'s backward error <= GUESS_TOL = 16 u,
-    the same quotient far below RESIDUAL_TOL, so it is not evaluated again.
-    """
-    return _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
-
-
-def _guessed_roots(rows: np.ndarray, guesses: np.ndarray | None, steps: int):
-    """(roots, kept): ``certified_roots(rows, guesses)``, taking steps Newton steps from the guesses.
-
-    kept marks the rows that kept their guessed roots, each root in its
-    guess's position; without guesses it is all False.
+    Raises DegenerateLeadingCoefficient for a zero last entry, and
+    RootFindingFailure when a row lacks the w -> -conj(w) symmetry.
     """
     rows = np.asarray(rows, dtype=complex)
-    m, n = rows.shape[0], rows.shape[1] - 1
+    n = rows.shape[1] - 1
     degenerate = np.flatnonzero(rows[:, -1] == 0)
     if degenerate.size:
         raise DegenerateLeadingCoefficient(f"row {degenerate[0]} has a zero leading coefficient")
@@ -149,30 +131,54 @@ def _guessed_roots(rows: np.ndarray, guesses: np.ndarray | None, steps: int):
     q = q / q[:, -1:]
     if np.any(q.imag != 0):
         raise RootFindingFailure("w -> -conj(w) symmetry missing: p(i s) is not real")
+    return q
+
+
+def certified_roots(rows: np.ndarray) -> np.ndarray:
+    """Roots of every row of an (m, n+1) stack of ascending coefficients.
+
+    Each row must have degree n >= 1 (nonzero last entry) and roots closed
+    under w -> -conj(w).  Returns the (m, n) roots of the companion solve,
+    refined by Newton; raises DegenerateLeadingCoefficient for a zero last
+    entry, and RootFindingFailure when a row lacks that symmetry or any root
+    fails the certificate |p(r)| / sum |c_i||r|^i < RESIDUAL_TOL.
+    """
+    q = _monic(rows)
+    # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
+    return 1j * certify(_companion_newton(q.real, q.T[:, :, None]), q).conj()
+
+
+def _guessed_roots(rows: np.ndarray, guesses: np.ndarray, steps: int):
+    """(roots, kept): the roots of rows as ``certified_roots`` returns them, started from guesses.
+
+    guesses, an (m, n) stack of rows closed under w -> -conj(w) (the roots
+    of a nearby row, say), replaces the companion eigenvalues as the start of
+    steps damped Newton steps.  A row keeps its guessed roots, each in its
+    guess's position, only if ``_isolated`` proves them all n roots,
+    converged to rounding; kept marks those rows, and every other row is
+    solved by ``certified_roots``.  A kept row's certificate is
+    ``_isolated``'s backward error <= GUESS_TOL = 16 u, the same quotient far
+    below RESIDUAL_TOL, so it is not evaluated again.
+    """
+    q = _monic(rows)
     # (n+1, m, 1) columns, complex so Horner never casts; each broadcasts over a row's roots
     coeffs = q.T[:, :, None]
-
-    if guesses is None:
-        roots = certify(_companion_newton(q.real, coeffs), coeffs)
-        kept = np.zeros(m, dtype=bool)
-    else:
-        roots = np.empty((m, n), dtype=complex)
-        w = np.asarray(guesses, dtype=complex)
-        roots.real, roots.imag = w.imag, w.real  # s = i conj(w), the inverse of the output map
-        with np.errstate(all="ignore"):  # a non-finite or duplicated guess fails _isolated
-            before = _newton(coeffs, roots, steps - 1)
-            roots = _newton(coeffs, before, 1)
-            kept = _isolated(roots, roots - before, coeffs)
-        if not kept.all():
-            columns = coeffs[:, ~kept]
-            roots[~kept] = certify(_companion_newton(q.real[~kept], columns), columns)
-    # the mirror of i s: Re w > 0 first per pair, +0.0 on the axis
-    return 1j * roots.conj(), kept
+    roots = np.empty((len(q), q.shape[1] - 1), dtype=complex)
+    w = np.asarray(guesses, dtype=complex)
+    roots.real, roots.imag = w.imag, w.real  # s = i conj(w), the inverse of the output map
+    with np.errstate(all="ignore"):  # a non-finite or duplicated guess fails _isolated
+        before = _newton(coeffs, roots, steps - 1)
+        roots = _newton(coeffs, before, 1)
+        kept = _isolated(roots, roots - before, coeffs)
+    roots = 1j * roots.conj()
+    if not kept.all():
+        roots[~kept] = certified_roots(rows[~kept])
+    return roots, kept
 
 
-def certify(roots: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """roots if |p(r)| / sum |c_i||r|^i <= RESIDUAL_TOL for each (coeffs as _backward_errors)."""
-    errs = _backward_errors(roots, coeffs)
+def certify(roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """roots if |p(r)| / sum |c_i||r|^i <= RESIDUAL_TOL for each root r of each (m, n+1) row."""
+    errs = _backward_errors(roots, rows.T[..., None])
     if np.any(errs > RESIDUAL_TOL):
         raise RootFindingFailure(
             f"root residual certificate failed: max backward error {errs.max():.3e}"

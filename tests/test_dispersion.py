@@ -30,7 +30,13 @@ from lorentzmodes.errors import (
     UnclassifiableBranch,
 )
 from lorentzmodes.operators import build_perp_operator
-from lorentzmodes.polyroots import certified_root_near, certified_roots, companion_roots
+from lorentzmodes.polyroots import (
+    NEWTON_STEPS,
+    _guessed_roots,
+    certified_root_near,
+    certified_roots,
+    companion_roots,
+)
 
 
 class TestPolynomial:
@@ -128,6 +134,16 @@ class TestSolve:
         assert issubclass(InvalidWavenumber, LorentzModesError)
         assert issubclass(InvalidWavenumber, ValueError)
 
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3, 1, 1)])
+    def test_wavenumber_of_more_than_one_dimension_refused_typed(self, reference_medium, shape):
+        with pytest.raises(InvalidWavenumber, match=re.escape(f"a 1-D array, got shape {shape}")):
+            dsp.solve_dispersion(reference_medium, np.ones(shape))
+
+    @pytest.mark.parametrize("density", [0, 0.5, -1, np.nan])
+    def test_grid_density_below_one_refused(self, reference_medium, density):
+        with pytest.raises(ValueError, match="points_per_decade must be at least 1"):
+            dsp.default_k_grid(reference_medium, density)
+
 
 class TestCertifiedRootNear:
     # (z - 1)(z + 1)(z - 3i), ascending
@@ -166,14 +182,14 @@ class TestCertifiedRootNear:
 
 
 def _rotated_columns(rows):
-    """The monic real q(s) = p(i s) of each row as certified_roots' (n+1, m, 1) columns."""
+    """The monic real q(s) = p(i s) of each row as polyroots' (n+1, m, 1) Newton columns."""
     n = rows.shape[1] - 1
     q = rows * np.array([1, 1j, -1, -1j])[np.arange(n + 1) % 4]
     return (q / q[:, -1:]).T[:, :, None]
 
 
 class TestGuessedRoots:
-    """Guessed certified_roots keeps a certified row and solves any other row as without guesses."""
+    """_guessed_roots keeps a certified row and solves any other row by certified_roots."""
 
     @pytest.fixture
     def rows(self, reference_medium):
@@ -182,7 +198,7 @@ class TestGuessedRoots:
     def _assert_falls_back(self, rows, guesses):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = certified_roots(rows, guesses=guesses)
+            got = _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
         np.testing.assert_array_equal(got, certified_roots(rows))
 
     def test_good_guesses_are_kept(self, monkeypatch, reference_medium, rows):
@@ -192,7 +208,7 @@ class TestGuessedRoots:
             raise AssertionError("a guessed row reached the companion solve")
 
         monkeypatch.setattr(polyroots.np.linalg, "eigvals", no_companion)
-        got = certified_roots(rows, guesses=guesses)
+        got = _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
         for row, r in zip(rows, got):
             np.testing.assert_array_equal(np.sort_complex(r), np.sort_complex(-np.conj(r)))
             backward = np.abs(polyval(r, row)) / polyval(np.abs(r), np.abs(row))
@@ -259,8 +275,9 @@ class TestGuessedRoots:
     def test_only_the_uncertified_row_falls_back(self, reference_medium, rows):
         guesses = dsp.solve_dispersion(reference_medium, np.array([1.01, 2.02]))
         guesses[1] = np.nan
-        got = certified_roots(rows, guesses=guesses)
-        np.testing.assert_array_equal(got[0], certified_roots(rows[:1], guesses=guesses[:1])[0])
+        got = _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
+        first = _guessed_roots(rows[:1], guesses[:1], NEWTON_STEPS)[0]
+        np.testing.assert_array_equal(got[0], first[0])
         np.testing.assert_array_equal(got[1], certified_roots(rows)[1])
 
 
@@ -325,7 +342,7 @@ def _first_form_isolated(roots, step, coeffs):
 
 
 def _first_form_guessed_roots(rows, guesses):
-    """(roots, kept) of guessed ``certified_roots`` with the first-form certificate
+    """(roots, kept) of ``_guessed_roots`` with the first-form certificate
     and a ``certify`` pass over every row, kept or not."""
     coeffs = _rotated_columns(np.asarray(rows, dtype=complex))
     q = coeffs[:, :, 0].T
@@ -338,12 +355,12 @@ def _first_form_guessed_roots(rows, guesses):
         kept = _first_form_isolated(roots, roots - before, coeffs)
     if not kept.all():
         roots[~kept] = polyroots._companion_newton(q.real[~kept], coeffs[:, ~kept])
-    polyroots.certify(roots, coeffs)
+    polyroots.certify(roots, q)
     return 1j * roots.conj(), kept
 
 
 def _kept_and_roots(rows, guesses):
-    """(kept, roots) of guessed ``certified_roots``, kept as ``_isolated`` reported it."""
+    """(kept, roots) of ``_guessed_roots``, kept as ``_isolated`` reported it."""
     reported = []
     isolated = polyroots._isolated
 
@@ -353,7 +370,7 @@ def _kept_and_roots(rows, guesses):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyroots, "_isolated", recording)
-        roots = certified_roots(rows, guesses=guesses)
+        roots = _guessed_roots(rows, guesses, NEWTON_STEPS)[0]
     (kept,) = reported
     return kept, roots
 
@@ -403,7 +420,7 @@ class TestCertificateAgainstFirstForm:
         with pytest.raises(RootFindingFailure) as expected:
             _first_form_guessed_roots(rows, guesses)
         with pytest.raises(RootFindingFailure) as got:
-            certified_roots(rows, guesses=guesses)
+            _guessed_roots(rows, guesses, NEWTON_STEPS)
         assert str(got.value) == str(expected.value)
         assert "max backward error" in str(got.value)
 
@@ -555,15 +572,16 @@ class TestTracking:
             assert np.all(np.abs(row - nearest) <= 1e-12 * np.abs(nearest))
 
     def test_companion_solve_takes_every_eighth_row(self, monkeypatch, reference_medium):
+        # the anchors' companion solve, and no guessed row falls back to it
         stacked_rows = []
-        solve = dsp.solve_dispersion
+        solve = certified_roots
 
-        def counting(medium, k):
-            if np.ndim(k) == 1:
-                stacked_rows.append(len(k))
-            return solve(medium, k)
+        def counting(rows):
+            stacked_rows.append(len(rows))
+            return solve(rows)
 
-        monkeypatch.setattr(dsp, "solve_dispersion", counting)
+        monkeypatch.setattr(dsp, "certified_roots", counting)
+        monkeypatch.setattr(polyroots, "certified_roots", counting)
         grid = dsp.default_k_grid(reference_medium)
         dsp.track_branches(reference_medium, grid)
         assert len(grid) == 1201
@@ -621,10 +639,14 @@ class TestTracking:
     def test_batched_order_is_clear_only_without_contest_or_near_tie(self):
         prev = np.array([[0.0, 1.0, 5.0], [0.0, 0.1, 5.0], [0.0, 1.0, 5.0]], dtype=complex)
         new = np.array([[0.01, 1.01, 5.01], [0.05, 4.9, 9.0], [0.52, 1.01, 5.01]], dtype=complex)
-        order, clear = dsp._nearest(prev, new)
-        # row 1: two roots claim the same neighbour; row 2: 0 lies almost midway
-        assert clear.tolist() == [True, False, False]
+        order, unique = dsp._nearest(prev, new)
+        # row 1: two roots claim the same neighbour; row 2: 0 lies almost midway, a
+        # near tie that only the step control refuses
+        assert unique.tolist() == [True, False, True]
         np.testing.assert_array_equal(order[0], _reference_match(prev[0], new[0]))
+        _, collides, safe = dsp._step(prev, new)
+        assert not collides.any()
+        assert safe.tolist() == [True, False, False]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -639,8 +661,9 @@ class TestTracking:
         offset = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
         prev = new[near] + np.array([complex(*o) for o in data.draw(
             st.lists(offset, min_size=n, max_size=n))])
-        _, clear = dsp._nearest(prev, new)
-        assume(not clear)
+        _, unique = dsp._nearest(prev, new)
+        nearest_two = np.sort(np.abs(prev[:, None] - new[None, :]), axis=1)[:, :2]
+        assume(not unique or np.any(nearest_two[:, 1] < 2.0 * nearest_two[:, 0]))
         _, collides, safe = dsp._step(prev, new)
         assert not collides and not safe
         optimal = scipy.optimize.linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
@@ -765,10 +788,13 @@ class TestTracking:
 
 
 def _greedy_step(prev, new):
-    """``dsp._step`` as the full greedy test: ``_nearest`` on every row."""
+    """``dsp._step`` as the full greedy test: ``_nearest`` on every row, and a near tie
+    (second distance below twice the first) refused before the step control."""
     d = dsp._pairwise(new)
     collides = dsp._collides(new, d)
-    order, clear = dsp._nearest(prev, new)
+    order, unique = dsp._nearest(prev, new)
+    part = np.partition(np.abs(prev[..., :, None] - new[..., None, :]), 1, axis=-1)
+    clear = unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
     return order, collides, clear & ~collides & dsp._steady(prev, new, order, d)
 
 
@@ -1148,6 +1174,18 @@ class TestAsymptoticVerification:
             # nor is a regime a branch label
             with pytest.raises(ValueError, match=f"not a branch label: '{regime}'"):
                 dsp.expansion(regime, table)
+
+    @pytest.mark.parametrize("regime, pick", [
+        ("hf", [-1]), ("hf", [-1, -1]), ("hf", [600, -1, -1, -1]), ("lf", [0, 0, 0, 600]),
+    ])
+    def test_fewer_than_two_distinct_fitted_probes_refused(
+        self, reference_branches, reference_medium, regime, pick
+    ):
+        # one probe, or a repeated one, among the 3 fitted extremes leaves no slope to fit
+        table = reference_medium.asymptotic_coefficients()
+        b = next(x for x in reference_branches if isinstance(x.hf_label, dsp.PlusInf))
+        with pytest.raises(ValueError, match="needs two distinct probe wavenumbers"):
+            dsp.verify_asymptotics(b, table, b.k[pick], regime=regime)
 
     def test_probe_off_the_grid_refused(self, reference_branches, reference_medium):
         b = next(x for x in reference_branches if isinstance(x.hf_label, dsp.PlusInf))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
+from lorentzmodes import polyroots
 from lorentzmodes.errors import (
     ExponentMismatch,
     InvalidWavenumber,
@@ -215,6 +216,8 @@ class TestBranchEigenvalue:
         for k in (np.nan, np.array([1.0, np.nan])):
             with pytest.raises(InvalidWavenumber, match="k = nan"):
                 en.branch_eigenvalue(reference_medium, dsp.PlusInf(), k)
+        with pytest.raises(InvalidWavenumber, match=r"got shape \(2, 2\)"):
+            en.branch_eigenvalue(reference_medium, dsp.PlusInf(), np.ones((2, 2)))
 
     def test_few_rows_reach_the_full_solve(self, reference_medium, critical_medium, monkeypatch):
         # counts rows, times nothing
@@ -297,8 +300,9 @@ class TestProfiles:
     def test_power_law_band(self):
         with pytest.raises(ValueError):
             en.power_law(0.0, 2.0, 1.0)
-        with pytest.raises(ValueError, match="exponent must be nonnegative"):
-            en.power_law(-0.5, 0.1, 1.0)
+        for p in (-0.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="exponent must be nonnegative"):
+                en.power_law(p, 0.1, 1.0)
         prof = en.power_law(2.0, 0.1, 1.0)
         assert prof(0.5) == pytest.approx(0.25)
 
@@ -362,6 +366,24 @@ class TestGammaHF:
             en.verify_gamma_hf(undamped_medium, 1.0)
         with pytest.raises(ExponentMismatch, match="no dissipation reaches the low band"):
             en.verify_gamma_lf(undamped_medium, 0.0)
+
+    @pytest.mark.parametrize("band, param", [
+        ("hf", 0.0), ("hf", -1.0), ("hf", np.nan), ("hf", np.inf), ("lf", np.nan), ("lf", np.inf),
+    ])
+    def test_run_parameter_refused_before_any_evaluation(
+        self, reference_medium, reference_bands, monkeypatch, band, param
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached a root solve")
+
+        monkeypatch.setattr(polyroots, "_newton", unreachable)
+        monkeypatch.setattr(en, "branch_eigenvalue", unreachable)
+        if band == "hf":
+            with pytest.raises(ValueError, match=f"m must be finite and positive, got m={param}"):
+                en.verify_gamma_hf(reference_medium, param)
+        else:
+            with pytest.raises(ValueError, match=f"nonnegative and finite, got p={param}"):
+                en.verify_gamma_lf(reference_medium, param, reference_bands[0])
 
     def test_energy_times_target_power_bounded(self, hf_report_reference):
         # upper-bound side: E(t) * t^m stays bounded on the fit window
@@ -527,6 +549,21 @@ class TestEnergyRuns:
     def test_unknown_direction_rule_refused(self, reference_medium):
         with pytest.raises(ValueError, match="unknown direction rule 'random'"):
             en.simulate_energy(reference_medium, en.power_law(0.0, 0.1, 1.0), "random", [0.0])
+
+    @pytest.mark.parametrize("t", [[], [np.nan], [0.0, np.inf], [1.0, 0.0], [-1.0, 0.0]])
+    def test_bad_time_grid_refused_before_any_evaluation(self, reference_medium, monkeypatch, t):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused time grid reached an evaluation")
+
+        monkeypatch.setattr(en, "branch_eigenvalue", unreachable)
+        monkeypatch.setattr(en, "_propagated_traces", unreachable)
+        profile = en.power_law(0.0, 0.1, 1.0)
+        for rule in (en.OptimalBranch(dsp.Zero0(1)), en.FixedRandomUnit(0)):
+            with pytest.raises(ValueError, match="t_grid must"):
+                en.simulate_energy(reference_medium, profile, rule, t)
+        if not t:
+            with pytest.raises(ValueError, match="t_grid must hold at least one time"):
+                en.convergence_to_zero(reference_medium, t)
 
     def test_undamped_energy_constant(self, undamped_medium):
         profile = en.power_law(0.0, 0.3, 0.7)  # real-axis crossings avoided
