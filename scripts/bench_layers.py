@@ -38,9 +38,13 @@ five library functions wrapped to count its work on one grid exactly:
 ``guessed_newton_steps`` (Newton steps summed over guessed rows),
 ``nearest_rows`` (step rows sent through the nearest-neighbour search) and
 ``compositions`` (safe steps whose order was composed with the running
-permutation, ``order[i][perm]``).  Counts do not depend on the machine, so
-every round must read the same ones, and a per-layer gain is read from a
-count that fell.
+permutation, ``order[i][perm]``).  It also runs ``exponent`` once more,
+untimed, counting ``branch_rows`` (wavenumbers sent to
+``energy.branch_eigenvalue``, the branch root solve) and ``trace_entries``
+(entries of the closed-form traces exp(2 Im omega t), the ``np.exp`` results
+of the ``energy`` module).  Counts do not depend on the machine, so every
+round must read the same ones, and a per-layer gain is read from a count that
+fell.
 With ``--against``, each round times both sources, one process after the
 other and first one then the other first, so a drift in the machine's speed
 lands on both alike; each layer's ratio is the median over the rounds of the
@@ -205,8 +209,42 @@ def track_counts(track) -> dict:
     return {**counts, "compositions": _CountedOrder.composed}
 
 
+class _CountedExp:
+    """numpy as the energy module sees it, with ``exp`` counting the entries it returns."""
+
+    def __init__(self):
+        self.entries = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        out = np.exp(x)
+        self.entries += out.size
+        return out
+
+
+def exponent_counts(exponent, args) -> dict:
+    """Exact work counts of one call of the exponent layer: branch-root rows and trace entries."""
+    from lorentzmodes import energy
+
+    rows = []
+    branch, counted_np = energy.branch_eigenvalue, _CountedExp()
+
+    def branch_eigenvalue(medium, label, k):
+        rows.append(np.size(k))
+        return branch(medium, label, k)
+
+    try:
+        energy.branch_eigenvalue, energy.np = branch_eigenvalue, counted_np
+        exponent(*args)
+    finally:
+        energy.branch_eigenvalue, energy.np = branch, np
+    return {"branch_rows": sum(rows), "trace_entries": counted_np.entries}
+
+
 def time_layers(lm, medium) -> tuple[dict, dict]:
-    """({layer: microseconds per call} of one round after one untimed round, track counts)."""
+    """({layer: microseconds per call} of one round after one untimed round, work counts)."""
     ks = np.geomspace(0.05, 20.0, CALLS)
     nudge = itertools.count(1)
     todo = layers(lm, medium)
@@ -219,12 +257,15 @@ def time_layers(lm, medium) -> tuple[dict, dict]:
                 t0 = time.thread_time_ns()
                 call(*args)
                 spent[name] += time.thread_time_ns() - t0
-    track = next(call for name, _, call in todo if name == "track")
-    return {name: ns / CALLS / 1e3 for name, ns in spent.items()}, track_counts(track)
+    calls = {name: (prepare, call) for name, prepare, call in todo}
+    prepare, exponent = calls["exponent"]
+    counts = {"track": track_counts(calls["track"][1]),
+              "exponent": exponent_counts(exponent, prepare(float(ks[0])))}
+    return {name: ns / CALLS / 1e3 for name, ns in spent.items()}, counts
 
 
 def one_round(src: str) -> dict:
-    """{medium size: (layer timings, track counts)} for one round on the lorentzmodes in src."""
+    """{medium size: (layer timings, work counts)} for one round on the lorentzmodes in src."""
     sys.path.insert(0, src)
     import lorentzmodes as lm
 
@@ -259,10 +300,10 @@ def main():
             for size, data in MEDIA.items()
         }
 
-    def counts(side):
-        per_round = [{size: rnd[side][size][1] for size in MEDIA} for rnd in rounds]
+    def counts(side, layer):
+        per_round = [{size: rnd[side][size][1][layer] for size in MEDIA} for rnd in rounds]
         if any(c != per_round[0] for c in per_round):
-            raise RuntimeError(f"track counts differ between rounds: {per_round}")
+            raise RuntimeError(f"{layer} counts differ between rounds: {per_round}")
         return per_round[0]
 
     import scipy
@@ -275,13 +316,17 @@ def main():
         "scipy": scipy.__version__,
         "malloc": MALLOC,
         "media": best(0),
-        "track_counts": counts(0),
+        "track_counts": counts(0, "track"),
+        "exponent_counts": counts(0, "exponent"),
     }
-    print(json.dumps(record["media"]), json.dumps(record["track_counts"]), flush=True)
+    print(json.dumps(record["media"]), json.dumps(record["track_counts"]),
+          json.dumps(record["exponent_counts"]), flush=True)
     if args.against:
         record["against"] = best(1)
-        record["against_track_counts"] = counts(1)
-        print("against", json.dumps(record["against_track_counts"]), flush=True)
+        record["against_track_counts"] = counts(1, "track")
+        record["against_exponent_counts"] = counts(1, "exponent")
+        print("against", json.dumps(record["against_track_counts"]),
+              json.dumps(record["against_exponent_counts"]), flush=True)
 
         def spread(size, layer):
             per_round = [rnd[0][size][0][layer] / rnd[1][size][0][layer] for rnd in rounds]

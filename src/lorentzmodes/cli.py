@@ -262,8 +262,8 @@ def cmd_projectors(args) -> int:
     rows = []
     for b in branches:
         for regime, band in (
-            ("hf", np.geomspace(k_plus, min(100 * k_plus, b.k[-1]), n_samples)),
-            ("lf", np.geomspace(max(k_minus / 100, b.k[0]), k_minus, n_samples)),
+            ("hf", disp._log_points(k_plus, min(100 * k_plus, b.k[-1]), n_samples)),
+            ("lf", disp._log_points(max(k_minus / 100, b.k[0]), k_minus, n_samples)),
         ):
             label = f"{b.label_text()}:{regime}"
             for k, norm, residual in projector_norm_sweep(medium, b, band):

@@ -214,10 +214,26 @@ def solve_dispersion(medium: LorentzMedium, k) -> np.ndarray:
     return roots[0] if scalar else roots
 
 
+def _log_points(lo: float, hi: float, n: int) -> np.ndarray:
+    """n log-spaced points from lo to hi, bit for bit those of np.geomspace.
+
+    It is numpy's own arithmetic for positive endpoints, 10**linspace(log10 lo,
+    log10 hi, n) with the endpoints pinned, without geomspace's sign and dtype
+    handling.  A non-positive endpoint raises ValueError.
+    """
+    if not (lo > 0 and hi > 0):
+        raise ValueError(f"log-spaced points need positive endpoints, got {lo:g} and {hi:g}")
+    points = 10.0 ** np.linspace(np.log10(lo), np.log10(hi), n)
+    points[0] = lo
+    if n > 1:
+        points[-1] = hi
+    return points
+
+
 def _log_grid(k_min: float, k_max: float, points_per_decade: int) -> np.ndarray:
     """Log-spaced grid from k_min to k_max at the given density."""
     n = max(2, int(round(points_per_decade * math.log10(k_max / k_min))) + 1)
-    return np.geomspace(k_min, k_max, n)
+    return _log_points(k_min, k_max, n)
 
 
 def default_k_grid(medium: LorentzMedium, points_per_decade: int = 200) -> np.ndarray:

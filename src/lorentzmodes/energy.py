@@ -4,8 +4,10 @@ The squared norm of the solution is a radial integral of per-wavenumber decay
 traces against an initial radial profile.  Composite Gauss-Legendre panels
 (log-spaced edges, plain Gauss nodes inside each panel) integrate it; the
 number of panels doubles until the energy at the final time settles.  The
-first test always needs the n- and the 2n-panel rule, so one stacked
-evaluation over both rules' nodes serves it; each later rule takes its own.
+first test reads the n-panel rule at the final time alone and the 2n-panel
+rule, which it may accept, at every time; one stacked evaluation over both
+rules' nodes serves it, with the n-panel traces taken at t_max only.  Each
+later rule takes an evaluation of its own.
 
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
 trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
@@ -25,7 +27,8 @@ datum's Sobolev slack is fixed at SOBOLEV_SLACK.  A run's energy samples come
 back as a DecayRecord (t_grid, energy and the panel count of the accepted
 rule), its fit as a GammaReport that also names the run (``tag``).
 ``fit_exponent`` takes the samples themselves, so the CLI fits a CSV with no
-record.
+record: the closed-form least-squares slope of log E over centred log t, on
+samples whose t strictly increases and whose t and E are finite.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dispersion import Zero0, _decay_law, _log_grid, _slowest_hf_branch, _solvable_rows, expansion
+from .dispersion import Zero0, _decay_law, _log_grid, _log_points, _slowest_hf_branch
+from .dispersion import _solvable_rows, expansion
 from .dispersion import solve_dispersion
 from .errors import (
     ExponentMismatch,
@@ -168,7 +172,7 @@ _LEGENDRE_X.flags.writeable = _LEGENDRE_W.flags.writeable = False
 
 def gauss_panels(k_min: float, k_max: float, n_panels: int):
     """Nodes and weights: log-spaced panel edges, NODES_PER_PANEL Gauss-Legendre nodes in each."""
-    edges = np.geomspace(k_min, k_max, n_panels + 1)[:, None]
+    edges = _log_points(k_min, k_max, n_panels + 1)[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = half * _LEGENDRE_X + 0.5 * (edges[:-1] + edges[1:])
     return nodes.ravel(), (half * _LEGENDRE_W).ravel()
@@ -185,12 +189,14 @@ def simulate_energy(
     Panels double from one per decade of the band until the final-time
     energies of two successive rules agree to QUAD_TOL; the first two rules
     (n and 2n panels) are evaluated in one stacked call over both rules'
-    nodes, each later rule in one call of its own.  An OptimalBranch datum is
-    an eigenvector, so its trace is the closed form exp(2 Im omega(k) t),
-    with the omega of a call from one stacked ``branch_eigenvalue``:
-    certified Newton on the branch root alone, the full root solve only for
-    the nodes Newton leaves unsettled.  A FixedRandomUnit datum is
-    propagated through one stacked N x N eigendecomposition per call.  A
+    nodes, each later rule in one call of its own.  The first test reads the
+    n-panel rule at t_max alone, so that rule's traces are taken there only.
+    An OptimalBranch datum is an eigenvector, so its trace is the closed form
+    exp(2 Im omega(k) t), with the omega of a call from one stacked
+    ``branch_eigenvalue``: certified Newton on the branch root alone, the
+    full root solve only for the nodes Newton leaves unsettled.  A
+    FixedRandomUnit datum is propagated through one stacked N x N
+    eigendecomposition per call, whose n-panel rows are read at t_max.  A
     t_grid that ``propagate`` refuses, or an empty one, raises ValueError
     before any evaluation.
     """
@@ -199,35 +205,42 @@ def simulate_energy(
         raise ValueError("t_grid must hold at least one time")
     if isinstance(direction_rule, OptimalBranch):
 
-        def rule_traces(ks):
-            omega = branch_eigenvalue(medium, direction_rule.label, ks)
-            return np.exp(2.0 * np.outer(omega.imag, t_grid))
+        def rule_traces(ks, n_coarse):
+            rate = 2.0 * branch_eigenvalue(medium, direction_rule.label, ks).imag
+            return (np.exp(np.multiply.outer(rate[:n_coarse], t_grid[-1:])),
+                    np.exp(np.multiply.outer(rate[n_coarse:], t_grid)))
 
     elif isinstance(direction_rule, FixedRandomUnit):
 
-        def rule_traces(ks):
-            return _propagated_traces(medium, direction_rule, ks, t_grid)
+        def rule_traces(ks, n_coarse):
+            traces = _propagated_traces(medium, direction_rule, ks, t_grid)
+            return traces[:n_coarse, -1:], traces[n_coarse:]
 
     else:
         raise ValueError(f"unknown direction rule {direction_rule!r}")
 
-    def rule_energies(*panel_counts):
-        """E(t) of each panel rule, from one rule_traces call over all their nodes."""
-        rules = [gauss_panels(profile.k_min, profile.k_max, n) for n in panel_counts]
+    def rule_energies(n_panels, coarse_panels=0):
+        """E(t_max) of the coarse rule (none for 0 panels) and E(t) of the n-panel rule.
+
+        One rule_traces call covers both rules' nodes; the first n_coarse
+        traces, the coarse rule's, are read at t_max alone.
+        """
+        counts = (coarse_panels, n_panels) if coarse_panels else (n_panels,)
+        rules = [gauss_panels(profile.k_min, profile.k_max, n) for n in counts]
         ks, ws = (np.concatenate(part) for part in zip(*rules))
-        split = np.cumsum([len(nodes) for nodes, _ in rules[:-1]])
-        weights = np.split(ws * ks**2 * profile(ks) ** 2, split)
-        traces = np.split(rule_traces(ks), split)
+        n_coarse = len(ks) - len(rules[-1][0])
+        weights = np.split(ws * ks**2 * profile(ks) ** 2, [n_coarse])
+        traces = rule_traces(ks, n_coarse)
         return [4.0 * math.pi * np.einsum("i,ij->j", w, tr) for w, tr in zip(weights, traces)]
 
     decades = max(math.log10(profile.k_max / profile.k_min), 0.3)
     n_panels = max(1, int(math.ceil(decades)))
-    # the first test needs the n- and the 2n-panel rule either way: one call evaluates both
-    coarse, energy = rule_energies(n_panels, 2 * n_panels)
+    # the first test needs the n-panel rule at t_max and the 2n-panel rule: one call for both
+    coarse, energy = rule_energies(2 * n_panels, n_panels)
     for doubling in range(MAX_PANEL_DOUBLINGS):
         n_panels *= 2
         if doubling:
-            coarse, (energy,) = energy, rule_energies(n_panels)
+            coarse, (_, energy) = energy, rule_energies(n_panels)
         ref = float(coarse[-1])
         if abs(float(energy[-1]) - ref) <= QUAD_TOL * abs(ref):
             return DecayRecord(t_grid=t_grid, energy=energy, panels=n_panels)
@@ -240,23 +253,34 @@ def simulate_energy(
 def fit_exponent(t_grid: np.ndarray, energy: np.ndarray, window: tuple[float, float]):
     """Least-squares power-law exponent of the energy samples E(t) on the time window.
 
-    Returns (gamma, confidence) where the confidence is the largest deviation
-    of local two-point slopes from the global slope.  A window starting below
-    FIT_T_MIN, fewer than 3 samples inside it or a nonpositive energy there
-    raises WindowTooShort; monotone local-slope drift beyond 0.3 means the
-    decay is not a power law (NonPolynomialDecay).
+    Returns (gamma, confidence): gamma is minus the least-squares slope of
+    log E against log t, in closed form over centred log t, and the confidence
+    is the largest deviation of local two-point slopes from that slope.  A
+    window starting below FIT_T_MIN, fewer than 3 samples inside it, a sample
+    inside it whose t or energy is not finite or whose t does not increase
+    past the one before it (the first such sample is named), or a nonpositive
+    energy there raises WindowTooShort; monotone local-slope drift beyond 0.3
+    means the decay is not a power law (NonPolynomialDecay).
     """
     t_lo, t_hi = window
     if t_lo < FIT_T_MIN * (1 - 1e-12):
         raise WindowTooShort("fit window must start inside the asymptotic regime")
-    sel = (t_grid >= t_lo) & (t_grid <= t_hi)
-    t, e = t_grid[sel], energy[sel]
+    (inside,) = np.nonzero((t_grid >= t_lo) & (t_grid <= t_hi))
+    t, e = t_grid[inside], energy[inside]
     if len(t) < 3:
         raise WindowTooShort(f"only {len(t)} samples inside {window}")
+    finite = np.isfinite(t) & np.isfinite(e)
+    fits = finite & np.append(True, t[1:] > t[:-1])
+    if not np.all(fits):
+        i = int(np.argmin(fits))
+        why = "is not finite" if not finite[i] else f"does not increase past t={t[i - 1]:g}"
+        where = f"sample {inside[i]} (t={t[i]:g}, energy={e[i]:g}) inside the fit window"
+        raise WindowTooShort(f"{where} {why}")
     if np.any(e <= 0):
         raise WindowTooShort("energy vanished inside the fit window")
     logt, loge = np.log(t), np.log(e)
-    slope = np.polyfit(logt, loge, 1)[0]
+    x = logt - logt.mean()
+    slope = (x @ (loge - loge.mean())) / (x @ x)
     local = np.diff(loge) / np.diff(logt)
     drift = local[-1] - local[0]
     monotone = np.all(np.diff(local) >= -1e-12) or np.all(np.diff(local) <= 1e-12)

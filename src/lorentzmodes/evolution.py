@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dispersion import _slowest_hf_branch, solve_dispersion
+from .dispersion import _log_points, _slowest_hf_branch, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
 from .operators import PerpOperator, _ModalRecord
@@ -138,7 +138,7 @@ def midband_rate(
         raise ValueError("mid band must start at a positive wavenumber")
     if samples < 1:
         raise ValueError(f"mid band needs at least 1 sample, got samples={samples}")
-    ks = np.geomspace(k_lo, k_hi, samples)
+    ks = _log_points(k_lo, k_hi, samples)
     # slowest modal rate over the sampled band: minus the spectral abscissa
     abscissa = -float(np.max(solve_dispersion(medium, ks).imag))
     if abscissa <= 0:

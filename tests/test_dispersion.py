@@ -145,6 +145,55 @@ class TestSolve:
             dsp.default_k_grid(reference_medium, density)
 
 
+
+def _log_point_cases(case, request):
+    """(lo, hi, n) of every log-spaced grid the library builds for ``case``."""
+    reference = request.getfixturevalue("reference_medium")
+    k_minus, k_plus = reference.diagnosed_bands
+    grid = dsp.default_k_grid(reference)
+    if case == "default k grids":
+        media = ("reference_medium", "critical_medium", "double_pole_medium", "wide_medium")
+        grids = [dsp.default_k_grid(request.getfixturevalue(name)) for name in media]
+        return [(g[0], g[-1], len(g)) for g in grids]
+    if case == "exponent time grids":
+        from lorentzmodes import energy as en
+
+        critical, wide = (request.getfixturevalue(n) for n in ("critical_medium", "wide_medium"))
+        runs = [en.verify_gamma_lf(reference, p) for p in (0.0, 1.0, 2.0)]
+        runs += [en.verify_gamma_hf(m, 2.0) for m in (reference, critical, wide)]
+        runs.append(en.verify_gamma_lf(wide, 0.0))
+        return [(r.record.t_grid[0], r.record.t_grid[-1], len(r.record.t_grid)) for r in runs]
+    if case == "panel edges":
+        bands = [(k_minus / 1e3, k_minus), (k_plus, 1e3 * k_plus)]
+        return [(lo, hi, n + 1) for lo, hi in bands for n in range(1, 17)]
+    if case == "one point":
+        return [(k_minus, k_plus, 1), (2.0, 2.0, 1)]
+    if case == "projector sweeps":  # cli.cmd_projectors, default and one sample
+        return [(lo, hi, n) for n in (12, 1) for lo, hi in (
+            (k_plus, min(100 * k_plus, grid[-1])), (max(k_minus / 100, grid[0]), k_minus))]
+    assert case == "midband samples"  # evolution.midband_rate
+    return [(k_minus, k_plus, 16), (0.5, 5.0, 12), (0.5, 5.0, 20), (0.8, 2.0, 8)]
+
+
+class TestLogPoints:
+    @pytest.mark.parametrize("case", [
+        "default k grids", "exponent time grids", "panel edges", "one point",
+        "projector sweeps", "midband samples",
+    ])
+    def test_bit_identical_to_geomspace(self, case, request):
+        cases = _log_point_cases(case, request)
+        assert cases
+        for lo, hi, n in cases:
+            points = dsp._log_points(lo, hi, n)
+            assert points.dtype == np.float64
+            assert np.array_equal(points, np.geomspace(lo, hi, n)), (lo, hi, n)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, np.nan)])
+    def test_non_positive_endpoint_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="log-spaced points need positive endpoints"):
+            dsp._log_points(lo, hi, 5)
+
+
 class TestCertifiedRootNear:
     # (z - 1)(z + 1)(z - 3i), ascending
     CUBIC = np.array([3j, -1.0, -3j, 1.0])

@@ -58,35 +58,54 @@ class TestQuadratureEngine:
 class TestPanelDoubling:
     """Which panel rules simulate_energy evaluates, and in how many stacked calls."""
 
-    def test_first_two_rules_share_one_call(self, reference_medium, reference_bands, monkeypatch):
-        rows, profiles = [], []
-        branch, simulate = en.branch_eigenvalue, en.simulate_energy
+    def test_first_two_rules_share_one_call(self, request, monkeypatch):
+        runs = [
+            ("reference_medium", lambda m: en.verify_gamma_lf(m, 0.0).record),
+            ("reference_medium", lambda m: en.verify_gamma_hf(m, 2.0).record),
+            ("critical_medium", lambda m: en.verify_gamma_hf(m, 2.0).record),
+            ("reference_medium", lambda m: en.convergence_to_zero(m, np.geomspace(1.0, 3e4, 25))),
+        ]
+        rows, calls = [], []
+        branch, propagated = en.branch_eigenvalue, en._propagated_traces
+        simulate = en.simulate_energy
 
-        def counted(medium, label, k):
+        def counted_branch(medium, label, k):
             rows.append(np.size(k))
             return branch(medium, label, k)
 
-        def recorded(medium, profile, *args, **kwargs):
-            profiles.append(profile)
-            return simulate(medium, profile, *args, **kwargs)
+        def counted_propagated(medium, rule, ks, t_grid):
+            rows.append(len(ks))
+            return propagated(medium, rule, ks, t_grid)
 
-        monkeypatch.setattr(en, "branch_eigenvalue", counted)
+        def recorded(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(en, "branch_eigenvalue", counted_branch)
+        monkeypatch.setattr(en, "_propagated_traces", counted_propagated)
         monkeypatch.setattr(en, "simulate_energy", recorded)
-        record = en.verify_gamma_lf(reference_medium, 0.0, k_minus=reference_bands[0]).record
-        (profile,) = profiles
-        n = math.ceil(math.log10(profile.k_max / profile.k_min))  # one panel per decade
-        assert rows == [3 * n * en.NODES_PER_PANEL]
-        assert record.panels == 2 * n
+        for name, run in runs:
+            medium = request.getfixturevalue(name)
+            rows.clear()
+            calls.clear()
+            record = run(medium)
+            ((_, profile, rule, _),) = calls
+            n = math.ceil(math.log10(profile.k_max / profile.k_min))  # one panel per decade
+            assert rows == [3 * n * en.NODES_PER_PANEL]
+            assert record.panels == 2 * n
 
-        energies = []
-        for panels in (n, 2 * n):
-            ks, ws = en.gauss_panels(profile.k_min, profile.k_max, panels)
-            omega = branch(reference_medium, dsp.Zero0(1), ks)
-            traces = np.exp(2.0 * np.outer(omega.imag, record.t_grid))
-            weights = ws * ks**2 * profile(ks) ** 2
-            energies.append(4.0 * math.pi * np.einsum("i,ij->j", weights, traces))
-        assert np.array_equal(record.energy, energies[1])
-        assert abs(energies[1][-1] - energies[0][-1]) <= en.QUAD_TOL * abs(energies[0][-1])
+            energies = []
+            for panels in (n, 2 * n):
+                ks, ws = en.gauss_panels(profile.k_min, profile.k_max, panels)
+                if isinstance(rule, en.OptimalBranch):
+                    omega = branch(medium, rule.label, ks)
+                    traces = np.exp(2.0 * np.outer(omega.imag, record.t_grid))
+                else:
+                    traces = propagated(medium, rule, ks, record.t_grid)
+                weights = ws * ks**2 * profile(ks) ** 2
+                energies.append(4.0 * math.pi * np.einsum("i,ij->j", weights, traces))
+            assert np.array_equal(record.energy, energies[1])
+            assert abs(energies[1][-1] - energies[0][-1]) <= en.QUAD_TOL * abs(energies[0][-1])
 
     def test_unsettled_run_evaluates_each_rule_once(
         self, reference_medium, reference_bands, monkeypatch
@@ -335,6 +354,35 @@ class TestFitExponent:
             en.fit_exponent(t, energy, (1.0, 1e4))  # starts before the asymptotic regime
         with pytest.raises(WindowTooShort, match="energy vanished inside the fit window"):
             en.fit_exponent(t, np.where(t > 1e3, 0.0, energy), (1e2, 1e4))
+
+    def test_closed_form_slope_matches_polyfit(self, request):
+        # np.polyfit's least squares is the reference; the closed form sums in another order
+        names = ("lf_report_p0", "lf_report_p2", "hf_report_reference", "hf_report_critical")
+        for report in map(request.getfixturevalue, names):
+            t, energy = report.record.t_grid, report.record.energy
+            inside = (t >= report.window[0]) & (t <= report.window[1])
+            slope = np.polyfit(np.log(t[inside]), np.log(energy[inside]), 1)[0]
+            assert abs(report.fitted + slope) <= 1e-12, report.tag
+
+    def test_times_that_do_not_increase_refused(self):
+        t, energy = np.array([100.0, 100.0, 100.0]), np.array([1.0, 0.5, 0.25])
+        why = r"^sample 1 \(t=100, energy=0.5\) inside the fit window does not increase past t=100$"
+        with pytest.raises(WindowTooShort, match=why):
+            en.fit_exponent(t, energy, (100, 1000))
+
+    @pytest.mark.parametrize("where", ["energy nan", "energy inf", "t inf"])
+    def test_non_finite_sample_refused(self, where):
+        t = np.geomspace(1.0, 1e4, 81)
+        energy = t**-2.0
+        if where == "t inf":
+            t, energy = np.append(t, np.inf), np.append(energy, 1e-9)
+            window, bad = (1e2, np.inf), 81
+        else:
+            energy[60:] = float(where.split()[1])
+            window, bad = (1e2, 1e4), 60
+        why = rf"^sample {bad} \(t=.*\) inside the fit window is not finite$"
+        with pytest.raises(WindowTooShort, match=why):
+            en.fit_exponent(t, energy, window)
 
 
 class TestGammaLF:
