@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Reproduce the optimal polynomial energy-decay exponents.
 
-Runs the low-band fits for p = 0, 1, 2 on the reference medium and the
-high-band fit for m = 2 on the reference, critical and double-pole media of
-``configs/``, and prints a comparison table against the predicted exponents
-(p + 3/2, and m or m/2).  The double-pole medium is weakly dissipative and
+Runs the low-band exponent runs for p = 0, 1, 2 on the reference medium and
+the high-band run for m = 2 on the reference, critical and double-pole media
+of ``configs/``, and prints each reported exponent (-t E'/E at t_max, less the
+datum's Sobolev slack) against the predicted one (p + 3/2, and m or m/2).  The double-pole medium is weakly dissipative and
 non-critical: its high-band run measures the slow branch at the undamped pole.
 """
 

@@ -3,7 +3,7 @@
 Build a medium, inspect its pole/zero structure, solve and track the
 dispersion relation, assemble the reduced wave operator with its spectral
 projectors, propagate per-wavenumber states, and reproduce the polynomial
-energy-decay exponents by radial quadrature and power-law fitting.
+energy-decay exponents by radial quadrature, read as -t E'/E at the final time.
 """
 
 from .medium import (

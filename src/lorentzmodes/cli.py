@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-points", type=int, default=None)
     p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("energy", help="energy decay run with exponent fit")
+    p = sub.add_parser("energy", help="energy decay run and its exponent -t E'/E at t_max")
     common(p)
     p.add_argument("--band", choices=("lf", "hf"), default=None)
     p.add_argument("--p", type=float, default=None, help="low-band profile power")

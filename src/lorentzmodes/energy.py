@@ -1,4 +1,4 @@
-"""Radial Plancherel quadrature of the total energy and polynomial decay fits.
+"""Radial Plancherel quadrature of the total energy, its decay exponent, power-law fits.
 
 The squared norm of the solution is a radial integral of per-wavenumber decay
 traces against an initial radial profile.  Composite Gauss-Legendre panels
@@ -14,21 +14,24 @@ trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
 branch's root at each node: Newton from the branch's asymptotic anchor, with
 a Rouché certificate that it is the root nearest the anchor.  The rare node
 it leaves unsettled (near a band edge) takes the full stacked root solve.  No
-operator, eigendecomposition or propagation is involved.  A fixed random
-direction costs one stacked u_+ eigendecomposition per evaluation.
+operator, eigendecomposition or propagation is involved.  The accepted rule's
+exponent -t E'/E at t_max is exact too: the energy-weighted mean of
+-2 Im omega t_max over its nodes.  A fixed random direction costs one stacked
+u_+ eigendecomposition per evaluation and has no such exponent.
 
 ``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run, on the
 branch whose decay law exp(-sigma k^p t) is read off the expansion that anchors
 the Newton solves (``dispersion._decay_law``): Zero0(1) in the low band, and in
 the high band the slowest of PlusInf and the real poles' fans, from an onset
 past the wavenumber k_cross where that law overtakes the branch's next lossy
-term.  A band edge not given defaults to ``medium.diagnosed_bands``; the hf
-datum's Sobolev slack is fixed at SOBOLEV_SLACK.  A run's energy samples come
-back as a DecayRecord (t_grid, energy and the panel count of the accepted
-rule), its fit as a GammaReport that also names the run (``tag``).
-``fit_exponent`` takes the samples themselves, so the CLI fits a CSV with no
-record: the closed-form least-squares slope of log E over centred log t, on
-samples whose t strictly increases and whose t and E are finite.
+term; the onset sets t_max.  A band edge not given defaults to
+``medium.diagnosed_bands``; the hf datum's Sobolev slack is fixed at
+SOBOLEV_SLACK, and its share of the exponent is subtracted.  A run's energy
+samples come back as a DecayRecord (t_grid, energy, panel count and exponent
+of the accepted rule), inside a GammaReport that also names the run (``tag``).
+``fit_exponent`` fits a CSV for the CLI, with no record: the closed-form
+least-squares slope of log E over centred log t, on samples whose t strictly
+increases and whose t and E are finite.
 """
 
 from __future__ import annotations
@@ -40,14 +43,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dispersion import Zero0, _decay_law, _log_grid, _log_points, _slowest_hf_branch
-from .dispersion import _solvable_rows, expansion
-from .dispersion import solve_dispersion
-from .errors import (
-    ExponentMismatch,
-    NonPolynomialDecay,
-    QuadratureNonconvergent,
-    WindowTooShort,
-)
+from .dispersion import _solvable_rows, expansion, solve_dispersion
+from .errors import ExponentMismatch, NonPolynomialDecay, QuadratureNonconvergent, WindowTooShort
 from .evolution import _time_grid
 from .medium import LorentzMedium
 from .operators import _modal_norms
@@ -63,7 +60,7 @@ MAX_PANEL_DOUBLINGS = 8
 #: construction slack eps above the sharp Sobolev tail exponent: s = 3/2 + m + eps
 SOBOLEV_SLACK = 0.1
 
-#: relative tolerance of a fitted exponent against its target
+#: relative tolerance of a reported exponent against its target
 GAMMA_TOL = 0.10
 
 #: earliest time a fit window may start: the asymptotic regime of every exponent run
@@ -163,6 +160,7 @@ class DecayRecord:
     t_grid: np.ndarray
     energy: np.ndarray
     panels: int
+    exponent: Optional[float]  # -t E'/E at t_max of a closed-form trace; None when propagated
 
 
 #: Gauss-Legendre nodes and weights on [-1, 1], shared by every panel rule
@@ -188,15 +186,13 @@ def simulate_energy(
 
     Panels double from one per decade of the band until the final-time
     energies of two successive rules agree to QUAD_TOL; the first two rules
-    (n and 2n panels) are evaluated in one stacked call over both rules'
-    nodes, each later rule in one call of its own.  The first test reads the
-    n-panel rule at t_max alone, so that rule's traces are taken there only.
-    An OptimalBranch datum is an eigenvector, so its trace is the closed form
-    exp(2 Im omega(k) t), with the omega of a call from one stacked
-    ``branch_eigenvalue``: certified Newton on the branch root alone, the
-    full root solve only for the nodes Newton leaves unsettled.  A
+    (n and 2n panels) share one stacked call, the n-panel rule read at t_max
+    alone, and each later rule takes one call of its own.  An OptimalBranch
+    datum is an eigenvector, so its trace is the closed form
+    exp(2 Im omega(k) t), from one stacked ``branch_eigenvalue`` per call, and
+    the record's exponent is the accepted rule's -t E'/E at t_max.  A
     FixedRandomUnit datum is propagated through one stacked N x N
-    eigendecomposition per call, whose n-panel rows are read at t_max.  A
+    eigendecomposition per call, and its record has no exponent (None).  A
     t_grid that ``propagate`` refuses, or an empty one, raises ValueError
     before any evaluation.
     """
@@ -208,19 +204,19 @@ def simulate_energy(
         def rule_traces(ks, n_coarse):
             rate = 2.0 * branch_eigenvalue(medium, direction_rule.label, ks).imag
             return (np.exp(np.multiply.outer(rate[:n_coarse], t_grid[-1:])),
-                    np.exp(np.multiply.outer(rate[n_coarse:], t_grid)))
+                    np.exp(np.multiply.outer(rate[n_coarse:], t_grid)), rate[n_coarse:])
 
     elif isinstance(direction_rule, FixedRandomUnit):
 
         def rule_traces(ks, n_coarse):
             traces = _propagated_traces(medium, direction_rule, ks, t_grid)
-            return traces[:n_coarse, -1:], traces[n_coarse:]
+            return traces[:n_coarse, -1:], traces[n_coarse:], None
 
     else:
         raise ValueError(f"unknown direction rule {direction_rule!r}")
 
     def rule_energies(n_panels, coarse_panels=0):
-        """E(t_max) of the coarse rule (none for 0 panels) and E(t) of the n-panel rule.
+        """E(t_max) of the coarse rule (none for 0 panels), E(t) and -t E'/E(t_max) of the n-panel rule.
 
         One rule_traces call covers both rules' nodes; the first n_coarse
         traces, the coarse rule's, are read at t_max alone.
@@ -230,20 +226,24 @@ def simulate_energy(
         ks, ws = (np.concatenate(part) for part in zip(*rules))
         n_coarse = len(ks) - len(rules[-1][0])
         weights = np.split(ws * ks**2 * profile(ks) ** 2, [n_coarse])
-        traces = rule_traces(ks, n_coarse)
-        return [4.0 * math.pi * np.einsum("i,ij->j", w, tr) for w, tr in zip(weights, traces)]
+        *traces, rate = rule_traces(ks, n_coarse)
+        coarse, energy = (4.0 * math.pi * np.einsum("i,ij->j", w, tr) for w, tr in zip(weights, traces))
+        if rate is None:
+            return coarse, energy, None
+        e_prime = 4.0 * math.pi * float((weights[1] * rate) @ traces[1][:, -1])  # E'(t_max)
+        return coarse, energy, -t_grid[-1] * e_prime / energy[-1] if energy[-1] else math.nan
 
     decades = max(math.log10(profile.k_max / profile.k_min), 0.3)
     n_panels = max(1, int(math.ceil(decades)))
     # the first test needs the n-panel rule at t_max and the 2n-panel rule: one call for both
-    coarse, energy = rule_energies(2 * n_panels, n_panels)
+    coarse, energy, exponent = rule_energies(2 * n_panels, n_panels)
     for doubling in range(MAX_PANEL_DOUBLINGS):
         n_panels *= 2
         if doubling:
-            coarse, (_, energy) = energy, rule_energies(n_panels)
+            coarse, (_, energy, exponent) = energy, rule_energies(n_panels)
         ref = float(coarse[-1])
         if abs(float(energy[-1]) - ref) <= QUAD_TOL * abs(ref):
-            return DecayRecord(t_grid=t_grid, energy=energy, panels=n_panels)
+            return DecayRecord(t_grid, energy, n_panels, exponent)
     raise QuadratureNonconvergent(f"energy quadrature not settled after {n_panels} panels")
 
 
@@ -256,26 +256,27 @@ def fit_exponent(t_grid: np.ndarray, energy: np.ndarray, window: tuple[float, fl
     Returns (gamma, confidence): gamma is minus the least-squares slope of
     log E against log t, in closed form over centred log t, and the confidence
     is the largest deviation of local two-point slopes from that slope.  A
-    window starting below FIT_T_MIN, fewer than 3 samples inside it, a sample
-    inside it whose t or energy is not finite or whose t does not increase
-    past the one before it (the first such sample is named), or a nonpositive
-    energy there raises WindowTooShort; monotone local-slope drift beyond 0.3
-    means the decay is not a power law (NonPolynomialDecay).
+    window starting below FIT_T_MIN, a t anywhere in t_grid that is not
+    finite, a sample inside the window whose energy is not finite or whose t
+    does not increase past the one before it (the first such sample is
+    named), fewer than 3 samples inside it, or a nonpositive energy there
+    raises WindowTooShort; monotone local-slope drift beyond 0.3 means the
+    decay is not a power law (NonPolynomialDecay).
     """
     t_lo, t_hi = window
     if t_lo < FIT_T_MIN * (1 - 1e-12):
         raise WindowTooShort("fit window must start inside the asymptotic regime")
-    (inside,) = np.nonzero((t_grid >= t_lo) & (t_grid <= t_hi))
+    (inside,) = np.nonzero(~np.isfinite(t_grid) | ((t_grid >= t_lo) & (t_grid <= t_hi)))
     t, e = t_grid[inside], energy[inside]
-    if len(t) < 3:
-        raise WindowTooShort(f"only {len(t)} samples inside {window}")
     finite = np.isfinite(t) & np.isfinite(e)
     fits = finite & np.append(True, t[1:] > t[:-1])
     if not np.all(fits):
         i = int(np.argmin(fits))
         why = "is not finite" if not finite[i] else f"does not increase past t={t[i - 1]:g}"
-        where = f"sample {inside[i]} (t={t[i]:g}, energy={e[i]:g}) inside the fit window"
-        raise WindowTooShort(f"{where} {why}")
+        where = " inside the fit window" if np.isfinite(t[i]) else ""
+        raise WindowTooShort(f"sample {inside[i]} (t={t[i]:g}, energy={e[i]:g}){where} {why}")
+    if len(t) < 3:
+        raise WindowTooShort(f"only {len(t)} samples inside {window}")
     if np.any(e <= 0):
         raise WindowTooShort("energy vanished inside the fit window")
     logt, loge = np.log(t), np.log(e)
@@ -297,9 +298,8 @@ def fit_exponent(t_grid: np.ndarray, energy: np.ndarray, window: tuple[float, fl
 @dataclass
 class GammaReport:
     target: float
-    fitted: float
+    fitted: float  # the record's exponent less the datum's Sobolev slack
     record: DecayRecord
-    window: tuple[float, float]
     tag: str  # the run: lf(p=...) or hf(m=...,critical|non-critical)
 
     @property
@@ -311,26 +311,23 @@ class GammaReport:
         return (
             f"tag={self.tag} fitted_gamma={self.fitted:.4f} "
             f"target={self.target:.4f} tol={GAMMA_TOL:.0%} "
-            f"window=[{self.window[0]:g},{self.window[1]:g}] {status}\n"
-            "note: the fitted exponent certifies the constructed optimal family "
-            "up to fit tolerance; the theorem supremum is over all admissible data."
+            f"t_max={self.record.t_grid[-1]:g} {status}\n"
+            "note: the exponent -t E'/E at t_max certifies the constructed optimal family "
+            "up to that tolerance; the theorem supremum is over all admissible data."
         )
 
 
-def _exponent_run(medium, label, t_onset, profile_at, target, tag) -> GammaReport:
-    """Fit the energy decay of the ``label`` branch datum against its target exponent.
+def _exponent_run(medium, label, t_onset, profile_at, target, tag, slack=0.0) -> GammaReport:
+    """The ``label`` branch datum's exponent -t E'/E at t_max, less its ``slack``, against target.
 
     The run lasts t_max = max(1e4, 100 t_onset) on a log time grid from t = 1,
-    20 times per decade; the profile is built for that t_max, and the fit window
-    is (max(FIT_T_MIN, t_onset), t_max).  A fit off the target by more than
-    GAMMA_TOL raises ExponentMismatch with the report text.
+    20 times per decade; the profile is built for that t_max.  An exponent off
+    the target by more than GAMMA_TOL raises ExponentMismatch with the report text.
     """
     t_max = max(1e4, 100.0 * t_onset)
     t_grid = _log_grid(1.0, t_max, 20)
     record = simulate_energy(medium, profile_at(t_max), OptimalBranch(label), t_grid)
-    window = (max(FIT_T_MIN, t_onset), t_max)
-    fitted, _ = fit_exponent(record.t_grid, record.energy, window)
-    out = GammaReport(target, fitted, record, window, tag)
+    out = GammaReport(target, record.exponent - slack, record, tag)
     if not out.ok:
         raise ExponentMismatch(out.text())
     return out
@@ -346,8 +343,8 @@ def verify_gamma_hf(
     The initial datum follows the optimality construction: the eigenvector of
     the slowest high-band branch, decaying like exp(-sigma k^p t), under the
     sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2 with
-    eps = SOBOLEV_SLACK, so the observable exponent is -2(m + eps)/p up to fit
-    tolerance).  An m that is not finite and positive raises ValueError.
+    eps = SOBOLEV_SLACK, so the datum's exponent is -2(m + eps)/p, reported less
+    its slack -2 eps/p).  An m that is not finite and positive raises ValueError.
     """
     if not 0 < m < math.inf:
         raise ValueError(f"the Sobolev class m must be finite and positive, got m={m}")
@@ -365,7 +362,8 @@ def verify_gamma_hf(
     t_onset = (8.0 * max(k_plus, k_cross)) ** -p / sigma
     tag = f"hf(m={m:g},{'critical' if p == -4 else 'non-critical'})"  # the critical law is k^-4
     try:
-        return _exponent_run(medium, label, t_onset, profile_at, -2.0 * m / p, tag)
+        target, slack = -2.0 * m / p, -2.0 * SOBOLEV_SLACK / p
+        return _exponent_run(medium, label, t_onset, profile_at, target, tag, slack)
     except QuadratureNonconvergent as err:
         where = f"k_cross={k_cross:g} (t_onset={t_onset:g})"
         raise QuadratureNonconvergent(f"{err} on the hf branch {label}, {where}") from err

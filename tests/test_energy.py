@@ -94,18 +94,24 @@ class TestPanelDoubling:
             assert rows == [3 * n * en.NODES_PER_PANEL]
             assert record.panels == 2 * n
 
-            energies = []
+            energies, exponent = [], None
             for panels in (n, 2 * n):
                 ks, ws = en.gauss_panels(profile.k_min, profile.k_max, panels)
+                weights = ws * ks**2 * profile(ks) ** 2
                 if isinstance(rule, en.OptimalBranch):
-                    omega = branch(medium, rule.label, ks)
-                    traces = np.exp(2.0 * np.outer(omega.imag, record.t_grid))
+                    rate = 2.0 * branch(medium, rule.label, ks).imag
+                    traces = np.exp(np.outer(rate, record.t_grid))
+                    last = weights * traces[:, -1]  # the accepted rule's is the one kept
+                    exponent = -record.t_grid[-1] * np.sum(rate * last) / np.sum(last)
                 else:
                     traces = propagated(medium, rule, ks, record.t_grid)
-                weights = ws * ks**2 * profile(ks) ** 2
                 energies.append(4.0 * math.pi * np.einsum("i,ij->j", weights, traces))
             assert np.array_equal(record.energy, energies[1])
             assert abs(energies[1][-1] - energies[0][-1]) <= en.QUAD_TOL * abs(energies[0][-1])
+            if exponent is None:
+                assert record.exponent is None
+            else:
+                assert record.exponent == pytest.approx(exponent, rel=1e-12, abs=0)
 
     def test_unsettled_run_evaluates_each_rule_once(
         self, reference_medium, reference_bands, monkeypatch
@@ -356,13 +362,15 @@ class TestFitExponent:
             en.fit_exponent(t, np.where(t > 1e3, 0.0, energy), (1e2, 1e4))
 
     def test_closed_form_slope_matches_polyfit(self, request):
-        # np.polyfit's least squares is the reference; the closed form sums in another order
+        # np.polyfit's least squares is the reference; the closed form sums in another order.
+        # Each record is fitted over its last two decades, (t_max/100, t_max).
         names = ("lf_report_p0", "lf_report_p2", "hf_report_reference", "hf_report_critical")
         for report in map(request.getfixturevalue, names):
             t, energy = report.record.t_grid, report.record.energy
-            inside = (t >= report.window[0]) & (t <= report.window[1])
+            gamma, _ = en.fit_exponent(t, energy, (t[-1] / 100, t[-1]))
+            inside = t >= t[-1] / 100
             slope = np.polyfit(np.log(t[inside]), np.log(energy[inside]), 1)[0]
-            assert abs(report.fitted + slope) <= 1e-12, report.tag
+            assert abs(gamma + slope) <= 1e-12, report.tag
 
     def test_times_that_do_not_increase_refused(self):
         t, energy = np.array([100.0, 100.0, 100.0]), np.array([1.0, 0.5, 0.25])
@@ -376,13 +384,23 @@ class TestFitExponent:
         energy = t**-2.0
         if where == "t inf":
             t, energy = np.append(t, np.inf), np.append(energy, 1e-9)
-            window, bad = (1e2, np.inf), 81
+            window, bad, place = (1e2, np.inf), 81, ""  # a t that is not finite is in no window
         else:
             energy[60:] = float(where.split()[1])
-            window, bad = (1e2, 1e4), 60
-        why = rf"^sample {bad} \(t=.*\) inside the fit window is not finite$"
+            window, bad, place = (1e2, 1e4), 60, " inside the fit window"
+        why = rf"^sample {bad} \(t=.*\){place} is not finite$"
         with pytest.raises(WindowTooShort, match=why):
             en.fit_exponent(t, energy, window)
+
+    @pytest.mark.parametrize("t, bad", [
+        ([100.0, np.nan, 200.0, 400.0, 800.0], r"1 \(t=nan, energy=nan\)"),  # between window samples
+        ([100.0, 200.0, 400.0, 800.0, np.inf], r"4 \(t=inf, energy=0\)"),  # past the window
+        ([-np.inf, 100.0, 200.0, 400.0, 800.0], r"0 \(t=-inf, energy=0\)"),  # before it
+    ])
+    def test_non_finite_time_anywhere_refused(self, t, bad):
+        t = np.array(t)
+        with pytest.raises(WindowTooShort, match=rf"^sample {bad} is not finite$"):
+            en.fit_exponent(t, t**-2, (100, 1000))
 
 
 class TestGammaLF:
@@ -434,10 +452,9 @@ class TestGammaHF:
                 en.verify_gamma_lf(reference_medium, param, reference_bands[0])
 
     def test_energy_times_target_power_bounded(self, hf_report_reference):
-        # upper-bound side: E(t) * t^m stays bounded on the fit window
+        # upper-bound side: E(t) * t^m stays bounded over the run's last two decades
         rec = hf_report_reference.record
-        lo, hi = hf_report_reference.window
-        sel = (rec.t_grid >= lo) & (rec.t_grid <= hi)
+        sel = rec.t_grid >= rec.t_grid[-1] / 100
         product = rec.energy[sel] * rec.t_grid[sel] ** 2.0
         assert product.max() <= 10.0 * product.min() + 1e-30
         assert product[-1] <= product[0]
@@ -500,7 +517,8 @@ class TestSlowestHighBandBranch:
         k_plus = ps_noncritical_medium.diagnosed_bands[1]
         assert isinstance(label, dsp.Pole) and k_cross > k_plus
         report = en.verify_gamma_hf(ps_noncritical_medium, 2.0)
-        assert report.window[0] == (8.0 * k_cross) ** 2 / sigma
+        # t_max = 100 t_onset, with the onset (8 k_cross)^2 / sigma
+        assert report.record.t_grid[-1] == 100.0 * ((8.0 * k_cross) ** 2 / sigma)
         assert report.tag == "hf(m=2,non-critical)"
 
     @pytest.mark.parametrize(
@@ -569,6 +587,53 @@ class TestExponentMismatch:
     def test_default_tolerance_in_the_report(self, lf_report_p0):
         assert lf_report_p0.ok
         assert "tol=10% " in lf_report_p0.text()
+        assert f" t_max={lf_report_p0.record.t_grid[-1]:g} ok\n" in lf_report_p0.text()
+
+
+class TestDecayExponent:
+    """DecayRecord.exponent, -t E'/E at t_max of the accepted rule, and the table it reports."""
+
+    @pytest.mark.parametrize("band", ["lf", "hf"])
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium"])
+    def test_matches_the_log_derivative_of_the_same_call(self, name, band, request, monkeypatch):
+        medium = request.getfixturevalue(name)
+        calls, simulate = [], en.simulate_energy
+
+        def recorded(*args):
+            calls.append(args)
+            return simulate(*args)
+
+        monkeypatch.setattr(en, "simulate_energy", recorded)
+        en.verify_gamma_lf(medium, 0.0) if band == "lf" else en.verify_gamma_hf(medium, 2.0)
+        ((_, profile, rule, t_grid),) = calls
+        h = 1e-3
+        record = simulate(medium, profile, rule, t_grid[-1] * np.exp([-2 * h, -h, 0.0]))
+        log_e = np.log(record.energy)
+        # second-order one-sided difference of log E against log t at t_max
+        expected = -(3 * log_e[2] - 4 * log_e[1] + log_e[0]) / (2 * h)
+        assert abs(record.exponent - expected) <= 1e-6
+
+    def test_propagated_record_has_none(self, reference_medium):
+        assert en.convergence_to_zero(reference_medium, [1.0, 10.0]).exponent is None
+
+    def test_vanished_energy_has_nan(self, reference_medium):
+        # every trace underflows at t_max: E(t_max) = 0 leaves -t E'/E undefined, with no warning
+        profile = en.power_law(0.0, 10.0, 100.0)
+        rule = en.OptimalBranch(dsp.PlusInf())
+        record = en.simulate_energy(reference_medium, profile, rule, [0.0, 1e12])
+        assert record.energy[-1] == 0.0 and math.isnan(record.exponent)
+
+    @pytest.mark.parametrize("name, band, param", [
+        (name, band, param)
+        for name in ("reference_medium", "critical_medium", "asymmetric_medium")
+        for band, params in (("lf", (0, 1, 2, 3)), ("hf", (1, 2, 3)))
+        for param in params
+    ] + [("double_pole_medium", "hf", 1)])  # its Sobolev slack alone is 10 % of the target
+    def test_table_within_a_hundredth_of_target(self, name, band, param, request):
+        medium = request.getfixturevalue(name)
+        run = en.verify_gamma_lf if band == "lf" else en.verify_gamma_hf
+        report = run(medium, float(param))
+        assert abs(report.fitted - report.target) <= 1e-2, report.text()
 
 
 class TestEnergyRuns:
