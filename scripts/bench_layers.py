@@ -40,9 +40,13 @@ five library functions wrapped to count its work on one grid exactly:
 ``compositions`` (safe steps whose order was composed with the running
 permutation, ``order[i][perm]``).  It also runs ``exponent`` once more,
 untimed, counting ``branch_rows`` (wavenumbers sent to
-``energy.branch_eigenvalue``, the branch root solve) and ``trace_entries``
-(entries of the closed-form traces exp(2 Im omega t), the ``np.exp`` results
-of the ``energy`` module).  Counts do not depend on the machine, so every
+``energy.branch_eigenvalue``, the branch root solve), ``fallback_rows`` (those
+of them whose Newton root ``certified_root_near`` leaves unsettled, which go
+through the full root solve) and ``trace_entries`` (entries of the
+closed-form traces exp(2 Im omega t), the ``np.exp`` results of the
+``energy`` module), and counts the same for one untimed
+``verify_gamma_hf(medium, 2)`` run (``exponent_hf``), its band edge from
+``medium.diagnosed_bands``.  Counts do not depend on the machine, so every
 round must read the same ones, and a per-layer gain is read from a count that
 fell.
 With ``--against``, each round times both sources, one process after the
@@ -99,6 +103,8 @@ MEDIA = {
     ),
 }
 T_GRID = np.linspace(0.0, 50.0, 201)
+#: the runs whose work is counted, each recorded under "<run>_counts"
+COUNTED = ("track", "exponent", "exponent_hf")
 
 
 def layers(lm, medium):
@@ -225,22 +231,30 @@ class _CountedExp:
 
 
 def exponent_counts(exponent, args) -> dict:
-    """Exact work counts of one call of the exponent layer: branch-root rows and trace entries."""
+    """Exact work counts of one exponent run: branch-root rows, fallback rows, trace entries."""
     from lorentzmodes import energy
 
-    rows = []
-    branch, counted_np = energy.branch_eigenvalue, _CountedExp()
+    rows, fallback = [], []
+    branch, near, counted_np = energy.branch_eigenvalue, energy.certified_root_near, _CountedExp()
 
     def branch_eigenvalue(medium, label, k):
         rows.append(np.size(k))
         return branch(medium, label, k)
 
+    def certified_root_near(stack, start):
+        roots, settled = near(stack, start)
+        fallback.append(int(np.count_nonzero(~settled)))
+        return roots, settled
+
     try:
         energy.branch_eigenvalue, energy.np = branch_eigenvalue, counted_np
+        energy.certified_root_near = certified_root_near
         exponent(*args)
     finally:
         energy.branch_eigenvalue, energy.np = branch, np
-    return {"branch_rows": sum(rows), "trace_entries": counted_np.entries}
+        energy.certified_root_near = near
+    return {"branch_rows": sum(rows), "fallback_rows": sum(fallback),
+            "trace_entries": counted_np.entries}
 
 
 def time_layers(lm, medium) -> tuple[dict, dict]:
@@ -260,7 +274,9 @@ def time_layers(lm, medium) -> tuple[dict, dict]:
     calls = {name: (prepare, call) for name, prepare, call in todo}
     prepare, exponent = calls["exponent"]
     counts = {"track": track_counts(calls["track"][1]),
-              "exponent": exponent_counts(exponent, prepare(float(ks[0])))}
+              "exponent": exponent_counts(exponent, prepare(float(ks[0]))),
+              "exponent_hf": exponent_counts(
+                  lm.verify_gamma_hf, (medium, 2.0, medium.diagnosed_bands[1]))}
     return {name: ns / CALLS / 1e3 for name, ns in spent.items()}, counts
 
 
@@ -316,17 +332,15 @@ def main():
         "scipy": scipy.__version__,
         "malloc": MALLOC,
         "media": best(0),
-        "track_counts": counts(0, "track"),
-        "exponent_counts": counts(0, "exponent"),
+        **{f"{layer}_counts": counts(0, layer) for layer in COUNTED},
     }
-    print(json.dumps(record["media"]), json.dumps(record["track_counts"]),
-          json.dumps(record["exponent_counts"]), flush=True)
+    print(json.dumps(record["media"]),
+          *(json.dumps(record[f"{layer}_counts"]) for layer in COUNTED), flush=True)
     if args.against:
         record["against"] = best(1)
-        record["against_track_counts"] = counts(1, "track")
-        record["against_exponent_counts"] = counts(1, "exponent")
-        print("against", json.dumps(record["against_track_counts"]),
-              json.dumps(record["against_exponent_counts"]), flush=True)
+        record.update({f"against_{layer}_counts": counts(1, layer) for layer in COUNTED})
+        print("against", *(json.dumps(record[f"against_{layer}_counts"]) for layer in COUNTED),
+              flush=True)
 
         def spread(size, layer):
             per_round = [rnd[0][size][0][layer] / rnd[1][size][0][layer] for rnd in rounds]

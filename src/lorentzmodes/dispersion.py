@@ -14,8 +14,9 @@ grid.  The grid's dispersion rows are built once: every eighth row goes
 through ``polyroots.certified_roots``, the one stacked companion solve, and
 each row in between through ``polyroots._guessed_roots``, certified Newton
 started at the secant through the two rows before it where both hold their
-roots in the same positions and at the roots of the row before it otherwise;
-a row Newton cannot certify goes through the same companion solve.  The
+roots in the same positions and no secant row of the chain has fallen back,
+and at the roots of the row before it otherwise; a row Newton cannot certify
+goes through the same companion solve.  The
 continuation checks and the asymptopia tests run as numpy passes over blocks
 of grid rows.  A row that passes the step control in its raw order needs no
 nearest-neighbour search and leaves the running permutation as it is; a
@@ -354,7 +355,10 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
     r1 + t (r1 - r0) in log k through its two predecessors, which then hold
     their roots in the same positions, so the secant is mirror-closed bit for
     bit, and takes NEWTON_STEPS - 2 steps; any other row starts from its
-    predecessor's roots and takes NEWTON_STEPS.
+    predecessor's roots and takes NEWTON_STEPS.  Once a secant row falls
+    back, every later row of its chain starts from its predecessor: on a
+    coarse grid the secant misses, and every other row of a chain would fall
+    back.
     """
     rows = _solvable_rows(medium, k_grid)
     log_k = np.log(k_grid)
@@ -364,9 +368,10 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
         block = anchors[start : start + _SOLVE_BLOCK]
         solved[block] = certified_roots(rows[block])
         secant = np.zeros(len(block), dtype=bool)  # the row before kept its guesses
+        fell = np.zeros(len(block), dtype=bool)  # a secant row of the chain fell back
         for _ in range(1, _ANCHOR_STRIDE):
             live = block + 1 < len(rows)
-            block, secant = block[live] + 1, secant[live]
+            block, secant, fell = block[live] + 1, secant[live], fell[live]
             kept = np.empty(len(block), dtype=bool)
             i = block[~secant]
             if i.size:
@@ -376,7 +381,8 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
                 t = (log_k[i] - log_k[i - 1]) / (log_k[i - 1] - log_k[i - 2])
                 guesses = solved[i - 1] + t[:, None] * (solved[i - 1] - solved[i - 2])
                 solved[i], kept[secant] = _guessed_roots(rows[i], guesses, NEWTON_STEPS - 2)
-            secant = kept
+            fell |= secant & ~kept
+            secant = kept & ~fell
     return solved
 
 

@@ -12,9 +12,10 @@ later rule takes an evaluation of its own.
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
 trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
 branch's root at each node: Newton from the branch's asymptotic anchor, with
-a Rouché certificate that it is the root nearest the anchor.  The rare node
-it leaves unsettled (near a band edge) takes the full stacked root solve.  No
-operator, eigendecomposition or propagation is involved.  The accepted rule's
+a Rouché certificate, taken about the Newton root, that it is the root
+nearest the anchor.  A node it leaves unsettled (none in the paper's exponent
+table) takes the full root solve of its dispersion row.  No operator,
+eigendecomposition or propagation is involved.  The accepted rule's
 exponent -t E'/E at t_max is exact too: the energy-weighted mean of
 -2 Im omega t_max over its nodes.  A fixed random direction costs one stacked
 u_+ eigendecomposition per evaluation and has no such exponent.
@@ -43,13 +44,14 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dispersion import Zero0, _decay_law, _log_grid, _log_points, _slowest_hf_branch
-from .dispersion import _solvable_rows, expansion, solve_dispersion
+from .dispersion import _solvable_rows, expansion
 from .errors import ExponentMismatch, NonPolynomialDecay, QuadratureNonconvergent, WindowTooShort
 from .evolution import _time_grid
 from .medium import LorentzMedium
 from .operators import _modal_norms
-from .polyroots import certified_root_near
-# unused here, kept because perfbench/spans.py wraps these three at these names
+from .polyroots import certified_root_near, certified_roots, companion_roots
+# unused here, kept because perfbench/spans.py wraps these four at these names
+from .dispersion import solve_dispersion  # noqa: F401
 from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
 from .evolution import propagate  # noqa: F401
 
@@ -129,8 +131,9 @@ def branch_eigenvalue(medium: LorentzMedium, label, k):
     table, for any label.  k must lie in the label's validity band.  A 1-D
     array of k gives one root per k (a scalar k is the one-row stack).  Each
     row runs Newton from its anchor; only the rows whose root is not
-    certified as the nearest one go through the full ``solve_dispersion`` and
-    keep its nearest root.
+    certified as the nearest one go through the full root solve of the same
+    rows (``certified_roots``; a scalar k = 0 deflates its two origin roots,
+    as ``solve_dispersion`` does) and keep its nearest root.
     """
     anchor, _ = expansion(label, medium.asymptotic_coefficients())
     scalar = np.ndim(k) == 0
@@ -140,7 +143,7 @@ def branch_eigenvalue(medium: LorentzMedium, label, k):
     roots, settled = certified_root_near(rows, start)
     if not np.all(settled):
         rest = ~settled
-        full = np.atleast_2d(solve_dispersion(medium, k if scalar else ks[rest]))
+        full = companion_roots(rows[0])[None] if scalar and k == 0 else certified_roots(rows[rest])
         pick = np.argmin(np.abs(full - start[rest, None]), axis=1)
         roots[rest] = full[np.arange(len(pick)), pick]
     return complex(roots[0]) if scalar else roots

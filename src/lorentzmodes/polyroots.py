@@ -21,13 +21,18 @@ here alone.  ``companion_roots`` deflates the exact origin roots of one
 polynomial (the dispersion polynomial at k = 0 has two) and hands the rest to
 the same companion solve.  ``certified_root_near`` finds only the root
 nearest a start point, by the same damped Newton steps from that point, and
-reports per row whether a Rouché exclusion disk proves it is that root.
+reports per row whether a Rouché test about the Newton root, with its Taylor
+coefficients and their rounding bounds from one binomial-matrix product,
+proves it is that root.
 Every root must pass a backward-error residual certificate (the same in s as
 in w) before it is returned or settled; ``certify`` is that gate for roots
 found elsewhere (the eigenvalues of the u_+ operator).
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -186,32 +191,64 @@ def certify(roots: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return roots
 
 
+@functools.lru_cache
+def _binomial(n: int) -> np.ndarray:
+    """The read-only (n+1, n+1) matrix of C(i, j) at row j, column i (0 for i < j)."""
+    out = np.array([[math.comb(i, j) for i in range(n + 1)] for j in range(n + 1)], dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def certified_root_near(rows: np.ndarray, start):
     """(roots, settled): the root of each row of an (m, n+1) stack nearest its start point.
 
     Runs the NEWTON_STEPS damped Newton steps of ``_newton`` on row i from
-    start[i].  Row i is settled when its root r passes the backward-error
-    certificate (RESIDUAL_TOL) and a Rouché test proves r the only
-    root in the disk D(a, R), a = start[i], R = 2|r - a|: with c_j the Taylor
-    coefficients of the row at a, |c_1| R > |c_0| + sum_{j>=2} |c_j| R^j.
-    Every other root then lies at least R from a, so r is the root nearest a.
-    An unsettled row's root is unchecked and must not be used.
+    a = start[i] to r, and certifies r at r itself.  The product of the
+    binomial matrix with the scaled coefficients c_i r^i gives the scaled
+    Taylor coefficients t_j = r^j p^(j)(r) / j!, t_0 = p(r); the same product
+    on |c_i||r|^i gives s_j, where s_0 is the backward-error denominator and
+    8 (n+1) u s_j (u = 2^-53) bounds the rounding of t_j and of the test
+    below.  With U_j = |t_j| + 8 (n+1) u s_j and L_1 = |t_1| - 8 (n+1) u s_1,
+    the Rouché test L_1 rho > U_0 + sum_{j>=2} U_j rho^j proves exactly one
+    root in the disk D(r, rho |r|).  Row i is settled when
+    - r passes the backward-error certificate |t_0| <= RESIDUAL_TOL s_0, and
+      Newton has converged to rounding: |t_0| <= 8 (n+1) u s_0;
+    - the test holds at delta = 2 U_0 / L_1, twice the rounding radius, so
+      the root z* it isolates has |z* - r| <= delta |r|;
+    - and at R = (2 |r - a| / |r| + delta)(1 + 8 (n+1) u), the factor
+      covering the rounding of R.  Every other root then lies farther from a
+      than R |r| - |r - a| >= |r - a| + delta |r| >= |z* - a|, so z* is the
+      root nearest a.
+    A row with r = 0 or a non-finite intermediate (a diverging row, scaled
+    powers that overflow) is unsettled.  An unsettled row's root is unchecked
+    and must not be used.
     """
     coeffs = np.ascontiguousarray(np.asarray(rows, dtype=complex).T)  # (n+1, m): c_j of every row
     a = np.asarray(start, dtype=complex).reshape(coeffs.shape[1])
     n = len(coeffs) - 1
-    with np.errstate(all="ignore"):  # a diverging row ends unsettled
+    with np.errstate(all="ignore"):  # a diverging or overflowing row ends unsettled
         roots = _newton(coeffs, a)
-        # Taylor coefficients at a by repeated synthetic division (Horner's shift)
-        taylor = coeffs.copy()
+        scaled = np.empty_like(coeffs)  # c_i r^i
+        scaled[0] = 1.0
         for i in range(n):
-            for j in range(n - 1, i - 1, -1):
-                taylor[j] += a * taylor[j + 1]
-        radius = np.maximum(2.0 * np.abs(roots - a), 1e-12 * (1.0 + np.abs(a)))
-        higher = radius**2 * polyval(radius, np.abs(taylor[2:]), tensor=False)
-        alone = np.abs(taylor[1]) * radius > np.abs(taylor[0]) + higher
-        errs = _backward_errors(roots, coeffs)
-    return roots, alone & (errs <= RESIDUAL_TOL)
+            np.multiply(scaled[i], roots, out=scaled[i + 1])
+        scaled *= coeffs
+        taylor = (_binomial(n) @ scaled.view(float)).view(complex)  # t_j
+        size = _binomial(n) @ np.abs(scaled)  # s_j
+        rounding = 8 * (n + 1) * UNIT_ROUNDOFF
+        slack = rounding * size
+        bound = np.abs(taylor)
+        lower = bound[1] - slack[1]  # L_1
+        bound += slack  # U_j
+        bound[1] = 0.0  # so that polyval gives U_0 + sum_{j>=2} U_j rho^j
+        delta = 2.0 * bound[0] / lower
+        rho = np.stack([delta, (2.0 * np.abs(roots - a) / np.abs(roots) + delta) * (1 + rounding)])
+        alone = np.all(lower * rho > polyval(rho, bound, tensor=False), axis=0)
+        finite = np.all(np.isfinite(size), axis=0) & np.all(np.isfinite(rho), axis=0)
+        residual = np.abs(taylor[0])
+        converged = (residual <= RESIDUAL_TOL * size[0]) & (residual <= slack[0])
+        settled = finite & (roots != 0) & (lower > 0) & converged & alone
+    return roots, settled
 
 
 def companion_roots(coeffs: np.ndarray) -> np.ndarray:

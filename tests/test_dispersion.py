@@ -194,6 +194,35 @@ class TestLogPoints:
             dsp._log_points(lo, hi, 5)
 
 
+#: damping / resonance range of each oscillator regime; near-critical damping
+#: (about twice the resonance) puts the two roots of its quadratic close together
+_DAMPING_REGIMES = {
+    "underdamped": (0.02, 1.5),
+    "overdamped": (2.0, 4.0),
+    "near_critical": (2.0 - 1e-3, 2.0 + 1e-3),
+    "lossless": (0.0, 0.0),
+}
+
+
+@st.composite
+def admissible_media(draw):
+    """Media of 1-4 electric and 0-3 magnetic oscillators that pass H1 and H2."""
+
+    def oscillator():
+        coupling, resonance = draw(st.floats(0.3, 1.5)), draw(st.floats(0.5, 5.0))
+        low, high = _DAMPING_REGIMES[draw(st.sampled_from(sorted(_DAMPING_REGIMES)))]
+        return coupling, resonance, resonance * draw(st.floats(low, high))
+
+    electric = [oscillator() for _ in range(draw(st.integers(1, 4)))]
+    magnetic = [oscillator() for _ in range(draw(st.integers(0, 3)))]
+    try:
+        medium = lm.new_medium(1.0, 1.0, electric, magnetic)
+        medium.require_assumptions()
+    except (DuplicateOscillator, AssumptionViolated):
+        assume(False)
+    return medium
+
+
 class TestCertifiedRootNear:
     # (z - 1)(z + 1)(z - 3i), ascending
     CUBIC = np.array([3j, -1.0, -3j, 1.0])
@@ -228,6 +257,47 @@ class TestCertifiedRootNear:
         nearest = full[np.arange(40), np.argmin(np.abs(full - start[:, None]), axis=1)]
         assert settled.any()
         np.testing.assert_allclose(roots[settled], nearest[settled], rtol=1e-13)
+
+    @pytest.mark.parametrize("name", ["reference_medium", "double_pole_medium"])
+    def test_start_on_the_root_settles(self, request, name):
+        # the disk about r shrinks to its rounding radius, where the disk about a vanished
+        medium = request.getfixturevalue(name)
+        k_minus, k_plus = medium.diagnosed_bands
+        ks = np.concatenate([np.geomspace(k_minus / 1e4, k_minus, 60),
+                             np.geomspace(k_plus, 1e3 * k_plus, 60)])
+        full = certified_roots(dsp.dispersion_polynomial(medium, ks))
+        n = full.shape[1]
+        rows = np.repeat(dsp.dispersion_polynomial(medium, ks), n, axis=0)
+        roots, settled = certified_root_near(rows, full.ravel())
+        assert settled.all()
+        nearest = np.argmin(np.abs(np.repeat(full, n, axis=0) - roots[:, None]), axis=1)
+        np.testing.assert_array_equal(nearest, np.tile(np.arange(n), len(ks)))
+
+    @given(admissible_media(), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_settled_root_is_nearest_the_start(self, medium, log_k, seed):
+        k = 10.0**log_k
+        try:
+            full = dsp.solve_dispersion(medium, k)
+        except LorentzModesError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        n, draws = len(full), 32
+        near = full[rng.integers(n, size=draws)]
+        spread = 10.0 ** rng.uniform(-8, 0, draws) * (1.0 + np.abs(near))
+        start = near + spread * (rng.uniform(-1, 1, draws) + 1j * rng.uniform(-1, 1, draws))
+        rows = np.repeat(dsp.dispersion_polynomial(medium, np.array([k])), draws, axis=0)
+        roots, settled = certified_root_near(rows, start)
+        for r, a in zip(roots[settled], start[settled]):
+            assert np.argmin(np.abs(full - a)) == np.argmin(np.abs(full - r))
+
+    def test_zero_or_overflowing_root_is_unsettled(self):
+        # z (z - 1)(z + 1) from 0; 1e280 (z - 1e10)(z - 1)(z + 1) from its root, whose
+        # scaled coefficient c_3 r^3 overflows
+        rows = np.array([[0.0, -1.0, 0.0, 1.0], [1e290, -1e280, -1e290, 1e280], self.CUBIC])
+        roots, settled = certified_root_near(rows, np.array([0.0, 1e10, 0.9]))
+        assert roots[0] == 0 and roots[1] == 1e10
+        assert settled.tolist() == [False, False, True]
 
 
 def _rotated_columns(rows):
@@ -328,35 +398,6 @@ class TestGuessedRoots:
         first = _guessed_roots(rows[:1], guesses[:1], NEWTON_STEPS)[0]
         np.testing.assert_array_equal(got[0], first[0])
         np.testing.assert_array_equal(got[1], certified_roots(rows)[1])
-
-
-#: damping / resonance range of each oscillator regime; near-critical damping
-#: (about twice the resonance) puts the two roots of its quadratic close together
-_DAMPING_REGIMES = {
-    "underdamped": (0.02, 1.5),
-    "overdamped": (2.0, 4.0),
-    "near_critical": (2.0 - 1e-3, 2.0 + 1e-3),
-    "lossless": (0.0, 0.0),
-}
-
-
-@st.composite
-def admissible_media(draw):
-    """Media of 1-4 electric and 0-3 magnetic oscillators that pass H1 and H2."""
-
-    def oscillator():
-        coupling, resonance = draw(st.floats(0.3, 1.5)), draw(st.floats(0.5, 5.0))
-        low, high = _DAMPING_REGIMES[draw(st.sampled_from(sorted(_DAMPING_REGIMES)))]
-        return coupling, resonance, resonance * draw(st.floats(low, high))
-
-    electric = [oscillator() for _ in range(draw(st.integers(1, 4)))]
-    magnetic = [oscillator() for _ in range(draw(st.integers(0, 3)))]
-    try:
-        medium = lm.new_medium(1.0, 1.0, electric, magnetic)
-        medium.require_assumptions()
-    except (DuplicateOscillator, AssumptionViolated):
-        assume(False)
-    return medium
 
 
 def _assert_mirror_closed(medium, ks, solve=dsp.solve_dispersion):
@@ -964,15 +1005,56 @@ class TestSecantStart:
         companion = dsp.solve_dispersion(reference_medium, grid)
         np.testing.assert_array_equal(solved[refused], companion[refused])
         assert [i for i, (_, _, keep) in calls.items() if not keep] == [refused]
-        guess, steps, _ = calls[refused + 1]
-        np.testing.assert_array_equal(guess, solved[refused])
-        assert steps == polyroots.NEWTON_STEPS
-        # the row after that one kept its guesses, so the secant starts again
-        assert calls[refused + 2][1] == polyroots.NEWTON_STEPS - 2
+        # a secant row fell back: the rest of its chain starts from predecessors
+        for i in range(refused + 1, 2 * dsp._ANCHOR_STRIDE):
+            guess, steps, _ = calls[i]
+            np.testing.assert_array_equal(guess, solved[i - 1])
+            assert steps == polyroots.NEWTON_STEPS
+        # the next chain starts afresh, its second row from the secant
+        assert calls[2 * dsp._ANCHOR_STRIDE + 2][1] == polyroots.NEWTON_STEPS - 2
         _assert_mirror_closed(reference_medium, grid, solve=lambda m, k: solved)
         nearest = companion[refused + 1][np.argmin(
             np.abs(solved[refused + 1][:, None] - companion[refused + 1][None, :]), axis=1)]
         assert np.all(np.abs(solved[refused + 1] - nearest) <= 1e-12 * np.abs(nearest))
+
+    def test_first_link_fallback_keeps_the_secant(self, monkeypatch, reference_medium):
+        grid = dsp.default_k_grid(reference_medium)
+        refused = 9  # the first row of the chain after anchor 8, started from the anchor
+        target = _rotated_columns(dsp.dispersion_polynomial(reference_medium, grid[[refused]]))
+        isolated = polyroots._isolated
+
+        def refusing(roots, step, coeffs):
+            return isolated(roots, step, coeffs) & ~np.all(coeffs == target, axis=0)[:, 0]
+
+        monkeypatch.setattr(polyroots, "_isolated", refusing)
+        solved, calls = _recorded_grid(monkeypatch, reference_medium, grid)
+        assert [i for i, (_, _, keep) in calls.items() if not keep] == [refused]
+        np.testing.assert_array_equal(calls[refused + 1][0], solved[refused])
+        assert calls[refused + 1][1] == polyroots.NEWTON_STEPS
+        # only a secant row that falls back ends the chain's secant starts
+        assert [calls[i][1] for i in range(refused + 2, 2 * dsp._ANCHOR_STRIDE)] == [
+            polyroots.NEWTON_STEPS - 2] * (2 * dsp._ANCHOR_STRIDE - refused - 2)
+
+    @pytest.mark.parametrize("points_per_decade, companion_rows", [
+        (5, {"reference": 19, "critical": 20, "double_pole": 20, "wide": 19}),
+        (20, {"reference": 65, "critical": 66, "double_pole": 67, "wide": 63}),
+    ])
+    def test_companion_rows_on_coarse_grids(self, monkeypatch, request, points_per_decade,
+                                            companion_rows):
+        count = []
+        companion = polyroots._companion_newton
+
+        def counted(q, coeffs):
+            count.append(len(q))
+            return companion(q, coeffs)
+
+        monkeypatch.setattr(polyroots, "_companion_newton", counted)
+        for name, rows in companion_rows.items():
+            medium = request.getfixturevalue(f"{name}_medium")
+            grid = dsp.default_k_grid(medium, points_per_decade)
+            count.clear()
+            dsp._solve_grid(medium, grid)
+            assert sum(count) == rows, name
 
     @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "double_pole_medium",
                                       "wide_medium"])

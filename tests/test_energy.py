@@ -247,23 +247,60 @@ class TestBranchEigenvalue:
     def test_few_rows_reach_the_full_solve(self, reference_medium, critical_medium, monkeypatch):
         # counts rows, times nothing
         counts = {"rows": 0, "full": 0}
-        branch, full = en.branch_eigenvalue, en.solve_dispersion
+        branch, full = en.branch_eigenvalue, en.certified_roots
 
         def counted_branch(medium, label, k):
             counts["rows"] += np.size(k)
             return branch(medium, label, k)
 
-        def counted_full(medium, k):
-            counts["full"] += np.size(k)
-            return full(medium, k)
+        def counted_full(rows):
+            counts["full"] += len(rows)
+            return full(rows)
 
         monkeypatch.setattr(en, "branch_eigenvalue", counted_branch)
-        monkeypatch.setattr(en, "solve_dispersion", counted_full)
+        monkeypatch.setattr(en, "certified_roots", counted_full)
         en.verify_gamma_lf(reference_medium, 0.0)
         en.verify_gamma_hf(reference_medium, 2.0)
         en.verify_gamma_hf(critical_medium, 2.0)
         assert counts["rows"] > 0
         assert counts["full"] <= 0.01 * counts["rows"]
+
+    def test_every_reference_hf_node_settles(self, reference_medium, monkeypatch):
+        # the band-edge nodes (k 2.26-2.55) settle too: the disk is centred at the root
+        settled = []
+        newton = en.certified_root_near
+
+        def recorded(rows, start):
+            roots, ok = newton(rows, start)
+            settled.append(ok)
+            return roots, ok
+
+        monkeypatch.setattr(en, "certified_root_near", recorded)
+        report = en.verify_gamma_hf(reference_medium, 2.0)
+        assert report.record.panels == 8
+        assert np.concatenate(settled).tolist() == [True] * 384
+
+    def test_zero_and_overflowing_rows_take_the_full_solve_pick(self, reference_medium,
+                                                                monkeypatch):
+        settled = []
+        newton, solvable = en.certified_root_near, en._solvable_rows
+
+        def recorded(rows, start):
+            roots, ok = newton(rows, start)
+            settled.append(ok)
+            return roots, ok
+
+        monkeypatch.setattr(en, "certified_root_near", recorded)
+        # k = 0: Newton stays on the double origin root, which the full solve deflates
+        expected = dsp.solve_dispersion(reference_medium, 0.0)
+        assert en.branch_eigenvalue(reference_medium, dsp.Zero0(1), 0.0) == 0.0
+        assert np.count_nonzero(expected == 0) == 2
+        # rows scaled by 2^1000 have the same roots, and their scaled powers overflow
+        monkeypatch.setattr(en, "_solvable_rows", lambda m, k: solvable(m, k) * 2.0**1000)
+        ks = np.geomspace(100.0, 1000.0, 7)
+        omega = en.branch_eigenvalue(reference_medium, dsp.PlusInf(), ks)
+        np.testing.assert_array_equal(omega, _argmin_pick(reference_medium, dsp.PlusInf(), ks))
+        assert [ok.tolist() for ok in settled] == [[False], [False] * 7]
 
 
 class TestPropagatedTrace:
