@@ -10,15 +10,17 @@ of ``verify_asymptotics``, the leading-term mask of ``diagnose_bands`` and the
 Newton anchors of ``energy.branch_eigenvalue``.
 
 Tracking and band diagnosis work on the stored (n_k, N) root rows of the
-grid.  The grid's dispersion rows are built once: every eighth row goes
-through ``polyroots.certified_roots``, the one stacked companion solve, and
-each row in between through ``polyroots._guessed_roots``, certified Newton
-started at the secant through the two rows before it where both hold their
-roots in the same positions and no secant row of the chain has fallen back,
-and at the roots of the row before it otherwise; a row Newton cannot certify
-goes through the same companion solve.  The
-continuation checks and the asymptopia tests run as numpy passes over blocks
-of grid rows.  A row that passes the step control in its raw order needs no
+grid.  The grid's dispersion rows are built once: every sixteenth row and
+the last go through ``polyroots.certified_roots``, the one stacked companion
+solve, and the rows in between through ``polyroots._guessed_roots``,
+certified Newton chained from the anchor on each side, half a gap forward
+and half backward.  A chained row starts at the secant through the two rows
+before it in its chain where both hold their roots in the same positions and
+no secant row of the chain has fallen back, and at the roots of the row
+before it otherwise; a row Newton cannot certify goes through the same
+companion solve.  The continuation checks and the asymptopia tests run as
+numpy passes over blocks of grid rows; the step checks read each root's
+nearest gap once and run the full collision test only where a gap is small.  A row that passes the step control in its raw order needs no
 nearest-neighbour search and leaves the running permutation as it is; a
 nearest-neighbour order needs no near-tie test, because the step control
 never passes a near tie.  Only unsafe continuation steps go through the
@@ -54,15 +56,15 @@ MATCH_TOL = 1e-10
 MAX_REFINEMENTS = 10
 
 #: rows per certified_roots call of a stacked solve; caps the companion stack's memory.
-#: No benchmark or CLI default grid splits (the largest stacked solve is 151 rows),
+#: No benchmark or CLI default grid splits (the largest stacked solve is 76 rows),
 #: but large user grids do: tracking N = 16 at 2000 points per decade peaks at 45 MB
-#: blocked against 55 MB unblocked, at 8000 per decade 81 MB against 119 MB
+#: blocked against 53 MB unblocked, at 8000 per decade 81 MB against 113 MB
 #: (ru_maxrss, one BLAS thread, 2-vCPU VM)
 _SOLVE_BLOCK = 256
 
-#: every this many grid rows one is solved from its companion matrix; the rows
-#: between are solved by Newton from their predecessor's roots
-_ANCHOR_STRIDE = 8
+#: every this many grid rows one, and the last, is solved from its companion matrix;
+#: the rows between are solved by Newton, chained from the anchors on both sides
+_ANCHOR_STRIDE = 16
 
 #: pair entries per (rows, N, N) distance temporary of tracking and band diagnosis:
 #: 64 grid rows at N = 16.  The benchmark atlas run peaks at 43.6 MB blocked;
@@ -189,7 +191,14 @@ def _solvable_rows(medium: LorentzMedium, k) -> np.ndarray:
         need = "a finite wavenumber" if scalar else "positive finite wavenumbers"
         raise InvalidWavenumber(f"a dispersion solve needs {need}, got k = {float(k[bad][0])}")
     rows = dispersion_polynomial(medium, k)
-    if np.any(np.abs(rows[:, -1]) <= TRIM_TOL * np.max(np.abs(rows), axis=1)):
+    # max|num| + k^2 max|den| bounds each row's largest modulus to within rounding
+    # (a few u), so a leading coefficient above TRIM_TOL times the bound with a
+    # 1e-12 relative margin passes; only the other rows take the moduli of the row
+    num, den = medium.numerator_denominator()
+    bound = np.max(np.abs(num)) + np.square(k) * np.max(np.abs(den))
+    lead = np.abs(rows[:, -1])
+    near = lead <= TRIM_TOL * (1.0 + 1e-12) * bound
+    if near.any() and np.any(lead[near] <= TRIM_TOL * np.max(np.abs(rows[near]), axis=1)):
         raise DegenerateLeadingCoefficient(
             "leading dispersion coefficient vanishes relative to the k^2 terms"
         )
@@ -281,14 +290,14 @@ def _nearest(prev: np.ndarray, new: np.ndarray):
     return order, np.all(np.sort(order, axis=-1) == np.arange(order.shape[-1]), axis=-1)
 
 
-def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, d: np.ndarray):
-    """Per-branch step control of prev -> new[order], given d = _pairwise(new).
+def _steady(prev: np.ndarray, new: np.ndarray, order: np.ndarray, gaps: np.ndarray):
+    """Per-branch step control of prev -> new[order], given gaps[i], new[i]'s nearest gap.
 
     Each jump stays small against that branch's own gap to its nearest
     neighbour (a global max-jump criterion cannot settle when one fast branch
     coexists with a tight pole fan).
     """
-    gaps = np.take_along_axis(d.min(axis=-1), order, axis=-1)
+    gaps = np.take_along_axis(gaps, order, axis=-1)
     jumps = np.abs(np.take_along_axis(new, order, axis=-1) - prev)
     return np.all(jumps <= 0.2 * gaps, axis=-1)
 
@@ -305,16 +314,25 @@ def _step(prev: np.ndarray, new: np.ndarray):
     never passes, and needs neither a near-tie test nor an assignment solve.
     For the same reason a row whose raw order passes the step control without
     a collision has the identity as its greedy order and is safe, so only the
-    other rows (anchor rows, fallback rows, swaps) go through ``_nearest``.
+    other rows (anchor rows, chain junctions, fallback rows, swaps) go through
+    ``_nearest``.  The pair distances give each root's nearest gap once, as
+    column minima of the exactly symmetric distances; a colliding pair puts
+    its smaller root's gap below MATCH_TOL (1 + |root|), so ``_collides`` runs
+    only on the rows where some root's gap is that small.
     """
     d = _pairwise(new)
-    collides = np.asarray(_collides(new, d))
+    gaps = d.min(axis=-2)
+    near = np.asarray(np.any(gaps < MATCH_TOL * (1.0 + np.abs(new)), axis=-1))
+    collides = np.zeros(near.shape, dtype=bool)
+    if near.any():
+        collides[near] = _collides(new[near], d[near])
     order = np.broadcast_to(np.arange(new.shape[-1]), new.shape).copy()
-    safe = np.asarray(~collides & _steady(prev, new, order, d))
+    safe = np.asarray(~collides & _steady(prev, new, order, gaps))
     rest = ~safe
     if rest.any():
         order[rest], unique = _nearest(prev[rest], new[rest])
-        safe[rest] = unique & ~collides[rest] & _steady(prev[rest], new[rest], order[rest], d[rest])
+        steady = _steady(prev[rest], new[rest], order[rest], gaps[rest])
+        safe[rest] = unique & ~collides[rest] & steady
     return order, collides, safe
 
 
@@ -344,42 +362,52 @@ def _solve_grid(medium: LorentzMedium, k_grid: np.ndarray) -> np.ndarray:
     """The (len(k_grid), N) certified roots of a positive grid; refuses what ``_solvable_rows`` does.
 
     The grid's rows are built once.  Rows 0, _ANCHOR_STRIDE, 2 _ANCHOR_STRIDE,
-    ... (the anchors) go through ``certified_roots``, at most 256 in one
-    stacked companion solve, as ``solve_dispersion`` solves them.  The rows
-    after each anchor form a chain, solved one link at a time stacked over
-    the chains of those anchors by ``_guessed_roots``: a row starts Newton
-    from guesses and keeps the result only where it is proved the whole root
-    set converged to rounding; the other rows go through the same companion
-    solve as the anchors.  A row whose predecessor kept its own guesses
-    starts from the secant
-    r1 + t (r1 - r0) in log k through its two predecessors, which then hold
-    their roots in the same positions, so the secant is mirror-closed bit for
-    bit, and takes NEWTON_STEPS - 2 steps; any other row starts from its
-    predecessor's roots and takes NEWTON_STEPS.  Once a secant row falls
-    back, every later row of its chain starts from its predecessor: on a
-    coarse grid the secant misses, and every other row of a chain would fall
-    back.
+    ... and the last row (the anchors) go through ``certified_roots``, at most
+    256 in one stacked companion solve, as ``solve_dispersion`` solves them.
+    The rows of a gap between two anchors are solved by two chains: a
+    forward chain from the left anchor takes the first half, rows +1 ... +8
+    of a full gap, and a backward chain from the right anchor the rest, rows
+    -1 ... -7.  Both chains are solved one link at a time, stacked over every
+    chain of those anchors, by ``_guessed_roots``: a row starts Newton from
+    guesses and keeps the result only where it is proved the whole root set
+    converged to rounding; the other rows go through the same companion
+    solve as the anchors.  A row whose predecessor in its chain kept its own
+    guesses starts from the secant r1 + t (r1 - r0) in log k through its two
+    predecessors, which then hold their roots in the same positions, so the
+    secant is mirror-closed bit for bit, and takes NEWTON_STEPS - 2 steps;
+    any other row starts from its predecessor's roots and takes NEWTON_STEPS.
+    Once a secant row falls back, every later row of its chain starts from
+    its predecessor: on a coarse grid the secant misses, and every other row
+    of a chain would fall back.
     """
     rows = _solvable_rows(medium, k_grid)
     log_k = np.log(k_grid)
-    anchors = np.arange(0, len(k_grid), _ANCHOR_STRIDE)
+    anchors = np.append(np.arange(0, len(k_grid) - 1, _ANCHOR_STRIDE), len(k_grid) - 1)
     solved = np.empty((len(rows), rows.shape[1] - 1), dtype=complex)
     for start in range(0, len(anchors), _SOLVE_BLOCK):
         block = anchors[start : start + _SOLVE_BLOCK]
         solved[block] = certified_roots(rows[block])
+        # the gaps whose right anchors are now solved, each as a forward and a backward chain
+        gaps = slice(max(start - 1, 0), start + _SOLVE_BLOCK - 1)
+        left, right = anchors[:-1][gaps], anchors[1:][gaps]
+        block = np.concatenate([left, right])  # each chain's last solved row
+        ahead = np.repeat([1, -1], len(left))  # each chain's direction
+        links = np.concatenate([(right - left) // 2, (right - left - 1) // 2])
         secant = np.zeros(len(block), dtype=bool)  # the row before kept its guesses
         fell = np.zeros(len(block), dtype=bool)  # a secant row of the chain fell back
-        for _ in range(1, _ANCHOR_STRIDE):
-            live = block + 1 < len(rows)
-            block, secant, fell = block[live] + 1, secant[live], fell[live]
+        for link in range(1, _ANCHOR_STRIDE // 2 + 1):
+            live = links >= link
+            block, ahead, links = block[live] + ahead[live], ahead[live], links[live]
+            secant, fell = secant[live], fell[live]
             kept = np.empty(len(block), dtype=bool)
+            back = block - ahead  # the row before in each chain
             i = block[~secant]
             if i.size:
-                solved[i], kept[~secant] = _guessed_roots(rows[i], solved[i - 1], NEWTON_STEPS)
-            i = block[secant]
+                solved[i], kept[~secant] = _guessed_roots(rows[i], solved[back[~secant]], NEWTON_STEPS)
+            i, r1, r0 = block[secant], back[secant], (back - ahead)[secant]
             if i.size:
-                t = (log_k[i] - log_k[i - 1]) / (log_k[i - 1] - log_k[i - 2])
-                guesses = solved[i - 1] + t[:, None] * (solved[i - 1] - solved[i - 2])
+                t = (log_k[i] - log_k[r1]) / (log_k[r1] - log_k[r0])
+                guesses = solved[r1] + t[:, None] * (solved[r1] - solved[r0])
                 solved[i], kept[secant] = _guessed_roots(rows[i], guesses, NEWTON_STEPS - 2)
             fell |= secant & ~kept
             secant = kept & ~fell
@@ -390,14 +418,15 @@ def track_branches(medium: LorentzMedium, k_grid: Sequence[float]) -> list[Branc
     """Continue the N dispersion roots across the sorted positive grid.
 
     Every grid point is solved up front by ``_solve_grid``: a companion solve
-    on every eighth row and certified Newton from a prediction of the earlier
-    rows in between.  Every tracked row is then a permutation of its solved
-    row, and whether a step is safe (no collision, a clear nearest-neighbour
-    order, every jump within the step control) depends only on the two solved
-    rows, so those checks run on blocks of rows at once.  A Newton row keeps
-    its predecessor's order, so most safe steps have the identity as their
-    order and leave the running permutation as it is; only the other safe
-    steps compose permutations.  Unsafe steps go, in grid order, to the
+    on every sixteenth row and the last, and certified Newton chained from
+    the anchors on both sides in between.  Every tracked row is then a
+    permutation of its solved row, and whether a step is safe (no collision,
+    a clear nearest-neighbour order, every jump within the step control)
+    depends only on the two solved rows, so those checks run on blocks of
+    rows at once.  A Newton row keeps the order of the row before it in its
+    chain, so most safe steps have the identity as their order and leave the
+    running permutation as it is; only the other safe steps compose
+    permutations.  Unsafe steps go, in grid order, to the
     step-by-step continuation, which refines them or raises; it solves again
     only at refinement midpoints.
     """

@@ -1,5 +1,6 @@
 """Dispersion polynomial, root branches, classification, branch-series engine."""
 
+import cmath
 import itertools
 import math
 import re
@@ -143,6 +144,29 @@ class TestSolve:
     def test_grid_density_below_one_refused(self, reference_medium, density):
         with pytest.raises(ValueError, match="points_per_decade must be at least 1"):
             dsp.default_k_grid(reference_medium, density)
+
+    def test_trim_threshold_is_the_whole_row_test(self, reference_medium):
+        # grids ending at the last float k the whole-row modulus test passes, and at the next
+        def trimmed(k):
+            rows = dsp.dispersion_polynomial(reference_medium, np.atleast_1d(k))
+            return np.any(np.abs(rows[:, -1]) <= dsp.TRIM_TOL * np.max(np.abs(rows), axis=1))
+
+        below, past = 1e6, 1e8
+        assert not trimmed(below) and trimmed(past)
+        while np.nextafter(below, past) < past:
+            mid = 0.5 * (below + past)
+            below, past = (below, mid) if trimmed(mid) else (mid, past)
+        assert 1e6 < below < 1e8
+        message = "leading dispersion coefficient vanishes relative to the k\\^2 terms"
+        for k in (np.geomspace(1e-3, below, 50), below):
+            assert not trimmed(k)
+            np.testing.assert_array_equal(dsp._solvable_rows(reference_medium, k),
+                                          dsp.dispersion_polynomial(reference_medium,
+                                                                    np.atleast_1d(k)))
+        for k in (np.geomspace(1e-3, past, 50), past, np.array([past, below])):
+            assert trimmed(k)
+            with pytest.raises(DegenerateLeadingCoefficient, match=f"^{message}$"):
+                dsp._solvable_rows(reference_medium, k)
 
 
 
@@ -582,6 +606,40 @@ def _reference_match(prev, new):
     return order
 
 
+def _is_anchor(n):
+    """Mask of the rows of an n-point grid that ``_solve_grid`` solves from their companion matrices."""
+    rows = np.arange(n)
+    return (rows % dsp._ANCHOR_STRIDE == 0) | (rows == n - 1)
+
+
+def _chain_of(i, n):
+    """(anchor, direction) of the chain that solves the non-anchor row i of an n-point grid.
+
+    A gap between anchors a < b takes rows a+1 ... a+(b-a)//2 forward from a and
+    the rest backward from b.
+    """
+    left = i // dsp._ANCHOR_STRIDE * dsp._ANCHOR_STRIDE
+    right = min(left + dsp._ANCHOR_STRIDE, n - 1)
+    return (left, 1) if i - left <= (right - left) // 2 else (right, -1)
+
+
+def _assert_rows_match_the_companion_solve(medium, grid):
+    """Anchor rows of ``_solve_grid`` are the companion solve's bit for bit, every other row
+    its root set within 1e-12 relative."""
+    rows = dsp._solve_grid(medium, grid)
+    companion = dsp.solve_dispersion(medium, grid)
+    anchors = _is_anchor(len(grid))
+    np.testing.assert_array_equal(rows[anchors], companion[anchors])
+    for row, solved in zip(rows[~anchors], companion[~anchors]):
+        if np.array_equal(row, solved):  # a row that fell back to the companion solve
+            continue
+        # a guessed row keeps its guesses' order: match it to the solved row
+        nearest = solved[np.argmin(np.abs(row[:, None] - solved[None, :]), axis=1)]
+        np.testing.assert_array_equal(np.sort_complex(nearest), np.sort_complex(solved))
+        assert np.all(np.abs(row - nearest) <= 1e-12 * np.abs(nearest))
+    return rows
+
+
 def _scalar_continuation(medium, k_grid, solved=None):
     """Reference continuation, one step at a time, of the grid's root rows.
 
@@ -648,20 +706,26 @@ class TestTracking:
     @pytest.mark.parametrize("points_per_decade", [200, 5, 20])
     def test_grid_rows_match_the_companion_solve(self, request, name, points_per_decade):
         medium = request.getfixturevalue(name)
-        grid = dsp.default_k_grid(medium, points_per_decade)
-        rows = dsp._solve_grid(medium, grid)
-        companion = dsp.solve_dispersion(medium, grid)
-        anchors = np.arange(len(grid)) % dsp._ANCHOR_STRIDE == 0
-        np.testing.assert_array_equal(rows[anchors], companion[anchors])
-        for row, solved in zip(rows[~anchors], companion[~anchors]):
-            if np.array_equal(row, solved):  # a row that fell back to the companion solve
-                continue
-            # a guessed row keeps its guesses' order: match it to the solved row
-            nearest = solved[np.argmin(np.abs(row[:, None] - solved[None, :]), axis=1)]
-            np.testing.assert_array_equal(np.sort_complex(nearest), np.sort_complex(solved))
-            assert np.all(np.abs(row - nearest) <= 1e-12 * np.abs(nearest))
+        _assert_rows_match_the_companion_solve(medium, dsp.default_k_grid(medium, points_per_decade))
 
-    def test_companion_solve_takes_every_eighth_row(self, monkeypatch, reference_medium):
+    @pytest.mark.parametrize("name", ["reference_medium", "wide_medium"])
+    @pytest.mark.parametrize("points", [1, 2, 3, 17, 18])
+    def test_short_grids(self, request, name, points):
+        # one anchor; two anchors; one chained row; one full gap; a full gap, then the last row
+        medium = request.getfixturevalue(name)
+        grid = np.geomspace(0.5, 2.0, points)
+        rows = _assert_rows_match_the_companion_solve(medium, grid)
+        tracked = np.stack([b.omega for b in dsp.track_branches(medium, grid)])
+        np.testing.assert_array_equal(tracked, _scalar_continuation(medium, grid, rows))
+
+    def test_grid_of_several_anchor_blocks(self, reference_medium):
+        grid = dsp.default_k_grid(reference_medium, 2000)
+        assert _is_anchor(len(grid)).sum() > 2 * dsp._SOLVE_BLOCK
+        rows = _assert_rows_match_the_companion_solve(reference_medium, grid)
+        tracked = np.stack([b.omega for b in dsp.track_branches(reference_medium, grid)])
+        np.testing.assert_array_equal(tracked, _scalar_continuation(reference_medium, grid, rows))
+
+    def test_companion_solve_takes_every_sixteenth_row(self, monkeypatch, reference_medium):
         # the anchors' companion solve, and no guessed row falls back to it
         stacked_rows = []
         solve = certified_roots
@@ -675,7 +739,7 @@ class TestTracking:
         grid = dsp.default_k_grid(reference_medium)
         dsp.track_branches(reference_medium, grid)
         assert len(grid) == 1201
-        assert stacked_rows == [151]
+        assert stacked_rows == [76]
 
     @pytest.mark.parametrize("grid", [[], np.ones((2, 3)), np.geomspace(1, 10, 6).reshape(2, 3)])
     def test_empty_or_two_dimensional_grid_refused(self, reference_medium, grid):
@@ -757,7 +821,7 @@ class TestTracking:
         _, collides, safe = dsp._step(prev, new)
         assert not collides and not safe
         optimal = scipy.optimize.linear_sum_assignment(np.abs(prev[:, None] - new[None, :]))[1]
-        assert not dsp._steady(prev, new, optimal, dsp._pairwise(new))
+        assert not dsp._steady(prev, new, optimal, dsp._pairwise(new).min(axis=-1))
 
     def test_grid_past_the_trim_threshold_raises_typed(self, reference_medium):
         with pytest.raises(DegenerateLeadingCoefficient):
@@ -885,7 +949,7 @@ def _greedy_step(prev, new):
     order, unique = dsp._nearest(prev, new)
     part = np.partition(np.abs(prev[..., :, None] - new[..., None, :]), 1, axis=-1)
     clear = unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
-    return order, collides, clear & ~collides & dsp._steady(prev, new, order, d)
+    return order, collides, clear & ~collides & dsp._steady(prev, new, order, d.min(axis=-1))
 
 
 def _assert_same_step(got, prev, new):
@@ -929,6 +993,30 @@ class TestIdentityFirstStep:
             prev, new = prev[0], new[0]
         _assert_same_step(dsp._step(prev, new), prev, new)
 
+    @given(st.data())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_gap_prefilter_keeps_every_collision(self, data):
+        # roots of moduli 1e-3 to 1e6, one pair planted at a multiple of MATCH_TOL (1 + |r|)
+        # just inside, at or just outside the collision threshold, or far from it
+        n = data.draw(st.integers(2, 6))
+        rows = data.draw(st.integers(0, 4))  # 0: one 1-D call, as a refinement makes
+        pairs = []
+        for _ in range(max(rows, 1)):
+            unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
+            new = np.array([complex(*u) for u in data.draw(
+                st.lists(unit, min_size=n, max_size=n))]) * 10.0 ** data.draw(st.integers(-3, 6))
+            i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            factor = data.draw(st.sampled_from([0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0]))
+            direction = cmath.exp(1j * data.draw(st.floats(0, 2 * math.pi)))
+            new[j] = new[i] + factor * dsp.MATCH_TOL * (1.0 + abs(new[i])) * direction
+            pairs.append((new + 1e-3 * np.abs(new), new))
+        prev, new = (np.stack(side) for side in zip(*pairs))
+        if rows == 0:
+            prev, new = prev[0], new[0]
+        order, collides, safe = dsp._step(prev, new)
+        np.testing.assert_array_equal(collides, dsp._collides(new, dsp._pairwise(new)))
+        _assert_same_step((order, collides, safe), prev, new)
+
     @pytest.mark.parametrize("name, points_per_decade", [
         ("reference_medium", 5), ("critical_medium", 5), ("wide_medium", 20),
         ("double_pole_medium", 200),
@@ -969,8 +1057,8 @@ def _recorded_grid(monkeypatch, medium, grid):
 
 
 class TestSecantStart:
-    """A chained row starts from the secant through its two predecessors only where both hold
-    their roots in the same positions."""
+    """A chained row starts from the secant through the two rows before it in its chain only
+    where both hold their roots in the same positions; chains run forward and backward."""
 
     @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "double_pole_medium",
                                       "wide_medium"])
@@ -979,65 +1067,80 @@ class TestSecantStart:
         grid = dsp.default_k_grid(medium)
         solved, calls = _recorded_grid(monkeypatch, medium, grid)
         assert all(keep for _, _, keep in calls.values())
-        chained = [i for i in calls if i % dsp._ANCHOR_STRIDE > 1]
-        assert sorted(calls) == [i for i in range(len(grid)) if i % dsp._ANCHOR_STRIDE]
+        assert sorted(calls) == list(np.flatnonzero(~_is_anchor(len(grid))))
         log_k = np.log(grid)
-        for i in chained:
-            t = (log_k[i] - log_k[i - 1]) / (log_k[i - 1] - log_k[i - 2])
-            guess, steps, _ = calls[i]
-            secant = solved[i - 1] + t * (solved[i - 1] - solved[i - 2])
-            np.testing.assert_array_equal(guess, secant)
+        links = {1: 0, -1: 0}
+        for i, (guess, steps, _) in calls.items():
+            anchor, ahead = _chain_of(i, len(grid))
+            links[ahead] += 1
+            if i - ahead == anchor:  # the first link starts from its anchor
+                np.testing.assert_array_equal(guess, solved[anchor])
+                assert steps == polyroots.NEWTON_STEPS
+                continue
+            back, back2 = i - ahead, i - 2 * ahead
+            t = (log_k[i] - log_k[back]) / (log_k[back] - log_k[back2])
+            np.testing.assert_array_equal(guess, solved[back] + t * (solved[back] - solved[back2]))
             assert steps == polyroots.NEWTON_STEPS - 2
-        assert {calls[i][1] for i in calls if i % dsp._ANCHOR_STRIDE == 1} == {
-            polyroots.NEWTON_STEPS}
+        # 75 gaps of 16 rows: 8 forward links and 7 backward links each
+        assert links == {1: 600, -1: 525}
 
-    def test_row_after_a_fallback_starts_from_its_predecessor(self, monkeypatch, reference_medium):
-        grid = dsp.default_k_grid(reference_medium)
-        refused = 11  # the third row of the chain after anchor 8
-        target = _rotated_columns(dsp.dispersion_polynomial(reference_medium, grid[[refused]]))
+    @staticmethod
+    def _refusing(monkeypatch, medium, grid, refused):
+        """_recorded_grid with ``_isolated`` refusing grid row refused."""
+        target = _rotated_columns(dsp.dispersion_polynomial(medium, grid[[refused]]))
         isolated = polyroots._isolated
 
         def refusing(roots, step, coeffs):
             return isolated(roots, step, coeffs) & ~np.all(coeffs == target, axis=0)[:, 0]
 
         monkeypatch.setattr(polyroots, "_isolated", refusing)
-        solved, calls = _recorded_grid(monkeypatch, reference_medium, grid)
+        return _recorded_grid(monkeypatch, medium, grid)
+
+    @pytest.mark.parametrize("refused, ahead, chain_end", [
+        (19, 1, 24),  # the third row of the forward chain from anchor 16
+        (29, -1, 25),  # the third row of the backward chain from anchor 32
+    ])
+    def test_row_after_a_fallback_starts_from_its_predecessor(self, monkeypatch, reference_medium,
+                                                              refused, ahead, chain_end):
+        grid = dsp.default_k_grid(reference_medium)
+        solved, calls = self._refusing(monkeypatch, reference_medium, grid, refused)
         companion = dsp.solve_dispersion(reference_medium, grid)
         np.testing.assert_array_equal(solved[refused], companion[refused])
         assert [i for i, (_, _, keep) in calls.items() if not keep] == [refused]
         # a secant row fell back: the rest of its chain starts from predecessors
-        for i in range(refused + 1, 2 * dsp._ANCHOR_STRIDE):
+        after = range(refused + ahead, chain_end + ahead, ahead)
+        for i in after:
             guess, steps, _ = calls[i]
-            np.testing.assert_array_equal(guess, solved[i - 1])
+            np.testing.assert_array_equal(guess, solved[i - ahead])
             assert steps == polyroots.NEWTON_STEPS
-        # the next chain starts afresh, its second row from the secant
-        assert calls[2 * dsp._ANCHOR_STRIDE + 2][1] == polyroots.NEWTON_STEPS - 2
+        # the secant rows before it, the other chain of its gap and both chains of the next
+        # gap (rows 34-40 forward, 46-41 backward) keep their secant starts
+        other = range(25, 31) if ahead == 1 else range(18, 25)
+        secant = [refused - ahead, *other, *range(34, 47)]
+        assert [calls[i][1] for i in secant] == [polyroots.NEWTON_STEPS - 2] * len(secant)
         _assert_mirror_closed(reference_medium, grid, solve=lambda m, k: solved)
-        nearest = companion[refused + 1][np.argmin(
-            np.abs(solved[refused + 1][:, None] - companion[refused + 1][None, :]), axis=1)]
-        assert np.all(np.abs(solved[refused + 1] - nearest) <= 1e-12 * np.abs(nearest))
+        i = refused + ahead
+        nearest = companion[i][np.argmin(np.abs(solved[i][:, None] - companion[i][None, :]), axis=1)]
+        assert np.all(np.abs(solved[i] - nearest) <= 1e-12 * np.abs(nearest))
 
-    def test_first_link_fallback_keeps_the_secant(self, monkeypatch, reference_medium):
+    @pytest.mark.parametrize("refused, ahead, chain_end", [
+        (17, 1, 24),  # the first row of the forward chain from anchor 16, started from the anchor
+        (31, -1, 25),  # the first row of the backward chain from anchor 32
+    ])
+    def test_first_link_fallback_keeps_the_secant(self, monkeypatch, reference_medium, refused,
+                                                  ahead, chain_end):
         grid = dsp.default_k_grid(reference_medium)
-        refused = 9  # the first row of the chain after anchor 8, started from the anchor
-        target = _rotated_columns(dsp.dispersion_polynomial(reference_medium, grid[[refused]]))
-        isolated = polyroots._isolated
-
-        def refusing(roots, step, coeffs):
-            return isolated(roots, step, coeffs) & ~np.all(coeffs == target, axis=0)[:, 0]
-
-        monkeypatch.setattr(polyroots, "_isolated", refusing)
-        solved, calls = _recorded_grid(monkeypatch, reference_medium, grid)
+        solved, calls = self._refusing(monkeypatch, reference_medium, grid, refused)
         assert [i for i, (_, _, keep) in calls.items() if not keep] == [refused]
-        np.testing.assert_array_equal(calls[refused + 1][0], solved[refused])
-        assert calls[refused + 1][1] == polyroots.NEWTON_STEPS
+        np.testing.assert_array_equal(calls[refused + ahead][0], solved[refused])
+        assert calls[refused + ahead][1] == polyroots.NEWTON_STEPS
         # only a secant row that falls back ends the chain's secant starts
-        assert [calls[i][1] for i in range(refused + 2, 2 * dsp._ANCHOR_STRIDE)] == [
-            polyroots.NEWTON_STEPS - 2] * (2 * dsp._ANCHOR_STRIDE - refused - 2)
+        rest = range(refused + 2 * ahead, chain_end + ahead, ahead)
+        assert [calls[i][1] for i in rest] == [polyroots.NEWTON_STEPS - 2] * len(rest)
 
     @pytest.mark.parametrize("points_per_decade, companion_rows", [
-        (5, {"reference": 19, "critical": 20, "double_pole": 20, "wide": 19}),
-        (20, {"reference": 65, "critical": 66, "double_pole": 67, "wide": 63}),
+        (5, {"reference": 18, "critical": 19, "double_pole": 20, "wide": 18}),
+        (20, {"reference": 61, "critical": 62, "double_pole": 62, "wide": 60}),
     ])
     def test_companion_rows_on_coarse_grids(self, monkeypatch, request, points_per_decade,
                                             companion_rows):
