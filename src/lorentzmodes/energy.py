@@ -17,8 +17,8 @@ nearest the anchor.  A node it leaves unsettled (none in the paper's exponent
 table) takes the full root solve of its dispersion row.  No operator,
 eigendecomposition or propagation is involved.  The accepted rule's
 exponent -t E'/E at t_max is exact too: the energy-weighted mean of
--2 Im omega t_max over its nodes.  A fixed random direction costs one stacked
-u_+ eigendecomposition per evaluation and has no such exponent.
+-2 Im omega t_max over its nodes.  A random direction takes ``propagate``'s one
+u_+/u_- evolution, stacked, without its dense fallback; it has no such exponent.
 
 ``verify_gamma_lf`` and ``verify_gamma_hf`` share one exponent run, on the
 branch whose decay law exp(-sigma k^p t) is read off the expansion that anchors
@@ -194,10 +194,9 @@ def simulate_energy(
     datum is an eigenvector, so its trace is the closed form
     exp(2 Im omega(k) t), from one stacked ``branch_eigenvalue`` per call, and
     the record's exponent is the accepted rule's -t E'/E at t_max.  A
-    FixedRandomUnit datum is propagated through one stacked N x N
-    eigendecomposition per call, and its record has no exponent (None).  A
-    t_grid that ``propagate`` refuses, or an empty one, raises ValueError
-    before any evaluation.
+    FixedRandomUnit datum evolves by one stacked ``_ModalRecord.evolve`` per
+    call, and its record has no exponent (None).  A t_grid that ``propagate``
+    refuses, or an empty one, raises ValueError before any evaluation.
     """
     t_grid = _time_grid(t_grid)
     if not t_grid.size:

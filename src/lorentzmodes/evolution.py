@@ -1,5 +1,8 @@
 """Time propagation of per-wavenumber states and band-wise decay envelopes.
 
+``propagate`` takes ``_ModalRecord.evolve``, the one u_+/u_- evolution, as the
+random-direction energy traces do; its fallback stays the dense 2N x 2N expm (an
+N x N one on the two parts is barely faster, less accurate, inexact at t = 0).
 The envelope checks read each k's envelope off the modal expansion
 |exp(-i A(k) t)|_W <= sum_n |Pi_n(k)|_W exp(Im w_n(k) t), from one stacked u_+
 eigendecomposition: no state is evolved and no rate is fitted.
@@ -15,7 +18,7 @@ import numpy as np
 from .dispersion import _log_points, _slowest_hf_branch, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
-from .operators import PerpOperator, _ModalRecord
+from .operators import PerpOperator, _ModalRecord, _modal_record
 
 
 @dataclass
@@ -23,7 +26,7 @@ class PropagatorResult:
     t_grid: np.ndarray
     norms: np.ndarray  # weighted norms |U(k, t)|
     states: Optional[np.ndarray]  # (len(t_grid), dim) when kept
-    method: str  # "Eigen" (projector expansion) or "Oracle" (dense matrix exponential)
+    method: str  # "Eigen" (u_+/u_- modal evolution) or "Oracle" (dense 2N x 2N expm)
 
 
 def _time_grid(t_grid: Sequence[float]) -> np.ndarray:
@@ -42,20 +45,20 @@ def propagate(
 ) -> PropagatorResult:
     """Evolve a flat state through exp(-i A t) on the sorted, finite, nonnegative grid.
 
-    A state whose shape is not ``(op.dim,)`` raises DimensionMismatch.  It is
-    expanded over the spectral projectors of ``op.eigen`` (tag "Eigen"). Where
-    that decomposition is refused (NotDiagonalizable), the same semigroup is the
-    dense matrix exponential, ``scipy.linalg.expm(-i t A)`` applied to the state
-    one time sample at a time (tag "Oracle": the reference the eigen path is
-    tested against).
+    A state whose shape is not ``(op.dim,)`` raises DimensionMismatch.  It takes
+    ``evolve``, the one u_+/u_- evolution, of the record ``op.eigen`` shares (tag
+    "Eigen"); where that record refuses its modes or residual, it applies the
+    dense 2N x 2N ``scipy.linalg.expm(-i t A)`` per time sample (tag "Oracle", the
+    tests' reference, exact at t = 0; N x N on the parts: barely faster, less exact).
     """
     t_grid = _time_grid(t_grid)
     u0 = np.asarray(initial, complex)
     if u0.shape != (op.dim,):
         raise DimensionMismatch(f"initial state has shape {u0.shape}, operator needs ({op.dim},)")
 
+    rec = _modal_record(op.medium, float(op.k))
     try:
-        dec = op.eigen
+        rec.residual  # refuses what the modes refuse, then a residual above 1e-8
     except NotDiagonalizable:
         import scipy.linalg
 
@@ -64,9 +67,7 @@ def propagate(
             states[i] = scipy.linalg.expm(-1j * t * op.matrix) @ u0
         tag = "Oracle"
     else:
-        comps = dec.projectors @ u0  # (n_eigs, dim)
-        phases = np.exp(-1j * np.outer(t_grid, dec.eigenvalues))  # (nt, n_eigs)
-        states = phases @ comps
+        states = rec.evolve(u0, t_grid)[0]
         tag = "Eigen"
 
     return PropagatorResult(
@@ -131,13 +132,14 @@ def midband_rate(
 
     The rate is the minimum per-k modal rate over ``samples`` log-spaced
     wavenumbers; it must be positive, and ``residual`` is its relative gap to the
-    spectral abscissa of ``solve_dispersion`` at the same wavenumbers.
+    spectral abscissa of ``solve_dispersion`` at the same wavenumbers.  Unless
+    0 < k_minus < k_plus < inf and samples is an integer >= 1, it raises ValueError.
     """
     k_lo, k_hi = k_band
-    if k_lo <= 0:
-        raise ValueError("mid band must start at a positive wavenumber")
-    if samples < 1:
-        raise ValueError(f"mid band needs at least 1 sample, got samples={samples}")
+    if not 0 < k_lo < k_hi < np.inf:
+        raise ValueError("mid band must start at a positive wavenumber and end finite above it")
+    if not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"mid band needs an integer samples >= 1, got samples={samples!r}")
     ks = _log_points(k_lo, k_hi, samples)
     # slowest modal rate over the sampled band: minus the spectral abscissa
     abscissa = -float(np.max(solve_dispersion(medium, ks).imag))

@@ -2,27 +2,22 @@
 
 A state is a flat complex array, a stack of equal-width blocks: the E and H
 fields, then the electric polarisations and their velocities, then the magnetic
-magnetisations and their velocities.  One assembler builds the operator at
-block width 2 or 1 from its curl block (every other block is built once per
-medium): ``k*J2`` gives the dense 2N x 2N reduced operator on transverse
-2-vectors, the Fourier-transformed operator once the wave vector is rotated
-onto e3, dissipative for the weighted inner product; ``[[1j*k]]`` gives the
-N x N operator on the circular polarisation u_+, whose eigenvalues are the
-simple dispersion roots and the spectrum of the resolvent's singular set.  On
-u_- the reduced operator is that one with the magnetic blocks' sign flipped, so
-one N x N eigendecomposition gives its rank-2 spectral projectors; stacked
-over k, it gives the evolved norms of the energy and envelope runs and the
-projector sweeps, and no other module splits the polarisations.  The oscillator
-quadratics, eps and mu come from the medium's one evaluator,
-``LorentzMedium.family_terms``, and every other oscillator constant from its
-``family_tables``.  One record per medium, indexed from those tables, holds every
-k-independent constant of the state layout; one modal record, for one k or a
-1-D array, holds the u_+ operators, their one eig and all that is read off it;
-an operator is its (medium, k), its matrix assembled on first read.  This module
-also provides the explicit resolvent and the contour-integral projectors.  The
-resolvent is the N x N u_+ formula lifted to the 2N x 2N operator by the same
-map as the projectors; its u_+ eigenspace map is the one ``eigenvector_columns``
-widens to two columns, and the contour sums only u_+ resolvents.
+magnetisations and their velocities.  One assembler builds the operator at block
+width 2 or 1 from its curl block: ``k*J2`` gives the dense 2N x 2N reduced
+operator on transverse 2-vectors (the Fourier-transformed operator with the wave
+vector rotated onto e3), dissipative for the weighted inner product;
+``[[1j*k]]`` gives the N x N operator on the circular polarisation u_+, whose
+eigenvalues are the simple dispersion roots.  On u_- it is that operator with
+the magnetic blocks' sign flipped, and no other module splits the polarisations.
+Eps, mu and the oscillator quadratics come from ``LorentzMedium.family_terms``.
+One modal record, for one k or a 1-D array, holds the u_+ operators, their one
+eig and all read off it: the rank-2 spectral projectors, their norms, the
+singular set's spectrum, and the one evolution of a state (u_+ part and
+S-flipped u_- part by the u_+ modes) that ``propagate`` and the random-direction
+energy traces both take; only ``propagate``'s fallback, the dense 2N x 2N expm,
+is separate (an N x N expm of the two parts is barely faster, less accurate).
+The explicit resolvent is the u_+ formula lifted to 2N x 2N by the projectors'
+map, and the contour projector sums only u_+ resolvents.
 """
 
 from __future__ import annotations
@@ -120,9 +115,8 @@ class _MediumRecord:
     The operator less its curl block at block widths 1 and 2, both families on
     u_+ as one array (electric first): each oscillator's position and velocity
     block and its family, the resolvent's constants, the energy weights, their
-    roots and the flip; and, on first use since the catalog refuses H1 or H2
-    breaches, the singular set's fixed points.  Every oscillator constant is read
-    from ``LorentzMedium.family_tables``.
+    roots, the flip and the polarisation split and join; and, on first use since
+    the catalog refuses H1 or H2 breaches, the singular set's fixed points.
     """
 
     def __init__(self, medium: LorentzMedium):
@@ -155,6 +149,10 @@ class _MediumRecord:
         self.sqrt_gram = np.sqrt(self.gram)
         # S, -1 on H, M and Mdot: S A_+ S is the u_- operator
         self.flip = np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
+        # block b of a state is (u_+ part, S-flipped u_- part) @ join[:, 2b:2b+2]; split inverts it
+        plus = np.tile(_U_PLUS, medium.state_blocks)
+        self.join = np.stack([plus, np.repeat(self.flip, 2) * plus.conj()])
+        self.split = self.join.conj().reshape(2, -1, 2).transpose(1, 2, 0)  # (N, 2, 2)
         for x in vars(self).values():
             if isinstance(x, np.ndarray):
                 _read_only(x)
@@ -482,26 +480,27 @@ class _ModalRecord:
         fixed_points = _medium_record(self.medium).fixed_points
         return _read_only(np.concatenate([fixed_points, self.spectrum[0]]))
 
+    def evolve(self, states: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
+        """exp(-i A(k) t) u, shape (len(ks), len(t_grid), dim), for u one state or one per k.
+
+        For c = L @ split(u), mode n's row is c_n @ join times V[b, n] on each block b.
+        """
+        vals, vecs, left = self.modes
+        rec = _medium_record(self.medium)
+        c = left @ (states.reshape(states.shape[:-1] + (-1, 1, 2)) @ rec.split)[..., 0, :]
+        rows = np.swapaxes(vecs, -1, -2)[..., None] * (c @ rec.join).reshape(vecs.shape + (2,))
+        return np.exp(-1j * vals[:, None, :] * t_grid[:, None]) @ rows.reshape(vals.shape + (-1,))
+
 
 # a scalar k's record, bounded like the medium record for the same reason
 _modal_record = lru_cache(maxsize=16)(_ModalRecord)
 
 
 def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
-    """Weighted |exp(-i A(k) t) u| / |u|, shape (len(ks), len(t_grid)).
-
-    u is one flat state shared by every k or one per k.  Its u_+ part and
-    S-flipped u_- part both evolve by the u_+ operator, stacked over ks.
-    """
-    v = states.reshape(states.shape[:-1] + (medium.state_blocks, 2))
-    rec = _medium_record(medium)
-    parts = np.stack([v @ _U_PLUS.conj(), rec.flip * (v @ _U_PLUS)], axis=-1)
-    weight = rec.gram[::2, None]  # one weight per block, both parts
-    vals, vecs, left = _ModalRecord(medium, ks).modes
-    phases = np.exp(-1j * vals[:, None, :, None] * t_grid[:, None, None])
-    evolved = vecs[:, None] @ (phases * (left @ parts)[:, None])  # (ks, times, N, 2)
-    norms2 = np.sum(weight * np.abs(evolved) ** 2, axis=(-2, -1))
-    return np.sqrt(norms2 / np.sum(weight * np.abs(parts) ** 2, axis=(-2, -1))[..., None])
+    """Weighted |exp(-i A(k) t) u| / |u|, shape (len(ks), len(t_grid)), stacked over ks."""
+    gram = _medium_record(medium).gram
+    norms2 = np.sum(gram * np.abs(_ModalRecord(medium, ks).evolve(states, t_grid)) ** 2, axis=-1)
+    return np.sqrt(norms2 / np.sum(gram * np.abs(states) ** 2, axis=-1)[..., None])
 
 
 def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:

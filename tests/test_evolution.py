@@ -117,6 +117,35 @@ class TestPropagate:
         expected = [op.norm(scipy.linalg.expm(-1j * op.matrix * s) @ u0) for s in t]
         np.testing.assert_allclose(res.norms, expected, rtol=0, atol=1e-8)
 
+    def test_eigen_path_reads_only_the_modal_record(self, reference_medium, rng):
+        # neither the lifted projectors (op.eigen) nor the 2N x 2N matrix are built
+        op = ops.build_perp_operator(reference_medium, 0.8)
+        assert evo.propagate(op, unit_state(op, rng), [0.0, 1.0]).method == "Eigen"
+        assert "eigen" not in vars(op) and "matrix" not in vars(op)
+
+    def test_residual_only_refusal_falls_back(self, monkeypatch, reference_medium, rng):
+        # eigenvalues off by 1e-6 relative: modes accepts them, the residual refuses
+        eig = np.linalg.eig
+
+        def shifted(a):
+            vals, vecs = eig(a)
+            return vals * (1 + 1e-6), vecs
+
+        op = ops.build_perp_operator(reference_medium, 1.0)
+        u0 = unit_state(op, rng)
+        ops._modal_record.cache_clear()
+        monkeypatch.setattr(np.linalg, "eig", shifted)
+        try:
+            rec = ops._modal_record(reference_medium, 1.0)
+            rec.modes
+            with pytest.raises(NotDiagonalizable, match="reconstruction residual 1.00e-06"):
+                rec.residual
+            res = evo.propagate(op, u0, [0.0, 1.0])
+            assert res.method == "Oracle"
+            np.testing.assert_array_equal(res.states[0], u0)
+        finally:
+            ops._modal_record.cache_clear()
+
     @pytest.mark.parametrize("t", [[0.0, np.nan], [0.0, np.inf], [np.nan], [1.0, 0.0], [-1.0, 0.0]])
     def test_bad_time_grid_refused(self, reference_medium, rng, t):
         op = ops.build_perp_operator(reference_medium, 1.0)
@@ -323,11 +352,15 @@ class TestMidBand:
         fit = evo.midband_rate(reference_medium, (0.5, 5.0), samples=12)
         assert fit.rate_constant > 0
         assert fit.residual <= 0.10  # against the sampled spectral abscissa
-        with pytest.raises(ValueError, match="samples"):
-            evo.midband_rate(reference_medium, (0.5, 5.0), samples=0)
+        for samples in (0, 2.5, 12.0, "12"):
+            with pytest.raises(ValueError, match="samples"):
+                evo.midband_rate(reference_medium, (0.5, 5.0), samples=samples)
         for k_lo in (0.0, -0.5):
             with pytest.raises(ValueError, match="must start at a positive wavenumber"):
                 evo.midband_rate(reference_medium, (k_lo, 5.0))
+        for band in ((0.5, 0.5), (5.0, 0.5), (0.5, np.inf), (0.5, np.nan)):
+            with pytest.raises(ValueError, match="end finite above it"):
+                evo.midband_rate(reference_medium, band)
 
     def test_nested_band_monotonicity(self, reference_medium):
         wide = evo.midband_rate(reference_medium, (0.5, 5.0), samples=12)

@@ -290,7 +290,8 @@ class TestSingularSetMemo:
         assert ops.singular_set(reference_medium, 0.75) is pts
 
     def test_one_eig_per_medium_and_k(self, monkeypatch, reference_medium, wide_medium):
-        # the modes sequence at a fresh k: op.eigen, the guarded resolvent, the contour
+        # the modes sequence at a fresh k: op.eigen, propagate, the guarded resolvent,
+        # the contour
         eig, eigvals = np.linalg.eig, np.linalg.eigvals
         calls = []
 
@@ -307,7 +308,9 @@ class TestSingularSetMemo:
             ops._modal_record.cache_clear()
             calls.clear()
             k = 0.8765
-            dec = ops.build_perp_operator(medium, k).eigen
+            op = ops.build_perp_operator(medium, k)
+            dec = op.eigen
+            evo.propagate(op, np.ones(op.dim), [0.0, 1.0])
             ops.resolvent_formula(medium, k, (0.3 + 0.7j) * (1.0 + np.abs(dec.eigenvalues).max()))
             ops.projector_contour(medium, k, dec.eigenvalues[len(dec.eigenvalues) // 2])
             assert calls == ["eig"]
@@ -488,7 +491,7 @@ class TestMediumRecord:
         record = ops._medium_record(request.getfixturevalue(name))
         record.fixed_points  # built on first use
         arrays = [x for x in vars(record).values() if isinstance(x, np.ndarray)]
-        assert len(arrays) == 12
+        assert len(arrays) == 14  # with the polarisation split and join
         # coupling^2, resonance^2, i*damping and the poles live in the medium's family tables
         tables = [x for table in record.medium.family_tables for x in table[1:]]
         assert len(tables) == 8
