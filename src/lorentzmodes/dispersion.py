@@ -20,7 +20,8 @@ no secant row of the chain has fallen back, and at the roots of the row
 before it otherwise; a row Newton cannot certify goes through the same
 companion solve.  The continuation checks and the asymptopia tests run as
 numpy passes over blocks of grid rows; the step checks read each root's
-nearest gap once and run the full collision test only where a gap is small.  A row that passes the step control in its raw order needs no
+nearest gap once, and the collision test and the step control both read
+those gaps.  A row that passes the step control in its raw order needs no
 nearest-neighbour search and leaves the running permutation as it is; a
 nearest-neighbour order needs no near-tie test, because the step control
 never passes a near tie.  Only unsafe continuation steps go through the
@@ -50,7 +51,7 @@ from .polyroots import NEWTON_STEPS, _guessed_roots, certified_roots, companion_
 #: a leading dispersion coefficient this small relative to its row is degenerate
 TRIM_TOL = 1e-14
 
-#: roots closer than this (scaled) collide for continuation purposes
+#: two roots a, b collide for continuation purposes when |a - b| < MATCH_TOL (1 + max(|a|, |b|))
 MATCH_TOL = 1e-10
 
 MAX_REFINEMENTS = 10
@@ -272,13 +273,6 @@ def _pairwise(roots: np.ndarray) -> np.ndarray:
     return d
 
 
-def _collides(roots: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Whether two roots are indistinguishable, given d = _pairwise(roots)."""
-    size = np.abs(roots)
-    pair_scale = 1.0 + np.minimum(size[..., :, None], size[..., None, :])
-    return np.any(d < MATCH_TOL * pair_scale, axis=(-2, -1))
-
-
 def _nearest(prev: np.ndarray, new: np.ndarray):
     """(order, unique): greedy nearest-neighbour order from prev into new.
 
@@ -316,16 +310,14 @@ def _step(prev: np.ndarray, new: np.ndarray):
     a collision has the identity as its greedy order and is safe, so only the
     other rows (anchor rows, chain junctions, fallback rows, swaps) go through
     ``_nearest``.  The pair distances give each root's nearest gap once, as
-    column minima of the exactly symmetric distances; a colliding pair puts
-    its smaller root's gap below MATCH_TOL (1 + |root|), so ``_collides`` runs
-    only on the rows where some root's gap is that small.
+    column minima of the exactly symmetric distances.  A row collides where
+    some root's gap is below MATCH_TOL (1 + |root|): that is the pair test at
+    scale 1 + max(|a|, |b|), as the larger root of a colliding pair has a gap
+    below its own threshold, and a flagged root's nearest partner lies within
+    the pair's larger threshold.
     """
-    d = _pairwise(new)
-    gaps = d.min(axis=-2)
-    near = np.asarray(np.any(gaps < MATCH_TOL * (1.0 + np.abs(new)), axis=-1))
-    collides = np.zeros(near.shape, dtype=bool)
-    if near.any():
-        collides[near] = _collides(new[near], d[near])
+    gaps = _pairwise(new).min(axis=-2)
+    collides = np.any(gaps < MATCH_TOL * (1.0 + np.abs(new)), axis=-1)
     order = np.broadcast_to(np.arange(new.shape[-1]), new.shape).copy()
     safe = np.asarray(~collides & _steady(prev, new, order, gaps))
     rest = ~safe

@@ -48,7 +48,7 @@ from .dispersion import _solvable_rows, expansion
 from .errors import ExponentMismatch, NonPolynomialDecay, QuadratureNonconvergent, WindowTooShort
 from .evolution import _time_grid
 from .medium import LorentzMedium
-from .operators import _modal_norms
+from .operators import _ModalRecord, _medium_record
 from .polyroots import certified_root_near, certified_roots, companion_roots
 # unused here, kept because perfbench/spans.py wraps these four at these names
 from .dispersion import solve_dispersion  # noqa: F401
@@ -74,15 +74,15 @@ FIT_T_MIN = 1e2
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """phi(k) supported on [k_min, k_max]."""
+    """phi(k) supported on [k_min, k_max]; a band not 0 < k_min < k_max < inf raises ValueError."""
 
     k_min: float
     k_max: float
     shape: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not (0 < self.k_min < self.k_max):
-            raise ValueError("profile band must satisfy 0 < k_min < k_max")
+        if not (0 < self.k_min < self.k_max < math.inf):
+            raise ValueError("profile band must satisfy 0 < k_min < k_max < inf")
 
     def __call__(self, k):
         return self.shape(np.asarray(k, dtype=float))
@@ -150,9 +150,11 @@ def branch_eigenvalue(medium: LorentzMedium, label, k):
 
 
 def _propagated_traces(medium, rule: FixedRandomUnit, ks, t_grid) -> np.ndarray:
-    """|exp(-iAt) v|^2 / |v|^2 per node for the shared random state v."""
+    """Weighted |exp(-iAt) v|^2 / |v|^2, one stacked evolution over ks, for the shared random v."""
     re, im = np.random.default_rng(rule.seed).standard_normal((2, 2 * medium.state_blocks))
-    return _modal_norms(medium, ks, re + 1j * im, t_grid) ** 2
+    v, gram = re + 1j * im, _medium_record(medium).gram
+    states = _ModalRecord(medium, ks).evolve(v, t_grid)
+    return np.sum(gram * np.abs(states) ** 2, axis=-1) / np.sum(gram * np.abs(v) ** 2)
 
 
 # --- the energy integral -------------------------------------------------------------

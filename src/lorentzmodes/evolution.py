@@ -1,8 +1,8 @@
 """Time propagation of per-wavenumber states and band-wise decay envelopes.
 
-``propagate`` takes ``_ModalRecord.evolve``, the one u_+/u_- evolution, as the
-random-direction energy traces do; its fallback stays the dense 2N x 2N expm (an
-N x N one on the two parts is barely faster, less accurate, inexact at t = 0).
+``propagate`` takes ``_ModalRecord.evolve`` of the record its operator keeps, the
+one u_+/u_- evolution the random-direction energy traces take stacked; its fallback
+stays the dense 2N x 2N expm (N x N on the two parts is barely faster, less exact).
 The envelope checks read each k's envelope off the modal expansion
 |exp(-i A(k) t)|_W <= sum_n |Pi_n(k)|_W exp(Im w_n(k) t), from one stacked u_+
 eigendecomposition: no state is evolved and no rate is fitted.
@@ -18,7 +18,7 @@ import numpy as np
 from .dispersion import _log_points, _slowest_hf_branch, solve_dispersion
 from .errors import BandViolation, DimensionMismatch, NonPositiveRate, NotDiagonalizable
 from .medium import LorentzMedium
-from .operators import PerpOperator, _ModalRecord, _modal_record
+from .operators import PerpOperator, _ModalRecord
 
 
 @dataclass
@@ -46,7 +46,7 @@ def propagate(
     """Evolve a flat state through exp(-i A t) on the sorted, finite, nonnegative grid.
 
     A state whose shape is not ``(op.dim,)`` raises DimensionMismatch.  It takes
-    ``evolve``, the one u_+/u_- evolution, of the record ``op.eigen`` shares (tag
+    ``evolve``, the one u_+/u_- evolution, of the record the operator keeps (tag
     "Eigen"); where that record refuses its modes or residual, it applies the
     dense 2N x 2N ``scipy.linalg.expm(-i t A)`` per time sample (tag "Oracle", the
     tests' reference, exact at t = 0; N x N on the parts: barely faster, less exact).
@@ -56,7 +56,7 @@ def propagate(
     if u0.shape != (op.dim,):
         raise DimensionMismatch(f"initial state has shape {u0.shape}, operator needs ({op.dim},)")
 
-    rec = _modal_record(op.medium, float(op.k))
+    rec = op._record
     try:
         rec.residual  # refuses what the modes refuse, then a residual above 1e-8
     except NotDiagonalizable:

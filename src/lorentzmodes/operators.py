@@ -14,8 +14,9 @@ One modal record, for one k or a 1-D array, holds the u_+ operators, their one
 eig and all read off it: the rank-2 spectral projectors, their norms, the
 singular set's spectrum, and the one evolution of a state (u_+ part and
 S-flipped u_- part by the u_+ modes) that ``propagate`` and the random-direction
-energy traces both take; only ``propagate``'s fallback, the dense 2N x 2N expm,
-is separate (an N x N expm of the two parts is barely faster, less accurate).
+energy traces both take; an operator keeps the record of its k.  Only the
+fallback of ``propagate``, the dense 2N x 2N expm, is separate (an N x N expm of
+the two parts is barely faster, less accurate).
 The explicit resolvent is the u_+ formula lifted to 2N x 2N by the projectors'
 map, and the contour projector sums only u_+ resolvents.
 """
@@ -228,6 +229,10 @@ class PerpOperator:
     @cached_property
     def eigen(self):
         return spectral_decomposition(self)
+
+    @cached_property
+    def _record(self) -> _ModalRecord:
+        return _modal_record(self.medium, float(self.k))
 
 
 def _assemble(medium: LorentzMedium, curl: np.ndarray) -> np.ndarray:
@@ -492,26 +497,20 @@ class _ModalRecord:
         return np.exp(-1j * vals[:, None, :] * t_grid[:, None]) @ rows.reshape(vals.shape + (-1,))
 
 
-# a scalar k's record, bounded like the medium record for the same reason
+# a scalar k's record, bounded like the medium record for the same reason; an operator
+# keeps the record it read (``PerpOperator._record``), so it never depends on the bound
 _modal_record = lru_cache(maxsize=16)(_ModalRecord)
-
-
-def _modal_norms(medium: LorentzMedium, ks, states, t_grid) -> np.ndarray:
-    """Weighted |exp(-i A(k) t) u| / |u|, shape (len(ks), len(t_grid)), stacked over ks."""
-    gram = _medium_record(medium).gram
-    norms2 = np.sum(gram * np.abs(_ModalRecord(medium, ks).evolve(states, t_grid)) ** 2, axis=-1)
-    return np.sqrt(norms2 / np.sum(gram * np.abs(states) ** 2, axis=-1)[..., None])
 
 
 def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     """Rank-2 projectors p_n (x) u_+ u_+^H + S p_n S (x) u_- u_-^H, one per root.
 
     p_n is the eigenprojector of the n-th (simple) eigenvalue of the u_+
-    operator.  Refuses what the modal record's ``modes`` refuse and a u_+
-    reconstruction residual above 1e-8 (the residual ``projector_norm_sweep``
-    reports at op.k).
+    operator, read off the modal record the operator keeps.  Refuses what the
+    record's ``modes`` refuse and a u_+ reconstruction residual above 1e-8 (the
+    residual ``projector_norm_sweep`` reports at op.k).
     """
-    rec = _modal_record(op.medium, float(op.k))
+    rec = op._record
     vals, vecs, left = (x[0] for x in rec.modes)
     residual = float(rec.residual[0])
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L

@@ -653,7 +653,7 @@ def _scalar_continuation(medium, k_grid, solved=None):
     def step(k0, roots0, k1, roots1, depth=0):
         d = np.abs(roots1[:, None] - roots1[None, :])
         np.fill_diagonal(d, np.inf)
-        pair_scale = 1.0 + np.minimum(np.abs(roots1)[:, None], np.abs(roots1)[None, :])
+        pair_scale = 1.0 + np.maximum(np.abs(roots1)[:, None], np.abs(roots1)[None, :])
         if np.any(d < dsp.MATCH_TOL * pair_scale):
             raise BranchCollision(f"roots indistinguishable at k={k1:g}")
         new = roots1[_reference_match(roots0, roots1)]
@@ -941,11 +941,19 @@ class TestTracking:
                 )
 
 
+def _collides(roots):
+    """The all-pairs collision test: some pair a, b with |a - b| < MATCH_TOL (1 + max(|a|, |b|))."""
+    size = np.abs(roots)
+    scale = 1.0 + np.maximum(size[..., :, None], size[..., None, :])
+    return np.any(dsp._pairwise(roots) < dsp.MATCH_TOL * scale, axis=(-2, -1))
+
+
 def _greedy_step(prev, new):
-    """``dsp._step`` as the full greedy test: ``_nearest`` on every row, and a near tie
-    (second distance below twice the first) refused before the step control."""
+    """``dsp._step`` as the full greedy test: ``_nearest`` on every row, the all-pairs
+    collision test, and a near tie (second distance below twice the first) refused
+    before the step control."""
     d = dsp._pairwise(new)
-    collides = dsp._collides(new, d)
+    collides = _collides(new)
     order, unique = dsp._nearest(prev, new)
     part = np.partition(np.abs(prev[..., :, None] - new[..., None, :]), 1, axis=-1)
     clear = unique & ~np.any(part[..., 1] < 2.0 * part[..., 0], axis=-1)
@@ -995,26 +1003,31 @@ class TestIdentityFirstStep:
 
     @given(st.data())
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_gap_prefilter_keeps_every_collision(self, data):
+    def test_gaps_give_every_collision(self, data):
         # roots of moduli 1e-3 to 1e6, one pair planted at a multiple of MATCH_TOL (1 + |r|)
-        # just inside, at or just outside the collision threshold, or far from it
+        # just inside, at or just outside the collision threshold, far from it, or at 0
+        # (an exact duplicate).  The planted root steps towards the origin, so r stays
+        # the pair's larger root and its threshold the pair's, unless r is that close to 0
         n = data.draw(st.integers(2, 6))
         rows = data.draw(st.integers(0, 4))  # 0: one 1-D call, as a refinement makes
-        pairs = []
+        pairs, duplicate = [], []
         for _ in range(max(rows, 1)):
             unit = st.tuples(st.floats(-1, 1), st.floats(-1, 1))
             new = np.array([complex(*u) for u in data.draw(
                 st.lists(unit, min_size=n, max_size=n))]) * 10.0 ** data.draw(st.integers(-3, 6))
             i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-            factor = data.draw(st.sampled_from([0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0]))
-            direction = cmath.exp(1j * data.draw(st.floats(0, 2 * math.pi)))
+            factor = data.draw(st.sampled_from([0.0, 0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0]))
+            direction = -cmath.exp(1j * (cmath.phase(new[i]) + data.draw(st.floats(-1, 1))))
             new[j] = new[i] + factor * dsp.MATCH_TOL * (1.0 + abs(new[i])) * direction
             pairs.append((new + 1e-3 * np.abs(new), new))
+            duplicate.append(factor == 0.0)
         prev, new = (np.stack(side) for side in zip(*pairs))
         if rows == 0:
             prev, new = prev[0], new[0]
         order, collides, safe = dsp._step(prev, new)
-        np.testing.assert_array_equal(collides, dsp._collides(new, dsp._pairwise(new)))
+        np.testing.assert_array_equal(collides, _collides(new))
+        assert np.all(np.reshape(collides, -1)[duplicate])
+        assert not np.any(np.reshape(safe, -1)[duplicate])
         _assert_same_step((order, collides, safe), prev, new)
 
     @pytest.mark.parametrize("name, points_per_decade", [

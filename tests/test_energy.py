@@ -368,6 +368,20 @@ class TestProfiles:
         prof = en.power_law(2.0, 0.1, 1.0)
         assert prof(0.5) == pytest.approx(0.25)
 
+    def test_infinite_band_edge_is_refused_typed(self, reference_medium):
+        # an infinite k_max used to pass, and a run then overflowed in math.ceil(inf)
+        band = r"profile band must satisfy 0 < k_min < k_max < inf$"
+        for k_min, k_max in ((0.1, np.inf), (np.nan, 1.0), (0.1, np.nan), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match=band):
+                en.RadialProfile(k_min, k_max, np.ones_like)
+        with pytest.raises(ValueError, match=band):
+            en.sobolev_tail(2.0, 3.6, 1.0, np.inf)
+        with pytest.raises(ValueError, match=band):
+            en.simulate_energy(reference_medium, en.power_law(0.0, 0.1, np.inf),
+                               en.FixedRandomUnit(0), [1.0, 2.0])
+        with pytest.raises(ValueError, match=band):
+            en.verify_gamma_lf(reference_medium, 0.0, k_minus=np.inf)
+
 
 class TestFitExponent:
     def test_pure_power_law_recovered_exactly(self):

@@ -315,7 +315,10 @@ class TestEnvelopes:
         ks = np.array([0.01, 0.3, 1.0, 7.0, 50.0])
         t = np.linspace(0.0, 3e4, 200)
         draws = np.random.default_rng(5).standard_normal((len(ks), 2, 2 * medium.state_blocks))
-        norms = ops._modal_norms(medium, ks, draws[:, 0] + 1j * draws[:, 1], t)
+        states = draws[:, 0] + 1j * draws[:, 1]
+        gram = ops._medium_record(medium).gram
+        evolved = np.sum(gram * np.abs(ops._ModalRecord(medium, ks).evolve(states, t)) ** 2, axis=-1)
+        norms = np.sqrt(evolved / np.sum(gram * np.abs(states) ** 2, axis=-1)[:, None])
         rng = np.random.default_rng(5)  # the same stream, drawn state by state
         for k, trace in zip(ks, norms):
             op = ops.build_perp_operator(medium, k)

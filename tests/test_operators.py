@@ -318,6 +318,28 @@ class TestSingularSetMemo:
             ops._ModalRecord(medium, np.array([0.5, k, 2.0])).modes
             assert calls == ["eig", "eig"]
 
+    def test_operator_keeps_its_record(self, monkeypatch, reference_medium):
+        # 16 other wavenumbers evict k's record from the bounded cache; the operator
+        # still holds it, so propagate runs no second eig
+        eig = np.linalg.eig
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return eig(a)
+
+        monkeypatch.setattr(np.linalg, "eig", counting)
+        k = 0.7531
+        op = ops.build_perp_operator(reference_medium, k)
+        dec = op.eigen
+        for other in np.geomspace(0.01, 100.0, 16):
+            ops.singular_set(reference_medium, other)
+        assert ops._modal_record.cache_info().currsize == 16
+        calls.clear()
+        res = evo.propagate(op, np.ones(op.dim), [0.0, 1.0])
+        assert res.method == "Eigen" and calls == []
+        assert op.eigen is dec
+
     def test_nonfinite_k_is_refused_before_any_eig(self, monkeypatch, reference_medium):
         ops.singular_set(reference_medium, 0.5)  # the per-medium constants are built
 
