@@ -314,7 +314,8 @@ def _step(prev: np.ndarray, new: np.ndarray):
     some root's gap is below MATCH_TOL (1 + |root|): that is the pair test at
     scale 1 + max(|a|, |b|), as the larger root of a colliding pair has a gap
     below its own threshold, and a flagged root's nearest partner lies within
-    the pair's larger threshold.
+    the pair's larger threshold.  The same nearest-gap rule decides
+    ``diagnose_bands``' simple roots and ``_ModalRecord.modes``' refusal.
     """
     gaps = _pairwise(new).min(axis=-2)
     collides = np.any(gaps < MATCH_TOL * (1.0 + np.abs(new)), axis=-1)
@@ -689,12 +690,12 @@ def _within_leading(branch: BranchFamily, table, regime: str) -> np.ndarray:
 def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
     """(k_minus, k_plus): outermost grid points where asymptopia is reached.
 
-    A grid point is inside the high band when all roots are simple (pairwise
-    separation above ten times the clustering tolerance) and every branch sits
-    within 25 percent of its leading asymptotic term; the low band is
-    symmetric.  Both tests run as masks over the whole grid, and each band is
-    the outermost contiguous run of its mask.  Raises when no grid point
-    qualifies.
+    A grid point is inside the high band when all roots are simple (each root's
+    nearest gap above 10 CLUSTER_TOL (1 + |root|), the rule of ``_step``) and
+    every branch sits within 25 percent of its leading asymptotic term; the low
+    band is symmetric.  Both tests run as masks over the whole grid, and each
+    band is the outermost contiguous run of its mask.  Raises when no grid
+    point qualifies.
     """
     k = branches[0].k
     roots = np.stack([b.omega for b in branches], axis=1)
@@ -702,12 +703,8 @@ def diagnose_bands(branches: list[BranchFamily], table: CoefficientTable):
     block = _pair_rows(len(branches))
     for start in range(0, len(k), block):
         r = roots[start : start + block]
-        size = np.abs(r)
-        # ten times the clustering tolerance, scaled per pair
-        scale = 1.0 + np.maximum(size[:, :, None], size[:, None, :])
-        simple[start : start + block] = np.all(
-            _pairwise(r) > 10 * CLUSTER_TOL * scale, axis=(1, 2)
-        )
+        gaps = _pairwise(r).min(axis=-2)
+        simple[start : start + block] = np.all(gaps > 10 * CLUSTER_TOL * (1.0 + np.abs(r)), axis=-1)
 
     def inside(regime):
         return simple & np.all([_within_leading(b, table, regime) for b in branches], axis=0)

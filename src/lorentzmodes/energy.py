@@ -6,8 +6,8 @@ traces against an initial radial profile.  Composite Gauss-Legendre panels
 number of panels doubles until the energy at the final time settles.  The
 first test reads the n-panel rule at the final time alone and the 2n-panel
 rule, which it may accept, at every time; one stacked evaluation over both
-rules' nodes serves it, with the n-panel traces taken at t_max only.  Each
-later rule takes an evaluation of its own.
+rules' nodes serves it (a random direction evolves each rule on its own).
+Each later rule takes an evaluation of its own.
 
 The optimal data of the exponent runs is a slow-branch eigenvector, whose
 trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
@@ -197,7 +197,7 @@ def simulate_energy(
     exp(2 Im omega(k) t), from one stacked ``branch_eigenvalue`` per call, and
     the record's exponent is the accepted rule's -t E'/E at t_max.  A
     FixedRandomUnit datum evolves by one stacked ``_ModalRecord.evolve`` per
-    call, and its record has no exponent (None).  A t_grid that ``propagate``
+    rule, and its record has no exponent (None).  A t_grid that ``propagate``
     refuses, or an empty one, raises ValueError before any evaluation.
     """
     t_grid = _time_grid(t_grid)
@@ -213,8 +213,10 @@ def simulate_energy(
     elif isinstance(direction_rule, FixedRandomUnit):
 
         def rule_traces(ks, n_coarse):
-            traces = _propagated_traces(medium, direction_rule, ks, t_grid)
-            return traces[:n_coarse, -1:], traces[n_coarse:], None
+            coarse = np.empty((0, 1))
+            if n_coarse:
+                coarse = _propagated_traces(medium, direction_rule, ks[:n_coarse], t_grid[-1:])
+            return coarse, _propagated_traces(medium, direction_rule, ks[n_coarse:], t_grid), None
 
     else:
         raise ValueError(f"unknown direction rule {direction_rule!r}")

@@ -382,9 +382,8 @@ class SpectralDecomposition:
 
 def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
     """p (x) u_+u_+^H + S p S (x) u_-u_-^H: N x N u_+ matrices (last two axes) to 2N x 2N."""
-    # block (a, b): p[..., a, b] (u_+u_+^H + s_a s_b u_-u_-^H)
-    q_plus = np.outer(_U_PLUS, _U_PLUS.conj())
-    q = q_plus[:, None] + np.outer(s, s)[:, None, :, None] * q_plus.conj()[:, None]
+    # block (a, b): p[..., a, b] (u_+u_+^H + s_a s_b u_-u_-^H), exactly I or -i J2
+    q = np.where(np.outer(s, s)[:, None, :, None] > 0, np.eye(2)[:, None], -1j * J2[:, None])
     dim = 2 * p.shape[-1]
     return (p[..., :, None, :, None] * q).reshape(p.shape[:-2] + (dim, dim))
 
@@ -418,8 +417,8 @@ class _ModalRecord:
     def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eigenvalues in lexsort order, eigenvectors V, left vectors L = V^-1).
 
-        The first k with a scaled gap below EIG_CLUSTER_TOL or |V|_F |L|_F > 1e12
-        (never below cond_2(V)) is refused.
+        The first k with a nearest gap below EIG_CLUSTER_TOL (1 + |eigenvalue|), the
+        rule of ``dispersion._step``, or |V|_F |L|_F > 1e12 (never below cond_2(V)) is refused.
         """
         vals, vecs = self.eig
         order = np.lexsort((vals.imag, vals.real))
@@ -430,7 +429,7 @@ class _ModalRecord:
         except np.linalg.LinAlgError:  # an exactly singular V anywhere in the stack
             left = np.full_like(vecs, np.inf)
         bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
-        gap = (_pairwise(vals) / (1.0 + np.abs(vals)[..., :, None])).min(axis=(-2, -1))
+        gap = (_pairwise(vals).min(axis=-2) / (1.0 + np.abs(vals))).min(axis=-1)
         bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
         if np.any(bad):
             i = np.argmax(bad)

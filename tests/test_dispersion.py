@@ -1688,6 +1688,44 @@ class TestBands:
         nonzero = [abs(z.location) for z in cat.zeros if abs(z.location) > 0]
         assert grid[0] <= 0.01 * min(nonzero)
 
+    def test_simple_roots_are_the_all_pairs_test(self, survey_media, monkeypatch):
+        # with every branch inside its leading term, a one-row grid keeps its band
+        # exactly where its roots are simple.  Each survey row also gets a planted pair
+        # at (1 -+ 2^-40) times its larger root's threshold, stepped towards the origin
+        tol = 10 * lm.medium.CLUSTER_TOL
+        monkeypatch.setattr(dsp, "_within_leading", lambda b, table, regime: np.ones(1, bool))
+        rng = np.random.default_rng(0)
+
+        def diagnosed(roots):
+            try:
+                branches = [dsp.BranchFamily(np.ones(1), np.array([w])) for w in roots]
+                dsp.diagnose_bands(branches, None)
+            except UnclassifiableBranch:
+                return False
+            return True
+
+        def pairs_apart(roots, bigger):
+            size = np.abs(roots)
+            scale = 1.0 + bigger(size[:, None], size[None, :])
+            return bool(np.all(dsp._pairwise(roots) > tol * scale))
+
+        separated = []
+        for medium in survey_media:
+            for r in dsp._solve_grid(medium, np.geomspace(1e-2, 1e2, 5)):
+                i, j = rng.choice(len(r), 2, replace=False)
+                direction = -cmath.exp(1j * (cmath.phase(r[i]) + rng.uniform(-1, 1)))
+                for factor in (None, 1 - 2**-40, 1 + 2**-40):
+                    roots = r.copy()
+                    if factor is not None:
+                        roots[j] = r[i] + factor * tol * (1.0 + abs(r[i])) * direction
+                    assert diagnosed(roots) == pairs_apart(roots, np.maximum)
+                    separated.append(
+                        (pairs_apart(roots, np.maximum), pairs_apart(roots, np.minimum))
+                    )
+        # the planted pairs tell the pair's larger scale from its smaller one
+        assert (False, True) in separated
+        assert (True, True) in separated
+
 
 @given(st.floats(0.2, 3.0), st.floats(0.2, 3.0))
 @settings(max_examples=20, deadline=None)

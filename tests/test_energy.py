@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import lorentzmodes as lm
 from lorentzmodes import dispersion as dsp
 from lorentzmodes import energy as en
+from lorentzmodes import operators as ops
 from lorentzmodes import polyroots
 from lorentzmodes.errors import (
     ExponentMismatch,
@@ -91,7 +92,10 @@ class TestPanelDoubling:
             record = run(medium)
             ((_, profile, rule, _),) = calls
             n = math.ceil(math.log10(profile.k_max / profile.k_min))  # one panel per decade
-            assert rows == [3 * n * en.NODES_PER_PANEL]
+            if isinstance(rule, en.OptimalBranch):
+                assert rows == [3 * n * en.NODES_PER_PANEL]
+            else:  # the n-panel rule evolves at t_max alone, in a call of its own
+                assert rows == [n * en.NODES_PER_PANEL, 2 * n * en.NODES_PER_PANEL]
             assert record.panels == 2 * n
 
             energies, exponent = [], None
@@ -112,6 +116,25 @@ class TestPanelDoubling:
                 assert record.exponent is None
             else:
                 assert record.exponent == pytest.approx(exponent, rel=1e-12, abs=0)
+
+    def test_random_direction_evolves_the_coarse_rule_at_t_max(self, reference_medium, monkeypatch):
+        calls = []
+        evolve = ops._ModalRecord.evolve
+
+        def recorded(record, states, t_grid):
+            calls.append((len(record.ks), len(t_grid), t_grid[-1]))
+            return evolve(record, states, t_grid)
+
+        monkeypatch.setattr(ops._ModalRecord, "evolve", recorded)
+        t = np.geomspace(1.0, 1e3, 61)
+        k_minus, k_plus = reference_medium.diagnosed_bands
+        record = en.convergence_to_zero(reference_medium, t)
+        n = math.ceil(math.log10(100.0 * k_plus / k_minus))  # one panel per decade
+        # one evolution per rule, up to the accepted one; only the first rule's is at t_max alone
+        rules = [n * 2**j for j in range(int(math.log2(record.panels // n)) + 1)]
+        assert rules[-1] == record.panels > 2 * n
+        assert calls == [(panels * en.NODES_PER_PANEL, 61 if panels > n else 1, t[-1])
+                         for panels in rules]
 
     def test_unsettled_run_evaluates_each_rule_once(
         self, reference_medium, reference_bands, monkeypatch

@@ -462,6 +462,47 @@ class TestStackedResolvent:
         assert np.isfinite(ops.resolvent_formula(reference_medium, 1.0, omegas[[0, 2]])).all()
 
 
+def assert_exact_blocks(lifted, p, s):
+    """Every 2 x 2 block (a, b) of lifted is p_ab I2 where s_a s_b > 0, else p_ab (-i J2), exactly.
+
+    -i J2 = [[0, i], [-i, 0]]: i p is (-Im p, Re p) and -i p is (Im p, -Re p), no rounding.
+    """
+    n = p.shape[-1]
+    blocks = np.moveaxis(lifted.reshape(p.shape[:-2] + (n, 2, n, 2)), -3, -2)
+    same = np.outer(s, s) > 0
+    diagonal, upper, lower = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0]
+    assert np.array_equal(diagonal, np.where(same, p, 0))
+    assert np.array_equal(blocks[..., 1, 1], diagonal)
+    assert np.array_equal(upper, np.where(same, 0, -p.imag + 1j * p.real))
+    assert np.array_equal(lower, np.where(same, 0, p.imag - 1j * p.real))
+
+
+class TestExactLift:
+    """The u_+/u_- lift copies each u_+ entry into its 2 x 2 block with no rounding."""
+
+    @pytest.mark.parametrize("name", STACK_MEDIA + ["electric_only_medium"])
+    def test_lift_of_random_matrices(self, name, request):
+        medium = request.getfixturevalue(name)
+        n, s = medium.state_blocks, ops._medium_record(medium).flip
+        rng = np.random.default_rng(n)
+        p = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        p[0, 0, :] = 0.0  # exact zeros stay zeros
+        p *= 10.0 ** rng.integers(-8, 9, (3, n, n))
+        assert_exact_blocks(ops._lift(p, s), p, s)
+
+    @pytest.mark.parametrize("name", STACK_MEDIA + ["electric_only_medium"])
+    def test_resolvent_and_projectors(self, name, request):
+        medium = request.getfixturevalue(name)
+        s = ops._medium_record(medium).flip
+        for k in (0.05, 1.0, 20.0):
+            omegas = _omega_grid(int(100 * k))
+            assert_exact_blocks(ops.resolvent_formula(medium, k, omegas),
+                                ops._resolvent_plus(medium, k, omegas), s)
+            op = ops.build_perp_operator(medium, k)
+            _, vecs, left = (x[0] for x in op._record.modes)
+            assert_exact_blocks(op.eigen.projectors, vecs.T[:, :, None] * left[:, None, :], s)
+
+
 ALL_MEDIA = STACK_MEDIA + ["undamped_medium", "electric_only_medium"]
 BAND_KS = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
 
