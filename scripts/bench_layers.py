@@ -9,6 +9,8 @@ oscillators):
   being built on first read;
 - ``dispersion``: ``solve_dispersion`` at a scalar k;
 - ``eigen``: ``op.eigen`` on a fresh operator;
+- ``norms``: ``op.operator_norm`` of every projector, as the ``modes`` check
+  takes them, decomposition built;
 - ``propagate``: ``propagate`` on 201 time samples, decomposition built;
 - ``resolvent``: guarded ``resolvent_formula`` at one upper-half-plane point;
 - ``contour``: ``projector_contour`` for one dispersion root;
@@ -116,9 +118,13 @@ def layers(lm, medium):
         2 * medium.state_blocks
     )
 
-    def with_eigen(k):
+    def decomposed(k):
         op = operators.build_perp_operator(medium, k)
         op.eigen  # the decomposition is built before the timed call
+        return op
+
+    def with_eigen(k):
+        op = decomposed(k)
         return op, u0 / op.norm(u0)
 
     def upper_point(k):
@@ -146,6 +152,8 @@ def layers(lm, medium):
         ("assembly", lambda k: (medium, k), lambda m, k: operators.build_perp_operator(m, k).matrix),
         ("dispersion", lambda k: (medium, k), lm.solve_dispersion),
         ("eigen", lambda k: (operators.build_perp_operator(medium, k),), lambda op: op.eigen),
+        ("norms", lambda k: (decomposed(k),),
+         lambda op: [op.operator_norm(p) for p in op.eigen.projectors]),
         ("propagate", with_eigen, lambda op, u: evolution.propagate(op, u, T_GRID)),
         ("resolvent", upper_point, operators.resolvent_formula),
         ("contour", one_root, operators.projector_contour),

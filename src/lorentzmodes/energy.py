@@ -213,10 +213,8 @@ def simulate_energy(
     elif isinstance(direction_rule, FixedRandomUnit):
 
         def rule_traces(ks, n_coarse):
-            coarse = np.empty((0, 1))
-            if n_coarse:
-                coarse = _propagated_traces(medium, direction_rule, ks[:n_coarse], t_grid[-1:])
-            return coarse, _propagated_traces(medium, direction_rule, ks[n_coarse:], t_grid), None
+            return (_propagated_traces(medium, direction_rule, ks[:n_coarse], t_grid[-1:]),
+                    _propagated_traces(medium, direction_rule, ks[n_coarse:], t_grid), None)
 
     else:
         raise ValueError(f"unknown direction rule {direction_rule!r}")

@@ -18,7 +18,9 @@ energy traces both take; an operator keeps the record of its k.  Only the
 fallback of ``propagate``, the dense 2N x 2N expm, is separate (an N x N expm of
 the two parts is barely faster, less accurate).
 The explicit resolvent is the u_+ formula lifted to 2N x 2N by the projectors'
-map, and the contour projector sums only u_+ resolvents.
+map, and the contour projector sums only u_+ resolvents.  The lift keeps the
+weighted 2-norm, so ``operator_norm`` takes a lift's norm from its N x N u_+
+part and only any other matrix's from a 2N x 2N SVD.
 """
 
 from __future__ import annotations
@@ -116,8 +118,9 @@ class _MediumRecord:
     The operator less its curl block at block widths 1 and 2, both families on
     u_+ as one array (electric first): each oscillator's position and velocity
     block and its family, the resolvent's constants, the energy weights, their
-    roots, the flip and the polarisation split and join; and, on first use since
-    the catalog refuses H1 or H2 breaches, the singular set's fixed points.
+    roots, the flip, the lift's block pattern and the polarisation split and
+    join; and, on first use since the catalog refuses H1 or H2 breaches, the
+    singular set's fixed points.
     """
 
     def __init__(self, medium: LorentzMedium):
@@ -150,6 +153,9 @@ class _MediumRecord:
         self.sqrt_gram = np.sqrt(self.gram)
         # S, -1 on H, M and Mdot: S A_+ S is the u_- operator
         self.flip = np.repeat([1.0, -1.0, 1.0, -1.0], [1, 1, 2 * ne, 2 * nm])
+        # _lift's 2 x 2 block (a, b), u_+u_+^H + s_a s_b u_-u_-^H: exactly I or -i J2
+        same = np.outer(self.flip, self.flip)[:, None, :, None] > 0
+        self.lift_blocks = np.where(same, np.eye(2)[:, None], -1j * J2[:, None])  # (N, 2, N, 2)
         # block b of a state is (u_+ part, S-flipped u_- part) @ join[:, 2b:2b+2]; split inverts it
         plus = np.tile(_U_PLUS, medium.state_blocks)
         self.join = np.stack([plus, np.repeat(self.flip, 2) * plus.conj()])
@@ -218,12 +224,24 @@ class PerpOperator:
         return float(norms) if norms.ndim == 0 else norms
 
     def operator_norm(self, mat: np.ndarray) -> float:
-        """Weighted spectral norm of a (dim, dim) matrix; other shapes raise DimensionMismatch."""
-        if np.shape(mat) != (self.dim,) * 2:
+        """Weighted spectral norm of a (dim, dim) matrix; other shapes raise DimensionMismatch.
+
+        A lift of an N x N u_+ matrix p (every projector, resolvent and contour
+        projector) is unitarily similar to diag(p, S p S), and S commutes with W,
+        so its norm is that of W^1/2 p W^-1/2: one N x N SVD.  Any other matrix,
+        one holding a NaN included, takes the 2N x 2N SVD.
+        """
+        mat = np.asarray(mat)
+        if mat.shape != (self.dim,) * 2:
             raise DimensionMismatch(
-                f"matrix has shape {np.shape(mat)}, operator needs ({self.dim}, {self.dim})"
+                f"matrix has shape {mat.shape}, operator needs ({self.dim}, {self.dim})"
             )
-        s = _medium_record(self.medium).sqrt_gram
+        rec = _medium_record(self.medium)
+        s = rec.sqrt_gram
+        # exact for a lift, whose block (a, b) is p_ab I or p_ab (-i J2)
+        p = mat[0::2, 0::2] - 1j * mat[0::2, 1::2]
+        if np.array_equal(_lift(p, rec.lift_blocks), mat):
+            mat, s = p, s[::2]
         return float(np.linalg.svd((mat * s[:, None]) / s[None, :], compute_uv=False)[0])
 
     @cached_property
@@ -294,7 +312,7 @@ def resolvent_formula(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     if np.any(near):
         bad = omega[near].flat[0]
         raise NearSingularEvaluation(f"omega={bad} within guard distance of the singular sets")
-    return _lift(_resolvent_plus(medium, k, omega), _medium_record(medium).flip)
+    return _lift(_resolvent_plus(medium, k, omega), _medium_record(medium).lift_blocks)
 
 
 def _eigenspace_plus(medium: LorentzMedium, k: float, omega: np.ndarray):
@@ -380,12 +398,14 @@ class SpectralDecomposition:
     residual: float
 
 
-def _lift(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """p (x) u_+u_+^H + S p S (x) u_-u_-^H: N x N u_+ matrices (last two axes) to 2N x 2N."""
-    # block (a, b): p[..., a, b] (u_+u_+^H + s_a s_b u_-u_-^H), exactly I or -i J2
-    q = np.where(np.outer(s, s)[:, None, :, None] > 0, np.eye(2)[:, None], -1j * J2[:, None])
+def _lift(p: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """p (x) u_+u_+^H + S p S (x) u_-u_-^H: N x N u_+ matrices (last two axes) to 2N x 2N.
+
+    blocks is the medium record's ``lift_blocks``: block (a, b) is p[..., a, b] times
+    its (a, b) pattern.
+    """
     dim = 2 * p.shape[-1]
-    return (p[..., :, None, :, None] * q).reshape(p.shape[:-2] + (dim, dim))
+    return (p[..., :, None, :, None] * blocks).reshape(p.shape[:-2] + (dim, dim))
 
 
 class _ModalRecord:
@@ -491,9 +511,12 @@ class _ModalRecord:
         """
         vals, vecs, left = self.modes
         rec = _medium_record(self.medium)
-        c = left @ (states.reshape(states.shape[:-1] + (-1, 1, 2)) @ rec.split)[..., 0, :]
+        # explicit widths, as a -1 is ambiguous on an empty stack
+        blocks = states.reshape(states.shape[:-1] + (len(rec.split), 1, 2))
+        c = left @ (blocks @ rec.split)[..., 0, :]
         rows = np.swapaxes(vecs, -1, -2)[..., None] * (c @ rec.join).reshape(vecs.shape + (2,))
-        return np.exp(-1j * vals[:, None, :] * t_grid[:, None]) @ rows.reshape(vals.shape + (-1,))
+        rows = rows.reshape(vals.shape + rec.join.shape[-1:])
+        return np.exp(-1j * vals[:, None, :] * t_grid[:, None]) @ rows
 
 
 # a scalar k's record, bounded like the medium record for the same reason; an operator
@@ -513,7 +536,7 @@ def spectral_decomposition(op: PerpOperator) -> SpectralDecomposition:
     vals, vecs, left = (x[0] for x in rec.modes)
     residual = float(rec.residual[0])
     p = vecs.T[:, :, None] * left[:, None, :]  # column n of V times row n of L
-    projectors = _lift(p, _medium_record(op.medium).flip)
+    projectors = _lift(p, _medium_record(op.medium).lift_blocks)
     return SpectralDecomposition(eigenvalues=vals, projectors=projectors, residual=residual)
 
 
@@ -564,7 +587,7 @@ def projector_contour(
         if prev is not None:
             change, size = np.linalg.svd(np.stack([est - prev, est]), compute_uv=False)[..., 0]
             if change < _CONTOUR_TOL * max(1.0, size):
-                return _lift(est, _medium_record(medium).flip)
+                return _lift(est, _medium_record(medium).lift_blocks)
         prev = est
         # the odd nodes of the 2n-node ring
         theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)

@@ -130,11 +130,14 @@ class TestPanelDoubling:
         k_minus, k_plus = reference_medium.diagnosed_bands
         record = en.convergence_to_zero(reference_medium, t)
         n = math.ceil(math.log10(100.0 * k_plus / k_minus))  # one panel per decade
-        # one evolution per rule, up to the accepted one; only the first rule's is at t_max alone
+        # per call, its coarse rule at t_max alone, then its fine rule at every time, up to
+        # the accepted rule; the first call's coarse rule is the n-panel one, later calls' empty
         rules = [n * 2**j for j in range(int(math.log2(record.panels // n)) + 1)]
         assert rules[-1] == record.panels > 2 * n
-        assert calls == [(panels * en.NODES_PER_PANEL, 61 if panels > n else 1, t[-1])
-                         for panels in rules]
+        coarse = [n] + [0] * (len(rules) - 2)
+        assert calls == [call for c, panels in zip(coarse, rules[1:])
+                         for call in ((c * en.NODES_PER_PANEL, 1, t[-1]),
+                                      (panels * en.NODES_PER_PANEL, 61, t[-1]))]
 
     def test_unsettled_run_evaluates_each_rule_once(
         self, reference_medium, reference_bands, monkeypatch

@@ -326,6 +326,15 @@ class TestEnvelopes:
             above = ref > np.sqrt(np.finfo(float).tiny)
             np.testing.assert_allclose(trace[above], ref[above], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("name", ["reference_medium", "electric_only_medium"])
+    def test_an_empty_stack_evolves_to_an_empty_stack(self, name, request):
+        # a node set sliced empty, as a later panel doubling's coarse rule is
+        medium = request.getfixturevalue(name)
+        dim, t = 2 * medium.state_blocks, np.array([0.0, 1.0, 2.0])
+        record = ops._ModalRecord(medium, np.empty(0))
+        for states in (np.ones(dim, dtype=complex), np.ones((0, dim), dtype=complex)):
+            assert record.evolve(states, t).shape == (0, len(t), dim)
+
     @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "asymmetric_medium"])
     def test_dense_semigroup_norm_under_the_envelope(self, name, request):
         # oracle: the weighted norm of the dense expm, never above the computed bound

@@ -179,16 +179,16 @@ class TestInnerProduct:
 
     def test_operator_norm_is_the_weighted_2_norm_bit_for_bit(self, reference_medium,
                                                               wide_medium):
+        # a matrix that is no lift takes the weighted 2N x 2N norm; a projector, a lift,
+        # the weighted N x N norm of its u_+ part
         rng = np.random.default_rng(6)
         for medium in (reference_medium, wide_medium):
             op = ops.build_perp_operator(medium, 2.1)
-            s = np.sqrt(op.gram_diag)
-            mats = list(op.eigen.projectors) + [
-                rng.standard_normal((op.dim, op.dim)) + 1j * rng.standard_normal((op.dim, op.dim))
-            ]
-            for mat in mats:
-                expected = float(np.linalg.norm((mat * s[:, None]) / s[None, :], 2))
-                assert op.operator_norm(mat) == expected
+            mat = rng.standard_normal((op.dim, op.dim)) + 1j * rng.standard_normal((op.dim, op.dim))
+            assert op.operator_norm(mat) == weighted_2_norm(op, mat)
+            _, vecs, left = (x[0] for x in op._record.modes)
+            for n, projector in enumerate(op.eigen.projectors):
+                assert_lift_norm(op, projector, np.outer(vecs[:, n], left[n]))
 
     def test_dissipation_vanishes_iff_damped_blocks_vanish(self, reference_medium):
         op = ops.build_perp_operator(reference_medium, 1.0)
@@ -483,12 +483,13 @@ class TestExactLift:
     @pytest.mark.parametrize("name", STACK_MEDIA + ["electric_only_medium"])
     def test_lift_of_random_matrices(self, name, request):
         medium = request.getfixturevalue(name)
-        n, s = medium.state_blocks, ops._medium_record(medium).flip
+        record = ops._medium_record(medium)
+        n = medium.state_blocks
         rng = np.random.default_rng(n)
         p = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         p[0, 0, :] = 0.0  # exact zeros stay zeros
         p *= 10.0 ** rng.integers(-8, 9, (3, n, n))
-        assert_exact_blocks(ops._lift(p, s), p, s)
+        assert_exact_blocks(ops._lift(p, record.lift_blocks), p, record.flip)
 
     @pytest.mark.parametrize("name", STACK_MEDIA + ["electric_only_medium"])
     def test_resolvent_and_projectors(self, name, request):
@@ -501,6 +502,80 @@ class TestExactLift:
             op = ops.build_perp_operator(medium, k)
             _, vecs, left = (x[0] for x in op._record.modes)
             assert_exact_blocks(op.eigen.projectors, vecs.T[:, :, None] * left[:, None, :], s)
+
+
+def weighted_2_norm(op, mat):
+    """|W^1/2 mat W^-1/2|_2 of a 2N x 2N matrix, or of an N x N u_+ matrix on W's blocks."""
+    s = np.sqrt(op.gram_diag)[:: op.dim // len(mat)]
+    return float(np.linalg.norm((mat * s[:, None]) / s[None, :], 2))
+
+
+def u_plus_part(lifted, s):
+    """The N x N p of a lift, read off the blocks ``assert_exact_blocks`` pins."""
+    upper = lifted[..., 0::2, 1::2]  # i p where s_a s_b < 0
+    return np.where(np.outer(s, s) > 0, lifted[..., 0::2, 0::2], upper.imag - 1j * upper.real)
+
+
+def assert_lift_norm(op, lifted, p):
+    """op.operator_norm of the lift of p: the weighted N x N norm of p bit for bit, and
+    within 2e-15 relative of the weighted 2N x 2N norm."""
+    norm = op.operator_norm(lifted)
+    assert norm == weighted_2_norm(op, p)
+    assert norm == pytest.approx(weighted_2_norm(op, lifted), rel=2e-15, abs=0)
+
+
+class TestLiftNorm:
+    """operator_norm takes one N x N SVD of a lift's u_+ part, and the 2N x 2N SVD otherwise."""
+
+    @pytest.mark.parametrize("name", ["reference_medium", "critical_medium", "wide_medium"])
+    def test_resolvents_and_contour_projectors(self, name, request):
+        medium = request.getfixturevalue(name)
+        s = ops._medium_record(medium).flip
+        for k in (0.05, 1.0, 20.0):
+            op = ops.build_perp_operator(medium, k)
+            omegas = _omega_grid(int(100 * k)).ravel()
+            for w, r in zip(omegas, ops.resolvent_formula(medium, k, omegas)):
+                assert_lift_norm(op, r, ops._resolvent_plus(medium, k, w))
+            for w in op.eigen.eigenvalues:
+                contour = ops.projector_contour(medium, k, w)
+                p = u_plus_part(contour, s)
+                assert_exact_blocks(contour, p, s)
+                assert_lift_norm(op, contour, p)
+
+    @pytest.mark.parametrize("name", ["reference_medium", "wide_medium"])
+    def test_a_lift_moved_by_one_ulp_takes_the_2n_path(self, name, request):
+        # any entry, read for the u_+ part or not, structural zero or not: a loose
+        # structure test would take the N x N path, which differs in the last bit here
+        medium = request.getfixturevalue(name)
+        op = ops.build_perp_operator(medium, 2.1)
+        s = ops._medium_record(medium).flip
+        rng = np.random.default_rng(11)
+        differs = 0
+        for projector in op.eigen.projectors:
+            for a, b in rng.integers(op.dim, size=(8, 2)):
+                mat = projector.copy()
+                mat[a, b] = np.nextafter(mat[a, b].real, np.inf) + 1j * mat[a, b].imag
+                assert op.operator_norm(mat) == weighted_2_norm(op, mat)
+                differs += weighted_2_norm(op, u_plus_part(mat, s)) != weighted_2_norm(op, mat)
+        assert differs
+
+    def test_a_nan_fails_as_the_2n_svd_does(self, reference_medium):
+        op = ops.build_perp_operator(reference_medium, 2.1)
+
+        def outcome(norm, mat):
+            try:
+                return repr(norm(mat))
+            except np.linalg.LinAlgError as err:
+                return repr(err)
+
+        # read for the u_+ part, its copy, the i p slot, and both: a lift of a NaN
+        slots = ([(0, 0)], [(1, 1)], [(0, 3)], [(0, 0), (1, 1)])
+        for lift in (op.eigen.projectors[0], np.eye(op.dim, dtype=complex)):
+            for slot in slots:
+                mat = lift.copy()
+                mat[tuple(np.transpose(slot))] = np.nan
+                assert outcome(op.operator_norm, mat) == outcome(
+                    lambda m: weighted_2_norm(op, m), mat)
 
 
 ALL_MEDIA = STACK_MEDIA + ["undamped_medium", "electric_only_medium"]
@@ -554,7 +629,7 @@ class TestMediumRecord:
         record = ops._medium_record(request.getfixturevalue(name))
         record.fixed_points  # built on first use
         arrays = [x for x in vars(record).values() if isinstance(x, np.ndarray)]
-        assert len(arrays) == 14  # with the polarisation split and join
+        assert len(arrays) == 15  # with the polarisation split and join and the lift's blocks
         # coupling^2, resonance^2, i*damping and the poles live in the medium's family tables
         tables = [x for table in record.medium.family_tables for x in table[1:]]
         assert len(tables) == 8
@@ -978,7 +1053,7 @@ def ring_by_ring_contour(medium, k, eigenvalue):
         if prev is not None and np.linalg.norm(est - prev, 2) < ops._CONTOUR_TOL * max(
             1.0, np.linalg.norm(est, 2)
         ):
-            return ops._lift(est, ops._medium_record(medium).flip)
+            return ops._lift(est, ops._medium_record(medium).lift_blocks)
         prev = est
         theta = 2.0 * np.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
         nodes *= 2
@@ -1040,7 +1115,7 @@ class TestContourProjector:
                 )
                 phase = np.exp(2j * np.pi * np.arange(nodes) / nodes)
                 ring = ops._lift(ops._resolvent_plus(medium, k, w + rho * phase),
-                                 ops._medium_record(medium).flip)
+                                 ops._medium_record(medium).lift_blocks)
                 fresh = -np.einsum("n,nij->ij", phase, ring) * rho / nodes
                 assert np.linalg.norm(p_cont - fresh, 2) <= 1e-12 * np.linalg.norm(fresh, 2)
 
