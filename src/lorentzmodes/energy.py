@@ -14,7 +14,7 @@ trace is exp(2 Im omega(k) t) in closed form.  An evaluation needs only that
 branch's root at each node: Newton from the branch's asymptotic anchor, with
 a Rouché certificate, taken about the Newton root, that it is the root
 nearest the anchor.  A node it leaves unsettled (none in the paper's exponent
-table) takes the full root solve of its dispersion row.  No operator,
+table) takes the full root solve, ``solve_dispersion`` at its k.  No operator,
 eigendecomposition or propagation is involved.  The accepted rule's
 exponent -t E'/E at t_max is exact too: the energy-weighted mean of
 -2 Im omega t_max over its nodes.  A random direction takes ``propagate``'s one
@@ -44,14 +44,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .dispersion import Zero0, _decay_law, _log_grid, _log_points, _slowest_hf_branch
-from .dispersion import _solvable_rows, expansion
+from .dispersion import _solvable_rows, expansion, solve_dispersion
 from .errors import ExponentMismatch, NonPolynomialDecay, QuadratureNonconvergent, WindowTooShort
 from .evolution import _time_grid
 from .medium import LorentzMedium
 from .operators import _ModalRecord, _medium_record
-from .polyroots import certified_root_near, certified_roots, companion_roots
-# unused here, kept because perfbench/spans.py wraps these four at these names
-from .dispersion import solve_dispersion  # noqa: F401
+from .polyroots import certified_root_near
+# unused here, kept because perfbench/spans.py wraps these three at these names
 from .operators import build_perp_operator, eigenvector_columns  # noqa: F401
 from .evolution import propagate  # noqa: F401
 
@@ -130,10 +129,9 @@ def branch_eigenvalue(medium: LorentzMedium, label, k):
     The anchor is the label's ``expansion`` over the medium's coefficient
     table, for any label.  k must lie in the label's validity band.  A 1-D
     array of k gives one root per k (a scalar k is the one-row stack).  Each
-    row runs Newton from its anchor; only the rows whose root is not
-    certified as the nearest one go through the full root solve of the same
-    rows (``certified_roots``; a scalar k = 0 deflates its two origin roots,
-    as ``solve_dispersion`` does) and keep its nearest root.
+    row runs Newton from its anchor; only the rows whose root is not certified
+    as the nearest one go through ``solve_dispersion`` at their k (a scalar
+    k = 0 deflates its two origin roots there) and keep its nearest root.
     """
     anchor, _ = expansion(label, medium.asymptotic_coefficients())
     scalar = np.ndim(k) == 0
@@ -143,7 +141,7 @@ def branch_eigenvalue(medium: LorentzMedium, label, k):
     roots, settled = certified_root_near(rows, start)
     if not np.all(settled):
         rest = ~settled
-        full = companion_roots(rows[0])[None] if scalar and k == 0 else certified_roots(rows[rest])
+        full = np.atleast_2d(solve_dispersion(medium, k if scalar else ks[rest]))
         pick = np.argmin(np.abs(full - start[rest, None]), axis=1)
         roots[rest] = full[np.arange(len(pick)), pick]
     return complex(roots[0]) if scalar else roots
@@ -321,6 +319,12 @@ class GammaReport:
         )
 
 
+def _given_band_edge(name: str, edge: Optional[float]) -> None:
+    """Refuse a band edge given outside (0, inf), naming it, in its profile's words."""
+    if edge is not None and not 0 < edge < math.inf:
+        raise ValueError(f"{name}={edge}: profile band must satisfy 0 < k_min < k_max < inf")
+
+
 def _exponent_run(medium, label, t_onset, profile_at, target, tag, slack=0.0) -> GammaReport:
     """The ``label`` branch datum's exponent -t E'/E at t_max, less its ``slack``, against target.
 
@@ -348,10 +352,11 @@ def verify_gamma_hf(
     the slowest high-band branch, decaying like exp(-sigma k^p t), under the
     sharpest admissible Sobolev tail for class m (exponent 3/4 + m/2 + eps/2 with
     eps = SOBOLEV_SLACK, so the datum's exponent is -2(m + eps)/p, reported less
-    its slack -2 eps/p).  An m that is not finite and positive raises ValueError.
+    its slack -2 eps/p).  An m or a given k_plus outside (0, inf) raises ValueError.
     """
     if not 0 < m < math.inf:
         raise ValueError(f"the Sobolev class m must be finite and positive, got m={m}")
+    _given_band_edge("k_plus", k_plus)
     label, (sigma, p, k_cross) = _slowest_hf_branch(medium)
     if sigma == 0:
         raise ExponentMismatch(f"no dissipation reaches the high band on {label}")
@@ -378,7 +383,8 @@ def verify_gamma_lf(
     p: float,
     k_minus: Optional[float] = None,
 ) -> GammaReport:
-    """Reproduce the optimal low-frequency exponent p + 3/2."""
+    """Reproduce the optimal low-frequency exponent p + 3/2; a k_minus given is checked first."""
+    _given_band_edge("k_minus", k_minus)
     sigma = _decay_law(Zero0(1), medium.asymptotic_coefficients())[0]
     if sigma == 0:
         raise ExponentMismatch("no dissipation reaches the low band")
@@ -388,9 +394,8 @@ def verify_gamma_lf(
     def profile_at(t_max):
         return power_law(p, math.sqrt(1.0 / (sigma * t_max)) / 20.0, k_minus)
 
-    return _exponent_run(
-        medium, Zero0(1), 30.0 / (sigma * k_minus**2), profile_at, p + 1.5, f"lf(p={p:g})"
-    )
+    t_onset = 30.0 / (sigma * k_minus**2)
+    return _exponent_run(medium, Zero0(1), t_onset, profile_at, p + 1.5, f"lf(p={p:g})")
 
 
 def convergence_to_zero(medium: LorentzMedium, t_list: Sequence[float]) -> DecayRecord:

@@ -18,9 +18,10 @@ energy traces both take; an operator keeps the record of its k.  Only the
 fallback of ``propagate``, the dense 2N x 2N expm, is separate (an N x N expm of
 the two parts is barely faster, less accurate).
 The explicit resolvent is the u_+ formula lifted to 2N x 2N by the projectors'
-map, and the contour projector sums only u_+ resolvents.  The lift keeps the
-weighted 2-norm, so ``operator_norm`` takes a lift's norm from its N x N u_+
-part and only any other matrix's from a 2N x 2N SVD.
+map, whose block pattern the eigenspace columns read too, and the contour
+projector sums only u_+ resolvents, its first two rings from one 64-node call.
+The lift keeps the weighted 2-norm, so ``operator_norm`` takes a lift's norm
+from its N x N u_+ part and only any other matrix's from a 2N x 2N SVD.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ EIG_CLUSTER_TOL = 1e-7
 #: scaled distance to singular sets below which the formula path refuses
 SINGULAR_TOL = 1e-8
 
-# contour nodes per stacked resolvent call past 64 nodes; caps the (nodes, dim, dim)
-# stack.  The first call takes the 64 nodes of the first two rings.  All 300 seeded
-# benchmark contours converge within that first call, so the cap bounds only a
-# contour on its way to _CONTOUR_MAX_NODES.
+# contour nodes per stacked resolvent call past the first, 64-node call; caps the
+# (nodes, dim, dim) stack.  All 300 seeded benchmark contours converge within that
+# first call, so the cap bounds only a contour on its way to _CONTOUR_MAX_NODES.
 _CONTOUR_BLOCK = 256
 
 # a contour projector is accepted once a node doubling changes it by less than
@@ -382,7 +382,7 @@ def eigenvector_columns(medium: LorentzMedium, k: float, omega) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=complex)
     v = _eigenspace_plus(medium, k, omega)[0]
-    blocks = np.where(_medium_record(medium).flip[:, None, None] > 0, np.eye(2), -1j * J2)
+    blocks = _medium_record(medium).lift_blocks[:, :, 0]  # the lift's blocks (b, 0)
     return (v[..., None, None] * blocks).reshape(omega.shape + (2 * medium.state_blocks, 2))
 
 
@@ -447,7 +447,7 @@ class _ModalRecord:
         try:
             left = np.linalg.inv(vecs)
         except np.linalg.LinAlgError:  # an exactly singular V anywhere in the stack
-            left = np.full_like(vecs, np.inf)
+            left = np.full(vecs.shape, np.inf)  # real: a complex inf's norm warns (inf * 0j)
         bound = np.linalg.norm(vecs, axis=(-2, -1)) * np.linalg.norm(left, axis=(-2, -1))
         gap = (_pairwise(vals).min(axis=-2) / (1.0 + np.abs(vals))).min(axis=-1)
         bad = (gap < EIG_CLUSTER_TOL) | ~(bound <= 1e12)
@@ -556,45 +556,38 @@ def projector_contour(
     the n-node ring, so each doubling evaluates only the n new odd nodes and
     adds them to the carried N x N node sum, which is lifted once at the end.
     The first test needs the 32- and the 64-node estimate, so one stacked u_+
-    resolvent call evaluates the 32-node ring and the 64-node ring's odd nodes,
-    summed ring by ring; later doublings make stacked calls of at most
-    ``_CONTOUR_BLOCK`` nodes.  A non-finite eigenvalue raises NearSingularEvaluation
-    before any evaluation.
+    resolvent call evaluates the 64-node ring, its even nodes (the 32-node
+    ring) summed before its odd ones; later doublings make stacked calls of at
+    most ``_CONTOUR_BLOCK`` nodes.  A non-finite eigenvalue raises
+    NearSingularEvaluation before any evaluation.
     """
     _finite_frequency(np.asarray(eigenvalue, dtype=complex))
     dist = np.abs(singular_set(medium, k) - eigenvalue)
     # every point kept lies over SINGULAR_TOL (1 + |eigenvalue|) away, so rho > 5e-9
     rho = 0.5 * float(dist[dist > SINGULAR_TOL * (1.0 + abs(eigenvalue))].min())
 
-    prev = None
-    acc = np.zeros((medium.state_blocks,) * 2, dtype=complex)
-    nodes = 32
-    theta = 2.0 * math.pi * np.arange(nodes) / nodes
-    # the 32-node ring, then the 64-node ring's odd nodes: each ring sums its own half
-    odd = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
-    first = _resolvent_plus(medium, k, eigenvalue + rho * np.exp(1j * np.append(theta, odd)))
-    while nodes <= _CONTOUR_MAX_NODES:
-        for start in range(0, len(theta), _CONTOUR_BLOCK):
-            phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
-            if nodes <= 64:
-                ring = first[nodes - 32 : nodes]
-            else:
-                ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
-            acc += np.einsum("n,nij->ij", phase, ring)
+    # the 64-node ring; its even nodes (2 pi 2j / 64 = 2 pi j / 32) are the 32-node ring
+    nodes = 64
+    phase = np.exp(1j * (2.0 * math.pi * np.arange(nodes) / nodes))
+    ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
+    acc = np.einsum("n,nij->ij", phase[0::2], ring[0::2])
+    prev = -acc * rho / (nodes // 2)
+    acc += np.einsum("n,nij->ij", phase[1::2], ring[1::2])
+    while True:
         est = -acc * rho / nodes
         # the lift preserves the 2-norm, so the u_+ estimates decide convergence; the
         # 2-norms are the largest singular values, as np.linalg.norm(x, 2) takes them
-        if prev is not None:
-            change, size = np.linalg.svd(np.stack([est - prev, est]), compute_uv=False)[..., 0]
-            if change < _CONTOUR_TOL * max(1.0, size):
-                return _lift(est, _medium_record(medium).lift_blocks)
-        prev = est
-        # the odd nodes of the 2n-node ring
-        theta = 2.0 * math.pi * (2 * np.arange(nodes) + 1) / (2 * nodes)
-        nodes *= 2
-    raise QuadratureNonconvergent(
-        f"contour projector did not converge with {_CONTOUR_MAX_NODES} nodes"
-    )
+        change, size = np.linalg.svd(np.stack([est - prev, est]), compute_uv=False)[..., 0]
+        if change < _CONTOUR_TOL * max(1.0, size):
+            return _lift(est, _medium_record(medium).lift_blocks)
+        if nodes == _CONTOUR_MAX_NODES:
+            raise QuadratureNonconvergent(f"contour projector did not converge with {nodes} nodes")
+        prev, nodes = est, 2 * nodes
+        theta = 2.0 * math.pi * (2 * np.arange(nodes // 2) + 1) / nodes  # the new odd nodes
+        for start in range(0, len(theta), _CONTOUR_BLOCK):
+            phase = np.exp(1j * theta[start : start + _CONTOUR_BLOCK])
+            ring = _resolvent_plus(medium, k, eigenvalue + rho * phase)
+            acc += np.einsum("n,nij->ij", phase, ring)
 
 
 def projector_norm_sweep(

@@ -827,6 +827,20 @@ class TestTracking:
         with pytest.raises(DegenerateLeadingCoefficient):
             dsp.track_branches(reference_medium, np.geomspace(1e6, 1e8, 50))
 
+    def test_planted_duplicate_root_is_indistinguishable(self, reference_medium, monkeypatch):
+        # the step into a row holding one root twice collides before any refinement
+        grid = np.geomspace(0.1, 10.0, 50)
+        solve = dsp._solve_grid
+
+        def planted(medium, k_grid):
+            solved = solve(medium, k_grid)
+            solved[20, 1] = solved[20, 0]
+            return solved
+
+        monkeypatch.setattr(dsp, "_solve_grid", planted)
+        with pytest.raises(BranchCollision, match=f"^roots indistinguishable at k={grid[20]:g}$"):
+            dsp.track_branches(reference_medium, grid)
+
     def test_exceptional_point_still_collides(self):
         # two roots meet on the negative imaginary axis near k = 1.28151
         medium = lm.new_medium(1.0, 1.0, [(2.3615, 0.26657, 1.1135)], [])
@@ -1375,6 +1389,18 @@ class TestAsymptoticVerification:
             measured = (w - sign * table.static_speed * k) / k**2
             assert measured == pytest.approx(table.lf_second_order, rel=0.05)
         assert (-table.epsmu_prime0).imag < 0
+
+    def test_zero_residuals_report_the_expected_order(self, reference_medium):
+        # a branch equal to its series at every probe has no residual slope to fit
+        table = reference_medium.asymptotic_coefficients()
+        series, expected = dsp.expansion(dsp.PlusInf(), table)
+        ks = np.geomspace(10.0, 1000.0, 5)
+        branch = dsp.BranchFamily(k=ks, omega=np.array([series(k) for k in ks]),
+                                  hf_label=dsp.PlusInf())
+        report = dsp.verify_asymptotics(branch, table, ks, regime="hf")
+        assert np.all(report.residuals == 0)
+        assert report.fitted_order == report.expected_order == expected
+        assert report.ok
 
     def test_lf_asymptotics_reports(self, reference_branches, reference_medium):
         table = reference_medium.asymptotic_coefficients()

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import weakref
 
 import numpy as np
@@ -211,10 +212,11 @@ def _anchored_labels(medium):
     return labels
 
 
-def _argmin_pick(medium, label, ks):
-    """The root nearest the anchor among all N roots of the full solve."""
+def _argmin_pick(medium, label, k):
+    """The root nearest the anchor among all roots of the full solve; a scalar k gives one row."""
     table = medium.asymptotic_coefficients()
-    roots = dsp.solve_dispersion(medium, ks)
+    roots = np.atleast_2d(dsp.solve_dispersion(medium, k))
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
     anchor = dsp.expansion(label, table)[0](ks)
     return roots[np.arange(len(ks)), np.argmin(np.abs(roots - anchor[:, None]), axis=1)]
 
@@ -248,7 +250,11 @@ class TestBranchEigenvalue:
         omega = en.branch_eigenvalue(reference_medium, dsp.PlusInf(), ks)
         expected = _argmin_pick(reference_medium, dsp.PlusInf(), ks)
         assert np.all(np.abs(omega - expected) <= 1e-13 * np.abs(expected))
-        assert en.branch_eigenvalue(reference_medium, dsp.PlusInf(), 2.0) == omega[0]
+        np.testing.assert_array_equal(omega[::2], expected[::2])  # the unsettled rows
+        assert en.branch_eigenvalue(reference_medium, dsp.PlusInf(), 2.0) == expected[0]
+        # a scalar k = 0 picks among the roots solve_dispersion deflates
+        zero = en.branch_eigenvalue(reference_medium, dsp.Zero0(1), 0.0)
+        assert zero == _argmin_pick(reference_medium, dsp.Zero0(1), 0.0)[0] == 0.0
 
     @pytest.mark.parametrize("name", ["reference", "critical", "double_pole"])
     def test_every_label_anchors_to_its_tracked_branch(self, name, request):
@@ -273,18 +279,18 @@ class TestBranchEigenvalue:
     def test_few_rows_reach_the_full_solve(self, reference_medium, critical_medium, monkeypatch):
         # counts rows, times nothing
         counts = {"rows": 0, "full": 0}
-        branch, full = en.branch_eigenvalue, en.certified_roots
+        branch, full = en.branch_eigenvalue, en.solve_dispersion
 
         def counted_branch(medium, label, k):
             counts["rows"] += np.size(k)
             return branch(medium, label, k)
 
-        def counted_full(rows):
-            counts["full"] += len(rows)
-            return full(rows)
+        def counted_full(medium, k):
+            counts["full"] += np.size(k)
+            return full(medium, k)
 
         monkeypatch.setattr(en, "branch_eigenvalue", counted_branch)
-        monkeypatch.setattr(en, "certified_roots", counted_full)
+        monkeypatch.setattr(en, "solve_dispersion", counted_full)
         en.verify_gamma_lf(reference_medium, 0.0)
         en.verify_gamma_hf(reference_medium, 2.0)
         en.verify_gamma_hf(critical_medium, 2.0)
@@ -527,6 +533,23 @@ class TestGammaHF:
         else:
             with pytest.raises(ValueError, match=f"nonnegative and finite, got p={param}"):
                 en.verify_gamma_lf(reference_medium, param, reference_bands[0])
+
+    @pytest.mark.parametrize("band", ["lf", "hf"])
+    @pytest.mark.parametrize("edge", [0.0, -0.0, -1.0, np.nan, np.inf])
+    def test_band_edge_refused_before_any_root_solve(self, reference_medium, monkeypatch,
+                                                     band, edge):
+        # k_minus = 0 once divided by zero in the run's onset 30 / (sigma k_minus^2)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a refused run reached a root solve")
+
+        for name in ("branch_eigenvalue", "_slowest_hf_branch", "_decay_law"):
+            monkeypatch.setattr(en, name, unreachable)
+        name = "k_minus" if band == "lf" else "k_plus"
+        with pytest.raises(ValueError, match=re.escape(f"{name}={edge}: profile band must")):
+            if band == "lf":
+                en.verify_gamma_lf(reference_medium, 0.0, k_minus=edge)
+            else:
+                en.verify_gamma_hf(reference_medium, 2.0, k_plus=edge)
 
     def test_energy_times_target_power_bounded(self, hf_report_reference):
         # upper-bound side: E(t) * t^m stays bounded over the run's last two decades

@@ -934,6 +934,21 @@ class TestGSymmetricCore:
         assert np.all(bound < 1e7)
         np.testing.assert_array_equal(left, np.linalg.inv(vecs))
 
+    def test_exactly_singular_eigenvectors_are_refused(self, monkeypatch, reference_medium):
+        # a zero eigenvector column makes V exactly singular: inv raises, |V||L| is inf
+        eig = np.linalg.eig
+
+        def singular(a):
+            vals, vecs = eig(a)
+            vecs[..., -1, :, 0] = 0.0
+            return vals, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", singular)
+        # inv refuses the whole stack, so a stack reports its first k
+        for k in (1.0, np.array([1.0, 2.0])):
+            with pytest.raises(NotDiagonalizable, match=r"^k=1: scaled gap .*, \|V\|\|L\| inf$"):
+                ops._ModalRecord(reference_medium, k).modes
+
     @pytest.mark.parametrize("tilt", [1e-13, 0.0])
     def test_near_defective_eigenvectors_are_refused(self, tilt, monkeypatch, reference_medium):
         # well separated eigenvalues, but two eigenvector columns parallel to within tilt
